@@ -1,23 +1,29 @@
-"""Fused engine throughput vs the batch engine on the n=9 multi-slot row.
+"""Per-transmission program vs slot loop on the n=9 multi-slot row.
 
-The fused engine's design target is the workload that collapses the batch
-engine's per-slot loop: many sensors, several compromised transmissions,
-and a random schedule, so the attacker forges at nearly every slot across
-the batch and the slot loop runs an active-mode support sweep per slot.
-The benchmark row is the nine-sensor extension of the paper's Table I
-grid (the paper tops out at n=5) with ``fa=3`` simultaneously compromised
-sensors, run under Ascending, Descending and Random.
+The batch engine runs the greedy stretch attacker on the per-transmission
+program (:func:`repro.batch.rounds.transmission_rounds`) and every other
+attacker on the slot loop (:func:`repro.batch.rounds.slot_loop_rounds`).
+This benchmark keeps that specialization honest on the workload it exists
+for: many sensors, several compromised transmissions, and a random
+schedule, so the attacker forges at nearly every slot across the batch and
+the slot loop runs an active-mode support sweep per slot.  The benchmark
+row is the nine-sensor extension of the paper's Table I grid (the paper
+tops out at n=5) with ``fa=3`` simultaneously compromised sensors, run
+under Ascending, Descending and Random.
 
-Two assertions gate every run:
+Both bodies run on the *same* prepared rounds (one
+:func:`repro.batch.rounds.prepare_rounds` call per leg), so the rates
+compare the simulation bodies alone.  Two assertions gate every run:
 
-* **bit identity** — the fused engine's :class:`~repro.engine.base.RoundsResult`
-  must equal the batch engine's array for array on every schedule (the
-  conformance suite pins this at small scale; the benchmark re-checks it
-  at Monte-Carlo scale);
-* **throughput floor** — on the multi-slot random-schedule leg the fused
-  engine must deliver at least ``REPRO_BENCH_FUSED_FLOOR`` (default 3x)
-  the batch engine's rounds/sec; the deterministic legs are reported but
-  not gated (they gain ~1.2–1.9x — the slot loop hurts them less).
+* **bit identity** — the per-transmission program's
+  :class:`~repro.batch.rounds.BatchRoundResult` must equal the slot loop's
+  array for array on every schedule (the test-suite pins this at small
+  scale; the benchmark re-checks it at Monte-Carlo scale);
+* **throughput floor** — on the multi-slot random-schedule leg the
+  per-transmission program must deliver at least
+  ``REPRO_BENCH_FUSED_FLOOR`` (default 3x) the slot loop's rounds/sec; the
+  deterministic legs are reported but not gated (the slot loop hurts them
+  less).
 
 Besides the human-readable table, the run writes
 ``benchmarks/results/bench_fused_engine.json`` (rates, speedups, samples
@@ -30,7 +36,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.engine import BatchEngine, FusedEngine
+from repro.batch.rounds import (
+    ActiveStretchBatchAttacker,
+    BatchRoundConfig,
+    prepare_rounds,
+    sample_correct_bounds,
+    slot_loop_rounds,
+    transmission_rounds,
+)
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -50,6 +63,9 @@ SCHEDULES = (AscendingSchedule(), DescendingSchedule(), RandomSchedule())
 #: land in different slots every round — the multi-slot stress case.
 GATED_SCHEDULE = "random"
 
+#: The result arrays both bodies must agree on, bit for bit.
+RESULT_FIELDS = ("broadcast_lo", "broadcast_hi", "flagged", "attacker_detected")
+
 
 def _config() -> ScheduleComparisonConfig:
     return ScheduleComparisonConfig(
@@ -59,59 +75,80 @@ def _config() -> ScheduleComparisonConfig:
     )
 
 
-def _best_rate(engine, schedule, samples: int, repeats: int = 3) -> tuple[float, object]:
-    """Best-of-N rounds/sec for one engine on one schedule (plus a result)."""
+def prepared_leg(schedule, samples: int, channel=None):
+    """One leg's round config and prepared rounds, as the batch engine builds them."""
     config = _config()
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        rng = np.random.default_rng(0)
-        start = time.perf_counter()
-        result = engine.run_rounds(config, schedule, "stretch", None, samples, rng)
-        best = min(best, time.perf_counter() - start)
-    return samples / best, result
+    round_config = BatchRoundConfig(
+        schedule=schedule,
+        attacked_indices=config.resolved_attacked,
+        attacker=ActiveStretchBatchAttacker(),
+        f=config.resolved_f,
+        channel=channel,
+    )
+    rng = np.random.default_rng(0)
+    lowers, uppers = sample_correct_bounds(config.lengths, config.true_value, samples, rng)
+    return round_config, prepare_rounds(lowers, uppers, round_config, rng)
 
 
-def _assert_bit_identical(batch_result, fused_result, schedule_name: str) -> None:
-    for field in (
-        "fusion_lo",
-        "fusion_hi",
-        "valid",
-        "attacker_detected",
-        "broadcast_lo",
-        "broadcast_hi",
-        "flagged",
-    ):
+def best_rates(round_config, prepared, repeats: int = 3):
+    """Best-of-N rounds/sec of the slot loop and the per-transmission program.
+
+    Returns ``(slot_rate, slot_result, transmission_rate, transmission_result)``.
+    """
+    bodies = (
+        lambda: slot_loop_rounds(prepared, round_config, np.random.default_rng(0)),
+        lambda: transmission_rounds(prepared, round_config),
+    )
+    out = []
+    for body in bodies:
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = body()
+            best = min(best, time.perf_counter() - start)
+        out += [prepared.shape[0] / best, result]
+    return tuple(out)
+
+
+def assert_bit_identical(slot_result, transmission_result, leg: str, fields=()) -> None:
+    pairs = [
+        ("fusion.lo", slot_result.fusion.lo, transmission_result.fusion.lo),
+        ("fusion.hi", slot_result.fusion.hi, transmission_result.fusion.hi),
+        ("fusion.valid", slot_result.fusion.valid, transmission_result.fusion.valid),
+    ]
+    pairs += [
+        (name, getattr(slot_result, name), getattr(transmission_result, name))
+        for name in RESULT_FIELDS + tuple(fields)
+    ]
+    for name, expected, actual in pairs:
         np.testing.assert_array_equal(
-            getattr(batch_result, field),
-            getattr(fused_result, field),
-            err_msg=f"fused != batch on {schedule_name}/{field}",
+            expected, actual, err_msg=f"per-transmission != slot loop on {leg}/{name}"
         )
 
 
 def test_fused_engine_speedup(report_writer, json_report_writer, batch_samples, fused_speedup_floor):
-    """Fused vs batch on the n=9 multi-slot row: parity plus the 3x floor."""
-    batch_engine = BatchEngine()
-    fused_engine = FusedEngine()
+    """Per-transmission program vs slot loop on the n=9 row: parity plus the 3x floor."""
     rows = []
     legs = {}
     parity = []
     for schedule in SCHEDULES:
-        batch_rate, batch_result = _best_rate(batch_engine, schedule, batch_samples)
-        fused_rate, fused_result = _best_rate(fused_engine, schedule, batch_samples)
-        parity.append((batch_result, fused_result, schedule.name))
-        speedup = fused_rate / batch_rate
+        round_config, prepared = prepared_leg(schedule, batch_samples)
+        slot_rate, slot_result, transmission_rate, transmission_result = best_rates(
+            round_config, prepared
+        )
+        parity.append((slot_result, transmission_result, schedule.name))
+        speedup = transmission_rate / slot_rate
         legs[schedule.name] = {
-            "batch_rounds_per_second": batch_rate,
-            "fused_rounds_per_second": fused_rate,
+            "slot_loop_rounds_per_second": slot_rate,
+            "per_transmission_rounds_per_second": transmission_rate,
             "speedup": speedup,
             "samples": batch_samples,
         }
         rows.append(
             [
                 schedule.name,
-                f"{batch_rate:,.0f}",
-                f"{fused_rate:,.0f}",
+                f"{slot_rate:,.0f}",
+                f"{transmission_rate:,.0f}",
                 f"{speedup:.2f}x",
                 "yes" if schedule.name == GATED_SCHEDULE else "",
             ]
@@ -119,12 +156,12 @@ def test_fused_engine_speedup(report_writer, json_report_writer, batch_samples, 
     report_writer(
         "bench_fused_engine",
         format_table(
-            ["schedule", "batch rounds/s", "fused rounds/s", "speedup", "gated"],
+            ["schedule", "slot loop rounds/s", "per-transmission rounds/s", "speedup", "gated"],
             rows,
             title=(
-                "Fused vs batch engine — n=9 multi-slot row "
+                "Per-transmission program vs slot loop — n=9 multi-slot row "
                 f"(fa={MULTI_SLOT_FA}, attacked={MULTI_SLOT_ATTACKED}, "
-                f"{batch_samples:,} rounds per leg, bit-identical results)"
+                f"{batch_samples:,} prepared rounds per leg, bit-identical results)"
             ),
         ),
     )
@@ -143,25 +180,22 @@ def test_fused_engine_speedup(report_writer, json_report_writer, batch_samples, 
     )
     # Assertions come *after* the reports, so a failing run still leaves
     # the table and the JSON behind for CI to upload and diagnose.
-    for batch_result, fused_result, name in parity:
-        _assert_bit_identical(batch_result, fused_result, name)
+    for slot_result, transmission_result, name in parity:
+        assert_bit_identical(slot_result, transmission_result, name)
     gated = legs[GATED_SCHEDULE]["speedup"]
     assert gated >= fused_speedup_floor, (
-        f"fused engine is only {gated:.2f}x the batch engine on the n=9 multi-slot "
-        f"{GATED_SCHEDULE} row (floor: {fused_speedup_floor}x)"
+        f"the per-transmission program is only {gated:.2f}x the slot loop on the n=9 "
+        f"multi-slot {GATED_SCHEDULE} row (floor: {fused_speedup_floor}x)"
     )
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.name)
 def test_fused_engine_benchmark(benchmark, schedule, batch_samples):
-    """pytest-benchmark timing of the fused engine per schedule leg."""
-    engine = FusedEngine()
-    config = _config()
+    """pytest-benchmark timing of the per-transmission program per schedule leg."""
+    round_config, prepared = prepared_leg(schedule, batch_samples)
 
     def run():
-        return engine.run_rounds(
-            config, schedule, "stretch", None, batch_samples, np.random.default_rng(0)
-        )
+        return transmission_rounds(prepared, round_config)
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert result.valid.all()
+    assert result.fusion.valid.all()

@@ -1,44 +1,38 @@
-"""Fused vs batch engine throughput under a lossy channel.
+"""Per-transmission program vs slot loop under a lossy channel.
 
 Same shape as ``bench_fused_engine.py`` — the n=9 multi-slot row that
-collapses the batch engine's per-slot loop — but with the channel on:
-i.i.d. loss with delay and a retransmission budget, so every leg exercises
-the masked fused kernels (per-slot visibility, received-subset fusion,
-channel counters) rather than the dense complex-sorted sweeps.
+collapses the slot loop — but with the channel on: i.i.d. loss with delay
+and a retransmission budget, so every leg exercises the masked sweeps
+(per-slot visibility, received-subset fusion, channel counters) of both
+simulation bodies.  Both bodies run on the same prepared rounds.
 
 Two assertions gate every run:
 
-* **bit identity** — the fused engine's results (channel counters
-  included) must equal the batch engine's array for array on every
-  schedule and channel;
+* **bit identity** — the per-transmission program's results must equal
+  the slot loop's array for array on every schedule and channel;
 * **throughput floor** — on the lossy multi-slot random-schedule leg the
-  fused engine must deliver at least ``REPRO_BENCH_LOSSY_FLOOR`` (default
-  2x) the batch engine's rounds/sec.
+  per-transmission program must deliver at least
+  ``REPRO_BENCH_LOSSY_FLOOR`` (default 2x) the slot loop's rounds/sec.
 
 Besides the human-readable table, the run writes
 ``benchmarks/results/bench_lossy.json`` (rates, speedups, loss counters
 per leg) which CI uploads as a workflow artifact.
 """
 
-import time
-
-import numpy as np
 import pytest
 
-from repro.analysis import format_table
-from repro.channel import ChannelSpec
-from repro.engine import BatchEngine, FusedEngine
-from repro.scheduling import (
-    AscendingSchedule,
-    DescendingSchedule,
-    RandomSchedule,
-    ScheduleComparisonConfig,
+from bench_fused_engine import (
+    MULTI_SLOT_ATTACKED,
+    MULTI_SLOT_FA,
+    MULTI_SLOT_LENGTHS,
+    assert_bit_identical,
+    best_rates,
+    prepared_leg,
 )
-
-#: The same n=9 multi-slot row as ``bench_fused_engine.py``.
-MULTI_SLOT_LENGTHS = (5.0, 5.0, 5.0, 8.0, 8.0, 11.0, 14.0, 17.0, 20.0)
-MULTI_SLOT_FA = 3
-MULTI_SLOT_ATTACKED = (0, 4, 8)
+from repro.analysis import format_table
+from repro.batch.rounds import transmission_rounds
+from repro.channel import ChannelSpec
+from repro.scheduling import AscendingSchedule, DescendingSchedule, RandomSchedule
 
 SCHEDULES = (AscendingSchedule(), DescendingSchedule(), RandomSchedule())
 GATED_SCHEDULE = "random"
@@ -54,75 +48,35 @@ CHANNELS = {
 GATED_CHANNEL = "iid-delay"
 
 
-def _config() -> ScheduleComparisonConfig:
-    return ScheduleComparisonConfig(
-        lengths=MULTI_SLOT_LENGTHS,
-        fa=MULTI_SLOT_FA,
-        attacked_indices=MULTI_SLOT_ATTACKED,
-    )
-
-
-def _best_rate(engine, schedule, channel, samples: int, repeats: int = 3):
-    """Best-of-N rounds/sec for one engine on one lossy leg (plus a result)."""
-    config = _config()
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        rng = np.random.default_rng(0)
-        start = time.perf_counter()
-        result = engine.run_rounds(config, schedule, "stretch", None, samples, rng, channel)
-        best = min(best, time.perf_counter() - start)
-    return samples / best, result
-
-
-def _assert_bit_identical(batch_result, fused_result, leg: str) -> None:
-    for field in (
-        "fusion_lo",
-        "fusion_hi",
-        "valid",
-        "attacker_detected",
-        "broadcast_lo",
-        "broadcast_hi",
-        "flagged",
-        "channel_dropped",
-        "channel_retransmits",
-    ):
-        np.testing.assert_array_equal(
-            getattr(batch_result, field),
-            getattr(fused_result, field),
-            err_msg=f"fused != batch on {leg}/{field}",
-        )
-
-
 def test_lossy_fused_speedup(report_writer, json_report_writer, batch_samples, lossy_speedup_floor):
-    """Fused vs batch on the lossy n=9 multi-slot row: parity plus the 2x floor."""
-    batch_engine = BatchEngine()
-    fused_engine = FusedEngine()
+    """Per-transmission program vs slot loop on the lossy n=9 row: parity plus the 2x floor."""
     rows = []
     legs = {}
     parity = []
     for channel_name, channel in CHANNELS.items():
         for schedule in SCHEDULES:
             leg = f"{channel_name}/{schedule.name}"
-            batch_rate, batch_result = _best_rate(batch_engine, schedule, channel, batch_samples)
-            fused_rate, fused_result = _best_rate(fused_engine, schedule, channel, batch_samples)
-            parity.append((batch_result, fused_result, leg))
-            speedup = fused_rate / batch_rate
+            round_config, prepared = prepared_leg(schedule, batch_samples, channel)
+            slot_rate, slot_result, transmission_rate, transmission_result = best_rates(
+                round_config, prepared
+            )
+            parity.append((slot_result, transmission_result, leg))
+            speedup = transmission_rate / slot_rate
             gated = channel_name == GATED_CHANNEL and schedule.name == GATED_SCHEDULE
             legs[leg] = {
                 "channel": channel.to_dict(),
-                "batch_rounds_per_second": batch_rate,
-                "fused_rounds_per_second": fused_rate,
+                "slot_loop_rounds_per_second": slot_rate,
+                "per_transmission_rounds_per_second": transmission_rate,
                 "speedup": speedup,
                 "samples": batch_samples,
-                "dropped_total": int(fused_result.channel_dropped.sum()),
-                "retransmits_total": int(fused_result.channel_retransmits.sum()),
+                "dropped_total": int(prepared.channel.dropped.sum()),
+                "retransmits_total": int(prepared.channel.retransmits.sum()),
             }
             rows.append(
                 [
                     leg,
-                    f"{batch_rate:,.0f}",
-                    f"{fused_rate:,.0f}",
+                    f"{slot_rate:,.0f}",
+                    f"{transmission_rate:,.0f}",
                     f"{speedup:.2f}x",
                     f"{legs[leg]['dropped_total']:,}",
                     "yes" if gated else "",
@@ -131,12 +85,19 @@ def test_lossy_fused_speedup(report_writer, json_report_writer, batch_samples, l
     report_writer(
         "bench_lossy",
         format_table(
-            ["channel/schedule", "batch rounds/s", "fused rounds/s", "speedup", "dropped", "gated"],
+            [
+                "channel/schedule",
+                "slot loop rounds/s",
+                "per-transmission rounds/s",
+                "speedup",
+                "dropped",
+                "gated",
+            ],
             rows,
             title=(
-                "Fused vs batch engine under a lossy channel — n=9 multi-slot row "
-                f"(fa={MULTI_SLOT_FA}, attacked={MULTI_SLOT_ATTACKED}, "
-                f"{batch_samples:,} rounds per leg, bit-identical results)"
+                "Per-transmission program vs slot loop under a lossy channel — n=9 "
+                f"multi-slot row (fa={MULTI_SLOT_FA}, attacked={MULTI_SLOT_ATTACKED}, "
+                f"{batch_samples:,} prepared rounds per leg, bit-identical results)"
             ),
         ),
     )
@@ -155,26 +116,23 @@ def test_lossy_fused_speedup(report_writer, json_report_writer, batch_samples, l
     )
     # Assertions come *after* the reports, so a failing run still leaves
     # the table and the JSON behind for CI to upload and diagnose.
-    for batch_result, fused_result, leg in parity:
-        _assert_bit_identical(batch_result, fused_result, leg)
+    for slot_result, transmission_result, leg in parity:
+        assert_bit_identical(slot_result, transmission_result, leg)
+        assert transmission_result.channel is slot_result.channel
     gated_speedup = legs[f"{GATED_CHANNEL}/{GATED_SCHEDULE}"]["speedup"]
     assert gated_speedup >= lossy_speedup_floor, (
-        f"fused engine is only {gated_speedup:.2f}x the batch engine on the lossy "
-        f"n=9 multi-slot {GATED_SCHEDULE} row (floor: {lossy_speedup_floor}x)"
+        f"the per-transmission program is only {gated_speedup:.2f}x the slot loop on the "
+        f"lossy n=9 multi-slot {GATED_SCHEDULE} row (floor: {lossy_speedup_floor}x)"
     )
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.name)
 def test_lossy_fused_benchmark(benchmark, schedule, batch_samples):
-    """pytest-benchmark timing of the fused engine per lossy schedule leg."""
-    engine = FusedEngine()
-    config = _config()
-    channel = CHANNELS[GATED_CHANNEL]
+    """pytest-benchmark timing of the per-transmission program per lossy schedule leg."""
+    round_config, prepared = prepared_leg(schedule, batch_samples, CHANNELS[GATED_CHANNEL])
 
     def run():
-        return engine.run_rounds(
-            config, schedule, "stretch", None, batch_samples, np.random.default_rng(0), channel
-        )
+        return transmission_rounds(prepared, round_config)
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert result.channel_dropped.sum() > 0
+    assert result.channel.dropped.sum() > 0

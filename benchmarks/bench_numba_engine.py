@@ -1,8 +1,8 @@
-"""Numba engine throughput vs the fused engine on the n=9 multi-slot row.
+"""Numba engine throughput vs the batch engine on the n=9 multi-slot row.
 
 The numba engine's design target is paper-precision statistics: 10⁷-sample
-Monte-Carlo sweeps of the heavy Table I style rows, where even the fused
-engine's event matrices and per-slot buffers dominate the runtime.  The
+Monte-Carlo sweeps of the heavy Table I style rows, where even the batch
+engine's per-transmission event matrices dominate the runtime.  The
 benchmark row matches ``bench_fused_engine``: the nine-sensor extension of
 the Table I grid with ``fa=3`` compromised sensors, under Ascending,
 Descending and Random schedules.
@@ -12,11 +12,11 @@ would be ~720 MB *per array*), each chunk re-seeded identically for both
 engines; per-leg rates sum the chunk times.  Two assertions gate every run:
 
 * **bit identity** — on a full chunk per schedule, the numba engine's
-  :class:`~repro.engine.base.RoundsResult` must equal the fused engine's
+  :class:`~repro.engine.base.RoundsResult` must equal the batch engine's
   array for array (the conformance suite pins this at small scale; the
   benchmark re-checks it at chunk scale);
 * **throughput floor** — on the random-schedule leg the numba engine must
-  deliver at least ``REPRO_BENCH_NUMBA_FLOOR`` (default 5x) the fused
+  deliver at least ``REPRO_BENCH_NUMBA_FLOOR`` (default 5x) the batch
   engine's rounds/sec.  The deterministic legs are reported but not gated.
 
 The whole module skips unless numba is actually installed and compiling
@@ -33,7 +33,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.batch.kernels._compat import NUMBA_COMPILED
-from repro.engine import get_engine
+from repro.engine import BatchEngine, get_engine
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -92,7 +92,7 @@ def _chunked_rate(engine, schedule, samples: int, repeats: int = 2) -> float:
     return samples / best
 
 
-def _assert_bit_identical(fused_result, numba_result, schedule_name: str) -> None:
+def _assert_bit_identical(batch_result, numba_result, schedule_name: str) -> None:
     for field in (
         "fusion_lo",
         "fusion_hi",
@@ -103,17 +103,17 @@ def _assert_bit_identical(fused_result, numba_result, schedule_name: str) -> Non
         "flagged",
     ):
         np.testing.assert_array_equal(
-            getattr(fused_result, field),
+            getattr(batch_result, field),
             getattr(numba_result, field),
-            err_msg=f"numba != fused on {schedule_name}/{field}",
+            err_msg=f"numba != batch on {schedule_name}/{field}",
         )
 
 
 def test_numba_engine_speedup(
     report_writer, json_report_writer, numba_samples, numba_speedup_floor
 ):
-    """Numba vs fused on the n=9 multi-slot row: chunk parity plus the 5x floor."""
-    fused_engine = get_engine("fused")
+    """Numba vs batch on the n=9 multi-slot row: chunk parity plus the 5x floor."""
+    batch_engine = BatchEngine()
     numba_engine = get_engine("numba")
     config = _config()
     parity_samples = min(numba_samples, CHUNK_SAMPLES)
@@ -127,7 +127,7 @@ def test_numba_engine_speedup(
     for schedule in SCHEDULES:
         parity.append(
             (
-                fused_engine.run_rounds(
+                batch_engine.run_rounds(
                     config, schedule, "stretch", None, parity_samples, np.random.default_rng(0)
                 ),
                 numba_engine.run_rounds(
@@ -136,11 +136,11 @@ def test_numba_engine_speedup(
                 schedule.name,
             )
         )
-        fused_rate = _chunked_rate(fused_engine, schedule, numba_samples)
+        batch_rate = _chunked_rate(batch_engine, schedule, numba_samples)
         numba_rate = _chunked_rate(numba_engine, schedule, numba_samples)
-        speedup = numba_rate / fused_rate
+        speedup = numba_rate / batch_rate
         legs[schedule.name] = {
-            "fused_rounds_per_second": fused_rate,
+            "batch_rounds_per_second": batch_rate,
             "numba_rounds_per_second": numba_rate,
             "speedup": speedup,
             "samples": numba_samples,
@@ -148,7 +148,7 @@ def test_numba_engine_speedup(
         rows.append(
             [
                 schedule.name,
-                f"{fused_rate:,.0f}",
+                f"{batch_rate:,.0f}",
                 f"{numba_rate:,.0f}",
                 f"{speedup:.2f}x",
                 "yes" if schedule.name == GATED_SCHEDULE else "",
@@ -157,10 +157,10 @@ def test_numba_engine_speedup(
     report_writer(
         "bench_numba_engine",
         format_table(
-            ["schedule", "fused rounds/s", "numba rounds/s", "speedup", "gated"],
+            ["schedule", "batch rounds/s", "numba rounds/s", "speedup", "gated"],
             rows,
             title=(
-                "Numba vs fused engine — n=9 multi-slot row "
+                "Numba vs batch engine — n=9 multi-slot row "
                 f"(fa={MULTI_SLOT_FA}, attacked={MULTI_SLOT_ATTACKED}, "
                 f"{numba_samples:,} rounds per leg in {CHUNK_SAMPLES:,}-row chunks, "
                 "bit-identical results)"
@@ -183,11 +183,11 @@ def test_numba_engine_speedup(
     )
     # Assertions come *after* the reports, so a failing run still leaves
     # the table and the JSON behind for CI to upload and diagnose.
-    for fused_result, numba_result, name in parity:
-        _assert_bit_identical(fused_result, numba_result, name)
+    for batch_result, numba_result, name in parity:
+        _assert_bit_identical(batch_result, numba_result, name)
     gated = legs[GATED_SCHEDULE]["speedup"]
     assert gated >= numba_speedup_floor, (
-        f"numba engine is only {gated:.2f}x the fused engine on the n=9 multi-slot "
+        f"numba engine is only {gated:.2f}x the batch engine on the n=9 multi-slot "
         f"{GATED_SCHEDULE} row (floor: {numba_speedup_floor}x)"
     )
 

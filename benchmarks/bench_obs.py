@@ -1,4 +1,4 @@
-"""Telemetry overhead on the fused engine's n=9 multi-slot stress leg.
+"""Telemetry overhead on the batch engine's n=9 multi-slot stress leg.
 
 The ``repro.obs`` layer promises two things the benchmark pins at
 Monte-Carlo scale:
@@ -8,7 +8,7 @@ Monte-Carlo scale:
   monotonic clocks, never the RNG);
 * **overhead floor** — a fully *traced* run (spans, counters, snapshot)
   costs at most ``REPRO_BENCH_OBS_OVERHEAD`` (default 5%) over the
-  untraced run, best-of-3 each, on the fused engine's hardest leg — the
+  untraced run, best-of-3 each, on the batch engine's hardest leg — the
   n=9 multi-slot row under a random schedule from
   :mod:`bench_fused_engine`.  Untraced instrumentation is a thread-local
   read and a ``None`` check per site, so the untraced leg *is* the
@@ -27,13 +27,29 @@ from bench_fused_engine import (
     MULTI_SLOT_ATTACKED,
     MULTI_SLOT_FA,
     MULTI_SLOT_LENGTHS,
-    _assert_bit_identical,
     _config,
 )
 from repro import obs
 from repro.analysis import format_table
-from repro.engine import FusedEngine
+from repro.engine import BatchEngine
 from repro.scheduling import RandomSchedule
+
+
+def _assert_bit_identical(untraced_result, traced_result) -> None:
+    for field in (
+        "fusion_lo",
+        "fusion_hi",
+        "valid",
+        "attacker_detected",
+        "broadcast_lo",
+        "broadcast_hi",
+        "flagged",
+    ):
+        np.testing.assert_array_equal(
+            getattr(untraced_result, field),
+            getattr(traced_result, field),
+            err_msg=f"traced != untraced on random/{field}",
+        )
 
 
 def _best_time(engine, samples: int, traced: bool, repeats: int = 3):
@@ -58,8 +74,8 @@ def _best_time(engine, samples: int, traced: bool, repeats: int = 3):
 
 
 def test_telemetry_overhead(report_writer, json_report_writer, batch_samples, obs_overhead_floor):
-    """Traced vs untraced fused runs: bit identity plus the ≤5% overhead gate."""
-    engine = FusedEngine()
+    """Traced vs untraced batch runs: bit identity plus the ≤5% overhead gate."""
+    engine = BatchEngine()
     untraced_s, untraced_result = _best_time(engine, batch_samples, traced=False)
     traced_s, traced_result = _best_time(engine, batch_samples, traced=True)
     overhead = traced_s / untraced_s - 1.0
@@ -78,7 +94,7 @@ def test_telemetry_overhead(report_writer, json_report_writer, batch_samples, ob
             ["leg", "best ms", "rounds/s", "overhead"],
             rows,
             title=(
-                "Telemetry overhead — fused engine, n=9 multi-slot random row "
+                "Telemetry overhead — batch engine, n=9 multi-slot random row "
                 f"(fa={MULTI_SLOT_FA}, attacked={MULTI_SLOT_ATTACKED}, "
                 f"{batch_samples:,} rounds per leg, gate ≤{obs_overhead_floor * 100:g}%)"
             ),
@@ -101,8 +117,8 @@ def test_telemetry_overhead(report_writer, json_report_writer, batch_samples, ob
     )
     # Assertions come *after* the reports, so a failing run still leaves
     # the table and the JSON behind for CI to upload and diagnose.
-    _assert_bit_identical(untraced_result, traced_result, "random(traced)")
+    _assert_bit_identical(untraced_result, traced_result)
     assert traced_s <= untraced_s * (1.0 + obs_overhead_floor), (
-        f"tracing costs {overhead * 100:.2f}% over the untraced fused run "
+        f"tracing costs {overhead * 100:.2f}% over the untraced batch run "
         f"on the n=9 multi-slot random row (gate: {obs_overhead_floor * 100:g}%)"
     )

@@ -10,7 +10,7 @@ This benchmark measures the profit and gates it:
 * **workload** — ``REPRO_BENCH_SERVE_CLIENTS`` (default 64) concurrent
   clients POST inline specs to a live :class:`~repro.serve.FusionServer`
   over real HTTP connections.  Every client's spec shares one plan — the
-  n=9 multi-slot random-schedule row on the fused engine, split into many
+  n=9 multi-slot random-schedule row on the batch engine, split into many
   small shards, the regime where per-pass overhead dominates per-round
   work and coalescing has real fixed cost to amortize — but carries a
   distinct seed, so the serving cache layers that *shortcut* work — store
@@ -36,8 +36,8 @@ from repro.scenarios.spec import ComparisonCase, ComparisonScenario, spec_dict
 from repro.serve import FusionServer, FusionService
 
 #: Every client shares this plan; only the seed differs per client.  The
-#: n=9 multi-slot random row (the fused engine's design target, cf.
-#: ``bench_fused_engine.py``): high per-pass cost, so small shards leave
+#: n=9 multi-slot random row (the per-transmission program's design
+#: target, cf. ``bench_fused_engine.py``): high per-pass cost, so small shards leave
 #: plenty of fixed overhead for coalescing to amortize.
 PLAN_CASE = ComparisonCase(
     label="bench",
@@ -58,7 +58,7 @@ def client_spec(seed: int, samples: int) -> ComparisonScenario:
         cases=(PLAN_CASE,),
         samples=samples,
         shard_samples=max(10, samples // SHARDS_PER_REQUEST),
-        engine="fused",
+        engine="batch",
         seed=seed,
     )
 

@@ -104,10 +104,9 @@ def speedup_floor() -> float:
 
 @pytest.fixture(scope="session")
 def fused_speedup_floor() -> float:
-    """Required fused-vs-batch throughput ratio on the multi-slot row (default 3x).
+    """Required per-transmission-vs-slot-loop throughput ratio on the multi-slot row (default 3x).
 
-    ``REPRO_BENCH_FUSED_FLOOR`` loosens the gate on noisy shared runners;
-    the reference machine shows ~3.5x on the n=9 multi-slot random row.
+    ``REPRO_BENCH_FUSED_FLOOR`` loosens the gate on noisy shared runners.
     """
     value = os.environ.get("REPRO_BENCH_FUSED_FLOOR", "")
     try:
@@ -118,12 +117,11 @@ def fused_speedup_floor() -> float:
 
 @pytest.fixture(scope="session")
 def lossy_speedup_floor() -> float:
-    """Required fused-vs-batch ratio on the lossy multi-slot row (default 2x).
+    """Required per-transmission-vs-slot-loop ratio on the lossy multi-slot row (default 2x).
 
     ``REPRO_BENCH_LOSSY_FLOOR`` loosens the gate on noisy shared runners.
-    The floor is below the channel-free fused gate (3x): under a channel
-    the fused driver swaps its complex-sorted sweeps for masked extremes,
-    which gives some of the edge back.
+    The floor is below the channel-free gate (3x): the masked sweeps and
+    the per-slot visibility bookkeeping give some of the edge back.
     """
     value = os.environ.get("REPRO_BENCH_LOSSY_FLOOR", "")
     try:
@@ -134,7 +132,7 @@ def lossy_speedup_floor() -> float:
 
 @pytest.fixture(scope="session")
 def numba_speedup_floor() -> float:
-    """Required numba-vs-fused throughput ratio on the multi-slot row (default 5x).
+    """Required numba-vs-batch throughput ratio on the multi-slot row (default 5x).
 
     ``REPRO_BENCH_NUMBA_FLOOR`` loosens the gate on noisy shared runners
     (the CI numba job uses a smoke-scale floor); the reference machine

@@ -7,8 +7,8 @@ array operations, where the scalar modules (:mod:`repro.core.marzullo`,
 When to use which path
 ----------------------
 
-* **Batch** (:func:`batch_fuse`, :func:`batch_rounds`,
-  :func:`compare_schedules_batch`) — Monte-Carlo sweeps, ablations and
+* **Batch** (:func:`batch_fuse`, :func:`batch_rounds`, and the ``"batch"``
+  engine of :mod:`repro.engine`) — Monte-Carlo sweeps, ablations and
   benchmarks that need 10⁴–10⁶ rounds.  Throughput is one to two orders of
   magnitude above the scalar loop; empty-fusion rounds are reported through a
   ``valid`` mask instead of exceptions so a single bad round cannot abort a
@@ -32,7 +32,6 @@ engine seam this subpackage plugs into are described in
 """
 
 from repro.batch.case_study import batch_case_study, batch_case_study_for_schedule
-from repro.batch.comparison import compare_schedules_batch, expected_fusion_width_batch
 from repro.batch.expectation import ExactExpectationBatchAttacker, VectorizedExpectationPolicy
 from repro.batch.fuse import (
     BatchFusion,
@@ -40,12 +39,6 @@ from repro.batch.fuse import (
     batch_fuse,
     batch_fuse_or_none,
     coverage_extremes,
-)
-from repro.batch.fused import (
-    FusedPlan,
-    fused_fusion,
-    fused_monte_carlo_rounds,
-    fused_rounds,
 )
 from repro.batch.rounds import (
     ActiveStretchBatchAttacker,
@@ -58,6 +51,7 @@ from repro.batch.rounds import (
     TruthfulBatchAttacker,
     batch_orders,
     batch_rounds,
+    fusable_attacker,
     monte_carlo_rounds,
     sample_correct_bounds,
 )
@@ -83,15 +77,8 @@ __all__ = [
     "batch_orders",
     "sample_correct_bounds",
     "batch_rounds",
+    "fusable_attacker",
     "monte_carlo_rounds",
-    # fused multi-slot kernels
-    "FusedPlan",
-    "fused_fusion",
-    "fused_rounds",
-    "fused_monte_carlo_rounds",
-    # schedule sweeps
-    "expected_fusion_width_batch",
-    "compare_schedules_batch",
     # case study
     "batch_case_study",
     "batch_case_study_for_schedule",

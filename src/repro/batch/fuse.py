@@ -127,7 +127,7 @@ def coverage_extremes(
     if mask is not None:
         # Masked-out events sort to the end and never change the coverage.
         mask2 = np.concatenate([mask, mask], axis=1)
-        positions = np.where(mask2, positions, np.inf)
+        np.copyto(positions, np.inf, where=~mask2)
 
     # A *stable* single-key sort realises the scalar `(position, -delta)`
     # event order: opening events occupy the first half of each row, so at
@@ -135,12 +135,19 @@ def coverage_extremes(
     # closed-interval tie rule of `_sorted_events`.
     order = np.argsort(positions, axis=1, kind="stable")
     opening = order < n
-    steps = np.where(opening, 1, -1)
-    if mask is not None:
-        rows2 = np.arange(batch)[:, None]
-        steps = np.where(mask2[rows2, order], steps, 0)
-
-    coverage = np.cumsum(steps, axis=1, dtype=np.int64)
+    if mask is None:
+        closing = ~opening
+        events = np.arange(1, 2 * n + 1, dtype=np.int32)
+    else:
+        active = mask2[np.arange(batch)[:, None], order]
+        opening &= active
+        closing = active ^ opening
+        events = np.cumsum(active, axis=1, dtype=np.int32)
+    # Running coverage = openings so far - closings so far = 2·openings -
+    # events so far: one int32 cumulative sum, no (B, 2n) step array.
+    coverage = np.cumsum(opening, axis=1, dtype=np.int32)
+    coverage *= 2
+    coverage -= events
     req = np.broadcast_to(np.asarray(required, dtype=np.int64), (batch,))[:, None]
     row_index = np.arange(batch)
 
@@ -152,7 +159,7 @@ def coverage_extremes(
 
     # Upper bound: last closing event whose pre-event coverage (cumsum + 1)
     # still reaches `required`.
-    upper_ok = (steps < 0) & (coverage >= req - 1)
+    upper_ok = closing & (coverage >= req - 1)
     upper_index = (2 * n - 1) - np.argmax(upper_ok[:, ::-1], axis=1)
     has_upper = upper_ok[row_index, upper_index]
 

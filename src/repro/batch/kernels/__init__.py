@@ -1,9 +1,9 @@
-"""JIT-compiled (numba) kernels for the hot loops of the fused round program.
+"""JIT-compiled (numba) kernels for the hot loops of the per-transmission program.
 
 This package holds ``@numba.njit``-compiled counterparts of the NumPy array
-programs in :mod:`repro.batch.fused` — the interval-endpoint fusion sweep,
-the attacker's one-sided support search, the greedy stretch forging step,
-and the Monte-Carlo round body — driven by
+programs in :mod:`repro.batch.fuse` and :mod:`repro.batch.rounds` — the
+interval-endpoint fusion sweep, the attacker's one-sided support search,
+the greedy stretch forging step, and the Monte-Carlo round body — driven by
 :class:`repro.engine.numba_engine.NumbaEngine`.
 
 Two properties keep the core dependency set at stdlib + NumPy:
@@ -22,8 +22,8 @@ Two properties keep the core dependency set at stdlib + NumPy:
 
 The kernels are *RNG-free by construction*: every draw happens in the shared
 :func:`repro.batch.rounds.prepare_rounds` prologue, so the numba engine's
-random stream — and therefore its payloads — match the batch and fused
-engines bit-for-bit.
+random stream — and therefore its payloads — match the batch engine
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ __all__ = [
     "numba_importable",
     "purepy_forced",
     "kernels_available",
-    "numba_rounds",
     "numba_rounds_prepared",
-    "numba_monte_carlo_rounds",
     "sweep_fusion",
     "sweep_support",
     "stretch_attack_step",
@@ -71,9 +69,7 @@ def kernels_available() -> bool:
 
 
 _LAZY_EXPORTS = {
-    "numba_rounds": "repro.batch.kernels.rounds",
     "numba_rounds_prepared": "repro.batch.kernels.rounds",
-    "numba_monte_carlo_rounds": "repro.batch.kernels.rounds",
     "sweep_fusion": "repro.batch.kernels.sweep",
     "sweep_support": "repro.batch.kernels.sweep",
     "stretch_attack_step": "repro.batch.kernels.attacker",

@@ -1,8 +1,8 @@
-"""JIT greedy stretch attacker: the per-row forging step of the fused program.
+"""JIT greedy stretch attacker: the per-row forging step of the per-transmission program.
 
 :func:`_forge_stretch_row` replays, for one round, exactly the decision rule
-the fused array program applies per compromised transmission
-(:func:`repro.batch.fused.fused_rounds_prepared`): walk the schedule slots
+the per-transmission array program applies per compromised transmission
+(:func:`repro.batch.rounds.transmission_rounds`): walk the schedule slots
 in order; at the ``j``-th compromised transmission, if no support is
 anchored yet and the admissibility threshold ``n - f - (fa - j)`` is
 reachable within the transmitted prefix, run the one-sided support sweep
@@ -13,7 +13,7 @@ correct reading when it is not.
 
 All values written are either exact input endpoints or the same float
 expressions the NumPy path evaluates (``support ± width``,
-``delta ± width``), so forged broadcasts match the fused driver bit-for-bit
+``delta ± width``), so forged broadcasts match the NumPy program bit-for-bit
 — the hypothesis suite pins :func:`stretch_attack_step` against it.
 """
 
@@ -153,7 +153,7 @@ def stretch_attack_step(
 
     Returns fresh ``(broadcast_lo, broadcast_hi)`` matrices: ``sent`` bounds
     with every compromised sensor's entry replaced by its forged interval —
-    bit-identical to the broadcasts :func:`repro.batch.fused.fused_rounds_prepared`
+    bit-identical to the broadcasts :func:`repro.batch.rounds.transmission_rounds`
     produces for the same inputs (the hypothesis suite asserts it).
     """
     orders = np.ascontiguousarray(orders, dtype=np.int64)

@@ -1,19 +1,19 @@
-"""The JIT Monte-Carlo round body and its drivers — the numba engine's core.
+"""The JIT Monte-Carlo round body — the numba engine's core.
 
-``_rounds_kernel`` runs one fused pass per round — greedy stretch forging
+``_rounds_kernel`` runs one pass per round — greedy stretch forging
 (:func:`repro.batch.kernels.attacker._forge_stretch_row`), Marzullo fusion
 and overlap detection via the two-pointer sweeps in
 :mod:`repro.batch.kernels.sweep` — parallelised over blocks of rows with
 per-block scratch, so a 10⁷-sample batch needs no ``(B, 2n)`` event matrix
 and no per-slot buffers at all.
 
-:func:`numba_rounds_prepared` / :func:`numba_monte_carlo_rounds` mirror the
-fused drivers exactly: same :func:`repro.batch.rounds.prepare_rounds`
-prologue (so the random stream is consumed identically), same
-:func:`repro.batch.fused.plan_for` plan resolution, same delegation of
-non-fusable attackers to the shared slot loop — which is what keeps the
-numba engine's results bit-identical to the batch and fused engines for
-*every* configuration.
+:func:`numba_rounds_prepared` runs on the output of the shared
+:func:`repro.batch.rounds.prepare_rounds` prologue (so the random stream
+is consumed identically) and hands every case the kernel does not cover —
+non-fusable attackers and lossy channels — to
+:func:`repro.batch.rounds.batch_rounds_prepared`, which is what keeps the
+numba engine's results bit-identical to the batch engine for *every*
+configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.attack.candidates import PASSIVE_WIDTH_TOL
 from repro.batch.fuse import BatchFusion
-from repro.batch.fused import FusedPlan, fusable_attacker, fused_rounds_prepared, plan_for
 from repro.batch.kernels._compat import njit, prange
 from repro.batch.kernels.attacker import _forge_stretch_row
 from repro.batch.kernels.sweep import _cover_hi_sorted, _cover_lo_sorted
@@ -31,15 +30,12 @@ from repro.batch.rounds import (
     BatchRoundConfig,
     BatchRoundResult,
     PreparedRounds,
-    batch_rounds,
     batch_rounds_prepared,
-    prepare_rounds,
-    sample_correct_bounds,
+    fusable_attacker,
 )
 from repro.core.marzullo import validate_fault_bound
-from repro.utils.seeding import ensure_rng
 
-__all__ = ["numba_rounds", "numba_rounds_prepared", "numba_monte_carlo_rounds"]
+__all__ = ["numba_rounds_prepared"]
 
 #: Rows per parallel work block.  Large enough to amortise the per-block
 #: scratch allocations, small enough to load-balance across threads.
@@ -124,27 +120,20 @@ def numba_rounds_prepared(
     prepared: PreparedRounds,
     config: BatchRoundConfig,
     rng: np.random.Generator,
-    plan: FusedPlan | None = None,
 ) -> BatchRoundResult:
     """The JIT simulation body over an already-prepared batch.
 
-    Drop-in counterpart of :func:`repro.batch.fused.fused_rounds_prepared`
+    Drop-in counterpart of :func:`repro.batch.rounds.batch_rounds_prepared`
     (identical contract, bit-identical results): packed batches from
-    :func:`repro.batch.rounds.concat_prepared` run one kernel pass, and
-    non-fusable attackers delegate to the shared slot loop.
+    :func:`repro.batch.rounds.concat_prepared` run one kernel pass.
     """
-    if not fusable_attacker(config):
+    if not fusable_attacker(config) or prepared.channel is not None:
+        # The JIT kernel covers the fusable attackers only, and its
+        # sorted-copy sweep has no masked variant for lossy rounds.
         return batch_rounds_prepared(prepared, config, rng)
-    if prepared.channel is not None:
-        # The JIT kernel's sorted-copy sweep has no masked variant; lossy
-        # rounds run the fused NumPy body instead, which shares its masked
-        # sweep (and therefore its bit-exact payloads) with the batch engine.
-        return fused_rounds_prepared(prepared, config, rng, plan=plan)
     batch, n = prepared.shape
     f = prepared.f
     validate_fault_bound(n, f)  # batch_fuse would; fail before simulating
-    if plan is None:
-        plan = plan_for(config, n, f)  # shared cache + static-layout checks
 
     broadcast_lo = prepared.sent_lo.copy()
     broadcast_hi = prepared.sent_hi.copy()
@@ -206,34 +195,3 @@ def numba_rounds_prepared(
         fault_mask=prepared.fault_mask,
         attacked_mask=prepared.attacked_mask,
     )
-
-
-def numba_rounds(
-    correct_lo: np.ndarray,
-    correct_hi: np.ndarray,
-    config: BatchRoundConfig,
-    rng: np.random.Generator,
-    plan: FusedPlan | None = None,
-) -> BatchRoundResult:
-    """Drop-in :func:`repro.batch.rounds.batch_rounds` with the JIT kernel."""
-    if not fusable_attacker(config):
-        return batch_rounds(correct_lo, correct_hi, config, rng)
-    prepared = prepare_rounds(correct_lo, correct_hi, config, rng)
-    return numba_rounds_prepared(prepared, config, rng, plan=plan)
-
-
-def numba_monte_carlo_rounds(
-    lengths: tuple[float, ...] | np.ndarray,
-    config: BatchRoundConfig,
-    samples: int,
-    true_value: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> BatchRoundResult:
-    """JIT counterpart of :func:`repro.batch.rounds.monte_carlo_rounds`.
-
-    Samples through the shared :func:`repro.batch.rounds.sample_correct_bounds`
-    primitive, so the numba engine's stream matches the other engines'.
-    """
-    rng = ensure_rng(rng)
-    lowers, uppers = sample_correct_bounds(lengths, true_value, samples, rng)
-    return numba_rounds(lowers, uppers, config, rng)

@@ -1,14 +1,14 @@
 """JIT endpoint sweeps: Marzullo fusion and the one-sided support search.
 
-The NumPy counterparts (:func:`repro.batch.fused.fused_fusion`,
-``repro.batch.fused._support_points``) realise the scalar event order —
-``(position, -delta)``, openings ahead of closings at equal positions — by
-sorting a complex event matrix.  Numba has no complex lexicographic sort, so
-the kernels here sort the lower and upper endpoints *separately* and replay
-the same event sequence with a two-pointer merge:
+The NumPy counterpart (:func:`repro.batch.fuse.coverage_extremes`, behind
+both :func:`~repro.batch.fuse.batch_fuse` and the attacker's support
+search) realises the scalar event order — ``(position, -delta)``, openings
+ahead of closings at equal positions — with a stable argsort of the event
+matrix.  The kernels here sort the lower and upper endpoints *separately*
+instead and replay the same event sequence with a two-pointer merge:
 
 * forward (:func:`_cover_lo_sorted`): at equal positions the opening is
-  processed first (``lows[a] <= ups[b]``), exactly the complex tie rule, and
+  processed first (``lows[a] <= ups[b]``), exactly the stable-sort tie rule, and
   the first event whose post-event coverage reaches ``required`` is
   necessarily an opening — the fusion lower bound.
 * backward (:func:`_cover_hi_sorted`): scanning the same sequence in reverse
@@ -21,7 +21,7 @@ the same event sequence with a two-pointer merge:
 Every reported bound is an exact input endpoint carried through the sorts
 unchanged — no arithmetic — which is why the hypothesis suite
 (``tests/engine/test_numba_kernels.py``) can pin these kernels bit-for-bit
-against the complex-sorted sweeps.
+against the NumPy sweep.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _support_kernel(lowers, uppers, required, right, out_point, out_valid):
 
 
 def sweep_fusion(lowers: np.ndarray, uppers: np.ndarray, f: int) -> BatchFusion:
-    """JIT counterpart of :func:`repro.batch.fused.fused_fusion` — bit-identical.
+    """JIT counterpart of :func:`repro.batch.fuse.batch_fuse` — bit-identical.
 
     Same validation (malformed inputs raise), same tie rule, same
     ``NaN``/``valid`` reporting for empty-fusion rows.
@@ -177,10 +177,12 @@ def sweep_support(
     required: int | np.ndarray,
     right: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """JIT counterpart of ``repro.batch.fused._support_points``.
+    """JIT one-sided support search: the stretch side of ``coverage_extremes``.
 
-    Returns ``(point, valid)``; points agree bit-for-bit wherever ``valid``
-    (invalid rows report ``NaN`` here, an arbitrary event position there).
+    Returns ``(point, valid)`` with ``point`` the extreme point on the
+    stretch side covered by at least ``max(required, 1)`` intervals —
+    :func:`repro.batch.fuse.coverage_extremes`'s ``hi`` (``lo`` for a left
+    stretch) bit-for-bit, ``NaN`` on invalid rows.
     """
     lowers = np.ascontiguousarray(lowers, dtype=np.float64)
     uppers = np.ascontiguousarray(uppers, dtype=np.float64)

@@ -4,10 +4,29 @@
 :func:`repro.scheduling.round.run_round`: instead of simulating one round per
 Python call, it takes a ``(B, n)`` array of correct sensor intervals and plays
 all ``B`` rounds simultaneously — ordering sensors by the schedule, letting a
-vectorized attacker forge the compromised broadcasts slot by slot (the loop is
-over the ``n`` slots, never over the batch), optionally corrupting honest
-sensors with transient faults, then fusing and running detection with the
-batched sweep of :mod:`repro.batch.fuse`.
+vectorized attacker forge the compromised broadcasts, optionally corrupting
+honest sensors with transient faults, then fusing and running detection with
+the batched sweep of :mod:`repro.batch.fuse`.
+
+:func:`batch_rounds_prepared` is the one simulation body.  It runs one of two
+array programs, and the attacker's type decides which:
+
+* the **per-transmission program** (:func:`transmission_rounds`) for the
+  deterministic, RNG-free attackers: exactly :class:`TruthfulBatchAttacker`
+  and :class:`ActiveStretchBatchAttacker` (:func:`fusable_attacker`).  It
+  loops over the ``fa`` compromised transmissions instead of the ``n``
+  slots, because the stretch decision at a slot depends only on the
+  transmitted prefix and its anchored support, never on the honest slots in
+  between.  It stays in sensor space, because fusion and detection depend
+  on the broadcast *set*, not on the transmission order.
+* the **slot loop** (:func:`slot_loop_rounds`) for every other attacker (the
+  exact expectation attacker, the side-adaptive proxy, third-party
+  :class:`BatchAttacker` subclasses): the attacker's ``forge`` hook is called
+  once per schedule slot with a :class:`BatchSlotContext`.
+
+Both programs start from the same :func:`prepare_rounds` prologue and end in
+the same fusion sweep, and their results are bit-identical wherever both
+apply (``tests/batch/test_batch_rounds.py`` pins it).
 
 The attacker model is :class:`ActiveStretchBatchAttacker`, a deterministic
 greedy policy designed to be vectorizable while using exactly the stealth
@@ -71,8 +90,11 @@ __all__ = [
     "sample_correct_bounds",
     "prepare_rounds",
     "concat_prepared",
+    "fusable_attacker",
     "batch_rounds",
     "batch_rounds_prepared",
+    "slot_loop_rounds",
+    "transmission_rounds",
     "monte_carlo_rounds",
 ]
 
@@ -500,13 +522,13 @@ def sample_correct_bounds(
 
 @dataclass(frozen=True)
 class PreparedRounds:
-    """The validated, RNG-consuming prologue shared by every batch driver.
+    """The validated, RNG-consuming prologue shared by every simulation body.
 
-    Both :func:`batch_rounds` and the fused driver
-    (:func:`repro.batch.fused.fused_rounds`) start from this structure, so
-    they validate identically and — crucially — consume the random stream in
-    exactly the same order (transmission orders before fault injection),
-    which is what keeps their results bit-comparable.
+    The slot loop, the per-transmission program and the JIT round kernel
+    all start from this structure, so they validate identically and —
+    crucially — consume the random stream in exactly the same order
+    (transmission orders before fault injection), which is what keeps their
+    results bit-comparable.
     """
 
     correct_lo: np.ndarray
@@ -725,27 +747,51 @@ def batch_rounds(
     return batch_rounds_prepared(prepare_rounds(correct_lo, correct_hi, config, rng), config, rng)
 
 
+def fusable_attacker(config: BatchRoundConfig) -> bool:
+    """Whether the per-transmission program covers ``config.attacker``.
+
+    Exact type checks on purpose: a subclass (e.g. the side-adaptive
+    :class:`ExpectationProxyBatchAttacker`, which draws randomness in
+    ``_resolve_sides``) overrides parts of the decision rule the
+    per-transmission program hard-codes, so it must take the slot loop.
+    """
+    return type(config.attacker) in (TruthfulBatchAttacker, ActiveStretchBatchAttacker)
+
+
 def batch_rounds_prepared(
     prepared: PreparedRounds,
     config: BatchRoundConfig,
     rng: np.random.Generator,
 ) -> BatchRoundResult:
-    """The slot-loop simulation body over an already-prepared batch.
+    """The simulation body over an already-prepared batch.
 
     Split out of :func:`batch_rounds` so packed batches
-    (:func:`concat_prepared`) can run the loop once over items that were
+    (:func:`concat_prepared`) can run the body once over items that were
     prepared — and therefore consumed their RNG draws — independently.
-    ``rng`` is forwarded to the attacker's ``forge`` hook; the built-in
-    attack-spec attackers are deterministic there and never draw from it.
+    Fusable attackers (:func:`fusable_attacker`) run the per-transmission
+    program, every other attacker the slot loop; ``rng`` is forwarded to
+    the slot loop's ``forge`` hook, where the built-in attack-spec
+    attackers are deterministic and never draw from it.
+    """
+    if fusable_attacker(config):
+        return transmission_rounds(prepared, config)
+    return slot_loop_rounds(prepared, config, rng)
+
+
+def slot_loop_rounds(
+    prepared: PreparedRounds,
+    config: BatchRoundConfig,
+    rng: np.random.Generator,
+) -> BatchRoundResult:
+    """The slot loop: ``config.attacker.forge`` once per schedule slot.
+
+    Runs any :class:`BatchAttacker`; :func:`batch_rounds_prepared` routes
+    only the non-fusable ones here.
     """
     batch, n = prepared.shape
-    correct_lo, correct_hi = prepared.correct_lo, prepared.correct_hi
     widths, orders = prepared.widths, prepared.orders
-    attacked, attacked_mask = prepared.attacked, prepared.attacked_mask
-    f = prepared.f
-    delta_lo, delta_hi = prepared.delta_lo, prepared.delta_hi
+    attacked_mask = prepared.attacked_mask
     sent_lo, sent_hi = prepared.sent_lo, prepared.sent_hi
-    fault_mask = prepared.fault_mask
     channel = prepared.channel
 
     config.attacker.reset(batch)
@@ -769,15 +815,15 @@ def batch_rounds_prepared(
             if bool(rows.any()):
                 context = BatchSlotContext(
                     n=n,
-                    f=f,
+                    f=prepared.f,
                     slot=slot,
                     rows=rows,
                     sensor=sensor,
                     width=widths[row_index, sensor],
-                    own_lo=correct_lo[row_index, sensor],
-                    own_hi=correct_hi[row_index, sensor],
-                    delta_lo=delta_lo,
-                    delta_hi=delta_hi,
+                    own_lo=prepared.correct_lo[row_index, sensor],
+                    own_hi=prepared.correct_hi[row_index, sensor],
+                    delta_lo=prepared.delta_lo,
+                    delta_hi=prepared.delta_hi,
                     transmitted_lo=transmitted_lo[:, :slot],
                     transmitted_hi=transmitted_hi[:, :slot],
                     far=fa_rows - sent_compromised,
@@ -793,10 +839,150 @@ def batch_rounds_prepared(
             transmitted_lo[:, slot] = slot_lo
             transmitted_hi[:, slot] = slot_hi
 
+    with obs.span("engine.merge", kernel="batch", samples=batch):
+        broadcast_lo = np.empty((batch, n))
+        broadcast_hi = np.empty((batch, n))
+        broadcast_lo[rows2, orders] = transmitted_lo
+        broadcast_hi[rows2, orders] = transmitted_hi
+    return _fuse_broadcasts(prepared, broadcast_lo, broadcast_hi)
+
+
+def transmission_rounds(prepared: PreparedRounds, config: BatchRoundConfig) -> BatchRoundResult:
+    """The per-transmission program for the fusable attackers.
+
+    Bit-identical to :func:`slot_loop_rounds` for
+    :class:`TruthfulBatchAttacker` and :class:`ActiveStretchBatchAttacker`,
+    the only attackers it accepts.  Processing each round's compromised
+    transmissions in slot order observes exactly the prefixes the slot loop
+    observes: honest entries are known upfront, and earlier compromised
+    entries were forged in earlier iterations.
+    """
+    if not fusable_attacker(config):
+        raise ScheduleError(
+            f"the per-transmission program cannot run {type(config.attacker).__name__}; "
+            "use batch_rounds_prepared"
+        )
+    batch = prepared.shape[0]
+    # The broadcast matrix doubles as the working transmit state; a
+    # truthful attacker forges nothing (faults never hit attacked sensors,
+    # so their correct readings are already in it).
+    broadcast_lo = prepared.sent_lo.copy()
+    broadcast_hi = prepared.sent_hi.copy()
+    # The attacker protocol resets per batch even when no slot is forged.
+    config.attacker.reset(batch)
+    if type(config.attacker) is ActiveStretchBatchAttacker and bool(prepared.any_attacked.any()):
+        with obs.span("engine.attack", kernel="batch", samples=batch):
+            _forge_stretch(prepared, config.attacker.side > 0, broadcast_lo, broadcast_hi)
+    return _fuse_broadcasts(prepared, broadcast_lo, broadcast_hi)
+
+
+def _compromised_transmissions(prepared: PreparedRounds, fa: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, fa)`` slots and sensors of each round's compromised transmissions.
+
+    Columns are in slot order.  Rows with fewer than ``fa`` compromised
+    sensors (per-round masks) are padded with honest transmissions, which
+    the caller never writes.
+    """
+    orders = prepared.orders
+    if prepared.attacked:
+        # The same fa sensors in every round: each row of the attacked-by-slot
+        # matrix holds exactly fa nonzeros, found in slot order.
+        attacked_by_slot = prepared.attacked_mask[0][orders]
+        slots = np.nonzero(attacked_by_slot)[1].reshape(-1, fa)
+    else:
+        attacked_by_slot = prepared.attacked_mask[np.arange(orders.shape[0])[:, None], orders]
+        # A stable sort of the honest flags moves each row's compromised
+        # slots to the front, still in slot order.
+        slots = np.argsort(~attacked_by_slot, axis=1, kind="stable")[:, :fa]
+    return slots, np.take_along_axis(orders, slots, axis=1)
+
+
+def _forge_stretch(
+    prepared: PreparedRounds,
+    right: bool,
+    broadcast_lo: np.ndarray,
+    broadcast_hi: np.ndarray,
+) -> None:
+    """Forge every compromised broadcast of the greedy stretch attacker in place."""
+    batch, n = prepared.shape
+    f = prepared.f
+    orders = prepared.orders
+    row_index = np.arange(batch)
+    static = bool(prepared.attacked)  # every row attacks the same sensors
+    fa_rows = prepared.attacked_mask.sum(axis=1)
+    fa = int(fa_rows.max())
+    comp_slots, comp_sensors = _compromised_transmissions(prepared, fa)
+    # A prefix can only anchor a support when at least `required` of its
+    # intervals are visible — every earlier slot on the perfect bus, only
+    # the already-arrived ones under a lossy channel — so rows short of
+    # that skip the sweep (it would come back invalid for them).
+    channel = prepared.channel
+    visible_table = None if channel is None else channel.visible_counts()
+    delta_lo, delta_hi = prepared.delta_lo, prepared.delta_hi
+    delta_width = delta_hi - delta_lo
+    support = np.full(batch, np.nan)
+    unplaced = np.ones(batch, dtype=bool)  # no anchored support yet
+
+    for j in range(fa):
+        active_rows = None if static else fa_rows > j  # None: every row
+        slot = comp_slots[:, j]
+        sensor = comp_sensors[:, j]
+        width = prepared.widths[row_index, sensor]
+        need = unplaced if static else active_rows & unplaced
+        seen = slot if visible_table is None else visible_table[row_index, slot]
+        required = n - f - (fa_rows - j)
+        can_active = need & (seen >= required) & (required >= 1)
+        # Bucket by prefix length: each group sweeps a dense (rows, 2·slot)
+        # event matrix, masked only by the channel's visibility.
+        for s in np.flatnonzero(np.bincount(slot[can_active])):
+            group = np.nonzero(can_active & (slot == s))[0]
+            prefix_sensors = orders[group, :s]
+            visible = (
+                None
+                if channel is None
+                else ~channel.lost[group, :s] & (channel.arrival[group, :s] < s)
+            )
+            region = coverage_extremes(
+                broadcast_lo[group[:, None], prefix_sensors],
+                broadcast_hi[group[:, None], prefix_sensors],
+                required[group],
+                mask=visible,
+            )
+            anchored_rows = group[region.valid]
+            support[anchored_rows] = (region.hi if right else region.lo)[region.valid]
+            unplaced[anchored_rows] = False
+
+        anchored = ~unplaced if static else active_rows & ~unplaced
+        lo = np.where(
+            anchored, support if right else support - width, prepared.correct_lo[row_index, sensor]
+        )
+        hi = np.where(
+            anchored, support + width if right else support, prepared.correct_hi[row_index, sensor]
+        )
+        passive = need & unplaced & (width >= delta_width - PASSIVE_WIDTH_TOL)
+        lo = np.where(passive, delta_lo if right else delta_hi - width, lo)
+        hi = np.where(passive, delta_lo + width if right else delta_hi, hi)
+        writers = row_index if static else np.nonzero(active_rows)[0]
+        broadcast_lo[writers, sensor[writers]] = lo[writers]
+        broadcast_hi[writers, sensor[writers]] = hi[writers]
+
+
+def _fuse_broadcasts(
+    prepared: PreparedRounds, broadcast_lo: np.ndarray, broadcast_hi: np.ndarray
+) -> BatchRoundResult:
+    """Fusion and detection over the sensor-indexed broadcasts of both programs.
+
+    Marzullo fusion and overlap detection depend on the broadcast *set*, not
+    on the transmission order, so the sensor-space sweep returns the values
+    a slot-ordered one would.
+    """
+    batch, n = prepared.shape
+    f = prepared.f
+    channel = prepared.channel
     with obs.span("engine.fuse", kernel="batch", samples=batch):
         if channel is None:
-            fusion = batch_fuse(transmitted_lo, transmitted_hi, f)
-            flagged_by_slot = batch_detect(transmitted_lo, transmitted_hi, fusion)
+            fusion = batch_fuse(broadcast_lo, broadcast_hi, f)
+            flagged = batch_detect(broadcast_lo, broadcast_hi, fusion)
         else:
             # Fusion only sees what the channel delivered.  The controller
             # keeps its configured f (it cannot count losses), so the
@@ -804,34 +990,28 @@ def batch_rounds_prepared(
             # degrade to the hull of the received intervals (required <= 0)
             # and empty subsets come back invalid from the masked sweep —
             # the scalar path mirrors both degeneracies via fuse_or_none.
-            received = channel.received
+            # The received mask lives in slot space; scatter it into sensor
+            # space through the order permutation.
+            received = np.empty((batch, n), dtype=bool)
+            received[np.arange(batch)[:, None], prepared.orders] = channel.received
             fusion = coverage_extremes(
-                transmitted_lo,
-                transmitted_hi,
-                received.sum(axis=1) - f,
+                broadcast_lo,
+                broadcast_hi,
+                channel.received.sum(axis=1) - f,
                 mask=received,
             )
-            flagged_by_slot = batch_detect(transmitted_lo, transmitted_hi, fusion) & received
-
-    with obs.span("engine.merge", kernel="batch", samples=batch):
-        broadcast_lo = np.empty((batch, n))
-        broadcast_hi = np.empty((batch, n))
-        flagged = np.empty((batch, n), dtype=bool)
-        broadcast_lo[rows2, orders] = transmitted_lo
-        broadcast_hi[rows2, orders] = transmitted_hi
-        flagged[rows2, orders] = flagged_by_slot
-
+            flagged = batch_detect(broadcast_lo, broadcast_hi, fusion) & received
     return BatchRoundResult(
-        orders=orders,
-        correct_lo=correct_lo,
-        correct_hi=correct_hi,
+        orders=prepared.orders,
+        correct_lo=prepared.correct_lo,
+        correct_hi=prepared.correct_hi,
         broadcast_lo=broadcast_lo,
         broadcast_hi=broadcast_hi,
         fusion=fusion,
         flagged=flagged,
-        attacked_indices=attacked,
-        fault_mask=fault_mask,
-        attacked_mask=attacked_mask,
+        attacked_indices=prepared.attacked,
+        fault_mask=prepared.fault_mask,
+        attacked_mask=prepared.attacked_mask,
         channel=channel,
     )
 

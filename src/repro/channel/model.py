@@ -108,9 +108,9 @@ class ChannelRealization:
         visible in slot ``t`` (``= self.visible(t)[b].sum()``), for every
         ``t`` at once: a non-lost message is visible at ``t`` exactly when
         its arrival slot is ``< t``, so one histogram of arrival slots plus
-        a cumulative sum answers all slots without per-slot masking —
-        the fused kernel's replacement for the slot loop's per-slot
-        ``visible.sum(axis=1)``.
+        a cumulative sum answers all slots without per-slot masking — the
+        per-transmission program's replacement for the slot loop's
+        per-slot ``visible.sum(axis=1)``.
         """
         batch, n = self.lost.shape
         landing = np.where(self.lost, n, np.minimum(self.arrival, n)).astype(np.int64)

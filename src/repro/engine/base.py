@@ -356,9 +356,7 @@ class Engine(abc.ABC):
     ) -> ScheduleComparison:
         """Run every schedule on one configuration (Table I style).
 
-        The schedules share one RNG stream, consumed in order — matching the
-        behaviour of the legacy ``compare_schedules_batch`` so the engine
-        route reproduces its numbers exactly.
+        The schedules share one RNG stream, consumed in order.
         """
         rng = ensure_rng(rng)
         rows = tuple(

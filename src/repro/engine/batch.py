@@ -2,12 +2,15 @@
 
 :class:`BatchEngine` wraps and extends :mod:`repro.batch` behind the
 :class:`repro.engine.base.Engine` protocol: fusion-round sweeps go through
-:func:`repro.batch.rounds.monte_carlo_rounds` (one vectorized pass instead
-of ``B`` Python calls) and the Table II case study goes through the batched
-closed-loop stepper of :mod:`repro.batch.case_study`, which simulates every
-platoon replica, vehicle and fusion round of a control period at once —
-10⁴+ platoon rounds per schedule in seconds where the scalar engine manages
-a few hundred.
+:func:`repro.batch.rounds.batch_rounds_prepared` (one vectorized pass
+instead of ``B`` Python calls; the attacker type picks the per-transmission
+program or the slot loop) and the Table II case study goes through the
+batched closed-loop stepper of :mod:`repro.batch.case_study`, which
+simulates every platoon replica, vehicle and fusion round of a control
+period at once — 10⁴+ platoon rounds per schedule in seconds where the
+scalar engine manages a few hundred.  The engine is registered as
+``"batch"`` and, for the scenarios and store keys that name it so, as
+``"fused"``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.batch import rounds
 from repro.batch.case_study import DEFAULT_REPLICAS, batch_case_study
 from repro.batch.expectation import ExactExpectationBatchAttacker
 from repro.batch.rounds import (
@@ -24,12 +28,8 @@ from repro.batch.rounds import (
     BatchRoundConfig,
     BatchRoundResult,
     BatchTransientFaults,
+    PreparedRounds,
     TruthfulBatchAttacker,
-    batch_rounds_prepared,
-    concat_prepared,
-    monte_carlo_rounds,
-    prepare_rounds,
-    sample_correct_bounds,
 )
 from repro.channel import ChannelSpec
 from repro.core.exceptions import ExperimentError
@@ -43,7 +43,6 @@ from repro.engine.base import (
     TruthfulAttack,
     check_channel_support,
     check_run_many_args,
-    check_samples,
     resolve_attack,
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
@@ -58,10 +57,6 @@ class BatchEngine(Engine):
     """Vectorized backend built on the :mod:`repro.batch` array kernels."""
 
     name = "batch"
-
-    #: Monte-Carlo driver behind :meth:`run_rounds`; subclasses swap in a
-    #: different kernel with the same contract (the fused engine does).
-    _driver = staticmethod(monte_carlo_rounds)
 
     @staticmethod
     def _attacker(
@@ -101,26 +96,9 @@ class BatchEngine(Engine):
         rng: np.random.Generator | None = None,
         channel: ChannelSpec | None = None,
     ) -> RoundsResult:
-        check_samples(samples)
-        spec = resolve_attack(attack)
-        check_channel_support(spec, channel)
-        rng = ensure_rng(rng)
-        round_config = BatchRoundConfig(
-            schedule=schedule,
-            attacked_indices=config.resolved_attacked,
-            attacker=self._attacker(spec),
-            f=config.resolved_f,
-            faults=faults,
-            channel=channel,
-        )
-        with obs.span("engine.run", engine=self.name, schedule=schedule.name, samples=samples):
-            result = self._driver(
-                config.lengths, round_config, samples, true_value=config.true_value, rng=rng
-            )
-        obs.add("repro_engine_samples_total", samples, engine=self.name)
-        self._flush_attacker_stats(round_config.attacker)
-        self._flush_channel_stats(result)
-        return self._rounds_result(schedule, result)
+        return self.run_many(
+            config, schedule, attack, faults, [samples], [ensure_rng(rng)], channel
+        )[0]
 
     def _flush_channel_stats(self, result: BatchRoundResult) -> None:
         realization = result.channel
@@ -162,9 +140,17 @@ class BatchEngine(Engine):
             channel_retransmits=None if realization is None else realization.retransmits,
         )
 
-    #: Simulation body applied to an already-prepared (possibly packed)
-    #: batch; the fused engine swaps in its fused counterpart.
-    _prepared_driver = staticmethod(batch_rounds_prepared)
+    def _simulate(
+        self, prepared: PreparedRounds, config: BatchRoundConfig, rng: np.random.Generator
+    ) -> BatchRoundResult:
+        """The simulation body over a prepared (possibly packed) batch.
+
+        Looked up on :mod:`repro.batch.rounds` at call time, like the
+        sampling and preparation steps, so timing wrappers installed on that
+        module from outside see every call.  The numba engine overrides
+        this hook.
+        """
+        return rounds.batch_rounds_prepared(prepared, config, rng)
 
     def run_many(
         self,
@@ -203,14 +189,14 @@ class BatchEngine(Engine):
             "engine.run", engine=self.name, schedule=schedule.name, samples=sum(budgets), items=len(budgets)
         ):
             items = [
-                prepare_rounds(
-                    *sample_correct_bounds(config.lengths, config.true_value, samples, rng),
+                rounds.prepare_rounds(
+                    *rounds.sample_correct_bounds(config.lengths, config.true_value, samples, rng),
                     round_config,
                     rng,
                 )
                 for samples, rng in zip(budgets, streams)
             ]
-            packed = self._prepared_driver(concat_prepared(items), round_config, streams[0])
+            packed = self._simulate(rounds.concat_prepared(items), round_config, streams[0])
         obs.add("repro_engine_samples_total", sum(budgets), engine=self.name)
         self._flush_attacker_stats(round_config.attacker)
         self._flush_channel_stats(packed)

@@ -1,12 +1,11 @@
-"""The JIT-compiled ``"numba"`` engine: the fused program on numba kernels.
+"""The JIT-compiled ``"numba"`` engine: the per-transmission program on numba kernels.
 
-:class:`NumbaEngine` is the batch engine with both drivers swapped for the
-JIT round body in :mod:`repro.batch.kernels` — the same
-:func:`repro.batch.rounds.prepare_rounds` prologue and
-:func:`repro.batch.fused.plan_for` plan resolution as the fused engine, so
-RNG streams, artifact keys aside, and payloads stay bit-identical across
-``"batch"``, ``"fused"`` and ``"numba"`` (the registry-driven conformance
-suite asserts it).
+:class:`NumbaEngine` is the batch engine with its simulation body hook
+swapped for the JIT round body in :mod:`repro.batch.kernels` — the same
+:func:`repro.batch.rounds.prepare_rounds` prologue as the batch engine, so
+RNG streams and payloads (artifact keys aside) stay bit-identical across
+``"batch"`` and ``"numba"`` (the registry-driven conformance suite asserts
+it).
 
 This module imports (and with it, numba when present) only when the engine
 is actually requested: :mod:`repro.engine` registers a factory that defers
@@ -18,7 +17,10 @@ pure Python (bit-identical, just slow).
 
 from __future__ import annotations
 
-from repro.batch.kernels.rounds import numba_monte_carlo_rounds, numba_rounds_prepared
+import numpy as np
+
+from repro.batch.kernels.rounds import numba_rounds_prepared
+from repro.batch.rounds import BatchRoundConfig, BatchRoundResult, PreparedRounds
 from repro.engine.batch import BatchEngine
 
 __all__ = ["NumbaEngine"]
@@ -29,5 +31,7 @@ class NumbaEngine(BatchEngine):
 
     name = "numba"
 
-    _driver = staticmethod(numba_monte_carlo_rounds)
-    _prepared_driver = staticmethod(numba_rounds_prepared)
+    def _simulate(
+        self, prepared: PreparedRounds, config: BatchRoundConfig, rng: np.random.Generator
+    ) -> BatchRoundResult:
+        return numba_rounds_prepared(prepared, config, rng)

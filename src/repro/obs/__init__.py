@@ -5,9 +5,9 @@ the artifact store, the HTTP serving stack, and the schedule optimizer:
 
 >>> from repro import obs
 >>> with obs.collect() as session:            # enable telemetry (off by default)
-...     with obs.span("engine.run", engine="fused"):
-...         obs.add("repro_engine_samples_total", 100, engine="fused")
-...         obs.observe("repro_engine_run_seconds", 0.25, engine="fused")
+...     with obs.span("engine.run", engine="batch"):
+...         obs.add("repro_engine_samples_total", 100, engine="batch")
+...         obs.observe("repro_engine_run_seconds", 0.25, engine="batch")
 >>> session.snapshot()["spans"][0]["name"]
 'engine.run'
 

@@ -75,12 +75,28 @@ def _walk(spans: Iterable[Mapping], table: dict) -> None:
         _walk(node.get("children", ()), table)
 
 
+def _outermost_seconds(spans: Iterable[Mapping], name: str) -> float:
+    """Total duration of the ``name`` spans not nested in another ``name`` span.
+
+    The phases inside ``engine.run`` (prepare, attack, fuse, ...) are part of
+    its duration, so summing them too would count engine time twice.
+    """
+    total = 0.0
+    for node in spans:
+        if node["name"] == name:
+            total += float(node.get("duration_s") or 0.0)
+        else:
+            total += _outermost_seconds(node.get("children", ()), name)
+    return total
+
+
 def build_perf_report(path) -> dict:
     """Aggregate a trace artifact into the ``report perf`` payload."""
     records = load_trace(path)
     meta = next((r for r in records if r["kind"] == "meta"), {})
+    roots = [r["span"] for r in records if r["kind"] == "span"]
     spans: dict[str, dict] = {}
-    _walk((r["span"] for r in records if r["kind"] == "span"), spans)
+    _walk(roots, spans)
     counters = [r for r in records if r["kind"] == "counter"]
     gauges = [r for r in records if r["kind"] == "gauge"]
     histograms = []
@@ -107,9 +123,7 @@ def build_perf_report(path) -> dict:
     samples = sum(
         float(row["value"]) for row in counters if row["name"] == "repro_engine_samples_total"
     )
-    engine_seconds = sum(
-        stats["total_s"] for name, stats in spans.items() if _layer(name) == "engine"
-    )
+    engine_seconds = _outermost_seconds(roots, "engine.run")
     span_rows = [
         {
             "span": name,

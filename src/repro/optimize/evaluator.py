@@ -21,7 +21,7 @@ subsystem's determinism pins rely on:
    numbers across rungs, for free.
 3. **Packing.**  All shards of a candidate go through one
    :meth:`repro.engine.base.Engine.run_many` call, so a candidate costs a
-   single fused/numba pass instead of one engine invocation per shard —
+   single batch/numba pass instead of one engine invocation per shard —
    the ≥5x candidate-evaluations/sec gate of
    ``benchmarks/bench_optimize.py``.
 

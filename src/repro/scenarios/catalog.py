@@ -405,8 +405,9 @@ def _lossy_scenarios() -> list[ComparisonScenario]:
 
     Each case pairs a schedule grid with a :class:`repro.channel.ChannelSpec`
     — i.i.d. loss, Gilbert–Elliott bursts, or delivery delay — crossed with
-    a retransmission budget.  They run on the fused engine (the lossy
-    multi-slot leg is the ``benchmarks/bench_lossy.py`` workload) and their
+    a retransmission budget.  They run on the batch engine under its
+    ``"fused"`` name, which their store keys carry (the lossy multi-slot
+    leg is the ``benchmarks/bench_lossy.py`` workload), and their
     payload rows carry the ``channel_dropped`` / ``channel_retransmits``
     counters; findings are written up in ``docs/CHANNELS.md``.
     """

@@ -17,9 +17,7 @@ Two estimators are provided:
   (:mod:`repro.engine`), reachable here via ``engine="batch"`` (vectorized,
   10⁵+ trials) or ``engine="scalar"``, with the attacker chosen by spec
   (``attack="stretch"`` or the exact ``attack="expectation"`` of problem
-  (2), vectorized in :mod:`repro.batch.expectation`); the legacy
-  ``method="batch"`` spelling still forwards but is deprecated and will be
-  removed in repro 2.0.
+  (2), vectorized in :mod:`repro.batch.expectation`).
 
 :func:`compare_schedules` runs several schedules on the same configuration
 and returns a :class:`ScheduleComparison` with one row per schedule, which the
@@ -29,7 +27,6 @@ Table I benchmark renders directly.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -252,9 +249,7 @@ def compare_schedules(
         spec instead.
     method:
         ``"exhaustive"`` (paper's method, the default) or ``"monte_carlo"``
-        — the scalar estimator variants.  The legacy spelling
-        ``method="batch"`` forwards to ``engine="batch"`` with a
-        ``DeprecationWarning`` and will be removed in repro 2.0.
+        — the scalar estimator variants.
     engine:
         Select a simulation backend by name (``"scalar"``/``"batch"``, or
         any :class:`~repro.engine.base.Engine` instance) and run the
@@ -271,18 +266,6 @@ def compare_schedules(
         a spec instance.  Only valid together with ``engine``: the scalar
         ``method`` estimators take a ``policy_factory`` instead.
     """
-    if method == "batch":
-        warnings.warn(
-            "compare_schedules(method='batch') is deprecated and will be removed in "
-            "repro 2.0; use engine='batch' (the call is forwarded through the "
-            "repro.engine registry)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if engine is not None:
-            raise ExperimentError("pass either method='batch' or engine=..., not both")
-        engine = "batch"
-        method = None
     if engine is None and method is None:
         # Env-overridable default: an explicit method always wins, and a bare
         # call keeps the paper's exhaustive estimator unless REPRO_ENGINE
@@ -300,9 +283,7 @@ def compare_schedules(
         if policy_factory is not None:
             raise ExperimentError(
                 "engine selection uses the engines' own attack specs and cannot honour "
-                "policy_factory; pass attack=... (e.g. attack='expectation'), or use "
-                "repro.batch.comparison.compare_schedules_batch with an "
-                "attacker_factory, instead"
+                "policy_factory; pass attack=... (e.g. attack='expectation') instead"
             )
         from repro.engine import get_engine
 

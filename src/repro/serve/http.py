@@ -169,7 +169,9 @@ class FusionServer:
         try:
             length = int(length_text)
         except ValueError:
-            raise _HttpError(400, f"invalid Content-Length {length_text!r}") from None
+            length = -1
+        if length < 0:
+            raise _HttpError(400, f"invalid Content-Length {length_text!r}")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""

@@ -88,6 +88,48 @@ def test_coverage_extremes_per_row_required():
     assert (result.lo[1], result.hi[1]) == (0.75, 1.0)
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_coverage_extremes_exact_ties(masked):
+    # Openings precede closings at equal positions (closed intervals):
+    # [0,1] and [1,2] share exactly the point 1.  The third column is a
+    # far-away interval that the mask switches off; unmasked it only
+    # lowers each row's relative coverage, so `required` follows suit.
+    lowers = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 9.0], [0.0, 0.0, 9.0]])
+    uppers = np.array([[1.0, 2.0, 10.0], [2.0, 1.0, 10.0], [1.0, 1.0, 10.0]])
+    mask = np.array([[True, True, False]] * 3) if masked else None
+    result = coverage_extremes(lowers, uppers, 2, mask=mask)
+    assert result.valid.all()
+    np.testing.assert_array_equal(result.lo, [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(result.hi, [1.0, 1.0, 1.0])
+    for row in range(3):
+        active = [i for i in range(3) if mask is None or mask[row, i]]
+        intervals = [Interval(lowers[row, i], uppers[row, i]) for i in active]
+        expected = fuse_or_none(intervals, len(intervals) - 2)
+        assert (result.lo[row], result.hi[row]) == (expected.lo, expected.hi)
+
+
+def test_coverage_extremes_masked_ties_with_inactive_endpoints():
+    # Masked-out entries sitting exactly on an active endpoint must not
+    # step the coverage: row 0 keeps [0,1] ∩ [1,2] = {1}, and row 1 (whose
+    # only active interval is [1,1]) reaches coverage 2 nowhere.
+    lowers = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+    uppers = np.array([[1.0, 2.0, 1.0, 1.0], [1.0, 1.0, 1.0, 5.0]])
+    mask = np.array([[True, True, False, False], [True, False, False, False]])
+    result = coverage_extremes(lowers, uppers, 2, mask=mask)
+    assert result.valid.tolist() == [True, False]
+    assert (result.lo[0], result.hi[0]) == (1.0, 1.0)
+    assert np.isnan(result.lo[1]) and np.isnan(result.hi[1])
+    # With every entry active, row 1 is covered twice on exactly [1, 1].
+    full = coverage_extremes(lowers, uppers, 2)
+    assert (full.lo[1], full.hi[1]) == (1.0, 1.0)
+    # Single coverage: the inactive entries (sorted last, at +inf) must not
+    # pass for closing events either.
+    hull = coverage_extremes(lowers, uppers, 1, mask=mask)
+    assert hull.valid.all()
+    np.testing.assert_array_equal(hull.lo, [0.0, 1.0])
+    np.testing.assert_array_equal(hull.hi, [2.0, 1.0])
+
+
 def test_validation_errors():
     good_lo, good_hi = np.zeros((2, 3)), np.ones((2, 3))
     with pytest.raises(FusionError):

@@ -1,11 +1,12 @@
 """JIT kernels vs their NumPy counterparts: bit-for-bit equivalence.
 
 The conformance suite pins ``NumbaEngine`` against the scalar oracle; this
-module pins the *kernels* underneath — :func:`sweep_fusion` against the
-complex-sorted :func:`repro.batch.fused.fused_fusion`, :func:`sweep_support`
-against the one-sided ``_support_points`` sweep, the greedy
-:func:`stretch_attack_step` against the fused driver's forged broadcasts,
-and the full round body against the fused Monte-Carlo driver.
+module pins the *kernels* underneath — :func:`sweep_fusion` against
+:func:`repro.batch.fuse.batch_fuse`, :func:`sweep_support` against the
+one-sided reading of :func:`repro.batch.fuse.coverage_extremes`, the greedy
+:func:`stretch_attack_step` against the per-transmission program's forged
+broadcasts, and the full round body against
+:func:`repro.batch.rounds.batch_rounds_prepared`.
 
 The kernels run everywhere: with numba installed they are JIT-compiled,
 without it (or under ``REPRO_NUMBA_PUREPY=1``) the identity-``njit`` shim
@@ -19,22 +20,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.fused import (
-    _support_points,
-    fused_fusion,
-    fused_monte_carlo_rounds,
-    prepare_rounds,
-)
+from repro.batch.fuse import batch_fuse, coverage_extremes
 from repro.batch.kernels import numba_importable, purepy_forced
 from repro.batch.kernels._compat import NUMBA_COMPILED
 from repro.batch.kernels.attacker import stretch_attack_step
-from repro.batch.kernels.rounds import numba_monte_carlo_rounds, numba_rounds_prepared
+from repro.batch.kernels.rounds import numba_rounds_prepared
 from repro.batch.kernels.sweep import sweep_fusion, sweep_support
 from repro.batch.rounds import (
     ActiveStretchBatchAttacker,
     BatchRoundConfig,
     BatchTransientFaults,
-    monte_carlo_rounds,
+    batch_rounds_prepared,
+    prepare_rounds,
+    sample_correct_bounds,
 )
 from repro.core.exceptions import FaultBoundError, FusionError
 from repro.scheduling.schedule import (
@@ -47,6 +45,22 @@ from repro.scheduling.schedule import (
 requires_numba = pytest.mark.skipif(
     not numba_importable(), reason="numba is not installed"
 )
+
+
+def support_points(lowers, uppers, required, right):
+    """The stretch-side extreme of the active-mode support search."""
+    region = coverage_extremes(lowers, uppers, np.maximum(required, 1))
+    return (region.hi if right else region.lo), region.valid
+
+
+def run_both(lengths, config, samples, seed):
+    """The NumPy body and the JIT body on identically prepared rounds."""
+    results = []
+    for body in (batch_rounds_prepared, numba_rounds_prepared):
+        rng = np.random.default_rng(seed)
+        lowers, uppers = sample_correct_bounds(lengths, 0.0, samples, rng)
+        results.append(body(prepare_rounds(lowers, uppers, config, rng), config, rng))
+    return results
 
 
 def assert_results_equal(a, b):
@@ -78,23 +92,23 @@ class TestCompilationMode:
 class TestSweepFusionKernel:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1), f=st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
-    def test_matches_fused_fusion_random_batches(self, seed, f):
+    def test_matches_batch_fuse_random_batches(self, seed, f):
         rng = np.random.default_rng(seed)
         lowers = rng.normal(size=(64, 6))
         uppers = lowers + rng.random((64, 6)) * 3
-        a = fused_fusion(lowers, uppers, f)
+        a = batch_fuse(lowers, uppers, f)
         b = sweep_fusion(lowers, uppers, f)
         np.testing.assert_array_equal(a.lo, b.lo)
         np.testing.assert_array_equal(a.hi, b.hi)
         np.testing.assert_array_equal(a.valid, b.valid)
 
-    def test_matches_fused_fusion_with_exact_ties(self):
+    def test_matches_batch_fuse_with_exact_ties(self):
         # The two-pointer merge must keep the opening-before-closing tie
-        # rule the complex event sort realises: [0,1] and [1,2] intersect
+        # rule the stable event sort realises: [0,1] and [1,2] intersect
         # at exactly the point 1 for f=0.
         lowers = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 0.0]])
         uppers = np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 2.0]])
-        a = fused_fusion(lowers, uppers, 0)
+        a = batch_fuse(lowers, uppers, 0)
         b = sweep_fusion(lowers, uppers, 0)
         np.testing.assert_array_equal(a.lo, b.lo)
         np.testing.assert_array_equal(a.hi, b.hi)
@@ -106,7 +120,7 @@ class TestSweepFusionKernel:
         assert not result.valid[0]
         assert np.isnan(result.lo[0]) and np.isnan(result.hi[0])
 
-    def test_validates_like_fused_fusion(self):
+    def test_validates_like_batch_fuse(self):
         with pytest.raises(FaultBoundError):
             sweep_fusion(np.zeros((2, 3)), np.ones((2, 3)), 2)
         with pytest.raises(FusionError):
@@ -125,12 +139,10 @@ class TestSweepSupportKernel:
         lowers = rng.normal(size=(48, k))
         uppers = lowers + rng.random((48, k)) * 2
         required = rng.integers(-1, k + 2, size=48)
-        a_point, a_valid = _support_points(lowers, uppers, required, right)
+        a_point, a_valid = support_points(lowers, uppers, required, right)
         b_point, b_valid = sweep_support(lowers, uppers, required, right)
         np.testing.assert_array_equal(a_valid, b_valid)
-        # Invalid rows report an arbitrary event there and NaN here; the
-        # contract (and the fused driver) only reads anchored rows.
-        np.testing.assert_array_equal(a_point[a_valid], b_point[b_valid])
+        np.testing.assert_array_equal(a_point, b_point)  # NaN on invalid rows
         assert np.isnan(b_point[~b_valid]).all()
 
     def test_scalar_required_and_exact_ties(self):
@@ -139,7 +151,7 @@ class TestSweepSupportKernel:
         lowers = np.array([[0.0, 1.0]])
         uppers = np.array([[1.0, 2.0]])
         for right in (True, False):
-            a_point, a_valid = _support_points(lowers, uppers, 2, right)
+            a_point, a_valid = support_points(lowers, uppers, 2, right)
             b_point, b_valid = sweep_support(lowers, uppers, 2, right)
             np.testing.assert_array_equal(a_valid, b_valid)
             np.testing.assert_array_equal(a_point[a_valid], b_point[b_valid])
@@ -154,7 +166,7 @@ class TestStretchAttackStepKernel:
         right=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_matches_fused_forged_broadcasts(self, lengths, seed, fa, right):
+    def test_matches_per_transmission_forged_broadcasts(self, lengths, seed, fa, right):
         n = len(lengths)
         attacked = tuple(range(min(fa, n - 1)))
         config = BatchRoundConfig(
@@ -162,16 +174,12 @@ class TestStretchAttackStepKernel:
             attacked_indices=attacked,
             attacker=ActiveStretchBatchAttacker(side=1 if right else -1),
         )
-        reference = fused_monte_carlo_rounds(
-            tuple(lengths), config, 48, rng=np.random.default_rng(seed)
-        )
-        # Re-prepare on an identical stream, then forge with the kernel
-        # alone: the broadcasts must match the fused driver's bit-for-bit.
-        from repro.batch.rounds import sample_correct_bounds
-
         rng = np.random.default_rng(seed)
         lowers, uppers = sample_correct_bounds(tuple(lengths), 0.0, 48, rng)
         prepared = prepare_rounds(lowers, uppers, config, rng)
+        reference = batch_rounds_prepared(prepared, config, rng)
+        # Forge with the kernel alone on the same prepared rounds: the
+        # broadcasts must match the per-transmission program's bit-for-bit.
         forged_lo, forged_hi = stretch_attack_step(
             prepared.sent_lo,
             prepared.sent_hi,
@@ -202,11 +210,7 @@ class TestNumbaRoundsDriver:
             attacked_indices=attacked,
             attacker=ActiveStretchBatchAttacker(side=side),
         )
-        a = monte_carlo_rounds((2.0, 3.0, 3.0, 6.0, 8.0), config, 160, rng=np.random.default_rng(3))
-        b = numba_monte_carlo_rounds(
-            (2.0, 3.0, 3.0, 6.0, 8.0), config, 160, rng=np.random.default_rng(3)
-        )
-        assert_results_equal(a, b)
+        assert_results_equal(*run_both((2.0, 3.0, 3.0, 6.0, 8.0), config, 160, seed=3))
 
     def test_parity_with_transient_faults_and_empty_fusions(self):
         config = BatchRoundConfig(
@@ -216,8 +220,7 @@ class TestNumbaRoundsDriver:
             faults=BatchTransientFaults(probability=0.35),
             attacker=ActiveStretchBatchAttacker(side=1),
         )
-        a = fused_monte_carlo_rounds((1.0,) * 5, config, 256, rng=np.random.default_rng(7))
-        b = numba_monte_carlo_rounds((1.0,) * 5, config, 256, rng=np.random.default_rng(7))
+        a, b = run_both((1.0,) * 5, config, 256, seed=7)
         assert_results_equal(a, b)
         assert not a.fusion.valid.all(), "expected some empty fusions under heavy faults"
 
@@ -236,9 +239,7 @@ class TestNumbaRoundsDriver:
         stream_a, stream_b = np.random.default_rng(9), np.random.default_rng(9)
         a = prepare_rounds(lowers, uppers, config, stream_a)
         b = prepare_rounds(lowers, uppers, config, stream_b)
-        from repro.batch.fused import fused_rounds_prepared
-
         assert_results_equal(
-            fused_rounds_prepared(a, config, stream_a),
+            batch_rounds_prepared(a, config, stream_a),
             numba_rounds_prepared(b, config, stream_b),
         )

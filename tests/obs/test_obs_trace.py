@@ -3,11 +3,14 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.exceptions import ExperimentError
+from repro.engine import get_engine
 from repro.obs.report import build_perf_report, load_trace
+from repro.scheduling import AscendingSchedule, ScheduleComparisonConfig
 
 
 class TestDisabledPath:
@@ -126,6 +129,31 @@ class TestJsonlRoundTrip:
         assert payload["throughput"]["samples"] == 500
         (histogram,) = payload["histograms"]
         assert histogram["count"] == 1 and histogram["p50_ms"] <= histogram["p99_ms"]
+
+    @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
+    def test_engine_seconds_counts_each_engine_run_once(self, tmp_path, engine_name):
+        # The phase spans nested inside engine.run must not be added on top.
+        config = ScheduleComparisonConfig(lengths=(2.0, 3.0, 4.0), fa=1)
+        engine = get_engine(engine_name)
+        path = tmp_path / "trace.jsonl"
+        with obs.collect() as session:
+            with obs.span("runner.run_scenario"):
+                for seed in range(2):
+                    engine.run_rounds(
+                        config, AscendingSchedule(), samples=64, rng=np.random.default_rng(seed)
+                    )
+            session.write_jsonl(path)
+        payload = build_perf_report(path)
+        by_span = {row["span"]: row for row in payload["spans"]}
+        assert by_span["engine.run"]["count"] == 2
+        assert payload["throughput"]["engine_seconds"] == pytest.approx(
+            by_span["engine.run"]["total_s"]
+        )
+        nested = sum(
+            row["total_s"] for name, row in by_span.items() if name.startswith("engine.")
+        )
+        assert nested > by_span["engine.run"]["total_s"]
+        assert payload["throughput"]["samples"] == 128
 
     def test_load_trace_error_paths(self, tmp_path):
         with pytest.raises(ExperimentError, match="--trace PATH"):

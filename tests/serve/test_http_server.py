@@ -14,6 +14,7 @@ client threads, and assert
 
 import asyncio
 import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
@@ -228,3 +229,21 @@ def test_keep_alive_serves_sequential_requests_on_one_connection(registered_spec
                 response.read()
         finally:
             conn.close()
+
+
+@pytest.mark.parametrize("length", ["-5", "abc"])
+def test_invalid_content_length_answers_400(length):
+    # A negative length used to pass the size check and crash readexactly,
+    # dropping the socket without an answer.
+    service = FusionService(store=None)
+    with ServerThread(service) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(
+                f"POST /v1/run HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode("latin-1")
+            )
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert f"invalid Content-Length '{length}'" in json.loads(body)["error"]
