@@ -14,10 +14,14 @@ fusion and admissibility sweeps per decision.  This module keeps the
   coverage profile **once** per context and evaluates every candidate's
   passive/active admissibility — and the conservative-mode support rule — as
   array comparisons against it;
-* every surviving ``(candidate, scenario)`` combination is stacked into one
-  ``(C·S, n)`` bound matrix and solved by a single batched endpoint sweep
-  (:func:`repro.batch.fuse.coverage_extremes`, bit-identical to the scalar
-  :func:`repro.core.marzullo.fuse_or_none`);
+* every surviving ``(candidate, scenario)`` combination is a row of a
+  lockstep *play-out* (:class:`_Playout`): index arrays into the candidate
+  grid, the scenario grid (built row-wise with the scalar ``_linspace``
+  float operations) and, with ``fa >= 2``, the sub-decisions of the later
+  compromised slots; the rows are expanded into ``(rows, n)`` bound
+  matrices at most ``_FUSE_CHUNK_ROWS`` at a time and solved by batched
+  endpoint sweeps (:func:`repro.batch.fuse.coverage_extremes`, bit-identical
+  to the scalar :func:`repro.core.marzullo.fuse_or_none`);
 * the per-candidate mean accumulates the per-scenario widths sequentially in
   the scalar enumeration order, so the scores — and therefore the decisions,
   tie sets included — equal the scalar policy's exactly.
@@ -31,8 +35,13 @@ shared memo table keyed on
 :meth:`repro.attack.context.AttackContext.cache_key` (plus the
 ``conservative`` flag) — the Ascending-schedule fast path, where the attacker
 transmits before seeing anything and whole swaths of rounds share a decision
-— and fuses the surviving rows' candidate grids in **one** batched sweep per
-slot.
+— and scores all the memo-missing rows in **one** play-out per
+remaining-slot pattern (:func:`_decide_batch`).  With ``fa >= 2`` the
+play-out decides each later compromised slot for all rows at once: rows that
+share a sub-context form one group, and all groups go through the same
+batched decision procedure one level deeper, so a slot costs a few array
+passes per lookahead level instead of one Python play-out per
+``(candidate, scenario)``.
 
 Equivalence contract
 --------------------
@@ -63,9 +72,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attack.candidates import PASSIVE_WIDTH_TOL, candidate_intervals
+from repro import obs
+from repro.attack.candidates import PASSIVE_WIDTH_TOL
 from repro.attack.context import AttackContext
-from repro.attack.expectation import TIE_TOLERANCE, ExpectationPolicy, _linspace
+from repro.attack.expectation import TIE_TOLERANCE, ExpectationPolicy
 from repro.attack.stealth import (
     AttackerMode,
     active_mode_available,
@@ -385,16 +395,16 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
 
     * stealth admissibility is evaluated for all candidates at once against
       a once-per-context coverage profile (:class:`_AdmissibilityTable`);
-    * all ``(candidate, scenario)`` fusion problems are solved by one batched
-      endpoint sweep instead of one scalar sweep each;
+    * all ``(candidate, scenario)`` fusion problems are solved by chunked
+      batched endpoint sweeps instead of one scalar sweep each;
     * per-scenario widths are bit-identical to the scalar sweep's, and the
       per-candidate mean adds them in the scalar enumeration order, so every
       score (and hence every decision) matches the parent class exactly.
 
     Rounds with compromised sensors still to transmit (``fa >= 2`` lookahead)
-    advance all (candidate, scenario) play-outs in lockstep, deciding every
-    future compromised slot's sub-contexts through one batched sweep (see
-    :func:`_score_recursive_multi`).
+    advance all (candidate, scenario) play-outs in lockstep, deciding each
+    future compromised slot's sub-contexts in one batched call (see
+    :class:`_Playout`).
     """
 
     _mode_memo: dict[tuple, tuple] = field(default_factory=dict, repr=False)
@@ -496,15 +506,9 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
         prepared = self._prepare_candidates(context)
         if len(prepared) == 1:
             return prepared.interval(0)
-        if any(context.remaining_compromised):
-            scores = _score_recursive_multi(self, [(prepared, context)])[0]
-            return self._select_prepared(prepared, scores, rng)
-        combo_lo, combo_hi, scenarios = self._assemble_combos(prepared, context)
-        fusion = coverage_extremes(combo_lo, combo_hi, context.n - context.f)
-        widths = (fusion.hi - fusion.lo).reshape(len(prepared), scenarios)
-        valid = fusion.valid.reshape(len(prepared), scenarios)
-        scores = self._scores_from_widths(prepared, widths, valid)
-        return self._select_prepared(prepared, scores, rng)
+        playout = _Playout(self, [(prepared, context)])
+        playout.advance()
+        return self._select_prepared(prepared, playout.scores().tolist(), rng)
 
     def _select_prepared(
         self,
@@ -519,135 +523,25 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
             return prepared.interval(ties[int(rng.integers(0, len(ties)))])
         return prepared.interval(ties[0])
 
-    # ------------------------------------------------------------------
-    # Tensor assembly
-    # ------------------------------------------------------------------
-    def _scenario_bounds(self, context: AttackContext) -> tuple[np.ndarray, np.ndarray]:
-        """``(S, m)`` bounds of the future *correct* sensors per scenario.
-
-        The rows reproduce
-        :meth:`~repro.attack.expectation.ExpectationPolicy._future_scenarios`
-        exactly — true value outermost, the last remaining correct sensor's
-        placement varying fastest, future compromised sensors contributing no
-        columns (their placements are decided recursively, not enumerated) —
-        sharing its ``_linspace`` grids so the bounds are the same floats.
-        """
-        region = self._feasible_true_region(context)
-        correct_widths = context.unseen_correct_widths
-        widths = np.asarray(correct_widths, dtype=np.float64)
-        if not correct_widths:
-            true_values = _linspace(region.lo, region.hi, self.true_value_positions)
-            empty = np.empty((len(true_values), 0))
-            return empty, empty
-        sensors = len(correct_widths)
-        true_values = _linspace(region.lo, region.hi, self.true_value_positions)
-        if sensors == 1:
-            width = correct_widths[0]
-            flat: list[float] = []
-            for true_value in true_values:
-                flat.extend(_linspace(true_value - width, true_value, self.placement_positions))
-            scenario_lo = np.asarray(flat)[:, None]
-            return scenario_lo, scenario_lo + widths
-        # _linspace returns a single midpoint for count <= 1, so the
-        # per-sensor grid length is not simply placement_positions.
-        grid_len = len(_linspace(0.0, 1.0, self.placement_positions))
-        per_true = grid_len**sensors
-        scenario_lo = np.empty((len(true_values) * per_true, sensors))
-        grid_cache: dict[tuple[float, float], np.ndarray] = {}
-        for block, true_value in enumerate(true_values):
-            base = block * per_true
-            inner = per_true
-            for column, width in enumerate(correct_widths):
-                key = (true_value - width, true_value)
-                grid = grid_cache.get(key)
-                if grid is None:
-                    grid = np.asarray(_linspace(key[0], key[1], self.placement_positions))
-                    grid_cache[key] = grid
-                # Cartesian product in the scalar recursion order: earlier
-                # sensors vary slower, the last sensor fastest.
-                inner //= grid_len
-                outer = per_true // (inner * grid_len)
-                scenario_lo[base : base + per_true, column] = np.tile(
-                    np.repeat(grid, inner), outer
-                )
-        return scenario_lo, scenario_lo + widths
-
-    def _assemble_combos(
-        self, prepared: _PreparedCandidates, context: AttackContext
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Stack every (candidate, scenario) round into a ``(C·S, n)`` matrix.
-
-        Each row lists the intervals in the scalar play-out order —
-        transmitted prefix, then the candidate, then the scenario's future
-        sensors in slot order — so the batched sweep performs the same
-        comparisons as the scalar one and stays bit-identical.
-        """
-        prefix = context.n_transmitted
-        if context.remaining_widths:
-            scenario_lo, scenario_hi = self._scenario_bounds(context)
-        else:
-            scenario_lo = np.empty((1, 0))
-            scenario_hi = np.empty((1, 0))
-        scenarios = scenario_lo.shape[0]
-        count = len(prepared)
-        n = context.n
-        lo = np.empty((count, scenarios, n))
-        hi = np.empty((count, scenarios, n))
-        if prefix:
-            lo[:, :, :prefix] = [interval.lo for interval in context.transmitted]
-            hi[:, :, :prefix] = [interval.hi for interval in context.transmitted]
-        lo[:, :, prefix] = prepared.lo[:, None]
-        hi[:, :, prefix] = prepared.hi[:, None]
-        lo[:, :, prefix + 1 :] = scenario_lo[None, :, :]
-        hi[:, :, prefix + 1 :] = scenario_hi[None, :, :]
-        return lo.reshape(count * scenarios, n), hi.reshape(count * scenarios, n), scenarios
-
-    def _scores_from_widths(
-        self,
-        prepared: _PreparedCandidates,
-        widths: np.ndarray,
-        valid: np.ndarray,
-    ) -> list[float]:
-        """Candidate scores from the per-scenario fusion-width matrix.
-
-        Mirrors the scalar ``_expected_final_width`` term for term: the
-        conservative-mode gate (already folded into ``prepared.blocked``),
-        then a *sequential* accumulation over scenarios (an ``np.sum`` would
-        pairwise-reduce and drift from the scalar total in the last bits,
-        which could flip a tie).
-        """
-        # np.cumsum adds left to right (unlike np.sum's pairwise reduction),
-        # and skipped scenarios contribute an exact +0.0, so the final column
-        # equals the scalar running total bit for bit.
-        totals = np.cumsum(np.where(valid, widths, 0.0), axis=1)[:, -1]
-        counts = valid.sum(axis=1)
-        scores = np.where(
-            (counts > 0) & ~prepared.blocked, totals / np.maximum(counts, 1), -np.inf
-        )
-        return scores.tolist()
-
-    # ------------------------------------------------------------------
-    # fa >= 2: lookahead over future compromised sensors
-    # ------------------------------------------------------------------
     def _decision_admissibility(
-        self, decision: Interval, sub_context: AttackContext
+        self, decision: Interval, sub_context: AttackContext, key: tuple | None = None
     ) -> tuple[AttackerMode | None, float | None]:
         """Mode and support of a (memoised) sub-decision, memoised alongside it.
 
         The scalar play-out re-runs :func:`check_admissible` on every cache
         hit; the result only depends on the decision and the key fields of
         the context (``own_reading`` is not consulted), so it can share the
-        decision's memoisation granularity.
+        decision's memoisation granularity.  Callers that already hold the
+        context's memo ``key`` pass it to skip recomputing it.
         """
-        key = self._memo_key(sub_context)
+        if key is None:
+            key = self._memo_key(sub_context)
         cached = self._mode_memo.get(key)
         if cached is None:
             admissibility = check_admissible(decision, sub_context)
             cached = (admissibility.mode, admissibility.support)
             self._mode_memo[key] = cached
         return cached
-
-    # The multi-context lockstep play-out lives in :func:`_score_recursive_multi`.
 
 
 def _trivially_truthful(context: AttackContext) -> bool:
@@ -681,172 +575,311 @@ def _trivially_truthful(context: AttackContext) -> bool:
     )
 
 
-def _score_recursive_multi(
-    policy: VectorizedExpectationPolicy,
-    items: list[tuple[_PreparedCandidates, AttackContext]],
-) -> list[list[float]]:
-    """Lockstep scoring of contexts whose lookahead contains compromised slots.
+def _scenario_grid(
+    policy: VectorizedExpectationPolicy, contexts: list[AttackContext]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The future *correct* sensors' bounds in every scenario of every context.
 
-    The scalar policy plays every (candidate, scenario) combination out one
-    by one, recursing at each future compromised slot.  All ``items`` share
-    the same ``remaining_compromised`` pattern, so their play-outs advance in
-    *lockstep* instead: at every future compromised position the sub-contexts
-    of all combinations — across every item — are deduplicated (combinations
-    with the same candidate and correct placements so far share a sub-context
-    verbatim) and decided together through :func:`_decide_batch`, and the
-    final fusions of all combinations are solved by one batched sweep at the
-    end.  Memo-key collisions cannot cross positions (the transmitted prefix
-    length is part of the key) and within a position the group order equals
-    the scalar item-major, candidate-major, scenario-minor order, so the memo
-    fills exactly like the scalar loop.
+    Returns ``(lo, hi, count)``.  ``lo``/``hi`` have one row per scenario —
+    context-major, then in the order of
+    :meth:`~repro.attack.expectation.ExpectationPolicy._future_scenarios`
+    (true value outermost, the last remaining correct sensor's placement
+    fastest) — and one column per remaining correct sensor, in slot order;
+    future compromised sensors contribute no columns (their placements are
+    decided, not enumerated).  ``count[i]`` is context ``i``'s number of
+    scenarios.  The contexts share their ``remaining_compromised`` pattern.
 
-    Returns one score list per item (``-inf`` for conservative-blocked
-    candidates, like the scalar ``_expected_final_width`` gates).
+    Grid points are computed with ``_linspace``'s float operations
+    (``lo + i·step``, or the midpoint of a collapsed grid), so they are the
+    same floats.  A context with no sensor left has one empty scenario, and
+    a feasible region collapsed to a point has a single true value.  A
+    placement window ``[t - w, t]`` would only collapse if ``t - w`` rounded
+    to ``t`` (``|t| ≳ 2⁵²·w``), so every placement grid has the same length.
     """
-    results: list[list[float]] = [[-np.inf] * len(prepared) for prepared, _context in items]
-    active_items: list[tuple[int, _PreparedCandidates, AttackContext, list[int]]] = []
-    for item, (prepared, context) in enumerate(items):
-        unblocked = [index for index in range(len(prepared)) if not prepared.blocked[index]]
-        if unblocked:
-            active_items.append((item, prepared, context, unblocked))
-    if not active_items:
-        return results
+    count = len(contexts)
+    if not contexts[0].remaining_compromised:
+        empty = np.empty((count, 0))
+        return empty, empty, np.ones(count, dtype=np.int64)
+    regions = [policy._feasible_true_region(ctx) for ctx in contexts]
+    region_lo = np.asarray([region.lo for region in regions])
+    region_hi = np.asarray([region.hi for region in regions])
+    widths = np.asarray([ctx.unseen_correct_widths for ctx in contexts], dtype=np.float64)
+    widths = widths.reshape(count, -1)
+    positions = policy.true_value_positions
+    if positions <= 1:
+        true_values = (region_lo + region_hi) / 2.0
+        owner = np.arange(count)
+    else:
+        step = (region_hi - region_lo) / (positions - 1)
+        grid = region_lo[:, None] + np.arange(positions) * step[:, None]
+        point = region_hi <= region_lo
+        grid[point, 0] = (region_lo[point] + region_hi[point]) / 2.0
+        keep = np.ones(grid.shape, dtype=bool)
+        keep[point, 1:] = False
+        true_values = grid[keep]
+        owner = np.repeat(np.arange(count), keep.sum(axis=1))
+    true_col = true_values[:, None]
+    sensor_widths = widths[owner]
+    start = true_col - sensor_widths
+    placements = policy.placement_positions
+    if placements <= 1:
+        grid = ((start + true_col) / 2.0)[:, :, None]
+    else:
+        step = (true_col - start) / (placements - 1)
+        grid = start[:, :, None] + np.arange(placements) * step[:, :, None]
+    # Cartesian product in the scalar recursion order: earlier sensors vary
+    # slower, the last sensor fastest.
+    sensors = widths.shape[1]
+    points = grid.shape[2]
+    product = np.arange(points**sensors)
+    lo = np.empty((true_values.shape[0], product.shape[0], sensors))
+    for column in range(sensors):
+        lo[:, :, column] = grid[:, column, (product // points ** (sensors - 1 - column)) % points]
+    hi = lo + sensor_widths[:, None, :]
+    shape = (lo.shape[0] * lo.shape[1], sensors)
+    scenarios = np.bincount(owner, minlength=count) * product.shape[0]
+    return lo.reshape(shape), hi.reshape(shape), scenarios
 
-    # Per-item scenario grids and candidate-seeded protection obligations
-    # (the scalar _expected_final_width's `protected` bookkeeping).
-    scenario_grids: dict[int, tuple[np.ndarray, np.ndarray, list[list[Interval]]]] = {}
-    seeds: dict[tuple[int, int], tuple[float, ...]] = {}
-    combos: list[tuple[int, int, int]] = []  # (item, candidate index, scenario)
-    scenarios = None
-    candidate_intervals_of: dict[tuple[int, int], Interval] = {}
-    for item, prepared, context, unblocked in active_items:
-        required = required_support(context)
-        for index in unblocked:
-            candidate_intervals_of[(item, index)] = prepared.interval(index)
-            if prepared.passive[index]:
-                seeds[(item, index)] = context.protected_points
+
+class _Playout:
+    """Lockstep play-out of every (candidate, scenario) round of some contexts.
+
+    The scalar policy plays each combination out on its own
+    (:meth:`~repro.attack.expectation.ExpectationPolicy._play_out`).  The
+    contexts here share their ``remaining_compromised`` pattern, so all their
+    rounds advance together, held as index arrays with one entry per *row*
+    — a context's unblocked candidate × one of its scenarios, in the scalar
+    context-major, candidate-major, scenario-minor order: the row's
+    candidate, its scenario and, per future compromised position, the
+    sub-decision it received.  :meth:`assemble` expands a row range into the
+    rounds' bound matrices (transmitted prefix, candidate, then the future
+    sensors in slot order), so the fusion sweeps compare exactly what the
+    scalar sweep compares, at most ``_FUSE_CHUNK_ROWS`` rows at a time.
+
+    :meth:`advance` decides the future compromised positions;
+    :meth:`scores` fuses the final rounds and averages each candidate's
+    widths.  Conservative-blocked candidates are never played out and score
+    ``-inf``, like the scalar ``_expected_final_width`` gate.
+    """
+
+    def __init__(
+        self,
+        policy: VectorizedExpectationPolicy,
+        items: list[tuple[_PreparedCandidates, AttackContext]],
+    ) -> None:
+        self.policy = policy
+        self.items = items
+        contexts = [context for _prepared, context in items]
+        self.pattern = contexts[0].remaining_compromised
+        self.f = contexts[0].f
+        sizes = [len(prepared) for prepared, _context in items]
+        #: Where each context's candidates start in the flat candidate arrays.
+        self.offsets = np.cumsum([0] + sizes)
+        self.owner = np.repeat(np.arange(len(items)), sizes)
+        self.cand_lo = np.concatenate([prepared.lo for prepared, _context in items])
+        self.cand_hi = np.concatenate([prepared.hi for prepared, _context in items])
+        blocked = np.concatenate([prepared.blocked for prepared, _context in items])
+        self.live = np.flatnonzero(~blocked)
+        self.prefix_lo = np.stack([prepared.table.transmitted_lo for prepared, _context in items])
+        self.prefix_hi = np.stack([prepared.table.transmitted_hi for prepared, _context in items])
+        self.scen_lo, self.scen_hi, scenarios = _scenario_grid(policy, contexts)
+        self.scen_owner = np.repeat(np.arange(len(items)), scenarios)
+        self.per_candidate = scenarios[self.owner[self.live]]
+        self.row_start = np.cumsum(self.per_candidate) - self.per_candidate
+        self.cand = np.repeat(self.live, self.per_candidate)
+        scenario_start = np.cumsum(scenarios) - scenarios
+        self.scen = (
+            scenario_start[self.owner[self.cand]]
+            + np.arange(self.cand.shape[0])
+            - np.repeat(self.row_start, self.per_candidate)
+        )
+        # Per future position: the scenario column of a correct sensor, or,
+        # once ``advance`` has decided a compromised one, the row -> group
+        # index and the groups' decisions (as Intervals and bound arrays).
+        self.columns: list = []
+        for position, compromised in enumerate(self.pattern):
+            self.columns.append(None if compromised else position - sum(self.pattern[:position]))
+
+    def assemble(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(stop - start, sensors)`` bound matrices of rows ``start:stop``."""
+        cand = self.cand[start:stop]
+        scen = self.scen[start:stop]
+        owner = self.owner[cand]
+        prefix = self.prefix_lo.shape[1]
+        shape = (cand.shape[0], prefix + 1 + len(self.pattern))
+        lo = np.empty(shape)
+        hi = np.empty(shape)
+        lo[:, :prefix] = self.prefix_lo[owner]
+        hi[:, :prefix] = self.prefix_hi[owner]
+        lo[:, prefix] = self.cand_lo[cand]
+        hi[:, prefix] = self.cand_hi[cand]
+        for column, source in enumerate(self.columns, start=prefix + 1):
+            if isinstance(source, int):
+                lo[:, column] = self.scen_lo[scen, source]
+                hi[:, column] = self.scen_hi[scen, source]
             else:
+                group, _decisions, group_lo, group_hi = source
+                lo[:, column] = group_lo[group[start:stop]]
+                hi[:, column] = group_hi[group[start:stop]]
+        return lo, hi
+
+    def advance(self) -> None:
+        """Decide every future compromised position, in slot order.
+
+        At each position, rows whose candidate and correct placements so far
+        coincide share their sub-context verbatim, and hence their
+        sub-decision and protection obligations.  One
+        :class:`AttackContext` is built per such group, in first-occurrence
+        order so the memo fills like the scalar play-out, and one
+        :func:`_decide_batch` call decides them all (recursing for the later
+        positions).  Decisions and protection-obligation tuple ids scatter
+        back to the rows through the group index.  Memo keys cannot collide
+        across positions: the transmitted-prefix length is part of the key.
+        """
+        if not any(self.pattern) or self.cand.shape[0] == 0:
+            return
+        policy = self.policy
+        # Protection obligations as tuple ids: each live candidate starts from
+        # its context's obligations plus, for an active placement, its own
+        # support point (the scalar _expected_final_width bookkeeping).
+        protections: list[tuple[float, ...]] = []
+        candidates: dict[int, Interval] = {}
+        seed = np.zeros(self.cand_lo.shape[0], dtype=np.int64)
+        for index in self.live.tolist():
+            owner = int(self.owner[index])
+            prepared, context = self.items[owner]
+            local = index - int(self.offsets[owner])
+            candidates[index] = prepared.interval(local)
+            obligations = context.protected_points
+            if not prepared.passive[local]:
                 support = _support_value(
                     prepared.table.profile,
-                    float(prepared.lo[index]),
-                    float(prepared.hi[index]),
-                    required,
+                    float(prepared.lo[local]),
+                    float(prepared.hi[local]),
+                    prepared.table.required,
                 )
                 assert support is not None  # active admissibility guarantees it
-                seeds[(item, index)] = context.protected_points + (support,)
-        scenario_lo, scenario_hi = policy._scenario_bounds(context)
-        scenarios = scenario_lo.shape[0]  # identical across items (same pattern)
-        scenario_intervals = [
-            [
-                Interval(float(scenario_lo[scenario, column]), float(scenario_hi[scenario, column]))
-                for column in range(scenario_lo.shape[1])
-            ]
-            for scenario in range(scenarios)
-        ]
-        scenario_grids[item] = (scenario_lo, scenario_hi, scenario_intervals)
-        combos.extend(
-            (item, index, scenario) for index in unblocked for scenario in range(scenarios)
-        )
-
-    context_of = {item: context for item, _prepared, context, _unblocked in active_items}
-    remaining_pattern = active_items[0][2].remaining_compromised
-    transmitted: list[list[Interval]] = [
-        list(context_of[item].transmitted) + [candidate_intervals_of[(item, index)]]
-        for item, index, _scenario in combos
-    ]
-    protected: list[tuple[float, ...]] = [
-        seeds[(item, index)] for item, index, _scenario in combos
-    ]
-
-    correct_seen = 0
-    for position, compromised in enumerate(remaining_pattern):
-        if not compromised:
-            column = correct_seen
-            correct_seen += 1
-            for combo, (item, _index, scenario) in enumerate(combos):
-                transmitted[combo].append(scenario_grids[item][2][scenario][column])
-            continue
-        # Combinations whose item, candidate and correct placements so far
-        # coincide share their sub-context (and hence their sub-decision)
-        # verbatim; build it once per group, in first-occurrence order so the
-        # memo fills like the scalar play-out.
-        group_members: dict[tuple, list[int]] = {}
-        group_order: list[tuple] = []
-        for combo, (item, index, scenario) in enumerate(combos):
+                obligations = obligations + (support,)
+            seed[index] = len(protections)
+            protections.append(obligations)
+        protection = seed[self.cand]
+        placements_lo = self.scen_lo.tolist()
+        placements_hi = self.scen_hi.tolist()
+        correct_seen = 0
+        for position, compromised in enumerate(self.pattern):
+            if not compromised:
+                correct_seen += 1
+                continue
+            keys = self.cand
             if correct_seen:
-                group_key = (
-                    item,
-                    index,
-                    scenario_grids[item][0][scenario, :correct_seen].tobytes(),
+                # Rows share a sub-context only if their placements so far
+                # are bit-for-bit equal (within one owning context).
+                seen = np.column_stack(
+                    [self.scen_owner, self.scen_lo[:, :correct_seen].view(np.int64)]
                 )
-            else:
-                # No correct placements seen yet: the candidate alone
-                # identifies the group.
-                group_key = (item, index)
-            members = group_members.get(group_key)
-            if members is None:
-                group_members[group_key] = [combo]
-                group_order.append(group_key)
-            else:
-                members.append(combo)
-        sub_contexts = []
-        for group_key in group_order:
-            item = group_key[0]
-            context = context_of[item]
-            representative = group_members[group_key][0]
-            tail_widths = context.remaining_widths[position + 1 :]
-            tail_compromised = context.remaining_compromised[position + 1 :]
-            sub_contexts.append(
-                AttackContext(
-                    n=context.n,
-                    f=context.f,
-                    slot_index=context.slot_index + 1 + position,
-                    sensor_index=-1,
-                    width=context.remaining_widths[position],
-                    own_reading=policy._own_reading_guess(context),
-                    delta=context.delta,
-                    transmitted=tuple(transmitted[representative]),
-                    transmitted_compromised=tuple(context.transmitted_compromised)
-                    + (True,)
-                    + remaining_pattern[:position],
-                    remaining_widths=tail_widths,
-                    remaining_compromised=tail_compromised,
-                    protected_points=protected[representative],
+                _, placement = np.unique(seen, axis=0, return_inverse=True)
+                placement = placement.reshape(-1)
+                keys = keys * (int(placement.max()) + 1) + placement[self.scen]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.shape[0])
+            group = rank[inverse.reshape(-1)]
+            representatives = first[order].tolist()
+            sub_contexts = []
+            for row in representatives:
+                cand = int(self.cand[row])
+                scen = int(self.scen[row])
+                context = self.items[int(self.owner[cand])][1]
+                transmitted = list(context.transmitted)
+                transmitted.append(candidates[cand])
+                for source in self.columns[:position]:
+                    if isinstance(source, int):
+                        transmitted.append(
+                            Interval(placements_lo[scen][source], placements_hi[scen][source])
+                        )
+                    else:
+                        transmitted.append(source[1][source[0][row]])
+                sub_contexts.append(
+                    AttackContext(
+                        n=context.n,
+                        f=context.f,
+                        slot_index=context.slot_index + 1 + position,
+                        sensor_index=-1,
+                        width=context.remaining_widths[position],
+                        own_reading=policy._own_reading_guess(context),
+                        delta=context.delta,
+                        transmitted=tuple(transmitted),
+                        transmitted_compromised=context.transmitted_compromised
+                        + (True,)
+                        + self.pattern[:position],
+                        remaining_widths=context.remaining_widths[position + 1 :],
+                        remaining_compromised=self.pattern[position + 1 :],
+                        protected_points=protections[protection[row]],
+                    )
                 )
+            decisions, memo_keys = _decide_batch(policy, sub_contexts)
+            group_protection = protection[representatives]
+            for index, (sub_context, decision, key) in enumerate(
+                zip(sub_contexts, decisions, memo_keys)
+            ):
+                mode, support = policy._decision_admissibility(decision, sub_context, key)
+                if mode is AttackerMode.ACTIVE and support is not None:
+                    group_protection[index] = len(protections)
+                    protections.append(sub_context.protected_points + (support,))
+            protection = group_protection[group]
+            self.columns[position] = (
+                group,
+                decisions,
+                np.asarray([decision.lo for decision in decisions]),
+                np.asarray([decision.hi for decision in decisions]),
             )
-        decisions = _decide_batch(policy, sub_contexts)
-        for group_key, sub_context, decision in zip(group_order, sub_contexts, decisions):
-            mode, support = policy._decision_admissibility(decision, sub_context)
-            active = mode is AttackerMode.ACTIVE and support is not None
-            for combo in group_members[group_key]:
-                if active:
-                    protected[combo] = protected[combo] + (support,)
-                transmitted[combo].append(decision)
 
-    n_minus_f = active_items[0][2].n - active_items[0][2].f
-    total = len(transmitted)
-    flat_widths = np.empty(total)
-    flat_valid = np.empty(total, dtype=bool)
-    for start in range(0, total, _FUSE_CHUNK_ROWS):
-        stop = min(start + _FUSE_CHUNK_ROWS, total)
-        fusion = coverage_extremes(
-            np.asarray([[s.lo for s in transmitted[row]] for row in range(start, stop)]),
-            np.asarray([[s.hi for s in transmitted[row]] for row in range(start, stop)]),
-            n_minus_f,
-        )
-        flat_widths[start:stop] = fusion.hi - fusion.lo
-        flat_valid[start:stop] = fusion.valid
-    widths = flat_widths.reshape(-1, scenarios)
-    valid = flat_valid.reshape(-1, scenarios)
-    totals = np.cumsum(np.where(valid, widths, 0.0), axis=1)[:, -1]
-    counts = valid.sum(axis=1)
-    packed = np.where(counts > 0, totals / np.maximum(counts, 1), -np.inf).tolist()
-    block = 0
-    for item, _prepared, _context, unblocked in active_items:
-        for index in unblocked:
-            results[item][index] = packed[block]
-            block += 1
-    return results
+    def scores(self) -> np.ndarray:
+        """Expected final fusion width per candidate (flat, context-major).
+
+        Mirrors the scalar ``_expected_final_width`` term for term: widths
+        of scenarios with no fusion interval are skipped, and the rest are
+        added *sequentially* in scenario order — ``np.cumsum`` adds left to
+        right (``np.sum`` would pairwise-reduce and drift in the last bits,
+        which could flip a tie), and a skipped scenario adds an exact
+        ``+0.0`` — so each mean equals the scalar running total's.
+        """
+        total = self.cand.shape[0]
+        widths = np.empty(total)
+        valid = np.empty(total, dtype=bool)
+        for start in range(0, total, _FUSE_CHUNK_ROWS):
+            stop = min(start + _FUSE_CHUNK_ROWS, total)
+            lo, hi = self.assemble(start, stop)
+            fusion = coverage_extremes(lo, hi, lo.shape[1] - self.f)
+            widths[start:stop] = fusion.hi - fusion.lo
+            valid[start:stop] = fusion.valid
+        scores = np.full(self.cand_lo.shape[0], -np.inf)
+        # Contexts can differ in their number of scenarios (a collapsed
+        # feasible region has one true value); score each count separately.
+        for count in np.unique(self.per_candidate).tolist():
+            chosen = np.flatnonzero(self.per_candidate == count)
+            rows = self.row_start[chosen][:, None] + np.arange(count)
+            ok = valid[rows]
+            totals = np.cumsum(np.where(ok, widths[rows], 0.0), axis=1)[:, -1]
+            counts = ok.sum(axis=1)
+            scores[self.live[chosen]] = np.where(
+                counts > 0, totals / np.maximum(counts, 1), -np.inf
+            )
+        return scores
+
+
+def _first_best(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per context, the first candidate within tie tolerance of its best score.
+
+    ``offsets`` delimit the contexts' candidate segments in ``scores``; the
+    result is ``_select``'s ``ties[0]``, as an index into each segment.
+    """
+    starts = offsets[:-1]
+    best = np.maximum.reduceat(scores, starts)
+    tied = scores >= np.repeat(best - TIE_TOLERANCE, np.diff(offsets))
+    index = np.where(tied, np.arange(scores.shape[0]), scores.shape[0])
+    return np.minimum.reduceat(index, starts) - starts
 
 
 def _store_decision(
@@ -883,40 +916,33 @@ def _store_decision(
     return decision
 
 
-def _selected_index(scores: list[float]) -> int:
-    """First candidate within tie tolerance of the best score (``ties[0]``)."""
-    best_score = max(scores)
-    for index, score in enumerate(scores):
-        if score >= best_score - TIE_TOLERANCE:
-            return index
-    raise AssertionError("unreachable: best score is always within tolerance of itself")
-
-
 def _decide_batch(
     policy: VectorizedExpectationPolicy, contexts: list[AttackContext]
-) -> list[Interval]:
-    """Decide a batch of attack contexts, fusing their candidate grids together.
+) -> tuple[list[Interval], list[tuple]]:
+    """Decide a batch of attack contexts; returns the decisions and memo keys.
 
     Contexts are visited in order so memo-key collisions resolve
-    first-computed-wins, exactly like the scalar round-major loop.  Contexts
-    that miss the memo and have no future compromised sensors are scored
-    together: their (candidate × scenario) grids are concatenated into a
-    single bound matrix and solved by one batched endpoint sweep.  Contexts
-    with future compromised sensors recurse through the policy's lockstep
-    play-out (which calls back into this function one level deeper).
+    first-computed-wins, exactly like the scalar round-major loop.  The
+    memo-missing contexts get their candidate grids from one batched
+    admissibility sweep; those with several candidates are grouped by their
+    remaining-slot pattern (identical for deterministic schedules;
+    RandomSchedule rows can genuinely differ) and each group is scored by one
+    :class:`_Playout`: the groups with future compromised sensors first
+    decide them (calling back into this function one level deeper), then
+    every group's final rounds are fused in chunked sweeps and each context
+    selects its first best-scoring candidate.
 
     Shared by :class:`ExactExpectationBatchAttacker` (one call per schedule
-    slot) and :func:`_score_recursive_multi` (one call per future compromised
-    position).
+    slot) and :meth:`_Playout.advance` (one call per future compromised
+    position).  Each call emits one ``attack.candidates``, ``attack.recurse``
+    and ``attack.score`` span.
     """
+    keys = [policy._memo_key(ctx) for ctx in contexts]
     decisions: list[Interval | None] = [None] * len(contexts)
-    pending: list[tuple[int, tuple, _PreparedCandidates, AttackContext]] = []
-    recursive: list[tuple[int, tuple, _PreparedCandidates, AttackContext]] = []
     pending_keys: set[tuple] = set()
     deferred: list[tuple[int, tuple]] = []
     staged: list[tuple[int, tuple, AttackContext]] = []
-    for index, ctx in enumerate(contexts):
-        key = policy._memo_key(ctx)
+    for index, (ctx, key) in enumerate(zip(contexts, keys)):
         cached = policy._cache.get(key)
         if cached is not None:
             policy.record_hit()
@@ -939,88 +965,39 @@ def _decide_batch(
         staged.append((index, key, ctx))
         pending_keys.add(key)
 
-    # Every memo-missing context gets its candidate grid from one batched
-    # admissibility sweep — the per-row preparation used to dominate the
-    # fa >= 2 slots, where each row's context is distinct.  Single-candidate
-    # grids resolve on the spot; same-key followers land in ``deferred`` and
-    # read the stored decision at the end, exactly as a cache hit would.
-    prepared_grids = policy._prepare_candidates_many([ctx for _index, _key, ctx in staged])
+    with obs.span("attack.candidates", kernel="batch"):
+        prepared_grids = policy._prepare_candidates_many([ctx for _index, _key, ctx in staged])
+    # Single-candidate grids resolve on the spot; same-key followers land in
+    # ``deferred`` and read the stored decision at the end, as a cache hit
+    # would.
+    patterns: dict[tuple, list[tuple[int, tuple, _PreparedCandidates, AttackContext]]] = {}
     for (index, key, ctx), prepared in zip(staged, prepared_grids):
         if len(prepared) == 1:
             policy.record_miss()
             decisions[index] = _store_decision(policy, key, prepared, 0)
-        elif any(ctx.remaining_compromised):
-            recursive.append((index, key, prepared, ctx))
         else:
-            pending.append((index, key, prepared, ctx))
+            patterns.setdefault(ctx.remaining_compromised, []).append((index, key, prepared, ctx))
 
-    if recursive:
-        # Lockstep the recursive contexts together, one group per
-        # remaining-slot pattern (identical for deterministic schedules;
-        # RandomSchedule rows can genuinely differ).
-        pattern_groups: dict[tuple, list[tuple[int, tuple, _PreparedCandidates, AttackContext]]] = {}
-        pattern_order: list[tuple] = []
-        for entry in recursive:
-            pattern = entry[3].remaining_compromised
-            group = pattern_groups.get(pattern)
-            if group is None:
-                pattern_groups[pattern] = [entry]
-                pattern_order.append(pattern)
-            else:
-                group.append(entry)
-        for pattern in pattern_order:
-            group = pattern_groups[pattern]
-            score_lists = _score_recursive_multi(
-                policy, [(prepared, ctx) for _index, _key, prepared, ctx in group]
-            )
-            for (index, key, prepared, _ctx), scores in zip(group, score_lists):
+    with obs.span("attack.recurse", kernel="batch"):
+        playouts = {
+            pattern: _Playout(policy, [entry[2:] for entry in members])
+            for pattern, members in patterns.items()
+            if any(pattern)
+        }
+        for playout in playouts.values():
+            playout.advance()
+
+    with obs.span("attack.score", kernel="batch"):
+        for pattern, members in patterns.items():
+            playout = playouts.get(pattern) or _Playout(policy, [entry[2:] for entry in members])
+            selected = _first_best(playout.scores(), playout.offsets).tolist()
+            for (index, key, prepared, _ctx), choice in zip(members, selected):
                 policy.record_miss()
-                decisions[index] = _store_decision(
-                    policy, key, prepared, _selected_index(scores)
-                )
-
-    if pending:
-        n_minus_f = contexts[0].n - contexts[0].f
-        chunk: list[tuple[int, tuple, _PreparedCandidates, int, np.ndarray, np.ndarray]] = []
-        chunk_rows = 0
-
-        def _flush_chunk() -> None:
-            nonlocal chunk, chunk_rows
-            if not chunk:
-                return
-            fusion = coverage_extremes(
-                np.concatenate([entry[4] for entry in chunk]),
-                np.concatenate([entry[5] for entry in chunk]),
-                n_minus_f,
-            )
-            all_widths = fusion.hi - fusion.lo
-            all_valid = fusion.valid
-            offset = 0
-            for index, key, prepared, scenarios, combo_lo, _combo_hi in chunk:
-                rows = combo_lo.shape[0]
-                widths = all_widths[offset : offset + rows].reshape(len(prepared), scenarios)
-                valid = all_valid[offset : offset + rows].reshape(len(prepared), scenarios)
-                offset += rows
-                scores = policy._scores_from_widths(prepared, widths, valid)
-                policy.record_miss()
-                decisions[index] = _store_decision(
-                    policy, key, prepared, _selected_index(scores)
-                )
-            chunk = []
-            chunk_rows = 0
-
-        for index, key, prepared, ctx in pending:
-            combo_lo, combo_hi, scenarios = policy._assemble_combos(prepared, ctx)
-            chunk.append((index, key, prepared, scenarios, combo_lo, combo_hi))
-            chunk_rows += combo_lo.shape[0]
-            if chunk_rows >= _FUSE_CHUNK_ROWS:
-                _flush_chunk()
-        _flush_chunk()
+                decisions[index] = _store_decision(policy, key, prepared, choice)
 
     for index, key in deferred:
         decisions[index] = policy._cache[key]
-    assert all(decision is not None for decision in decisions)
-    return decisions
+    return decisions, keys
 
 
 @dataclass
@@ -1032,7 +1009,8 @@ class ExactExpectationBatchAttacker(BatchAttacker):
     answers repeated contexts from the shared memo table (one decision per
     unique ``cache_key`` per batch, honouring the scalar first-computed-wins
     semantics when keys collide across rows), and scores all remaining rows'
-    candidate grids in **one** batched endpoint sweep.
+    candidate grids in **one** play-out per remaining-slot pattern
+    (:func:`_decide_batch`).
 
     Parameters mirror :class:`~repro.attack.expectation.ExpectationPolicy`;
     tie-breaking is fixed to the deterministic ``"first"`` rule so the
@@ -1086,13 +1064,13 @@ class ExactExpectationBatchAttacker(BatchAttacker):
         hi = context.own_hi.copy()
         row_indices = [int(i) for i in np.flatnonzero(context.rows)]
         contexts = [self._row_context(context, i) for i in row_indices]
-        decisions = _decide_batch(self._policy, contexts)
-        for row, ctx, decision in zip(row_indices, contexts, decisions):
+        decisions, keys = _decide_batch(self._policy, contexts)
+        for row, ctx, decision, key in zip(row_indices, contexts, decisions, keys):
             if any(ctx.remaining_compromised):
                 # Protection obligations only constrain *later* compromised
                 # slots of the same round; skip the admissibility lookup when
                 # there are none, like run_round's bookkeeping going unused.
-                mode, support = self._policy._decision_admissibility(decision, ctx)
+                mode, support = self._policy._decision_admissibility(decision, ctx, key)
                 if mode is AttackerMode.ACTIVE and support is not None:
                     self._protected[row] = self._protected[row] + (support,)
             lo[row] = decision.lo
@@ -1125,11 +1103,3 @@ class ExactExpectationBatchAttacker(BatchAttacker):
             ),
             protected_points=self._protected[row],
         )
-
-
-def _candidate_parity_check(context: AttackContext, grid_positions: int = 9) -> bool:
-    """Test hook: the array candidate enumeration equals the scalar one."""
-    policy = VectorizedExpectationPolicy(grid_positions=grid_positions, tie_break="first")
-    prepared = policy._prepare_candidates(context)
-    scalar = candidate_intervals(context, grid_positions)
-    return [(s.lo, s.hi) for s in scalar] == list(zip(prepared.lo.tolist(), prepared.hi.tolist()))

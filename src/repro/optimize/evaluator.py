@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine import get_engine
+from repro.scenarios.spec import shard_sizes
 from repro.scheduling.enumeration import canonical_schedule
 from repro.scheduling.schedule import FixedSchedule
 from repro.utils.seeding import jumped_rngs
@@ -55,14 +56,6 @@ __all__ = ["EVAL_STREAM", "ANNEAL_STREAM", "BANDIT_STREAM", "ScheduleEvaluator",
 EVAL_STREAM = 0
 ANNEAL_STREAM = 1
 BANDIT_STREAM = 2
-
-
-def _shard_sizes(total: int, shard_size: int) -> list[int]:
-    """Deterministic front-loaded chunks of at most ``shard_size`` rounds."""
-    sizes = [shard_size] * (total // shard_size)
-    if total % shard_size:
-        sizes.append(total % shard_size)
-    return sizes
 
 
 def baseline_permutations(spec: "OptimizationScenario") -> list[tuple[str, tuple[int, ...]]]:
@@ -144,7 +137,7 @@ class ScheduleEvaluator:
         if row is not None:
             obs.add("repro_optimize_evaluations_total", 1, outcome="memo")
             return row
-        budgets = _shard_sizes(int(samples), self.spec.shard_samples)
+        budgets = shard_sizes(int(samples), self.spec.shard_samples)
         rngs = jumped_rngs(self.spec.seed, len(budgets), EVAL_STREAM, *canonical)
         started = perf_counter() if obs.enabled() else None
         with obs.span("optimize.evaluate", engine=self.engine.name, samples=int(samples)):

@@ -47,6 +47,8 @@ from repro.scenarios.spec import (
     OptimizationScenario,
     ScenarioSpec,
     schedule_from_spec,
+    shard_count,
+    shard_sizes,
     spec_key,
 )
 from repro.utils.seeding import derive_rng
@@ -93,14 +95,6 @@ class ScenarioRun:
     store_path: str | None = field(default=None)
 
 
-def _shard_sizes(total: int, shard_size: int) -> list[int]:
-    """Split ``total`` into deterministic chunks of at most ``shard_size``."""
-    sizes = [shard_size] * (total // shard_size)
-    if total % shard_size:
-        sizes.append(total % shard_size)
-    return sizes
-
-
 # --------------------------------------------------------------------------
 # comparison scenarios
 
@@ -108,7 +102,7 @@ def _shard_sizes(total: int, shard_size: int) -> list[int]:
 def _plan_comparison(spec: ComparisonScenario) -> list[ShardTask]:
     tasks = []
     for case_index in range(len(spec.cases)):
-        for shard_index, samples in enumerate(_shard_sizes(spec.samples, spec.shard_samples)):
+        for shard_index, samples in enumerate(shard_sizes(spec.samples, spec.shard_samples)):
             tasks.append(
                 ShardTask(spec=spec, index=len(tasks), params=(case_index, shard_index, samples))
             )
@@ -174,7 +168,7 @@ def _execute_comparison(task: ShardTask) -> list[dict]:
 
 
 def _merge_comparison(spec: ComparisonScenario, outcomes: list[list[dict]]) -> dict:
-    tasks_per_case = len(_shard_sizes(spec.samples, spec.shard_samples))
+    tasks_per_case = shard_count(spec.samples, spec.shard_samples)
     cases = []
     for case_index, case in enumerate(spec.cases):
         shard_rows = outcomes[case_index * tasks_per_case : (case_index + 1) * tasks_per_case]
@@ -249,7 +243,7 @@ def _plan_case_study(spec: CaseStudyScenario) -> list[ShardTask]:
         ]
     return [
         ShardTask(spec=spec, index=index, params=("replicas", index, replicas))
-        for index, replicas in enumerate(_shard_sizes(spec.n_replicas, spec.shard_replicas))
+        for index, replicas in enumerate(shard_sizes(spec.n_replicas, spec.shard_replicas))
     ]
 
 

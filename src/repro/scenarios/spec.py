@@ -66,11 +66,38 @@ __all__ = [
     "CaseStudyScenario",
     "FigureScenario",
     "OptimizationScenario",
+    "MAX_PLAN_SHARDS",
     "schedule_from_spec",
+    "shard_count",
+    "shard_sizes",
     "spec_dict",
     "spec_from_dict",
     "spec_key",
 ]
+
+#: Most shards one spec may plan: a bound on the task list the runner (or,
+#: per candidate, the optimizer's evaluator) builds, far above any useful
+#: plan (the largest registered one has 40 shards).
+MAX_PLAN_SHARDS = 10_000
+
+
+def shard_count(total: int, shard_size: int) -> int:
+    """How many chunks of at most ``shard_size`` split ``total``."""
+    return -(-total // shard_size)
+
+
+def shard_sizes(total: int, shard_size: int) -> list[int]:
+    """Split ``total`` into deterministic front-loaded chunks of at most ``shard_size``."""
+    return [min(shard_size, total - start) for start in range(0, total, shard_size)]
+
+
+def _check_plan(name: str, shards: int, what: str) -> None:
+    if shards > MAX_PLAN_SHARDS:
+        raise ExperimentError(
+            f"scenario {name!r} plans {shards} shards ({what}); "
+            f"at most {MAX_PLAN_SHARDS} are allowed"
+        )
+
 
 #: Bumped whenever the serialised spec layout changes incompatibly; part of
 #: the content hash, so old artifact-store entries invalidate themselves.
@@ -248,6 +275,11 @@ class ComparisonScenario(ScenarioSpec):
             raise ExperimentError(f"samples must be positive, got {self.samples}")
         if self.shard_samples <= 0:
             raise ExperimentError(f"shard_samples must be positive, got {self.shard_samples}")
+        _check_plan(
+            self.name,
+            len(self.cases) * shard_count(self.samples, self.shard_samples),
+            "cases × samples / shard_samples",
+        )
         labels = [case.label for case in self.cases]
         if len(set(labels)) != len(labels):
             raise ExperimentError(f"comparison scenario {self.name!r} has duplicate case labels")
@@ -308,6 +340,11 @@ class CaseStudyScenario(ScenarioSpec):
                 raise ExperimentError(
                     f"{field_name} must be positive, got {getattr(self, field_name)}"
                 )
+        _check_plan(
+            self.name,
+            shard_count(self.n_replicas, self.shard_replicas),
+            "n_replicas / shard_replicas",
+        )
         if not self.schedules:
             raise ExperimentError(f"case-study scenario {self.name!r} needs at least one schedule")
         if len(set(self.schedules)) != len(self.schedules):
@@ -398,6 +435,11 @@ class OptimizationScenario(ScenarioSpec):
                 raise ExperimentError(
                     f"{field_name} must be positive, got {getattr(self, field_name)}"
                 )
+        _check_plan(
+            self.name,
+            shard_count(self.samples, self.shard_samples),
+            "samples / shard_samples per candidate",
+        )
         for field_name in ("anneal_steps", "bandit_population", "bandit_rounds"):
             if getattr(self, field_name) < 1:
                 raise ExperimentError(

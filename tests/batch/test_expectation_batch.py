@@ -10,13 +10,16 @@ bit** — seeded sweeps and hypothesis-randomized configurations, ``fa = 1``
 and ``fa = 2``, both ``conservative`` modes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attack.candidates import candidate_intervals
 from repro.attack.context import AttackContext
+from repro.analysis.experiments import TABLE1_CONFIGURATIONS
 from repro.attack.expectation import ExpectationPolicy
 from repro.batch import (
     BatchRoundConfig,
@@ -24,7 +27,7 @@ from repro.batch import (
     VectorizedExpectationPolicy,
     monte_carlo_rounds,
 )
-from repro.batch.expectation import _candidate_parity_check
+from repro.batch import expectation as expectation_module
 from repro.core.exceptions import ScheduleError
 from repro.core.interval import Interval
 from repro.engine import BatchEngine, ExpectationAttack, ScalarEngine
@@ -37,6 +40,13 @@ from repro.scheduling import (
 
 #: Coarse grid keeping the scalar oracle affordable in the loops below.
 COARSE = dict(true_value_positions=2, placement_positions=2, grid_positions=5)
+
+#: Grids whose true-value or placement ``_linspace`` collapses to a midpoint.
+EDGE_GRIDS = {
+    "coarse": COARSE,
+    "one-true-value": dict(COARSE, true_value_positions=1),
+    "one-placement": dict(COARSE, placement_positions=1),
+}
 
 
 def _assert_rounds_equal(a, b):
@@ -204,6 +214,14 @@ def _context_from(lengths, transmitted_count, fa_remaining, seed):
     )
 
 
+def _candidate_parity_check(context: AttackContext, grid_positions: int = 9) -> bool:
+    """The array candidate enumeration equals the scalar one."""
+    policy = VectorizedExpectationPolicy(grid_positions=grid_positions, tie_break="first")
+    prepared = policy._prepare_candidates(context)
+    scalar = candidate_intervals(context, grid_positions)
+    return [(s.lo, s.hi) for s in scalar] == list(zip(prepared.lo.tolist(), prepared.hi.tolist()))
+
+
 @given(
     st.lists(st.floats(min_value=0.2, max_value=9.0), min_size=3, max_size=5),
     st.integers(min_value=0, max_value=3),
@@ -219,24 +237,96 @@ def test_candidate_enumeration_matches_scalar(lengths, transmitted_count, fa_rem
     assert _candidate_parity_check(context, grid_positions=7)
 
 
+def _collapse_region(context):
+    """Move the first transmitted (correct) interval to touch Δ at its upper
+    end, so the feasible true-value region is a single point."""
+    touching = Interval(context.delta.hi, context.delta.hi + context.transmitted[0].width)
+    return dataclasses.replace(context, transmitted=(touching,) + context.transmitted[1:])
+
+
 @given(
     st.lists(st.floats(min_value=0.2, max_value=9.0), min_size=3, max_size=4),
     st.integers(min_value=0, max_value=2),
     st.booleans(),
     st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(sorted(EDGE_GRIDS)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=1),
 )
+# The attacked sensor in the last slot: one empty scenario (S = 1).
+@example((5.0, 8.0, 11.0), 2, False, 7, "coarse", False, 0)
+@example((5.0, 8.0, 11.0, 14.0), 1, False, 7, "one-true-value", False, 0)
+@example((5.0, 8.0, 11.0, 14.0), 1, True, 7, "one-placement", False, 1)
+# A feasible region collapsed to a point: a single true value.
+@example((5.0, 8.0, 11.0, 14.0), 1, False, 7, "coarse", True, 0)
+@example((5.0, 8.0, 11.0, 14.0), 1, True, 7, "coarse", True, 1)
 @settings(max_examples=25, deadline=None)
-def test_vectorized_policy_decides_like_scalar(lengths, transmitted_count, conservative, seed):
-    """Same context, same decision — scalar scoring versus tensor scoring."""
+def test_vectorized_policy_decides_like_scalar(
+    lengths, transmitted_count, conservative, seed, grid, collapse, fa_remaining
+):
+    """Same context, same decision — scalar scoring versus tensor scoring,
+    including grids that collapse to a midpoint and lookahead contexts."""
     lengths = tuple(lengths)
     transmitted_count = min(transmitted_count, len(lengths) - 1)
-    context = _context_from(lengths, transmitted_count, fa_remaining=0, seed=seed)
-    scalar = ExpectationPolicy(conservative=conservative, tie_break="first", **COARSE)
+    context = _context_from(lengths, transmitted_count, fa_remaining, seed=seed)
+    if collapse and transmitted_count:
+        context = _collapse_region(context)
+    scalar = ExpectationPolicy(conservative=conservative, tie_break="first", **EDGE_GRIDS[grid])
     vectorized = VectorizedExpectationPolicy(
-        conservative=conservative, tie_break="first", **COARSE
+        conservative=conservative, tie_break="first", **EDGE_GRIDS[grid]
     )
     rng = np.random.default_rng(0)
     assert scalar.choose_interval(context, rng) == vectorized.choose_interval(context, rng)
+
+
+@pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
+def test_lookahead_batch_mixes_scenario_counts(conservative):
+    """One lockstep play-out may hold contexts with different scenario counts.
+
+    The middle context's feasible region is a point (one true value, so one
+    scenario per candidate instead of two); each context's candidates must
+    still average over their own scenarios only.
+    """
+    contexts = []
+    for seed, collapse in ((0, False), (10, True), (20, False)):
+        context = _context_from((5.0, 8.0, 11.0), 1, fa_remaining=1, seed=seed)
+        contexts.append(_collapse_region(context) if collapse else context)
+    assert contexts[1].delta.hi == contexts[1].transmitted[0].lo
+    policy = VectorizedExpectationPolicy(conservative=conservative, tie_break="first", **COARSE)
+    decisions, _keys = expectation_module._decide_batch(policy, contexts)
+    expected = [
+        ExpectationPolicy(conservative=conservative, tie_break="first", **COARSE).choose_interval(
+            context, None
+        )
+        for context in contexts
+    ]
+    assert decisions == expected
+
+
+@pytest.mark.parametrize("schedule", [AscendingSchedule(), DescendingSchedule()], ids=lambda s: s.name)
+@pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
+def test_fusion_sweeps_capped_at_chunk_rows(monkeypatch, schedule, conservative):
+    """Every bound matrix the attacker fuses has at most ``_FUSE_CHUNK_ROWS``
+    rows, and chunking changes no result (Table I row 8, fa = 2)."""
+    entry = TABLE1_CONFIGURATIONS[7]
+    config = ScheduleComparisonConfig(lengths=entry.lengths, fa=entry.fa)
+    spec = ExpectationAttack(conservative=conservative)
+
+    def run():
+        return BatchEngine().run_rounds(config, schedule, spec, None, 12, np.random.default_rng(8))
+
+    reference = run()
+    rows = []
+    fuse = expectation_module.coverage_extremes
+
+    def recording(lowers, uppers, required, mask=None):
+        rows.append(lowers.shape[0])
+        return fuse(lowers, uppers, required, mask)
+
+    monkeypatch.setattr(expectation_module, "_FUSE_CHUNK_ROWS", 64)
+    monkeypatch.setattr(expectation_module, "coverage_extremes", recording)
+    _assert_rounds_equal(reference, run())
+    assert max(rows) == 64
 
 
 def test_vectorized_policy_runs_in_scalar_round():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -11,10 +12,12 @@ from repro.scenarios import (
     ComparisonCase,
     ComparisonScenario,
     FigureScenario,
+    OptimizationScenario,
     schedule_from_spec,
     spec_dict,
     spec_key,
 )
+from repro.scenarios.spec import MAX_PLAN_SHARDS, spec_from_dict
 from repro.scheduling import (
     AscendingSchedule,
     FixedSchedule,
@@ -92,6 +95,34 @@ class TestValidation:
     def test_figure_must_be_registered(self):
         with pytest.raises(ExperimentError, match="unknown figure"):
             FigureScenario(name="bad", figure="fig99")
+
+    def test_huge_shard_plans_rejected_promptly(self):
+        payload = spec_dict(small_scenario())
+        payload.update(samples=10**12, shard_samples=1)
+        started = time.perf_counter()
+        with pytest.raises(ExperimentError, match="shards"):
+            spec_from_dict(payload)
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(ExperimentError, match="shards"):
+            CaseStudyScenario(name="bad", n_replicas=10**12, shard_replicas=1)
+        with pytest.raises(ExperimentError, match="shards"):
+            OptimizationScenario(
+                name="bad",
+                case=ComparisonCase(label="case", lengths=(5.0, 11.0, 17.0), fa=1),
+                samples=10**12,
+                shard_samples=1,
+            )
+
+    def test_shard_plan_bound_counts_every_case(self):
+        # The bound is inclusive, and a comparison plans one shard list per case.
+        small_scenario(samples=MAX_PLAN_SHARDS, shard_samples=1)
+        case = ComparisonCase(label="other", lengths=(5.0, 11.0, 17.0), fa=1)
+        with pytest.raises(ExperimentError, match="shards"):
+            small_scenario(
+                cases=small_scenario().cases + (case,),
+                samples=MAX_PLAN_SHARDS,
+                shard_samples=1,
+            )
 
 
 class TestContentHash:

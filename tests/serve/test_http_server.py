@@ -16,6 +16,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
 
@@ -203,6 +204,13 @@ def test_introspection_and_error_mapping(tmp_path, registered_specs):
 
         status, body = server.request("POST", "/v1/run", {"spec": {"kind": "nope"}})
         assert status == 400 and "kind" in body["error"]
+
+        # A plan of 10^12 shards is refused before anything is planned.
+        huge = dict(spec_dict(SPEC_A), samples=10**12, shard_samples=1)
+        started = time.perf_counter()
+        status, body = server.request("POST", "/v1/run", {"spec": huge})
+        assert status == 400 and "shards" in body["error"]
+        assert time.perf_counter() - started < 5.0
 
         status, _ = server.request("GET", "/v1/run")
         assert status == 405
