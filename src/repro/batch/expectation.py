@@ -7,13 +7,12 @@ fusion and admissibility sweeps per decision.  This module keeps the
 *decision procedure* bit-for-bit identical while evaluating the whole
 (candidate × true-value × placement) grid as broadcast tensor ops:
 
-* candidate placements are generated as plain bound arrays (same values,
-  same order, same dedup rule as
-  :func:`repro.attack.candidates.candidate_intervals`) and filtered by
-  :class:`_AdmissibilityTable`, which computes the transmitted prefix's
-  coverage profile **once** per context and evaluates every candidate's
-  passive/active admissibility — and the conservative-mode support rule — as
-  array comparisons against it;
+* the candidate placements of every context in a batch are generated as
+  one flat bound array (same values, same order, same 9-decimal
+  first-occurrence dedup as :func:`repro.attack.candidates.candidate_intervals`,
+  via one exact integer rounding pass, :func:`_quantize`) and filtered by
+  array comparisons that evaluate every candidate's passive/active
+  admissibility — and the conservative-mode support rule — at once;
 * every surviving ``(candidate, scenario)`` combination is a row of a
   lockstep *play-out* (:class:`_Playout`): index arrays into the candidate
   grid, the scenario grid (built row-wise with the scalar ``_linspace``
@@ -31,9 +30,7 @@ fusion and admissibility sweeps per decision.  This module keeps the
 drives it over whole batches behind the
 :class:`repro.batch.rounds.BatchAttacker` interface: at each schedule slot it
 collects every compromised row's context, answers repeated contexts from one
-shared memo table keyed on
-:meth:`repro.attack.context.AttackContext.cache_key` (plus the
-``conservative`` flag) — the Ascending-schedule fast path, where the attacker
+shared memo table — the Ascending-schedule fast path, where the attacker
 transmits before seeing anything and whole swaths of rounds share a decision
 — and scores all the memo-missing rows in **one** play-out per
 remaining-slot pattern (:func:`_decide_batch`).  With ``fa >= 2`` the
@@ -50,17 +47,19 @@ Round-for-round equivalence with the scalar oracle holds under
 ``tie_break="first"`` (the engine layer's ``attack="expectation"`` spec):
 random tie-breaking would consume the RNG in a different order on the two
 backends (round-major versus slot-major) and the streams would diverge.
-Decisions are deterministic per context, and memo entries are keyed by slot
-prefix (the number of transmitted intervals is part of the key), so the
-slot-major fill order of the batched memo visits colliding keys in the same
-order as the scalar round-major loop.  The one caveat: with ``fa >= 2`` a
-*lookahead* sub-decision (computed with the attacker's Δ stand-in for her own
-reading) could in principle pre-fill a key that the scalar path would first
-reach top-level; that requires two rounds to collide on every transmitted
-bound at 9-decimal precision, which does not occur under continuous
-Monte-Carlo sampling — ``tests/batch/test_expectation_batch.py`` pins the
-bit-equality on seeded sweeps for both ``fa = 1`` and ``fa = 2`` and both
-``conservative`` modes.
+Memo keys (:func:`_memo_keys`, one :func:`_quantize` pass per batch) are
+not :meth:`~repro.attack.context.AttackContext.cache_key` tuples, but two
+contexts share one exactly when their ``(conservative, cache_key())`` do.
+Decisions are deterministic per context and the transmitted-prefix length
+is part of the key, so the slot-major fill order of the batched memo visits
+colliding keys in the same order as the scalar round-major loop.  The one caveat: with
+``fa >= 2`` a *lookahead* sub-decision (computed with the attacker's Δ
+stand-in for her own reading) could in principle pre-fill a key that the
+scalar path would first reach top-level; that requires two rounds to collide
+on every transmitted bound at 9-decimal precision, which does not occur under
+continuous Monte-Carlo sampling — ``tests/batch/test_expectation_batch.py``
+pins the bit-equality on seeded sweeps for both ``fa = 1`` and ``fa = 2`` and
+both ``conservative`` modes.
 
 See ``docs/ATTACKERS.md`` for where this attacker sits in the catalogue and
 ``docs/ARCHITECTURE.md`` for the engine seam it plugs into.
@@ -90,7 +89,22 @@ from repro.core.marzullo import coverage_profile
 
 __all__ = ["VectorizedExpectationPolicy", "ExactExpectationBatchAttacker"]
 
-_DEDUP_PRECISION = 9  # must match repro.attack.candidates._DEDUP_PRECISION
+#: Decimal places of the candidate dedup and of the memo keys; equal to
+#: ``repro.attack.candidates._DEDUP_PRECISION`` and the default precision of
+#: :meth:`AttackContext.cache_key` (``tests/batch/test_expectation_batch.py``
+#: pins all three).
+_DEDUP_PRECISION = 9
+_SCALE = 10.0**_DEDUP_PRECISION
+#: Below this ``|x * _SCALE|`` the scaled product is off the exact decimal
+#: shift by at most half an ulp (<= 2**-14), so ``np.rint`` of it is the
+#: correctly rounded integer unless the product lies within ``_TIE_MARGIN``
+#: of a half-integer.
+_FAST_LIMIT = 2.0**40
+_TIE_MARGIN = 2.0**-10
+#: Below this ``|round(x, 9)|`` distinct 9-decimal values are distinct
+#: floats and ``round(x, 9) * _SCALE`` lies within 0.25 of the decimal
+#: integer, so that integer is recovered exactly.
+_EXACT_LIMIT = 2.0**21
 
 #: Upper bound on the (candidate × scenario) rows fused per batched sweep;
 #: bounds the peak size of the event matrices (~10 MB per bound matrix at
@@ -99,94 +113,145 @@ _DEDUP_PRECISION = 9  # must match repro.attack.candidates._DEDUP_PRECISION
 _FUSE_CHUNK_ROWS = 65_536
 
 
-def _raw_candidate_bounds(
-    context: AttackContext, grid_positions: int
-) -> tuple[list[float], list[float]]:
-    """Deduplicated raw candidate bounds, pre-admissibility.
+def _quantize(values: np.ndarray) -> np.ndarray:
+    """Exact int64 keys of ``round(x, 9)``: equal keys iff equal rounded floats.
 
-    Reproduces the candidate enumeration of
-    :func:`repro.attack.candidates.candidate_intervals` — truthful reading,
-    passive extremes, endpoint alignments, uniform grid, first-occurrence
-    dedup at 9 decimals — as plain floats, skipping the ``Interval``
-    construction and per-candidate admissibility sweeps of the scalar path.
-    The values and their order are identical (the endpoint reference points
-    go through a Python ``set`` built by the same insertion sequence), which
-    ``tests/batch/test_expectation_batch.py`` cross-checks against the scalar
-    enumerator.
+    The fast path is ``np.rint(x * 1e9)``, the decimal integer Python's
+    correctly rounded ``round`` picks.  Values whose scaled product is too
+    close to a half-integer to decide, or too large for the product to be
+    exact enough, go through ``round(x, 9)`` itself: below ``_EXACT_LIMIT``
+    the decimal integer is recovered from the rounded float, so these keys
+    share the fast keys' space; above it the key is the rounded float's bit
+    pattern, signed, which lies beyond ``±2**62`` and so never meets a
+    decimal integer (all below ``2**51``).  ``-0.0`` and ``0.0`` share key 0.
     """
-    width = context.width
-    delta = context.delta
-    own = context.own_reading
-    lows: list[float] = [own.lo]
-    highs: list[float] = [own.hi]
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond ~1e299 the product is inf: slow path
+        scaled = values * _SCALE
+        keys = np.rint(scaled)
+        slow = ~(np.abs(scaled) < _FAST_LIMIT) | (np.abs(scaled - keys) > 0.5 - _TIE_MARGIN)
+    out = np.where(slow, 0.0, keys).astype(np.int64)
+    index = np.flatnonzero(slow)
+    if index.shape[0]:
+        rounded = np.asarray([round(value, _DEDUP_PRECISION) for value in values[index].tolist()])
+        exact = np.abs(rounded) < _EXACT_LIMIT
+        bits = np.abs(rounded).view(np.int64)
+        decimal = np.rint(np.where(exact, rounded, 0.0) * _SCALE).astype(np.int64)
+        out[index] = np.where(exact, decimal, np.where(rounded > 0, bits, -bits))
+    return out
 
-    # passive_extremes
-    if width >= delta.width - PASSIVE_WIDTH_TOL:
-        lows += [delta.hi - width, delta.lo, delta.center - width / 2.0]
-        highs += [delta.hi, delta.lo + width, delta.center + width / 2.0]
 
-    # endpoint_aligned (same set-construction order as the scalar code)
-    reference_points: set[float] = {delta.lo, delta.hi}
-    for interval in context.transmitted:
-        reference_points.add(interval.lo)
-        reference_points.add(interval.hi)
-    for point in context.protected_points:
-        reference_points.add(point)
-    reference_points.add(own.lo)
-    reference_points.add(own.hi)
-    for point in reference_points:
-        lows += [point, point - width]
-        highs += [point + width, point]
+def _memo_keys(conservative: bool, contexts: list[AttackContext]) -> list[tuple]:
+    """Memo keys of many contexts from one :func:`_quantize` pass.
 
-    # grid_candidates (positions clamped to >= 2 like the scalar code)
-    positions = max(2, grid_positions)
-    g_lows = [delta.lo] + [s.lo for s in context.transmitted] + list(context.protected_points)
-    g_highs = [delta.hi] + [s.hi for s in context.transmitted] + list(context.protected_points)
-    window_lo = min(g_lows) - width
-    window_hi = max(g_highs) + width
+    A key holds the context's integers and flag tuples plus the quantized
+    width, Δ, transmitted bounds, remaining widths and protected points as
+    one ``bytes`` string.  The flag tuples fix the transmitted and remaining
+    counts and the protected-point count is stored, so the string's layout
+    is unambiguous: two keys are equal exactly when
+    ``(conservative, ctx.cache_key())`` are.
+    """
+    values: list[float] = []
+    ends: list[int] = []
+    for ctx in contexts:
+        values += (ctx.width, ctx.delta.lo, ctx.delta.hi)
+        for interval in ctx.transmitted:
+            values += (interval.lo, interval.hi)
+        values += ctx.remaining_widths
+        values += ctx.protected_points
+        ends.append(8 * len(values))
+    data = _quantize(np.asarray(values, dtype=np.float64)).tobytes()
+    keys = []
+    for ctx, start, end in zip(contexts, [0] + ends, ends):
+        flags = (ctx.n, ctx.f, ctx.n_hidden, ctx.transmitted_compromised, ctx.remaining_compromised)
+        keys.append((conservative, *flags, len(ctx.protected_points), data[start:end]))
+    return keys
+
+
+def _dedup_candidates(contexts: list[AttackContext], grid_positions: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every context's deduplicated candidate grid, as flat bound arrays.
+
+    Reproduces :func:`repro.attack.candidates.candidate_intervals` before
+    its admissibility filter — truthful reading, passive extremes, endpoint
+    alignments, uniform grid, first-occurrence dedup at 9 decimals — and
+    returns ``(lo, hi, sizes)``, context-major.  Each context's raw
+    candidates fill one row of a padded matrix with the scalar code's float
+    operations, in its order; only the endpoint reference points stay
+    per-context Python, since the iteration order of their ``set`` (built by
+    the same insertion sequence) orders the candidates and so decides ties.
+    The dedup is one :func:`_quantize` pass over all raw bounds and one
+    stable ``lexsort`` on ``(owner, k_lo, k_hi)`` that keeps each context's
+    first candidate of every rounded pair.
+    """
+    count = len(contexts)
+    points: list[float] = []
+    point_counts: list[int] = []
+    window: list[tuple[float, float]] = []
+    for context in contexts:
+        delta = context.delta
+        reference = {delta.lo, delta.hi}
+        for interval in context.transmitted:
+            reference.add(interval.lo)
+            reference.add(interval.hi)
+        for point in context.protected_points:
+            reference.add(point)
+        reference.add(context.own_reading.lo)
+        reference.add(context.own_reading.hi)
+        points += reference
+        point_counts.append(len(reference))
+        g_lows = [delta.lo] + [s.lo for s in context.transmitted] + list(context.protected_points)
+        g_highs = [delta.hi] + [s.hi for s in context.transmitted] + list(context.protected_points)
+        window.append((min(g_lows), max(g_highs)))
+    width = np.asarray([context.width for context in contexts], dtype=np.float64)
+    d_lo = np.asarray([context.delta.lo for context in contexts])
+    d_hi = np.asarray([context.delta.hi for context in contexts])
+    center = (d_lo + d_hi) / 2.0
+    w = width[:, None]
+    positions = max(2, grid_positions)  # clamped like the scalar code
+    aligned = max(point_counts)
+    grid = 4 + 2 * aligned  # first grid column
+    lo, hi = np.empty((count, grid + positions)), np.empty((count, grid + positions))
+    ok = np.ones(lo.shape, dtype=bool)
+    # truthful reading, then passive extremes (when the width can contain Δ)
+    lo[:, 0] = [context.own_reading.lo for context in contexts]
+    hi[:, 0] = [context.own_reading.hi for context in contexts]
+    lo[:, 1:4] = np.column_stack([d_hi - width, d_lo, center - width / 2.0])
+    hi[:, 1:4] = np.column_stack([d_hi, d_lo + width, center + width / 2.0])
+    ok[:, 1:4] = (width >= (d_hi - d_lo) - PASSIVE_WIDTH_TOL)[:, None]
+    # endpoint alignments: [p, p + w] then [p - w, p] per reference point
+    owner = np.repeat(np.arange(count), point_counts)
+    starts = np.cumsum(point_counts) - point_counts
+    column = np.arange(owner.shape[0]) - starts[owner]
+    reference = np.zeros((count, aligned))
+    reference[owner, column] = points
+    present = np.arange(aligned) < np.asarray(point_counts)[:, None]
+    lo[:, 4:grid:2] = reference
+    hi[:, 4:grid:2] = reference + w
+    lo[:, 5:grid:2] = reference - w
+    hi[:, 5:grid:2] = reference
+    ok[:, 4:grid] = np.repeat(present, 2, axis=1)
+    # uniform grid over the window (one placement when it collapses)
+    window_lo = np.asarray([extremes[0] for extremes in window]) - width
+    window_hi = np.asarray([extremes[1] for extremes in window]) + width
     span = window_hi - width - window_lo
-    if span <= 0:
-        lows.append(window_lo)
-        highs.append(window_lo + width)
-    else:
-        step = span / (positions - 1)
-        for index in range(positions):
-            lows.append(window_lo + index * step)
-            highs.append(window_lo + index * step + width)
-    return lows, highs
+    placement = window_lo[:, None] + np.arange(positions) * (span / (positions - 1))[:, None]
+    collapsed = span <= 0
+    placement[collapsed, 0] = window_lo[collapsed]
+    ok[collapsed, grid + 1 :] = False
+    lo[:, grid:] = placement
+    hi[:, grid:] = placement + w
+    sizes = ok.sum(axis=1)
+    lo, hi = lo[ok], hi[ok]
+    owner = np.repeat(np.arange(count), sizes)
+    k_lo, k_hi = _quantize(lo), _quantize(hi)
+    order = np.lexsort((k_hi, k_lo, owner))
+    first = np.ones(order.shape, dtype=bool)
+    s_owner, s_lo, s_hi = owner[order], k_lo[order], k_hi[order]
+    first[1:] = (s_owner[1:] != s_owner[:-1]) | (s_lo[1:] != s_lo[:-1]) | (s_hi[1:] != s_hi[:-1])
+    keep = np.sort(order[first])
+    return lo[keep], hi[keep], np.bincount(owner[keep], minlength=count).tolist()
 
 
-def _dedup_candidate_bounds(
-    context: AttackContext, grid_positions: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The deduplicated candidate grid of one context, as bound arrays.
-
-    First-occurrence dedup at 9 decimals, like ``candidates._dedupe``.  The
-    exact-key pre-pass removes the (frequent) bitwise duplicates before
-    paying for Python's decimal rounding; survivors that still collide
-    after rounding are dropped exactly like the scalar dedup.
-    """
-    lows, highs = _raw_candidate_bounds(context, grid_positions)
-    exact_seen: set[tuple[float, float]] = set()
-    seen: set[tuple[float, float]] = set()
-    dedup_lo: list[float] = []
-    dedup_hi: list[float] = []
-    for lo_value, hi_value in zip(lows, highs):
-        exact_key = (lo_value, hi_value)
-        if exact_key in exact_seen:
-            continue
-        exact_seen.add(exact_key)
-        key = (round(lo_value, _DEDUP_PRECISION), round(hi_value, _DEDUP_PRECISION))
-        if key not in seen:
-            seen.add(key)
-            dedup_lo.append(lo_value)
-            dedup_hi.append(hi_value)
-    return np.asarray(dedup_lo), np.asarray(dedup_hi)
-
-
-def _support_value(
-    profile, candidate_lo: float, candidate_hi: float, required: int
-) -> float | None:
+def _support_value(profile, candidate_lo: float, candidate_hi: float, required: int) -> float | None:
     """:func:`repro.attack.stealth.support_point` over a precomputed profile.
 
     Identical selection rule — first strictly-best-coverage segment in
@@ -212,14 +277,12 @@ def _support_value(
 
 
 class _AdmissibilityTable:
-    """Vectorized stealth predicates for one context.
+    """One context's inputs to the vectorized stealth predicates.
 
-    Evaluates the passive/active admissibility rules of
-    :mod:`repro.attack.stealth` — and the ``conservative`` support rule of
-    the expectation policy — for whole arrays of candidate bounds at once,
-    against a coverage profile of the transmitted prefix computed a single
-    time.  Results match :func:`repro.attack.stealth.check_admissible`
-    candidate for candidate.
+    :func:`_admissibility` broadcasts these per candidate to evaluate the
+    passive/active rules of :mod:`repro.attack.stealth` for whole arrays of
+    candidate bounds at once; results match
+    :func:`repro.attack.stealth.check_admissible` candidate for candidate.
     """
 
     __slots__ = (
@@ -257,52 +320,68 @@ class _AdmissibilityTable:
             self._profile = coverage_profile(self.transmitted) if self.transmitted else []
         return self._profile
 
-    def has_support(self, lo: np.ndarray, hi: np.ndarray, required: int) -> np.ndarray:
-        """Candidates owning a point covered by >= ``required`` transmitted intervals.
 
-        The vectorized truth-value of ``support_point(...) is not None``.
-        Coverage is piecewise constant with breakpoints at the transmitted
-        endpoints, and at a breakpoint the (closed-interval) point coverage
-        dominates both neighbouring pieces, so the maximum over a candidate
-        ``[lo, hi]`` is attained at an endpoint clipped into the candidate or
-        at ``lo`` itself — evaluating the point coverage there is exact.
-        """
-        if required <= 0:
-            return np.ones(lo.shape, dtype=bool)
-        count = self.transmitted_lo.shape[0]
-        if count == 0:
-            return np.zeros(lo.shape, dtype=bool)
-        lo_col = lo[:, None]
-        hi_col = hi[:, None]
-        points = np.empty((lo.shape[0], 2 * count + 1))
-        points[:, 0] = lo
-        points[:, 1 : count + 1] = np.minimum(
-            np.maximum(self.transmitted_lo[None, :], lo_col), hi_col
-        )
-        points[:, count + 1 :] = np.minimum(
-            np.maximum(self.transmitted_hi[None, :], lo_col), hi_col
-        )
-        coverage = np.zeros(points.shape, dtype=np.int64)
-        for j in range(count):
-            coverage += (self.transmitted_lo[j] <= points) & (points <= self.transmitted_hi[j])
-        return (coverage >= required).any(axis=1)
+def _has_support(lo: np.ndarray, hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, required) -> np.ndarray:
+    """Candidates owning a point covered by >= ``required`` transmitted intervals.
 
-    def evaluate(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(admissible, passive)`` masks per candidate.
+    The vectorized truth-value of ``support_point(...) is not None``;
+    ``t_lo``/``t_hi`` hold the transmitted bounds (one row per candidate, or
+    one for all), ``required`` is a scalar or per candidate.  Coverage is
+    piecewise constant with breakpoints at the transmitted endpoints, and at
+    a breakpoint the (closed-interval) point coverage dominates both
+    neighbouring pieces, so the maximum over ``[lo, hi]`` is attained at an
+    endpoint clipped into the candidate or at ``lo`` — evaluating the point
+    coverage there is exact.
+    """
+    required = np.asarray(required)
+    count = t_lo.shape[1]
+    if count == 0:
+        return np.broadcast_to(required <= 0, lo.shape).copy()
+    lo_col = lo[:, None]
+    hi_col = hi[:, None]
+    points = np.empty((lo.shape[0], 2 * count + 1))
+    points[:, 0] = lo
+    points[:, 1 : count + 1] = np.minimum(np.maximum(t_lo, lo_col), hi_col)
+    points[:, count + 1 :] = np.minimum(np.maximum(t_hi, lo_col), hi_col)
+    coverage = np.zeros(points.shape, dtype=np.int64)
+    for j in range(count):
+        coverage += (t_lo[:, j : j + 1] <= points) & (points <= t_hi[:, j : j + 1])
+    return (required <= 0) | (coverage >= required.reshape(-1, 1)).any(axis=1)
 
-        ``passive`` marks the candidates admissible in passive mode (the mode
-        :func:`~repro.attack.stealth.check_admissible` reports, since passive
-        is tried first); admissible-but-not-passive candidates are active.
-        """
-        covers_protected = np.ones(lo.shape, dtype=bool)
-        for point in self.protected:
-            covers_protected &= (lo <= point) & (point <= hi)
-        passive = (lo <= self.delta_lo) & (self.delta_hi <= hi) & covers_protected
-        if self.available:
-            active = covers_protected & self.has_support(lo, hi, self.required)
-        else:
-            active = np.zeros(lo.shape, dtype=bool)
-        return passive | active, passive
+
+def _admissibility(
+    tables: list[_AdmissibilityTable], ctx_idx: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(admissible, passive)`` masks of flat candidate arrays.
+
+    Candidate ``i`` belongs to ``tables[ctx_idx[i]]``.  The tables share a
+    transmitted-prefix length, so the per-context scalars (Δ bounds,
+    protected points, required support, active availability) broadcast per
+    candidate.  ``passive`` marks the candidates admissible in passive mode
+    (the mode :func:`~repro.attack.stealth.check_admissible` reports, since
+    passive is tried first); admissible-but-not-passive candidates are
+    active.
+    """
+    delta_lo = np.asarray([t.delta_lo for t in tables])[ctx_idx]
+    delta_hi = np.asarray([t.delta_hi for t in tables])[ctx_idx]
+    covers_protected = np.ones(lo.shape, dtype=bool)
+    max_protected = max(len(t.protected) for t in tables)
+    if max_protected:
+        protected = np.zeros((len(tables), max_protected))
+        real = np.zeros((len(tables), max_protected), dtype=bool)
+        for row, t in enumerate(tables):
+            protected[row, : len(t.protected)] = t.protected
+            real[row, : len(t.protected)] = True
+        spread = protected[ctx_idx]
+        inside = (lo[:, None] <= spread) & (spread <= hi[:, None])
+        covers_protected = (inside | ~real[ctx_idx]).all(axis=1)
+    passive = (lo <= delta_lo) & (delta_hi <= hi) & covers_protected
+    available = np.asarray([t.available for t in tables], dtype=bool)[ctx_idx]
+    required = np.asarray([t.required for t in tables], dtype=np.int64)[ctx_idx]
+    t_lo = np.stack([t.transmitted_lo for t in tables])[ctx_idx]
+    t_hi = np.stack([t.transmitted_hi for t in tables])[ctx_idx]
+    active = available & covers_protected & _has_support(lo, hi, t_lo, t_hi, required)
+    return passive | active, passive
 
 
 @dataclass
@@ -322,68 +401,6 @@ class _PreparedCandidates:
         return Interval(float(self.lo[index]), float(self.hi[index]))
 
 
-def _evaluate_admissibility_group(
-    staged: list[tuple[AttackContext, np.ndarray, np.ndarray, _AdmissibilityTable]],
-    members: list[int],
-    count: int,
-    admissible_out: list[np.ndarray | None],
-    passive_out: list[np.ndarray | None],
-) -> None:
-    """One :meth:`_AdmissibilityTable.evaluate` sweep for many contexts.
-
-    ``members`` index into ``staged`` and share a transmitted-prefix length
-    ``count``, so their candidate grids concatenate into one flat bound
-    array and the per-context scalars (Δ bounds, required support, active
-    availability) broadcast per candidate.  Every comparison runs on the
-    same float values as the per-context calls — element-wise, in the same
-    expressions — so the masks written back are bit-identical to looping
-    ``table.evaluate(lo, hi)`` per context.
-    """
-    tables = [staged[i][3] for i in members]
-    counts = np.asarray([staged[i][1].shape[0] for i in members])
-    lo = np.concatenate([staged[i][1] for i in members])
-    hi = np.concatenate([staged[i][2] for i in members])
-    ctx_idx = np.repeat(np.arange(len(members)), counts)
-    delta_lo = np.asarray([t.delta_lo for t in tables])[ctx_idx]
-    delta_hi = np.asarray([t.delta_hi for t in tables])[ctx_idx]
-    covers_protected = np.ones(lo.shape, dtype=bool)
-    max_protected = max(len(t.protected) for t in tables)
-    if max_protected:
-        protected = np.zeros((len(tables), max_protected))
-        real = np.zeros((len(tables), max_protected), dtype=bool)
-        for row, t in enumerate(tables):
-            protected[row, : len(t.protected)] = t.protected
-            real[row, : len(t.protected)] = True
-        spread = protected[ctx_idx]
-        inside = (lo[:, None] <= spread) & (spread <= hi[:, None])
-        covers_protected = (inside | ~real[ctx_idx]).all(axis=1)
-    passive = (lo <= delta_lo) & (delta_hi <= hi) & covers_protected
-    available = np.asarray([t.available for t in tables], dtype=bool)[ctx_idx]
-    required = np.asarray([t.required for t in tables], dtype=np.int64)[ctx_idx]
-    if count == 0:
-        has_support = required <= 0
-    else:
-        t_lo = np.stack([t.transmitted_lo for t in tables])[ctx_idx]
-        t_hi = np.stack([t.transmitted_hi for t in tables])[ctx_idx]
-        lo_col = lo[:, None]
-        hi_col = hi[:, None]
-        points = np.empty((lo.shape[0], 2 * count + 1))
-        points[:, 0] = lo
-        points[:, 1 : count + 1] = np.minimum(np.maximum(t_lo, lo_col), hi_col)
-        points[:, count + 1 :] = np.minimum(np.maximum(t_hi, lo_col), hi_col)
-        coverage = np.zeros(points.shape, dtype=np.int64)
-        for j in range(count):
-            coverage += (t_lo[:, j : j + 1] <= points) & (points <= t_hi[:, j : j + 1])
-        has_support = (required <= 0) | (coverage >= required[:, None]).any(axis=1)
-    active = available & covers_protected & has_support
-    admissible = passive | active
-    offset = 0
-    for i, rows in zip(members, counts):
-        admissible_out[i] = admissible[offset : offset + rows]
-        passive_out[i] = passive[offset : offset + rows]
-        offset += rows
-
-
 @dataclass
 class VectorizedExpectationPolicy(ExpectationPolicy):
     """Expectation policy with tensor-op candidate scoring (same decisions).
@@ -393,8 +410,8 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
     :class:`~repro.attack.expectation.ExpectationPolicy` exactly; only its
     inner loops are replaced:
 
-    * stealth admissibility is evaluated for all candidates at once against
-      a once-per-context coverage profile (:class:`_AdmissibilityTable`);
+    * candidates are enumerated, deduplicated and checked for stealth
+      admissibility as flat arrays over all contexts of a batch;
     * all ``(candidate, scenario)`` fusion problems are solved by chunked
       batched endpoint sweeps instead of one scalar sweep each;
     * per-scenario widths are bit-identical to the scalar sweep's, and the
@@ -409,70 +426,50 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
 
     _mode_memo: dict[tuple, tuple] = field(default_factory=dict, repr=False)
 
+    def _memo_key(self, context: AttackContext) -> tuple:
+        """The batched key format of :func:`_memo_keys` (same equality classes
+        as the scalar ``(conservative, context.cache_key())``)."""
+        return _memo_keys(self.conservative, [context])[0]
+
     # ------------------------------------------------------------------
     # Candidate preparation (vectorized candidate_intervals)
     # ------------------------------------------------------------------
     def _prepare_candidates(self, context: AttackContext) -> _PreparedCandidates:
         """Admissible candidates as arrays; same values/order as the scalar path."""
-        lo, hi = _dedup_candidate_bounds(context, self.grid_positions)
-        table = _AdmissibilityTable(context)
-        admissible, passive = table.evaluate(lo, hi)
-        return self._finalize_candidates(context, lo, hi, table, admissible, passive)
+        return self._prepare_candidates_many([context])[0]
 
-    def _prepare_candidates_many(
-        self, contexts: list[AttackContext]
-    ) -> list[_PreparedCandidates]:
-        """Per-context candidate grids with one admissibility sweep per prefix length.
-
-        Candidate enumeration and dedup stay per context (their Python
-        iteration order is bit-significant), but the admissibility masks —
-        the dominant cost of ``fa >= 2`` slots, where every row misses the
-        memo — are evaluated for all contexts sharing a transmitted-prefix
-        length at once (:func:`_evaluate_admissibility_group`).  Returns
-        exactly ``[self._prepare_candidates(ctx) for ctx in contexts]``,
-        grids and masks bit for bit.
-        """
-        if len(contexts) <= 1:
-            return [self._prepare_candidates(ctx) for ctx in contexts]
-        staged = []
-        for ctx in contexts:
-            lo, hi = _dedup_candidate_bounds(ctx, self.grid_positions)
-            staged.append((ctx, lo, hi, _AdmissibilityTable(ctx)))
-        admissible: list[np.ndarray | None] = [None] * len(staged)
-        passive: list[np.ndarray | None] = [None] * len(staged)
-        groups: dict[int, list[int]] = {}
-        for i, (_ctx, _lo, _hi, table) in enumerate(staged):
-            groups.setdefault(int(table.transmitted_lo.shape[0]), []).append(i)
-        for count, members in groups.items():
-            # Chunk each group so the flat candidate matrices stay bounded
-            # (same cap as the fusion sweeps; per-chunk results are the
-            # same element-wise comparisons, so chunking changes nothing).
-            start = 0
-            while start < len(members):
-                stop = start
-                rows = 0
-                while stop < len(members) and (
-                    stop == start or rows + staged[members[stop]][1].shape[0] <= _FUSE_CHUNK_ROWS
-                ):
-                    rows += staged[members[stop]][1].shape[0]
-                    stop += 1
-                _evaluate_admissibility_group(
-                    staged, members[start:stop], count, admissible, passive
-                )
-                start = stop
+    def _prepare_candidates_many(self, contexts: list[AttackContext]) -> list[_PreparedCandidates]:
+        """Per-context admissible candidate grids, equal to
+        :func:`repro.attack.candidates.candidate_intervals` candidate for
+        candidate: one :func:`_dedup_candidates` pass over all contexts, then
+        one :func:`_admissibility` sweep per transmitted-prefix length."""
+        if not contexts:
+            return []
+        lo, hi, sizes = _dedup_candidates(contexts, self.grid_positions)
+        tables = [_AdmissibilityTable(ctx) for ctx in contexts]
+        counts = np.asarray([table.transmitted_lo.shape[0] for table in tables])
+        owner = np.repeat(np.arange(len(contexts)), sizes)
+        admissible = np.empty(lo.shape, dtype=bool)
+        passive = np.empty(lo.shape, dtype=bool)
+        for count in np.unique(counts).tolist():
+            # One sweep per transmitted-prefix length, chunked so the flat
+            # candidate matrices stay bounded (same cap as the fusion sweeps;
+            # chunks make the same element-wise comparisons).
+            member = counts == count
+            group = [table for table, keep in zip(tables, member.tolist()) if keep]
+            local = np.cumsum(member) - 1
+            index = np.flatnonzero(member[owner])
+            for start in range(0, index.shape[0], _FUSE_CHUNK_ROWS):
+                chunk = index[start : start + _FUSE_CHUNK_ROWS]
+                admissible[chunk], passive[chunk] = _admissibility(group, local[owner[chunk]], lo[chunk], hi[chunk])
+        bounds = np.cumsum([0] + sizes).tolist()
         return [
-            self._finalize_candidates(ctx, lo, hi, table, admissible[i], passive[i])
-            for i, (ctx, lo, hi, table) in enumerate(staged)
+            self._finalize_candidates(ctx, lo[a:b], hi[a:b], table, admissible[a:b], passive[a:b])
+            for ctx, table, a, b in zip(contexts, tables, bounds, bounds[1:])
         ]
 
     def _finalize_candidates(
-        self,
-        context: AttackContext,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        table: _AdmissibilityTable,
-        admissible: np.ndarray,
-        passive: np.ndarray,
+        self, context: AttackContext, lo, hi, table: _AdmissibilityTable, admissible, passive
     ) -> _PreparedCandidates:
         """Fallback ladder + conservative gate over evaluated masks."""
         if not bool(admissible.any()):
@@ -480,7 +477,7 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
             # placement if admissible, else the truthful reading.
             centre_lo = np.asarray([context.delta.center - context.width / 2.0])
             centre_hi = centre_lo + context.width
-            centre_ok, centre_passive = table.evaluate(centre_lo, centre_hi)
+            centre_ok, centre_passive = _admissibility([table], np.zeros(1, dtype=np.int64), centre_lo, centre_hi)
             if bool(centre_ok[0]):
                 lo, hi, passive = centre_lo, centre_hi, centre_passive
             else:
@@ -488,11 +485,11 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
                 hi = np.asarray([context.own_reading.hi])
                 passive = np.ones(1, dtype=bool)
         else:
-            lo = lo[admissible]
-            hi = hi[admissible]
-            passive = passive[admissible]
+            lo, hi, passive = lo[admissible], hi[admissible], passive[admissible]
         if self.conservative and len(lo) > 1:
-            blocked = ~passive & ~table.has_support(lo, hi, context.n - context.f - 1)
+            t_lo = table.transmitted_lo[None, :]
+            t_hi = table.transmitted_hi[None, :]
+            blocked = ~passive & ~_has_support(lo, hi, t_lo, t_hi, context.n - context.f - 1)
         else:
             blocked = np.zeros(lo.shape, dtype=bool)
         return _PreparedCandidates(lo=lo, hi=hi, passive=passive, blocked=blocked, table=table)
@@ -937,7 +934,7 @@ def _decide_batch(
     position).  Each call emits one ``attack.candidates``, ``attack.recurse``
     and ``attack.score`` span.
     """
-    keys = [policy._memo_key(ctx) for ctx in contexts]
+    keys = _memo_keys(policy.conservative, contexts)
     decisions: list[Interval | None] = [None] * len(contexts)
     pending_keys: set[tuple] = set()
     deferred: list[tuple[int, tuple]] = []
@@ -1007,7 +1004,7 @@ class ExactExpectationBatchAttacker(BatchAttacker):
     At every schedule slot the attacker reconstructs each compromised row's
     :class:`~repro.attack.context.AttackContext` from the batch arrays,
     answers repeated contexts from the shared memo table (one decision per
-    unique ``cache_key`` per batch, honouring the scalar first-computed-wins
+    unique memo key per batch, honouring the scalar first-computed-wins
     semantics when keys collide across rows), and scores all remaining rows'
     candidate grids in **one** play-out per remaining-slot pattern
     (:func:`_decide_batch`).

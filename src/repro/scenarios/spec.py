@@ -67,6 +67,7 @@ __all__ = [
     "FigureScenario",
     "OptimizationScenario",
     "MAX_PLAN_SHARDS",
+    "MAX_SHARD_SAMPLES",
     "schedule_from_spec",
     "shard_count",
     "shard_sizes",
@@ -79,6 +80,11 @@ __all__ = [
 #: per candidate, the optimizer's evaluator) builds, far above any useful
 #: plan (the largest registered one has 40 shards).
 MAX_PLAN_SHARDS = 10_000
+
+#: Most rounds one shard may simulate: a bound on the arrays a single task
+#: allocates, far above any useful shard (the largest registered one has
+#: 25,000 samples).
+MAX_SHARD_SAMPLES = 1_000_000
 
 
 def shard_count(total: int, shard_size: int) -> int:
@@ -96,6 +102,14 @@ def _check_plan(name: str, shards: int, what: str) -> None:
         raise ExperimentError(
             f"scenario {name!r} plans {shards} shards ({what}); "
             f"at most {MAX_PLAN_SHARDS} are allowed"
+        )
+
+
+def _check_shard_samples(name: str, shard_samples: int) -> None:
+    if shard_samples > MAX_SHARD_SAMPLES:
+        raise ExperimentError(
+            f"scenario {name!r} asks for shards of {shard_samples} samples; "
+            f"at most {MAX_SHARD_SAMPLES} are allowed per shard"
         )
 
 
@@ -275,6 +289,7 @@ class ComparisonScenario(ScenarioSpec):
             raise ExperimentError(f"samples must be positive, got {self.samples}")
         if self.shard_samples <= 0:
             raise ExperimentError(f"shard_samples must be positive, got {self.shard_samples}")
+        _check_shard_samples(self.name, self.shard_samples)
         _check_plan(
             self.name,
             len(self.cases) * shard_count(self.samples, self.shard_samples),
@@ -435,6 +450,7 @@ class OptimizationScenario(ScenarioSpec):
                 raise ExperimentError(
                     f"{field_name} must be positive, got {getattr(self, field_name)}"
                 )
+        _check_shard_samples(self.name, self.shard_samples)
         _check_plan(
             self.name,
             shard_count(self.samples, self.shard_samples),

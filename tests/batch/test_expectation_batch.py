@@ -11,16 +11,20 @@ and ``fa = 2``, both ``conservative`` modes.
 """
 
 import dataclasses
+import inspect
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.attack import candidates as candidates_module
 from repro.attack.candidates import candidate_intervals
 from repro.attack.context import AttackContext
 from repro.analysis.experiments import TABLE1_CONFIGURATIONS
 from repro.attack.expectation import ExpectationPolicy
+from repro.attack.stealth import AttackerMode, check_admissible, support_point
 from repro.batch import (
     BatchRoundConfig,
     ExactExpectationBatchAttacker,
@@ -363,7 +367,8 @@ def test_vectorized_policy_runs_in_scalar_round():
 )
 @settings(max_examples=25, deadline=None)
 def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
-    """The batched admissibility sweep equals per-context preparation bit for bit."""
+    """Batched candidate grids equal the scalar enumeration and stealth
+    checks, context for context (grids, passive mode, conservative gate)."""
     lengths = tuple(lengths)
     contexts = [
         _context_from(lengths, transmitted_count, fa_remaining, seed + offset)
@@ -372,16 +377,28 @@ def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
         )
         if transmitted_count < len(lengths)
     ]
+    # Protection obligations exercise the protected-point masks; a width
+    # narrower than Δ (as in lookahead sub-contexts) has no passive extremes.
+    contexts += [
+        dataclasses.replace(ctx, protected_points=(ctx.own_reading.center,)) for ctx in contexts[::2]
+    ] + [dataclasses.replace(ctx, width=ctx.width * scale) for ctx in contexts[1::2] for scale in (0.5, 1.5)]
     policy = VectorizedExpectationPolicy(
         conservative=conservative, tie_break="first", **COARSE
     )
-    batched = policy._prepare_candidates_many(contexts)
-    for ctx, many in zip(contexts, batched):
-        single = policy._prepare_candidates(ctx)
-        np.testing.assert_array_equal(single.lo, many.lo)
-        np.testing.assert_array_equal(single.hi, many.hi)
-        np.testing.assert_array_equal(single.passive, many.passive)
-        np.testing.assert_array_equal(single.blocked, many.blocked)
+    for ctx, prepared in zip(contexts, policy._prepare_candidates_many(contexts)):
+        scalar = candidate_intervals(ctx, COARSE["grid_positions"])
+        assert list(zip(prepared.lo.tolist(), prepared.hi.tolist())) == [(c.lo, c.hi) for c in scalar]
+        checks = [check_admissible(candidate, ctx) for candidate in scalar]
+        # Passive is tried first; an inadmissible truthful fallback is labelled passive.
+        assert prepared.passive.tolist() == [check.mode is not AttackerMode.ACTIVE for check in checks]
+        blocked = [
+            conservative
+            and len(scalar) > 1
+            and check.mode is AttackerMode.ACTIVE
+            and support_point(candidate, ctx.transmitted, ctx.n - ctx.f - 1) is None
+            for candidate, check in zip(scalar, checks)
+        ]
+        assert prepared.blocked.tolist() == blocked
 
 
 def test_candidate_parity_check_rejects_mismatch():
@@ -391,3 +408,148 @@ def test_candidate_parity_check_rejects_mismatch():
     prepared = policy._prepare_candidates(context)
     scalar = candidate_intervals(context, 7)
     assert len(prepared) == len(scalar)
+
+
+# ----------------------------------------------------------------------
+# Exact rounding keys: _quantize and the batched memo keys
+# ----------------------------------------------------------------------
+
+#: Where the quantizer leaves its ``np.rint`` fast path / stops recovering
+#: the decimal integer, in unscaled units.
+FAST_BOUND = expectation_module._FAST_LIMIT / expectation_module._SCALE
+EXACT_BOUND = expectation_module._EXACT_LIMIT
+
+
+def _same_classes(left, right) -> bool:
+    """Two labellings of the same items induce the same partition."""
+    return len(set(left)) == len(set(right)) == len(set(zip(left, right)))
+
+
+def _nudge(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def _near_tie(k: int, ulps: int) -> float:
+    """``(k + 0.5)·1e-9`` (a 9-decimal rounding boundary) moved by ``ulps``."""
+    return _nudge((k + 0.5) * 1e-9, ulps)
+
+
+_boundaries = [FAST_BOUND, EXACT_BOUND, 2.0**40, 2.0**52, 1e300]
+ROUNDING_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.builds(_near_tie, st.integers(-(10**6), 10**6), st.integers(-4, 4)),
+    st.builds(_near_tie, st.integers(-(10**17), 10**17), st.integers(-4, 4)),
+    st.builds(
+        lambda bound, scale, sign: sign * bound * scale,
+        st.sampled_from(_boundaries),
+        st.floats(min_value=0.999, max_value=1.001),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 5e-10, -5e-10]),
+)
+
+
+@given(
+    st.lists(ROUNDING_VALUES, min_size=1, max_size=8),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.integers(-12, 12), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_quantize_keys_partition_like_python_round(values, ulps, shifts):
+    """``round(a, 9) == round(b, 9)`` exactly when the int64 keys are equal,
+    for every pair of a batch: near-ties a few ulps apart, ±0.0,
+    subnormals, and magnitudes on both sides of the fast-path bound."""
+    values = list(values)
+    values += [_nudge(v, n) for v in values for n in ulps]
+    values += [v + n * 1e-10 for v in values[:8] for n in shifts]
+    values = [v for v in values if math.isfinite(v)]
+    keys = expectation_module._quantize(np.asarray(values)).tolist()
+    assert _same_classes([round(v, 9) for v in values], keys)
+
+
+def test_quantize_handles_signed_zero_and_dense_near_ties():
+    values = [0.0, -0.0, -1e-12, 1e-12, 5e-324, -5e-324]
+    for k in (-(10**15), -7, -1, 0, 1, 2**40 - 1, 2**40, 10**15, 2**52, 10**17):
+        values += [_near_tie(k, ulps) for ulps in range(-3, 4)]
+    values += [_nudge(bound, ulps) for bound in _boundaries for ulps in range(-2, 3)]
+    keys = expectation_module._quantize(np.asarray(values))
+    assert keys[:4].tolist() == [0, 0, 0, 0]
+    assert _same_classes([round(v, 9) for v in values], keys.tolist())
+
+
+def test_rounding_precision_is_shared():
+    """The batch dedup, the scalar dedup and ``cache_key`` round alike, and
+    the quantizer's scale follows the shared precision."""
+    precision = inspect.signature(AttackContext.cache_key).parameters["precision"].default
+    assert expectation_module._DEDUP_PRECISION == candidates_module._DEDUP_PRECISION == precision
+    assert expectation_module._SCALE == 10.0**precision
+
+
+_PERTURBED_FIELDS = ("width", "delta", "transmitted", "remaining", "protected")
+
+
+def _with_value(context: AttackContext, field: str, value: float) -> AttackContext:
+    """``context`` with one float field replaced by ``value``."""
+    if field == "width":
+        return dataclasses.replace(context, width=value)
+    if field == "delta":
+        return dataclasses.replace(context, delta=Interval(value, context.delta.hi))
+    if field == "transmitted" and context.transmitted:
+        first = context.transmitted[0]
+        return dataclasses.replace(context, transmitted=(Interval(value, first.hi),) + context.transmitted[1:])
+    if field == "remaining" and context.remaining_widths:
+        return dataclasses.replace(context, remaining_widths=(value,) + context.remaining_widths[1:])
+    return dataclasses.replace(context, protected_points=(value,))
+
+
+def _field_value(context: AttackContext, field: str) -> float:
+    if field == "width":
+        return context.width
+    if field == "delta":
+        return context.delta.lo
+    if field == "transmitted" and context.transmitted:
+        return context.transmitted[0].lo
+    if field == "remaining" and context.remaining_widths:
+        return context.remaining_widths[0]
+    return context.own_reading.center
+
+
+@given(
+    st.lists(st.floats(min_value=0.2, max_value=9.0), min_size=3, max_size=5),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(_PERTURBED_FIELDS),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_memo_keys_collide_like_cache_key(lengths, transmitted_count, fa_remaining, seed, field):
+    """Batched memo keys fall into the classes of ``(conservative,
+    ctx.cache_key())``, including contexts 1 ulp either side of a rounding
+    boundary and both ``conservative`` flags; the single-context key is the
+    batched one."""
+    lengths = tuple(lengths)
+    transmitted_count = min(transmitted_count, len(lengths) - 1)
+    base = _context_from(lengths, transmitted_count, fa_remaining, seed)
+    value = _field_value(base, field)
+    tie = (math.floor(value * 1e9) + 0.5) / 1e9
+    variants = [value, value + 1e-10, value + 6e-10, tie] + [_nudge(tie, ulps) for ulps in (-2, -1, 1, 2)]
+    contexts = [
+        base,
+        _context_from(lengths, transmitted_count, fa_remaining, seed + 1),
+        _context_from(lengths, transmitted_count, 1 - fa_remaining, seed),  # same floats, other flags
+    ]
+    contexts += [_with_value(base, field, v) for v in variants]
+    contexts += contexts  # exact repeats must share keys too
+    for conservative in (False, True):
+        scalar = [(conservative, ctx.cache_key()) for ctx in contexts]
+        batched = expectation_module._memo_keys(conservative, contexts)
+        assert _same_classes(scalar, batched)
+        policy = VectorizedExpectationPolicy(conservative=conservative, tie_break="first")
+        assert [policy._memo_key(ctx) for ctx in contexts] == batched
+    assert not set(expectation_module._memo_keys(False, contexts)) & set(
+        expectation_module._memo_keys(True, contexts)
+    )

@@ -17,7 +17,7 @@ from repro.scenarios import (
     spec_dict,
     spec_key,
 )
-from repro.scenarios.spec import MAX_PLAN_SHARDS, spec_from_dict
+from repro.scenarios.spec import MAX_PLAN_SHARDS, MAX_SHARD_SAMPLES, spec_from_dict
 from repro.scheduling import (
     AscendingSchedule,
     FixedSchedule,
@@ -112,6 +112,26 @@ class TestValidation:
                 samples=10**12,
                 shard_samples=1,
             )
+
+    def test_huge_single_shards_rejected_promptly(self):
+        payload = spec_dict(small_scenario())
+        payload.update(samples=10**12, shard_samples=10**12)
+        started = time.perf_counter()
+        with pytest.raises(ExperimentError, match="per shard"):
+            spec_from_dict(payload)
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(ExperimentError, match="per shard"):
+            OptimizationScenario(
+                name="bad",
+                case=ComparisonCase(label="case", lengths=(5.0, 11.0, 17.0), fa=1),
+                samples=10**12,
+                shard_samples=10**12,
+            )
+
+    def test_shard_size_bound_is_inclusive(self):
+        small_scenario(samples=MAX_SHARD_SAMPLES, shard_samples=MAX_SHARD_SAMPLES)
+        with pytest.raises(ExperimentError, match="per shard"):
+            small_scenario(samples=1, shard_samples=MAX_SHARD_SAMPLES + 1)
 
     def test_shard_plan_bound_counts_every_case(self):
         # The bound is inclusive, and a comparison plans one shard list per case.

@@ -212,6 +212,13 @@ def test_introspection_and_error_mapping(tmp_path, registered_specs):
         assert status == 400 and "shards" in body["error"]
         assert time.perf_counter() - started < 5.0
 
+        # So is a single shard of 10^12 samples.
+        huge = dict(spec_dict(SPEC_A), samples=10**12, shard_samples=10**12)
+        started = time.perf_counter()
+        status, body = server.request("POST", "/v1/run", {"spec": huge})
+        assert status == 400 and "per shard" in body["error"]
+        assert time.perf_counter() - started < 5.0
+
         status, _ = server.request("GET", "/v1/run")
         assert status == 405
         status, _ = server.request("GET", "/v1/missing")
