@@ -131,37 +131,6 @@ def lossy_speedup_floor() -> float:
 
 
 @pytest.fixture(scope="session")
-def numba_speedup_floor() -> float:
-    """Required numba-vs-batch throughput ratio on the multi-slot row (default 5x).
-
-    ``REPRO_BENCH_NUMBA_FLOOR`` loosens the gate on noisy shared runners
-    (the CI numba job uses a smoke-scale floor); the reference machine
-    clears 5x comfortably on the n=9 multi-slot random row at 10⁷ samples.
-    """
-    value = os.environ.get("REPRO_BENCH_NUMBA_FLOOR", "")
-    try:
-        return float(value) if value else 5.0
-    except ValueError:
-        return 5.0
-
-
-@pytest.fixture(scope="session")
-def numba_samples() -> int:
-    """Monte-Carlo rounds per leg for the numba benchmark (default 10 000 000).
-
-    The acceptance scale is 10⁷ rounds per row — far beyond what a single
-    resident ``(B, n)`` batch should hold, so the benchmark streams chunks
-    and sums the in-kernel time.  ``REPRO_BENCH_NUMBA_SAMPLES`` scales it
-    down for CI smoke runs (floor 10 000).
-    """
-    value = os.environ.get("REPRO_BENCH_NUMBA_SAMPLES", "")
-    try:
-        return max(10_000, int(value)) if value else 10_000_000
-    except ValueError:
-        return 10_000_000
-
-
-@pytest.fixture(scope="session")
 def serve_coalescing_floor() -> float:
     """Required coalescing-vs-baseline serving throughput ratio (default 3x).
 

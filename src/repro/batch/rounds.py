@@ -524,11 +524,10 @@ def sample_correct_bounds(
 class PreparedRounds:
     """The validated, RNG-consuming prologue shared by every simulation body.
 
-    The slot loop, the per-transmission program and the JIT round kernel
-    all start from this structure, so they validate identically and —
-    crucially — consume the random stream in exactly the same order
-    (transmission orders before fault injection), which is what keeps their
-    results bit-comparable.
+    The slot loop and the per-transmission program both start from this
+    structure, so they validate identically and — crucially — consume the
+    random stream in exactly the same order (transmission orders before
+    fault injection), which is what keeps their results bit-comparable.
     """
 
     correct_lo: np.ndarray

@@ -63,8 +63,3 @@ class VehicleError(ReproError):
 
 class ExperimentError(ReproError):
     """Raised when an experiment or benchmark is configured inconsistently."""
-
-
-class EngineUnavailableError(ExperimentError):
-    """Raised when a known engine cannot run because its optional dependency
-    (e.g. ``numba``) is not installed in this environment."""

@@ -1,4 +1,4 @@
-"""Pluggable simulation engines: one protocol, two backends plus an optional JIT one.
+"""Pluggable simulation engines: one protocol, two backends.
 
 ``repro.engine`` is the single seam through which every experiment selects
 its simulation backend:
@@ -11,8 +11,7 @@ The default backend is ``"scalar"`` (the reference Python loop) unless the
 ``REPRO_ENGINE`` environment variable names another registered engine;
 ``"batch"`` is the vectorized NumPy engine, also registered as ``"fused"``
 so scenarios and store keys that name the former fused engine still
-resolve, and ``"numba"`` runs the same prepared rounds on JIT kernels when
-numba is installed.  The high-level call sites —
+resolve.  The high-level call sites —
 :func:`repro.scheduling.comparison.compare_schedules` (``engine=...``),
 :func:`repro.vehicle.case_study.run_case_study` (``engine=...``), the
 scenario specs' ``engine`` field and the Table I/II benchmarks — all
@@ -22,7 +21,6 @@ conformance suite in ``tests/engine/`` covers it the moment it registers
 (parametrised over :func:`list_engines`).
 """
 
-from repro.batch.kernels import kernels_available
 from repro.engine.base import (
     DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
@@ -56,23 +54,6 @@ def _fused_engine_factory() -> BatchEngine:
 
 
 register_engine("fused", _fused_engine_factory, replace=True)
-
-
-def _numba_engine_factory():
-    # Deferred so that merely listing engines never imports numba (JIT
-    # initialisation is expensive); the import happens on first
-    # ``get_engine("numba")``.
-    from repro.engine.numba_engine import NumbaEngine
-
-    return NumbaEngine()
-
-
-# The optional JIT backend registers only when its dependency is importable
-# (or the pure-Python kernel fallback is forced), keeping the engine list
-# honest on stdlib+numpy installs; requesting it anyway raises
-# EngineUnavailableError with an install hint (see repro.engine.base).
-if kernels_available():
-    register_engine("numba", _numba_engine_factory, replace=True)
 
 __all__ = [
     "ENGINE_ENV_VAR",

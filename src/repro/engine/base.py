@@ -6,10 +6,11 @@ same experiments — the scalar reference loop (:mod:`repro.scheduling.round`,
 (:mod:`repro.batch`) — and every call site hard-coded which one it used.
 ``repro.engine`` turns the choice into data:
 
-* :class:`Engine` is the backend protocol.  An engine can simulate a batch
-  of fusion rounds for one schedule (:meth:`Engine.run_rounds`), sweep a
-  whole schedule comparison (:meth:`Engine.compare`), and run the Table II
-  platoon case study (:meth:`Engine.run_case_study`).
+* :class:`Engine` is the backend protocol.  An engine simulates batches
+  of fusion rounds for one schedule (:meth:`Engine.run_many`, with
+  :meth:`Engine.run_rounds` as its one-item form), sweeps a whole schedule
+  comparison (:meth:`Engine.compare`), and runs the Table II platoon case
+  study (:meth:`Engine.run_case_study`).
 * :class:`RoundsResult` is the backend-agnostic result of ``run_rounds``:
   plain per-round arrays, so two engines can be compared bit-for-bit (the
   parity test-suite does exactly that for the deterministic stretch
@@ -18,8 +19,7 @@ same experiments — the scalar reference loop (:mod:`repro.scheduling.round`,
   site goes through.  ``get_engine(None)`` resolves the default backend,
   which is ``"scalar"`` unless overridden by the ``REPRO_ENGINE``
   environment variable — the deployment-side knob for flipping experiments
-  onto the batch engine (or a future numba/jax backend) without touching
-  code.
+  onto the batch engine (or a future jax backend) without touching code.
 
 Attack models are requested by *specification* (:class:`StretchAttack`,
 :class:`ExpectationAttack`, :class:`TruthfulAttack`, or their string
@@ -44,7 +44,7 @@ from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
-from repro.core.exceptions import EngineUnavailableError, ExperimentError
+from repro.core.exceptions import ExperimentError
 from repro.scheduling.comparison import (
     ScheduleComparison,
     ScheduleComparisonConfig,
@@ -65,7 +65,6 @@ __all__ = [
     "check_channel_support",
     "RoundsResult",
     "Engine",
-    "OPTIONAL_ENGINE_REQUIREMENTS",
     "register_engine",
     "available_engines",
     "list_engines",
@@ -258,12 +257,6 @@ class RoundsResult:
         )
 
 
-def check_samples(samples: int) -> None:
-    """Shared validation for the per-engine ``samples`` argument."""
-    if samples <= 0:
-        raise ExperimentError(f"need a positive number of samples, got {samples}")
-
-
 def check_run_many_args(
     budgets: Sequence[int], rngs: Sequence[np.random.Generator] | None
 ) -> tuple[list[int], list[np.random.Generator]]:
@@ -279,7 +272,8 @@ def check_run_many_args(
     if not budgets:
         raise ExperimentError("run_many needs at least one budget")
     for samples in budgets:
-        check_samples(samples)
+        if samples <= 0:
+            raise ExperimentError(f"need a positive number of samples, got {samples}")
     return budgets, streams
 
 
@@ -289,7 +283,6 @@ class Engine(abc.ABC):
     #: Registry name of the backend (also its ``engine="..."`` spelling).
     name: ClassVar[str] = ""
 
-    @abc.abstractmethod
     def run_rounds(
         self,
         config: ScheduleComparisonConfig,
@@ -311,9 +304,14 @@ class Engine(abc.ABC):
         ``faults`` takes a :class:`repro.batch.rounds.BatchTransientFaults`;
         ``channel`` an optional :class:`repro.channel.ChannelSpec`, realized
         from a generator spawned off ``rng`` so the main stream — and every
-        channel-free payload — is untouched.
+        channel-free payload — is untouched.  This is a one-item
+        :meth:`run_many` call.
         """
+        return self.run_many(
+            config, schedule, attack, faults, [samples], [ensure_rng(rng)], channel
+        )[0]
 
+    @abc.abstractmethod
     def run_many(
         self,
         config: ScheduleComparisonConfig,
@@ -332,17 +330,10 @@ class Engine(abc.ABC):
         are **bit-identical** to calling :meth:`run_rounds` once per
         ``(budget, rng)`` pair — a request coalesced into a shared engine
         pass must receive exactly the payload it would have computed alone.
-
-        This default implementation *is* that reference loop; vectorized
-        backends override it to pack every budget into a single simulation
-        pass (see :meth:`repro.engine.batch.BatchEngine.run_many`) so the
+        Vectorized backends pack every budget into a single simulation pass
+        (see :meth:`repro.engine.batch.BatchEngine.run_many`) so the
         per-invocation overhead is paid once for the whole batch.
         """
-        budgets, streams = check_run_many_args(budgets, rngs)
-        return [
-            self.run_rounds(config, schedule, attack, faults, samples, rng, channel)
-            for samples, rng in zip(budgets, streams)
-        ]
 
     def compare(
         self,
@@ -383,45 +374,28 @@ class Engine(abc.ABC):
 
 _REGISTRY: dict[str, Callable[[], Engine]] = {}
 
-#: Engines the codebase knows about but whose registration is conditional on
-#: an optional dependency.  Requesting one that is not registered raises
-#: :class:`~repro.core.exceptions.EngineUnavailableError` with an install
-#: hint instead of the generic unknown-engine error, so ``--engine numba``
-#: without numba installed fails with a diagnosis, not a typo suggestion.
-OPTIONAL_ENGINE_REQUIREMENTS: dict[str, str] = {"numba": "numba"}
-
 
 def _unknown_engine_error(name: str, env: bool = False) -> ExperimentError:
     """One consistent error for an engine name the registry cannot resolve.
 
     Shared by :func:`get_engine` and :func:`default_engine_name` (and thereby
     the CLI, ``repro.api`` and the scenario runner), so every entry point
-    reports a missing backend the same way: known-but-unavailable optional
-    engines get an install hint, anything else an *unknown engine* message
-    with the registered names and a did-you-mean suggestion.
+    reports a missing backend the same way: an *unknown engine* message with
+    the registered names and a did-you-mean suggestion.
     """
     import difflib
 
     available = ", ".join(available_engines())
-    prefix = f"{ENGINE_ENV_VAR}={name!r} does not name a registered engine" if env else ""
-    requirement = OPTIONAL_ENGINE_REQUIREMENTS.get(name)
-    if requirement is not None:
-        message = prefix or f"engine {name!r} is not available in this environment"
-        return EngineUnavailableError(
-            f"{message}: it requires the optional dependency {requirement!r} "
-            f"(pip install {requirement}); available engines: {available}"
-        )
-    candidates = set(available_engines()) | set(OPTIONAL_ENGINE_REQUIREMENTS)
-    matches = difflib.get_close_matches(name, sorted(candidates), n=3, cutoff=0.5)
+    source = f" (from {ENGINE_ENV_VAR}={name!r})" if env else ""
+    matches = difflib.get_close_matches(name, available_engines(), n=3, cutoff=0.5)
     hint = f" — did you mean {', '.join(repr(match) for match in matches)}?" if matches else ""
-    message = prefix or f"unknown engine {name!r}"
-    return ExperimentError(f"{message}; available engines: {available}{hint}")
+    return ExperimentError(f"unknown engine {name!r}{source}; available engines: {available}{hint}")
 
 
 def register_engine(name: str, factory: Callable[[], Engine], replace: bool = False) -> None:
     """Register an engine factory under ``name`` (e.g. at import time).
 
-    Third-party backends (numba, jax, ...) plug in here; after registration
+    Third-party backends (jax, torch, ...) plug in here; after registration
     every ``engine="name"`` call site can reach them.
     """
     if not name:

@@ -28,7 +28,6 @@ from repro.batch.rounds import (
     BatchRoundConfig,
     BatchRoundResult,
     BatchTransientFaults,
-    PreparedRounds,
     TruthfulBatchAttacker,
 )
 from repro.channel import ChannelSpec
@@ -47,7 +46,6 @@ from repro.engine.base import (
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.schedule import Schedule
-from repro.utils.seeding import ensure_rng
 from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
 
 __all__ = ["BatchEngine"]
@@ -85,20 +83,6 @@ class BatchEngine(Engine):
             obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
         if stats["misses"]:
             obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
-
-    def run_rounds(
-        self,
-        config: ScheduleComparisonConfig,
-        schedule: Schedule,
-        attack: AttackSpec = "stretch",
-        faults: BatchTransientFaults | None = None,
-        samples: int = 10_000,
-        rng: np.random.Generator | None = None,
-        channel: ChannelSpec | None = None,
-    ) -> RoundsResult:
-        return self.run_many(
-            config, schedule, attack, faults, [samples], [ensure_rng(rng)], channel
-        )[0]
 
     def _flush_channel_stats(self, result: BatchRoundResult) -> None:
         realization = result.channel
@@ -140,18 +124,6 @@ class BatchEngine(Engine):
             channel_retransmits=None if realization is None else realization.retransmits,
         )
 
-    def _simulate(
-        self, prepared: PreparedRounds, config: BatchRoundConfig, rng: np.random.Generator
-    ) -> BatchRoundResult:
-        """The simulation body over a prepared (possibly packed) batch.
-
-        Looked up on :mod:`repro.batch.rounds` at call time, like the
-        sampling and preparation steps, so timing wrappers installed on that
-        module from outside see every call.  The numba engine overrides
-        this hook.
-        """
-        return rounds.batch_rounds_prepared(prepared, config, rng)
-
     def run_many(
         self,
         config: ScheduleComparisonConfig,
@@ -165,14 +137,13 @@ class BatchEngine(Engine):
         """Pack every budget into one simulation pass (bit-identical split).
 
         Each budget samples its correct bounds, schedule orders and faults
-        from its *own* RNG stream — exactly the draws a standalone
-        :meth:`run_rounds` call would make — via the per-item
-        :func:`repro.batch.rounds.prepare_rounds` prologue.  The prepared
-        items are then concatenated and the RNG-free simulation body runs
-        once over the packed batch, so ``len(budgets)`` requests pay one
-        invocation's overhead.  Slicing the packed result row-wise returns
-        exactly the per-request arrays of the reference loop (the
-        ``run_many`` conformance tests pin this).
+        from its *own* RNG stream — exactly the draws a one-item call would
+        make — via the per-item :func:`repro.batch.rounds.prepare_rounds`
+        prologue.  The prepared items are then concatenated and the RNG-free
+        simulation body runs once over the packed batch, so
+        ``len(budgets)`` requests pay one invocation's overhead.  Slicing the
+        packed result row-wise returns exactly the arrays of one-item calls
+        (the ``run_many`` conformance tests pin this).
         """
         budgets, streams = check_run_many_args(budgets, rngs)
         spec = resolve_attack(attack)
@@ -196,7 +167,12 @@ class BatchEngine(Engine):
                 )
                 for samples, rng in zip(budgets, streams)
             ]
-            packed = self._simulate(rounds.concat_prepared(items), round_config, streams[0])
+            # Looked up on the module at call time, like the sampling and
+            # preparation steps, so timing wrappers installed on
+            # repro.batch.rounds from outside see every call.
+            packed = rounds.batch_rounds_prepared(
+                rounds.concat_prepared(items), round_config, streams[0]
+            )
         obs.add("repro_engine_samples_total", sum(budgets), engine=self.name)
         self._flush_attacker_stats(round_config.attacker)
         self._flush_channel_stats(packed)
@@ -253,9 +229,16 @@ class BatchEngine(Engine):
             raise ExperimentError(
                 f"batch engine does not understand case-study options {sorted(options)}"
             )
-        return batch_case_study(
-            config,
-            schedules,
-            n_replicas=n_replicas,
-            attacker_factory=attacker_factory,
+        with obs.span("engine.run", engine=self.name, kind="case_study"):
+            result = batch_case_study(
+                config,
+                schedules,
+                n_replicas=n_replicas,
+                attacker_factory=attacker_factory,
+            )
+        obs.add(
+            "repro_engine_samples_total",
+            sum(stat.rounds for stat in result.stats),
+            engine=self.name,
         )
+        return result

@@ -37,13 +37,13 @@ from repro.engine.base import (
     StretchAttack,
     TruthfulAttack,
     check_channel_support,
-    check_samples,
+    check_run_many_args,
     resolve_attack,
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.round import RoundConfig, run_round
 from repro.scheduling.schedule import FixedSchedule, Schedule
-from repro.utils.seeding import derive_rng, ensure_rng, spawn_rng
+from repro.utils.seeding import derive_rng, spawn_rng
 from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
 
 __all__ = ["ScalarEngine"]
@@ -71,129 +71,135 @@ class ScalarEngine(Engine):
             )
         return ActiveStretchPolicy(side=attack.side)
 
-    def run_rounds(
+    def run_many(
         self,
         config: ScheduleComparisonConfig,
         schedule: Schedule,
         attack: AttackSpec = "stretch",
         faults: BatchTransientFaults | None = None,
-        samples: int = 10_000,
-        rng: np.random.Generator | None = None,
+        budgets: Sequence[int] = (),
+        rngs: Sequence[np.random.Generator] | None = None,
         channel: ChannelSpec | None = None,
-    ) -> RoundsResult:
-        with obs.span("engine.run", engine=self.name, schedule=schedule.name, samples=samples):
-            return self._run_rounds(config, schedule, attack, faults, samples, rng, channel)
+    ) -> list[RoundsResult]:
+        """The reference loop: one ``engine.run`` pass per ``(budget, rng)``.
 
-    def _run_rounds(
-        self,
-        config: ScheduleComparisonConfig,
-        schedule: Schedule,
-        attack: AttackSpec,
-        faults: BatchTransientFaults | None,
-        samples: int,
-        rng: np.random.Generator | None,
-        channel: ChannelSpec | None = None,
-    ) -> RoundsResult:
-        check_samples(samples)
+        Each item gets a fresh attack policy, so no expectation memo is
+        shared between items and every result equals a standalone run.
+        """
+        budgets, streams = check_run_many_args(budgets, rngs)
         spec = resolve_attack(attack)
         check_channel_support(spec, channel)
-        rng = ensure_rng(rng)
         n = config.n
         attacked = config.resolved_attacked
-
-        with obs.span("engine.prepare", engine=self.name):
-            lowers, uppers = sample_correct_bounds(config.lengths, config.true_value, samples, rng)
-            # Schedules order sensors by their *correct* widths (widths are the
-            # public a-priori information, and transient faults only displace an
-            # interval).  Precomputing the orders with the same vectorized call
-            # as the batch engine keeps the two RNG streams — and, down to
-            # floating-point tie-breaking on faulted rounds, the simulated
-            # rounds — bit-identical across engines.
-            orders = batch_orders(schedule, uppers - lowers, rng)
-            if faults is not None:
-                # Same fault model, mask semantics and RNG consumption as the
-                # batch engine: honest sensors only, drawn for the whole batch.
-                eligible = np.ones((samples, n), dtype=bool)
-                if attacked:
-                    eligible[:, list(attacked)] = False
-                lowers, uppers, _fault_mask = faults.apply(lowers, uppers, eligible, rng)
-            # The channel draws from its own spawned child stream so that the
-            # main stream — and therefore every channel-free payload — is
-            # untouched, and every engine backend realizes the identical
-            # channel for identical (spec, samples, rng) triples.
-            realization = (
-                realize_channel(channel, samples, n, spawn_rng(rng))
-                if channel is not None
-                else None
-            )
-
-        policy = self._policy(spec)
-        fusion_lo = np.full(samples, np.nan)
-        fusion_hi = np.full(samples, np.nan)
-        valid = np.zeros(samples, dtype=bool)
-        detected = np.zeros(samples, dtype=bool)
-        broadcast_lo = np.full((samples, n), np.nan)
-        broadcast_hi = np.full((samples, n), np.nan)
-        flagged = np.zeros((samples, n), dtype=bool)
-        with obs.span("engine.rounds", engine=self.name, samples=samples):
-            for index in range(samples):
-                intervals = [Interval(lowers[index, i], uppers[index, i]) for i in range(n)]
-                round_config = RoundConfig(
-                    schedule=FixedSchedule(tuple(int(i) for i in orders[index])),
-                    attacked_indices=attacked,
-                    policy=policy,
-                    f=config.resolved_f,
-                )
-                try:
-                    result = run_round(
-                        intervals,
-                        round_config,
-                        rng,
-                        channel=None if realization is None else realization.row(index),
+        results = []
+        for samples, rng in zip(budgets, streams):
+            with obs.span("engine.run", engine=self.name, schedule=schedule.name, samples=samples):
+                with obs.span("engine.prepare", engine=self.name):
+                    lowers, uppers = sample_correct_bounds(
+                        config.lengths, config.true_value, samples, rng
                     )
-                except EmptyFusionError:
-                    # The batch engine reports these rounds through its `valid`
-                    # mask; mirror that instead of aborting the sweep.  The
-                    # per-sensor arrays keep their NaN / all-False convention for
-                    # these rows on both backends.
-                    continue
-                fusion_lo[index] = result.fusion.lo
-                fusion_hi[index] = result.fusion.hi
-                valid[index] = True
-                detected[index] = result.attacker_detected
-                for sensor, interval in enumerate(result.broadcast):
-                    broadcast_lo[index, sensor] = interval.lo
-                    broadcast_hi[index, sensor] = interval.hi
-                # Detection reports flags in slot order; re-index by sensor like
-                # the batch engine's flagged array.
-                for slot, sensor in enumerate(result.order):
-                    flagged[index, sensor] = result.detection.is_flagged(slot)
-        obs.add("repro_engine_samples_total", samples, engine=self.name)
-        if obs.enabled() and isinstance(policy, ExpectationPolicy):
-            stats = policy.stats()
-            if stats["hits"]:
-                obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
-            if stats["misses"]:
-                obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
-        if realization is not None:
-            obs.add("repro_channel_dropped_total", int(realization.dropped.sum()), engine=self.name)
-            obs.add(
-                "repro_channel_retransmits_total",
-                int(realization.retransmits.sum()),
-                engine=self.name,
+                    # Schedules order sensors by their *correct* widths (widths
+                    # are the public a-priori information, and transient faults
+                    # only displace an interval).  Precomputing the orders with
+                    # the same vectorized call as the batch engine keeps the two
+                    # RNG streams — and, down to floating-point tie-breaking on
+                    # faulted rounds, the simulated rounds — bit-identical
+                    # across engines.
+                    orders = batch_orders(schedule, uppers - lowers, rng)
+                    if faults is not None:
+                        # Same fault model, mask semantics and RNG consumption
+                        # as the batch engine: honest sensors only, drawn for
+                        # the whole batch.
+                        eligible = np.ones((samples, n), dtype=bool)
+                        if attacked:
+                            eligible[:, list(attacked)] = False
+                        lowers, uppers, _fault_mask = faults.apply(lowers, uppers, eligible, rng)
+                    # The channel draws from its own spawned child stream so
+                    # that the main stream — and therefore every channel-free
+                    # payload — is untouched, and every engine backend realizes
+                    # the identical channel for identical (spec, samples, rng)
+                    # triples.
+                    realization = (
+                        realize_channel(channel, samples, n, spawn_rng(rng))
+                        if channel is not None
+                        else None
+                    )
+
+                policy = self._policy(spec)
+                fusion_lo = np.full(samples, np.nan)
+                fusion_hi = np.full(samples, np.nan)
+                valid = np.zeros(samples, dtype=bool)
+                detected = np.zeros(samples, dtype=bool)
+                broadcast_lo = np.full((samples, n), np.nan)
+                broadcast_hi = np.full((samples, n), np.nan)
+                flagged = np.zeros((samples, n), dtype=bool)
+                with obs.span("engine.rounds", engine=self.name, samples=samples):
+                    for index in range(samples):
+                        intervals = [Interval(lowers[index, i], uppers[index, i]) for i in range(n)]
+                        round_config = RoundConfig(
+                            schedule=FixedSchedule(tuple(int(i) for i in orders[index])),
+                            attacked_indices=attacked,
+                            policy=policy,
+                            f=config.resolved_f,
+                        )
+                        try:
+                            result = run_round(
+                                intervals,
+                                round_config,
+                                rng,
+                                channel=None if realization is None else realization.row(index),
+                            )
+                        except EmptyFusionError:
+                            # The batch engine reports these rounds through its
+                            # `valid` mask; mirror that instead of aborting the
+                            # sweep.  The per-sensor arrays keep their NaN /
+                            # all-False convention for these rows on both
+                            # backends.
+                            continue
+                        fusion_lo[index] = result.fusion.lo
+                        fusion_hi[index] = result.fusion.hi
+                        valid[index] = True
+                        detected[index] = result.attacker_detected
+                        for sensor, interval in enumerate(result.broadcast):
+                            broadcast_lo[index, sensor] = interval.lo
+                            broadcast_hi[index, sensor] = interval.hi
+                        # Detection reports flags in slot order; re-index by
+                        # sensor like the batch engine's flagged array.
+                        for slot, sensor in enumerate(result.order):
+                            flagged[index, sensor] = result.detection.is_flagged(slot)
+                obs.add("repro_engine_samples_total", samples, engine=self.name)
+                if obs.enabled() and isinstance(policy, ExpectationPolicy):
+                    stats = policy.stats()
+                    if stats["hits"]:
+                        obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
+                    if stats["misses"]:
+                        obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
+                if realization is not None:
+                    obs.add(
+                        "repro_channel_dropped_total",
+                        int(realization.dropped.sum()),
+                        engine=self.name,
+                    )
+                    obs.add(
+                        "repro_channel_retransmits_total",
+                        int(realization.retransmits.sum()),
+                        engine=self.name,
+                    )
+            results.append(
+                RoundsResult(
+                    schedule_name=schedule.name,
+                    fusion_lo=fusion_lo,
+                    fusion_hi=fusion_hi,
+                    valid=valid,
+                    attacker_detected=detected,
+                    broadcast_lo=broadcast_lo,
+                    broadcast_hi=broadcast_hi,
+                    flagged=flagged,
+                    channel_dropped=None if realization is None else realization.dropped,
+                    channel_retransmits=None if realization is None else realization.retransmits,
+                )
             )
-        return RoundsResult(
-            schedule_name=schedule.name,
-            fusion_lo=fusion_lo,
-            fusion_hi=fusion_hi,
-            valid=valid,
-            attacker_detected=detected,
-            broadcast_lo=broadcast_lo,
-            broadcast_hi=broadcast_hi,
-            flagged=flagged,
-            channel_dropped=None if realization is None else realization.dropped,
-            channel_retransmits=None if realization is None else realization.retransmits,
-        )
+        return results
 
     def run_case_study(
         self,
@@ -228,10 +234,12 @@ class ScalarEngine(Engine):
         if schedules is None:
             schedules = (AscendingSchedule(), DescendingSchedule(), RandomSchedule())
         stats = []
-        for index, schedule in enumerate(schedules):
-            # Collision-free per-schedule stream: the old `seed + index`
-            # arithmetic made schedule index+1 under seed s share the stream
-            # of schedule index under seed s+1.
-            rng = derive_rng(config.seed, index)
-            stats.append(run_case_study_for_schedule(config, schedule, policy_factory, rng))
+        with obs.span("engine.run", engine=self.name, kind="case_study"):
+            for index, schedule in enumerate(schedules):
+                # Collision-free per-schedule stream: the old `seed + index`
+                # arithmetic made schedule index+1 under seed s share the
+                # stream of schedule index under seed s+1.
+                rng = derive_rng(config.seed, index)
+                stats.append(run_case_study_for_schedule(config, schedule, policy_factory, rng))
+        obs.add("repro_engine_samples_total", sum(stat.rounds for stat in stats), engine=self.name)
         return CaseStudyResult(config=config, stats=tuple(stats))

@@ -21,9 +21,8 @@ subsystem's determinism pins rely on:
    numbers across rungs, for free.
 3. **Packing.**  All shards of a candidate go through one
    :meth:`repro.engine.base.Engine.run_many` call, so a candidate costs a
-   single batch/numba pass instead of one engine invocation per shard —
-   the ≥5x candidate-evaluations/sec gate of
-   ``benchmarks/bench_optimize.py``.
+   single batch pass instead of one engine invocation per shard — the ≥5x
+   candidate-evaluations/sec gate of ``benchmarks/bench_optimize.py``.
 
 Repeat evaluations (an annealing chain revisiting a neighbourhood, a
 bandit re-measuring survivors at the previous rung's budget) are memo

@@ -248,6 +248,16 @@ def _plan_case_study(spec: CaseStudyScenario) -> list[ShardTask]:
 
 
 def _execute_case_study(task: ShardTask) -> list[dict]:
+    # The shards call the per-schedule simulators directly, so they report
+    # the same engine span and sample counter as Engine.run_case_study.
+    engine = task.spec.engine
+    with obs.span("engine.run", engine=engine, kind="case_study"):
+        rows = _case_study_shard(task)
+    obs.add("repro_engine_samples_total", sum(row["rounds"] for row in rows), engine=engine)
+    return rows
+
+
+def _case_study_shard(task: ShardTask) -> list[dict]:
     spec: CaseStudyScenario = task.spec
     config = spec.case_study_config()
     schedules = [schedule_from_spec(text) for text in spec.schedules]

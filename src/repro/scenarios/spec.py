@@ -263,6 +263,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ExperimentError("a scenario needs a non-empty name")
+        if self.engine is not None and not (isinstance(self.engine, str) and self.engine):
+            raise ExperimentError(
+                f"engine must be a registered engine name or null, got {self.engine!r}"
+            )
 
 
 @dataclass(frozen=True)

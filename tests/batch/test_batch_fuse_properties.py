@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import batch_detect, batch_fuse, batch_fuse_or_none
+from repro.batch import batch_detect, batch_fuse, batch_fuse_or_none, coverage_extremes
 from repro.core import Interval, detect, fuse_or_none, max_safe_fault_bound
 
 BATCH = 6
@@ -100,6 +100,68 @@ def test_masked_rows_equal_scalar_fusion_of_subset(batch):
         else:
             assert result.valid[row]
             assert result.lo[row] == scalar.lo and result.hi[row] == scalar.hi
+
+
+def _covered_extremes(lowers, uppers, required, mask):
+    """Brute force: the extreme endpoints covered by ``max(required, 1)`` intervals.
+
+    The points covered at least ``k`` times form a union of closed intervals
+    whose left ends are lower endpoints and whose right ends are upper
+    endpoints, so checking the coverage at every endpoint finds both
+    extremes exactly.
+    """
+    active = [(lo, hi) for lo, hi, on in zip(lowers, uppers, mask) if on]
+    needed = max(int(required), 1)
+
+    def covered(point):
+        return sum(lo <= point <= hi for lo, hi in active) >= needed
+
+    lefts = [lo for lo, _ in active if covered(lo)]
+    rights = [hi for _, hi in active if covered(hi)]
+    if not lefts:
+        return None
+    return min(lefts), max(rights)
+
+
+@given(interval_batch(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_coverage_extremes_matches_brute_force_support(batch, data):
+    # The one-sided reading the stretch attacker's support search uses:
+    # per-row required counts (including non-positive and unreachable
+    # ones) under a per-row participation mask, empty rows included.
+    lowers, uppers = batch
+    n = lowers.shape[1]
+    required = np.array(
+        data.draw(st.lists(st.integers(-1, n + 1), min_size=BATCH, max_size=BATCH))
+    )
+    mask = np.array(
+        data.draw(st.lists(st.booleans(), min_size=BATCH * n, max_size=BATCH * n))
+    ).reshape(BATCH, n)
+    result = coverage_extremes(lowers, uppers, required, mask=mask)
+    for row in range(BATCH):
+        expected = _covered_extremes(lowers[row], uppers[row], required[row], mask[row])
+        if expected is None:
+            assert not result.valid[row]
+            assert np.isnan(result.lo[row]) and np.isnan(result.hi[row])
+        else:
+            assert result.valid[row]
+            assert (result.lo[row], result.hi[row]) == expected
+
+
+@given(interval_batch(), st.integers(min_value=-1, max_value=10))
+@settings(max_examples=60, deadline=None)
+def test_coverage_extremes_scalar_required_without_mask(batch, required):
+    lowers, uppers = batch
+    n = lowers.shape[1]
+    result = coverage_extremes(lowers, uppers, required)
+    everyone = np.ones(n, dtype=bool)
+    for row in range(BATCH):
+        expected = _covered_extremes(lowers[row], uppers[row], required, everyone)
+        if expected is None:
+            assert not result.valid[row]
+        else:
+            assert result.valid[row]
+            assert (result.lo[row], result.hi[row]) == expected
 
 
 def test_large_seeded_sweep_bitmatches_scalar():

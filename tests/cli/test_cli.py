@@ -112,6 +112,33 @@ class TestErrorPaths:
         assert "unknown scenario or derived report" in err
         assert "table2-exact-vs-proxy" in err  # the derived-report namespace
 
+    def test_run_with_removed_engine_name_fails_cleanly(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            "run", "table1-smoke", "--engine", "numba", "--store", str(tmp_path), capsys=capsys
+        )
+        assert code == 1
+        assert "error: unknown engine 'numba'; available engines: batch, fused, scalar" in err
+        assert "Traceback" not in err
+
+    def test_removed_engine_name_exits_1_in_a_real_subprocess(self, tmp_path):
+        env = {
+            **os.environ,
+            "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+            "REPRO_STORE_DIR": str(tmp_path),
+        }
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "table1-smoke", "--engine", "numba"],
+            capture_output=True,
+            text=True,
+            cwd=str(tmp_path),
+            env=env,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.strip().endswith(
+            "error: unknown engine 'numba'; available engines: batch, fused, scalar"
+        )
+        assert "Traceback" not in completed.stderr
+
     def test_unknown_names_exit_nonzero_in_a_real_subprocess(self, tmp_path):
         env = {
             **os.environ,
@@ -169,9 +196,9 @@ class TestExperimentsReport:
         assert section["cached"] is True  # second pass reads the stored artifact
 
     def test_engine_refresh_flows_into_the_document(self, capsys, tmp_path, monkeypatch):
-        # A fused-engine (or numba-engine) rerun writes a new key for the
-        # same name; the experiments report must pick up that newest
-        # artifact — same payload bytes, new provenance.
+        # A fused-engine rerun writes a new key for the same name; the
+        # experiments report must pick up that newest artifact — same
+        # payload bytes, new provenance.
         import repro.cli as cli
 
         monkeypatch.setattr(cli, "EXPERIMENTS_BACKBONE", ("table1-smoke",))

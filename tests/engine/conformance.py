@@ -6,7 +6,7 @@ complete :class:`~repro.engine.base.RoundsResult` (per-sensor arrays
 included), and consume the shared random stream with perfect discipline.
 ``tests/engine/test_conformance.py`` parametrises these checks over
 :func:`repro.engine.list_engines`, so a new backend — the fused engine
-today, a numba/jax engine tomorrow — inherits the whole suite the moment
+today, a jax engine tomorrow — inherits the whole suite the moment
 ``register_engine`` runs; nothing needs hand-wiring per backend.
 
 The module holds the conformance *matrix* (configurations × schedules ×

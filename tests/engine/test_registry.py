@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.batch.kernels import kernels_available
 from repro.core import ExperimentError
-from repro.core.exceptions import EngineUnavailableError
 from repro.engine import (
     BatchEngine,
     Engine,
@@ -27,13 +25,7 @@ CONFIG = ScheduleComparisonConfig(lengths=(5.0, 11.0, 17.0), fa=1)
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        # The optional "numba" engine registers only when numba is importable
-        # (or REPRO_NUMBA_PUREPY forces the pure-Python kernels); the three
-        # stdlib+numpy backends are always there.
-        names = available_engines()
-        assert {"batch", "fused", "scalar"} <= set(names)
-        assert set(names) <= {"batch", "fused", "numba", "scalar"}
-        assert ("numba" in names) == kernels_available()
+        assert available_engines() == ("batch", "fused", "scalar")
 
     def test_list_engines_alias(self):
         from repro.engine import list_engines
@@ -45,13 +37,6 @@ class TestRegistry:
         assert isinstance(get_engine("batch"), BatchEngine)
         # "fused" stays registered so scenarios and store keys naming it resolve.
         assert type(get_engine("fused")) is BatchEngine
-
-    def test_numba_engine_resolves_when_available(self):
-        if not kernels_available():
-            pytest.skip("numba kernels unavailable (no numba, no REPRO_NUMBA_PUREPY)")
-        from repro.engine.numba_engine import NumbaEngine
-
-        assert isinstance(get_engine("numba"), NumbaEngine)
 
     def test_get_engine_passthrough_instance(self):
         engine = BatchEngine()
@@ -67,16 +52,17 @@ class TestRegistry:
             get_engine("fussed")
         assert "available engines: " + ", ".join(available_engines()) in str(excinfo.value)
 
-    def test_unavailable_optional_engine_gets_install_hint(self, monkeypatch):
-        # With numba uninstalled, --engine numba must diagnose the missing
-        # optional dependency (EngineUnavailableError), never an ImportError
-        # traceback and never a did-you-mean typo hint.
-        monkeypatch.delitem(_REGISTRY, "numba", raising=False)
-        with pytest.raises(EngineUnavailableError, match="pip install numba"):
+    def test_removed_jit_engine_name_is_unknown(self, monkeypatch):
+        # The former JIT backend's name is an ordinary unknown name: the
+        # same error, with the registered names, from both entry points.
+        available = "available engines: batch, fused, scalar"
+        with pytest.raises(ExperimentError, match="unknown engine 'numba'") as excinfo:
             get_engine("numba")
+        assert available in str(excinfo.value)
         monkeypatch.setenv(ENGINE_ENV_VAR, "numba")
-        with pytest.raises(EngineUnavailableError, match=ENGINE_ENV_VAR):
+        with pytest.raises(ExperimentError, match="unknown engine 'numba'") as excinfo:
             default_engine_name()
+        assert ENGINE_ENV_VAR in str(excinfo.value) and available in str(excinfo.value)
 
     def test_default_is_scalar(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)

@@ -9,8 +9,11 @@ import pytest
 from repro import obs
 from repro.core.exceptions import ExperimentError
 from repro.engine import get_engine
-from repro.obs.report import build_perf_report, load_trace
-from repro.scheduling import AscendingSchedule, ScheduleComparisonConfig
+from repro.obs.report import build_perf_report, load_trace, render_perf_report
+from repro.runner import run_scenario
+from repro.scenarios import CaseStudyScenario
+from repro.scheduling import AscendingSchedule, DescendingSchedule, ScheduleComparisonConfig
+from repro.vehicle.case_study import CaseStudyConfig
 
 
 class TestDisabledPath:
@@ -154,6 +157,55 @@ class TestJsonlRoundTrip:
         )
         assert nested > by_span["engine.run"]["total_s"]
         assert payload["throughput"]["samples"] == 128
+
+    @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
+    def test_engine_case_study_reports_its_rounds(self, tmp_path, engine_name):
+        config = CaseStudyConfig(n_steps=4)
+        schedules = (AscendingSchedule(), DescendingSchedule())
+        engine = get_engine(engine_name)
+        path = tmp_path / "trace.jsonl"
+        with obs.collect() as session:
+            result = engine.run_case_study(config, schedules)
+            session.write_jsonl(path)
+        payload = build_perf_report(path)
+        rounds = sum(stat.rounds for stat in result.stats)
+        assert rounds > 0
+        assert payload["throughput"]["samples"] == rounds
+        assert payload["throughput"]["engine_seconds"] > 0
+        assert result == engine.run_case_study(config, schedules)
+
+    @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
+    def test_engine_case_study_span_is_labelled(self, engine_name):
+        config = CaseStudyConfig(n_steps=3)
+        with obs.collect() as session:
+            get_engine(engine_name).run_case_study(config, (AscendingSchedule(),))
+        (root,) = session.snapshot()["spans"]
+        assert root["name"] == "engine.run"
+        assert root["attrs"] == {"engine": engine_name, "kind": "case_study"}
+
+    def test_case_study_perf_report_prints_its_throughput(self, tmp_path):
+        config = CaseStudyConfig(n_steps=3)
+        path = tmp_path / "trace.jsonl"
+        with obs.collect() as session:
+            result = get_engine("batch").run_case_study(config, (AscendingSchedule(),))
+            session.write_jsonl(path)
+        rounds = sum(stat.rounds for stat in result.stats)
+        text = render_perf_report(build_perf_report(path))
+        assert f"throughput: {rounds} samples in " in text
+        assert "samples/s" in text
+
+    def test_case_study_scenario_reports_its_rounds(self, tmp_path):
+        spec = CaseStudyScenario(name="obs-case-study", n_steps=4, n_replicas=4, shard_replicas=2)
+        untraced = run_scenario(spec, workers=1, store=None).payload
+        path = tmp_path / "trace.jsonl"
+        with obs.collect() as session:
+            traced = run_scenario(spec, workers=1, store=None).payload
+            session.write_jsonl(path)
+        payload = build_perf_report(path)
+        rounds = sum(row["rounds"] for row in traced["rows"])
+        assert rounds > 0
+        assert payload["throughput"]["samples"] == rounds
+        assert json.dumps(traced, sort_keys=True) == json.dumps(untraced, sort_keys=True)
 
     def test_load_trace_error_paths(self, tmp_path):
         with pytest.raises(ExperimentError, match="--trace PATH"):

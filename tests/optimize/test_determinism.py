@@ -38,9 +38,8 @@ def payload_bytes(spec: OptimizationScenario, workers: int = 1) -> str:
     return json.dumps(run_scenario(spec, workers=workers, store=None).payload, sort_keys=True)
 
 
-#: Engines that uphold the bit-identity conformance contract; numba joins
-#: automatically when its optional dependency is installed.
-PACKED_ENGINES = [name for name in list_engines() if name in ("batch", "fused", "numba")]
+#: Engines that uphold the bit-identity conformance contract.
+PACKED_ENGINES = [name for name in list_engines() if name in ("batch", "fused")]
 
 
 class TestWorkerInvariance:

@@ -161,25 +161,35 @@ class TestPlanning:
         class LegacyEngine(Engine):
             name = "legacy-stub"
 
-            def run_rounds(
-                self, config, schedule, attack="stretch", faults=None, samples=10_000, rng=None
+            def run_many(
+                self, config, schedule, attack="stretch", faults=None, budgets=(), rngs=None, channel=None
             ):
-                zeros = np.zeros(samples)
-                return RoundsResult(
-                    schedule_name=schedule.name,
-                    fusion_lo=zeros,
-                    fusion_hi=zeros + 1.0,
-                    valid=np.ones(samples, dtype=bool),
-                    attacker_detected=np.zeros(samples, dtype=bool),
-                )
+                return [
+                    RoundsResult(
+                        schedule_name=schedule.name,
+                        fusion_lo=np.zeros(samples),
+                        fusion_hi=np.ones(samples),
+                        valid=np.ones(samples, dtype=bool),
+                        attacker_detected=np.zeros(samples, dtype=bool),
+                    )
+                    for samples in budgets
+                ]
 
             def run_case_study(self, config=None, schedules=None, **options):
                 raise NotImplementedError
 
+        from repro.engine.base import _REGISTRY
+
         register_engine("legacy-stub", LegacyEngine, replace=True)
-        spec = table1_scenario(name="runner-test-legacy", engine="legacy-stub", samples=20, shard_samples=20)
-        with pytest.raises(ExperimentError, match="per-sensor flagged"):
-            run_scenario(spec)
+        try:
+            spec = table1_scenario(
+                name="runner-test-legacy", engine="legacy-stub", samples=20, shard_samples=20
+            )
+            with pytest.raises(ExperimentError, match="per-sensor flagged"):
+                run_scenario(spec)
+        finally:
+            # Later tests read the registered names; leave the registry as found.
+            _REGISTRY.pop("legacy-stub", None)
 
 
 class TestFigureScenarios:

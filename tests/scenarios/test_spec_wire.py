@@ -139,3 +139,32 @@ class TestRejection:
         payload = {**wire(get_scenario("table1-smoke")), "samples": -5}
         with pytest.raises(ExperimentError, match="samples"):
             spec_from_dict(payload)
+
+    @pytest.mark.parametrize("scenario", ["table1-smoke", "optimize-table1-row6"])
+    @pytest.mark.parametrize("engine", [5, ["batch"], ""])
+    def test_engine_must_be_a_name_or_null(self, scenario, engine):
+        # A non-string engine used to pass validation and crash the runner
+        # (a 500 over HTTP) instead of being rejected as a bad spec.
+        payload = {**wire(get_scenario(scenario)), "engine": engine}
+        with pytest.raises(ExperimentError, match="engine must be"):
+            spec_from_dict(payload)
+
+    def test_engine_check_covers_dataclasses_replace(self):
+        import dataclasses
+
+        with pytest.raises(ExperimentError, match="engine must be"):
+            dataclasses.replace(get_scenario("table1-smoke"), engine=5)
+
+    @pytest.mark.parametrize("scenario", ["table2-proxy", "fig1-marzullo"])
+    @pytest.mark.parametrize("engine", [5, ["batch"], ""])
+    def test_engine_check_covers_case_study_and_figure_kinds(self, scenario, engine):
+        # The check lives on the shared base spec, so every kind rejects a
+        # non-name engine before its own field checks run.
+        payload = {**wire(get_scenario(scenario)), "engine": engine}
+        with pytest.raises(ExperimentError, match="engine must be"):
+            spec_from_dict(payload)
+
+    @pytest.mark.parametrize("engine", [None, "batch", "fused", "scalar"])
+    def test_engine_accepts_null_and_names(self, engine):
+        payload = {**wire(get_scenario("table1-smoke")), "engine": engine}
+        assert spec_from_dict(payload).engine == engine

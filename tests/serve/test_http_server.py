@@ -232,6 +232,35 @@ def test_introspection_and_error_mapping(tmp_path, registered_specs):
             conn.close()
 
 
+@pytest.mark.parametrize("engine", [5, ["batch"], ""])
+def test_malformed_engine_answers_400(engine):
+    # Both an engine override and an inline spec carrying a non-name engine
+    # are request errors, not 500s from inside the runner.
+    service = FusionService(store=None)
+    with ServerThread(service) as server:
+        for request in (
+            {"scenario": "table1-smoke", "engine": engine},
+            {"spec": dict(spec_dict(SPEC_A), engine=engine)},
+        ):
+            status, body = server.request("POST", "/v1/run", request)
+            assert status == 400 and "engine must be" in body["error"]
+
+
+def test_removed_jit_engine_name_answers_400():
+    # "numba" is an ordinary unknown engine name: a 400 naming the
+    # registered engines, from the override and from an inline spec alike.
+    service = FusionService(store=None)
+    with ServerThread(service) as server:
+        for request in (
+            {"scenario": "table1-smoke", "engine": "numba"},
+            {"spec": dict(spec_dict(SPEC_A), engine="numba")},
+        ):
+            status, body = server.request("POST", "/v1/run", request)
+            assert status == 400
+            assert "unknown engine 'numba'" in body["error"]
+            assert "available engines: batch, fused, scalar" in body["error"]
+
+
 def test_keep_alive_serves_sequential_requests_on_one_connection(registered_specs):
     service = FusionService(store=None)
     with ServerThread(service) as server:

@@ -72,6 +72,19 @@ class TestResolveRequest:
         with pytest.raises(ExperimentError):
             self.service().resolve_request(request_body)
 
+    @pytest.mark.parametrize("engine", [5, ["batch"], "", {"name": "batch"}, 1.5])
+    def test_non_name_engine_override_rejected(self, engine):
+        with pytest.raises(ExperimentError, match="engine must be"):
+            self.service().resolve_request({"scenario": "table1-smoke", "engine": engine})
+
+    def test_env_default_naming_an_unregistered_engine_rejected(self, monkeypatch):
+        # A spec without an engine pins the REPRO_ENGINE default while the
+        # request is parsed, so a stale name is a request error.
+        monkeypatch.setenv("REPRO_ENGINE", "numba")
+        payload = {**spec_dict(SPEC), "engine": None}
+        with pytest.raises(ExperimentError, match="unknown engine 'numba'"):
+            self.service().resolve_request({"spec": payload})
+
 
 class TestServing:
     def test_payload_bit_identical_to_runner(self, tmp_path):
