@@ -1,165 +1,24 @@
-"""Table I — expected fusion-interval length, Ascending vs Descending.
+"""Table I — the exact expectation attacker's batch-vs-scalar throughput gate.
 
-For each of the paper's eight ``(n, fa, L)`` configurations the benchmark
-enumerates every discretised combination of correct measurements (the paper's
-own methodology), lets the expectation-maximising attacker of problem (2) act
-at her scheduled slots, and averages the resulting fusion widths.
-
-Two attacker variants are reported:
-
-* *faithful* — the attacker may count her own not-yet-sent compromised
-  intervals as guaranteed support when switching to active mode (the literal
-  reading of the paper's ``n - f - far`` rule);
-* *conservative* — active-mode support must come from already-transmitted
-  intervals only; this weaker attacker matches the magnitudes of the paper's
-  Table I much more closely for the ``fa = 2`` rows.
-
-The reproduction target is the *shape*: the Descending expectation is never
-smaller than the Ascending one, and the gap widens when the interval lengths
-are very different.
-
-``test_table1_batch_monte_carlo`` re-runs the whole table on the vectorized
-batch engine (greedy stretch attacker, 10⁵ Monte-Carlo trials per schedule by
-default — tune with ``REPRO_BENCH_BATCH_SAMPLES``), confirming the shape at
-a sample count the scalar path cannot reach.
-
-``test_table1_expectation_engine`` re-runs the table with the **exact**
-expectation attacker of problem (2) on both engines: the batch engine's
-vectorized grid evaluation (:mod:`repro.batch.expectation`) against the
-scalar grid search, round-for-round identical, at 10³+ Monte-Carlo trials
-per schedule (``REPRO_BENCH_EXPECTATION_SAMPLES``).
 ``test_table1_expectation_speedup`` gates the throughput on the heaviest
 Table I row (n=5, fa=2 — full lookahead recursion) at the paper's finer
-discretisation: the batch engine must beat the scalar grid search by at
-least ``REPRO_BENCH_SPEEDUP_FLOOR`` (default 10x) in rounds per second.
+discretisation: the batch engine's vectorized grid evaluation
+(:mod:`repro.batch.expectation`) must beat the scalar grid search by at
+least ``REPRO_BENCH_SPEEDUP_FLOOR`` (default 10x) in rounds per second,
+over ``REPRO_BENCH_EXPECTATION_SAMPLES`` batch rounds (default 1 000).
+
+Table I itself is regenerated by the ``table1-row*`` and
+``table1-expectation`` catalogue scenarios (``python -m repro run NAME``);
+its shape is pinned by ``tests/integration/test_paper_claims.py``.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
-from repro.analysis import TABLE1_CONFIGURATIONS, format_table, format_table1_row, table1_batch_sweep
-from repro.attack import ExpectationPolicy
+from repro.analysis import TABLE1_CONFIGURATIONS, format_table
 from repro.engine import BatchEngine, ExpectationAttack, ScalarEngine
-from repro.scheduling import AscendingSchedule, DescendingSchedule, compare_schedules
-
-
-def _run_entry(entry, positions: int, conservative: bool):
-    config = entry.comparison_config(positions=positions)
-    comparison = compare_schedules(
-        config,
-        [AscendingSchedule(), DescendingSchedule()],
-        policy_factory=lambda: ExpectationPolicy(conservative=conservative),
-    )
-    return comparison.expected_width("ascending"), comparison.expected_width("descending")
-
-
-@pytest.mark.parametrize(
-    "entry", TABLE1_CONFIGURATIONS, ids=lambda e: f"n{e.n}-fa{e.fa}-L{'-'.join(f'{length:g}' for length in e.lengths)}"
-)
-def test_table1_row(benchmark, entry, bench_positions):
-    """One row of Table I with the faithful attacker (shape assertion only)."""
-    ascending, descending = benchmark(lambda: _run_entry(entry, bench_positions, conservative=False))
-    assert descending >= ascending - 1e-9, (
-        "the expected length under Descending must not be smaller than under Ascending"
-    )
-
-
-def test_table1_batch_monte_carlo(benchmark, report_writer, batch_samples):
-    """The full Table I on the batch engine at Monte-Carlo scale."""
-
-    def run_sweep():
-        return table1_batch_sweep(samples=batch_samples, rng=np.random.default_rng(0))
-
-    sweep = benchmark.pedantic(run_sweep, iterations=1, rounds=1)
-    # Two independent sample means of similar-magnitude widths: allow a few
-    # standard errors of Monte-Carlo noise before calling the shape violated.
-    tolerance = max(0.05, 10.0 / math.sqrt(batch_samples))
-    rows = []
-    for entry, comparison in sweep:
-        ascending = comparison.expected_width("ascending")
-        descending = comparison.expected_width("descending")
-        rows.append(
-            [
-                format_table1_row(entry.n, entry.fa, entry.lengths),
-                f"{ascending:.2f}",
-                f"{descending:.2f}",
-                f"{entry.paper_ascending:.2f}",
-                f"{entry.paper_descending:.2f}",
-            ]
-        )
-        assert descending >= ascending - tolerance
-        assert comparison.row("descending").detected_fraction == 0.0
-    report_writer(
-        "table1_batch_monte_carlo",
-        format_table(
-            [
-                "configuration",
-                "E|S| asc (stretch MC)",
-                "E|S| desc (stretch MC)",
-                "paper asc",
-                "paper desc",
-            ],
-            rows,
-            title=(
-                "Table I — batched Monte-Carlo, greedy stretch attacker, "
-                f"{batch_samples:,} trials per schedule"
-            ),
-        ),
-    )
-
-
-def test_table1_expectation_engine(benchmark, report_writer, expectation_samples):
-    """The full Table I with the exact expectation attacker, batched.
-
-    The vectorized :class:`~repro.batch.expectation.ExactExpectationBatchAttacker`
-    runs every row at Monte-Carlo scale; the shape assertions of the scalar
-    Table I benchmarks must keep holding and the stealthy attacker must never
-    be detected.
-    """
-
-    def run_sweep():
-        return table1_batch_sweep(
-            samples=expectation_samples, rng=np.random.default_rng(0), attack="expectation"
-        )
-
-    sweep = benchmark.pedantic(run_sweep, iterations=1, rounds=1)
-    tolerance = max(0.05, 10.0 / math.sqrt(expectation_samples))
-    rows = []
-    for entry, comparison in sweep:
-        ascending = comparison.expected_width("ascending")
-        descending = comparison.expected_width("descending")
-        rows.append(
-            [
-                format_table1_row(entry.n, entry.fa, entry.lengths),
-                f"{ascending:.2f}",
-                f"{descending:.2f}",
-                f"{entry.paper_ascending:.2f}",
-                f"{entry.paper_descending:.2f}",
-            ]
-        )
-        assert descending >= ascending - tolerance
-        assert comparison.row("ascending").detected_fraction == 0.0
-        assert comparison.row("descending").detected_fraction == 0.0
-    report_writer(
-        "table1_expectation_engine",
-        format_table(
-            [
-                "configuration",
-                "E|S| asc (exact MC)",
-                "E|S| desc (exact MC)",
-                "paper asc",
-                "paper desc",
-            ],
-            rows,
-            title=(
-                "Table I — batched exact expectation attacker (problem (2)), "
-                f"{expectation_samples:,} Monte-Carlo trials per schedule"
-            ),
-        ),
-    )
+from repro.scheduling import AscendingSchedule
 
 
 def test_table1_expectation_speedup(report_writer, expectation_samples, speedup_floor):
@@ -213,48 +72,4 @@ def test_table1_expectation_speedup(report_writer, expectation_samples, speedup_
     assert speedup >= speedup_floor, (
         f"batched exact expectation attacker is only {speedup:.1f}x faster than the "
         f"scalar grid search (floor: {speedup_floor}x)"
-    )
-
-
-def test_table1_full_report(benchmark, report_writer, bench_positions):
-    """Regenerate the full Table I (both attacker variants) next to the paper's numbers."""
-
-    def run_all():
-        return [
-            (_run_entry(entry, bench_positions, conservative=False),
-             _run_entry(entry, bench_positions, conservative=True))
-            for entry in TABLE1_CONFIGURATIONS
-        ]
-
-    results = benchmark.pedantic(run_all, iterations=1, rounds=1)
-    rows = []
-    for entry, ((asc_f, desc_f), (asc_c, desc_c)) in zip(TABLE1_CONFIGURATIONS, results):
-        rows.append(
-            [
-                format_table1_row(entry.n, entry.fa, entry.lengths),
-                f"{asc_f:.2f}",
-                f"{desc_f:.2f}",
-                f"{asc_c:.2f}",
-                f"{desc_c:.2f}",
-                f"{entry.paper_ascending:.2f}",
-                f"{entry.paper_descending:.2f}",
-            ]
-        )
-        assert desc_f >= asc_f - 1e-9
-        assert desc_c >= asc_c - 1e-9
-    report_writer(
-        "table1_schedules",
-        format_table(
-            [
-                "configuration",
-                "E|S| asc (faithful)",
-                "E|S| desc (faithful)",
-                "E|S| asc (conservative)",
-                "E|S| desc (conservative)",
-                "paper asc",
-                "paper desc",
-            ],
-            rows,
-            title="Table I — expected fusion-interval length per schedule",
-        ),
     )

@@ -10,7 +10,6 @@ from repro.analysis.experiments import (
     figure2_configuration,
     figure5a_configuration,
     figure5b_configuration,
-    table1_batch_sweep,
 )
 from repro.analysis.metrics import (
     FusionStatistics,
@@ -37,5 +36,4 @@ __all__ = [
     "figure2_configuration",
     "figure5a_configuration",
     "figure5b_configuration",
-    "table1_batch_sweep",
 ]

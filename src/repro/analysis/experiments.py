@@ -1,7 +1,8 @@
 """Canonical experiment configurations from the paper's evaluation section.
 
-Keeping the exact configurations in one importable place means the benchmarks,
-the examples and EXPERIMENTS.md all draw from the same source of truth:
+Keeping the exact configurations in one importable place means the scenario
+catalogue, the tests, the examples and EXPERIMENTS.md all draw from the same
+source of truth:
 
 * :data:`TABLE1_CONFIGURATIONS` — the eight ``(n, fa, L)`` rows of Table I;
 * :func:`figure1_intervals` — the five-sensor configuration used to draw
@@ -40,7 +41,6 @@ __all__ = [
     "figure2_configuration",
     "figure5a_configuration",
     "figure5b_configuration",
-    "table1_batch_sweep",
     "table1_row_name",
 ]
 
@@ -140,30 +140,6 @@ TABLE2_PAPER_RESULTS = {
 
 #: The schedules compared in the case study, in the paper's column order.
 TABLE2_SCHEDULES = (AscendingSchedule(), DescendingSchedule(), RandomSchedule())
-
-
-def table1_batch_sweep(
-    samples: int = 100_000,
-    rng: np.random.Generator | None = None,
-    configurations: Sequence[Table1Entry] = TABLE1_CONFIGURATIONS,
-    engine: str | object | None = "batch",
-    attack: "AttackSpec" = "stretch",
-) -> list[tuple[Table1Entry, ScheduleComparison]]:
-    """Run every Table I row on a simulation engine at Monte-Carlo scale.
-
-    Returns ``(entry, comparison)`` pairs; each comparison holds one
-    :class:`~repro.scheduling.comparison.ScheduleRow` per schedule exactly
-    like the scalar path, so reporting code is shared.  The backend defaults
-    to the vectorized batch engine and is resolved through the
-    :mod:`repro.engine` registry; ``attack="expectation"`` swaps the greedy
-    stretch attacker for the exact problem (2) attacker (use ~10³ samples —
-    exact decisions cost more per round).
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return [
-        (entry, entry.engine_comparison(engine, samples=samples, rng=rng, attack=attack))
-        for entry in configurations
-    ]
 
 
 def figure1_intervals() -> list[Interval]:

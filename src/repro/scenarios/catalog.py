@@ -12,8 +12,8 @@ Registered on import of :mod:`repro.scenarios`:
   the scalar coarse-grid oracle;
 * ``fig1-marzullo`` … ``fig5-schedule-examples`` — the deterministic figure
   artifacts (:mod:`repro.scenarios.figures`);
-* ``ablation-*`` — the five ablation sweeps that previously lived only in
-  ``benchmarks/bench_ablation_*.py``, re-expressed over the engine seam;
+* ``ablation-*`` — the five ablation sweeps (fault bound, attacked sensor,
+  attacker strength, trust-aware schedule, baseline fusion);
 * ``optimize-*`` — schedule-search workloads over the :mod:`repro.optimize`
   strategies: exhaustive sweeps of every Table I row plus annealing/bandit
   demos on a larger seven-sensor space (``docs/OPTIMIZATION.md``);
@@ -22,6 +22,10 @@ Registered on import of :mod:`repro.scenarios`:
 * ``sweep-lossy-*`` — fusion over a lossy broadcast channel
   (:mod:`repro.channel`): i.i.d. and Gilbert–Elliott loss, delivery delay
   and retransmission budgets (``docs/CHANNELS.md``).
+
+Each paper artifact has exactly this one regenerator; the claims its
+description makes are pinned by the tests under ``tests/`` (see the
+README's "How the paper maps to modules" table).
 
 Paper numbers quoted in descriptions come from
 :mod:`repro.analysis.experiments` (`TABLE1_CONFIGURATIONS` /

@@ -4,10 +4,12 @@ Each entry of :data:`FIGURES` regenerates one illustrative artifact of the
 paper — Figures 1–5 and the baseline-fusion ablation — as a JSON-serialisable
 payload: structured values plus ready-to-print tables (``tables`` is a list
 of ``{title, headers, rows}`` dicts the CLI renders with
-:func:`repro.analysis.report.format_table`).  The computations mirror the
-corresponding ``benchmarks/bench_fig*.py`` drivers; the scenario layer makes
-them addressable (``python -m repro run fig1-marzullo``) and cacheable in the
-artifact store like every Monte-Carlo scenario.
+:func:`repro.analysis.report.format_table`).  Each function is the one
+regenerator of its artifact: the scenario layer makes it addressable
+(``python -m repro run fig1-marzullo``) and cacheable in the artifact store
+like every Monte-Carlo scenario, and
+``tests/runner/test_runner.py::TestFigureScenarios`` checks the paper's
+claims on the payloads.
 
 Figure functions take the scenario's derived generator; most artifacts are
 fully deterministic and ignore it.

@@ -82,8 +82,9 @@ __all__ = [
 MAX_PLAN_SHARDS = 10_000
 
 #: Most rounds one shard may simulate: a bound on the arrays a single task
-#: allocates, far above any useful shard (the largest registered one has
-#: 25,000 samples).
+#: allocates, far above any useful shard (the largest registered comparison
+#: shard has 25,000 samples, the largest case-study shard 4,800 rounds per
+#: schedule).
 MAX_SHARD_SAMPLES = 1_000_000
 
 
@@ -105,10 +106,10 @@ def _check_plan(name: str, shards: int, what: str) -> None:
         )
 
 
-def _check_shard_samples(name: str, shard_samples: int) -> None:
+def _check_shard_samples(name: str, shard_samples: int, unit: str = "samples") -> None:
     if shard_samples > MAX_SHARD_SAMPLES:
         raise ExperimentError(
-            f"scenario {name!r} asks for shards of {shard_samples} samples; "
+            f"scenario {name!r} asks for shards of {shard_samples} {unit}; "
             f"at most {MAX_SHARD_SAMPLES} are allowed per shard"
         )
 
@@ -364,6 +365,10 @@ class CaseStudyScenario(ScenarioSpec):
             shard_count(self.n_replicas, self.shard_replicas),
             "n_replicas / shard_replicas",
         )
+        # Per schedule, a batch shard steps up to shard_replicas platoons;
+        # a scalar-oracle shard steps one.
+        replicas = 1 if self.attacker == "expectation-grid" else min(self.n_replicas, self.shard_replicas)
+        _check_shard_samples(self.name, replicas * self.n_vehicles * self.n_steps, "rounds")
         if not self.schedules:
             raise ExperimentError(f"case-study scenario {self.name!r} needs at least one schedule")
         if len(set(self.schedules)) != len(self.schedules):

@@ -109,6 +109,12 @@ class TestFuse:
         shifted = [s.shift(7.5) for s in intervals]
         assert fuse(shifted, 1) == fuse(intervals, 1).shift(7.5)
 
+    def test_under_provisioned_f_can_exclude_the_true_value(self):
+        # Two forged intervals far from the truth against f = 1: with more
+        # compromised sensors than f the forged cluster outvotes the correct one.
+        fusion = fuse([Interval(-0.25, 0.25), Interval(4.0, 5.0), Interval(4.2, 5.2)], 1)
+        assert not fusion.contains(0.0)
+
     def test_fusion_for_n_minus_1_faults_is_hull(self):
         # For f = n - 1 (only reachable through fuse_or_none because the
         # safety requirement forbids it) every point of any interval counts.

@@ -1,5 +1,6 @@
 """Unit tests for windowed detection and the fault-tolerant pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -8,6 +9,7 @@ from repro.core import (
     WindowedDetector,
     WindowedFusionPipeline,
 )
+from repro.sensors import FaultySensor, SensorSuite, TransientFaultModel, sensors_from_widths
 
 
 class TestWindowedDetector:
@@ -132,3 +134,34 @@ class TestWindowedFusionPipeline:
         # the pipeline clamps it to 1 and keeps fusing.
         second = pipeline.process_round(honest + [spoof])
         assert second.fusion.contains(10.0)
+
+    @staticmethod
+    def _glitch_run(window: int, max_flags: int, rounds: int = 400) -> tuple[list[int], int | None]:
+        """Honest sensors glitch with probability 2% per round; sensor 0
+        persistently reports 10 above its reading.  Returns the honest
+        sensors discarded and the round the spoofer was discarded in."""
+        widths = [0.5, 1.0, 1.5, 2.0, 4.0]
+        suite = SensorSuite(
+            [FaultySensor(sensor, TransientFaultModel(probability=0.02)) for sensor in sensors_from_widths(widths)]
+        )
+        pipeline = WindowedFusionPipeline(len(widths), window=window, max_flags=max_flags)
+        rng = np.random.default_rng(0)
+        spoofer_discarded_at = None
+        for round_index in range(rounds):
+            intervals = [reading.interval for reading in suite.measure_all(10.0, rng)]
+            intervals[0] = intervals[0].shift(10.0)
+            outcome = pipeline.process_round(intervals)
+            if spoofer_discarded_at is None and outcome.is_discarded(0):
+                spoofer_discarded_at = round_index + 1
+        return sorted(set(pipeline.detector.discarded) - {0}), spoofer_discarded_at
+
+    def test_window_keeps_glitching_honest_sensors_and_catches_the_spoofer(self):
+        # Memoryless detection (window 1, budget 0) discards honest sensors
+        # after their first transient glitch; a window of 10 with budget 3
+        # keeps them all.  Both catch the persistent spoofer quickly.
+        memoryless_honest, memoryless_spoofer = self._glitch_run(window=1, max_flags=0)
+        windowed_honest, windowed_spoofer = self._glitch_run(window=10, max_flags=3)
+        assert memoryless_spoofer is not None and memoryless_spoofer <= 2
+        assert windowed_spoofer is not None and windowed_spoofer <= 20
+        assert len(memoryless_honest) > 0
+        assert windowed_honest == []

@@ -1,10 +1,14 @@
 """Integration tests encoding the paper's headline claims at reduced scale.
 
 Each test here is a miniature version of one of the paper's experiments; the
-full-scale versions live in ``benchmarks/``.  The assertions check the *shape*
-of the results (orderings, zero/non-zero rates, bound satisfaction), which is
+full-scale versions are the catalogue scenarios (``table1-row*``,
+``table1-expectation``, ``table2-*``, ``ablation-*``) that
+``python -m repro run`` regenerates.  The assertions check the *shape* of
+the results (orderings, zero/non-zero rates, bound satisfaction), which is
 what the reproduction is expected to preserve.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +20,12 @@ from repro.core.worst_case import worst_case_no_attack, worst_case_with_attack
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
+    RoundConfig,
     ScheduleComparisonConfig,
     compare_schedules,
+    run_round,
 )
+from repro.sensors import SensorSuite, UniformNoise, sensors_from_widths
 from repro.vehicle import CaseStudyConfig, run_case_study
 
 
@@ -61,6 +68,39 @@ class TestTable1Shape:
             comparison.expected_width("descending")
             >= comparison.expected_width("ascending") - 1e-9
         )
+
+    @pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
+    @pytest.mark.parametrize("entry", TABLE1_CONFIGURATIONS, ids=[f"row{i + 1}" for i in range(len(TABLE1_CONFIGURATIONS))])
+    def test_descending_never_better_exhaustive_every_row(self, entry, conservative):
+        # Both expectation-attacker variants on all eight rows, at the
+        # coarsest exhaustive grid (two positions per sensor).
+        comparison = compare_schedules(
+            entry.comparison_config(positions=2),
+            [AscendingSchedule(), DescendingSchedule()],
+            policy_factory=lambda: ExpectationPolicy(conservative=conservative),
+        )
+        assert (
+            comparison.expected_width("descending")
+            >= comparison.expected_width("ascending") - 1e-9
+        )
+
+    @pytest.mark.parametrize("attack, samples", [("stretch", 2_000), ("expectation", 100)])
+    def test_descending_never_better_monte_carlo_every_row(self, attack, samples):
+        # Every row on the batch engine, under the greedy stretch attacker and
+        # the exact problem (2) attacker: the shape holds up to a few standard
+        # errors of Monte-Carlo noise (row 5's two schedules tie), and the
+        # stealthy attacker is never detected.
+        tolerance = max(0.05, 10.0 / math.sqrt(samples))
+        for entry in TABLE1_CONFIGURATIONS:
+            comparison = entry.engine_comparison(
+                "batch", samples=samples, rng=np.random.default_rng(0), attack=attack
+            )
+            assert (
+                comparison.expected_width("descending")
+                >= comparison.expected_width("ascending") - tolerance
+            )
+            assert comparison.row("ascending").detected_fraction == 0.0
+            assert comparison.row("descending").detected_fraction == 0.0
 
     def test_gap_widens_with_length_disparity(self):
         # The paper notes the two schedules are close for comparable lengths
@@ -115,3 +155,30 @@ class TestStealthInvariant:
                 )
                 assert not result.attacker_detected
                 assert result.fusion.contains(true_value)
+
+
+class TestFaultBound:
+    def test_larger_f_widens_fusion_and_keeps_the_true_value(self):
+        # f = ceil(n/2) - 1 is the conservative choice: a larger f inflates
+        # the fusion interval, and with f >= fa it always contains the truth.
+        suite = SensorSuite(sensors_from_widths([0.5, 1.0, 2.0, 4.0, 8.0], noise=UniformNoise()))
+        mean_width = {}
+        for f in (0, 1, 2):
+            rng = np.random.default_rng(f)
+            attack_rng = np.random.default_rng(100 + f)
+            widths = []
+            for _ in range(100):
+                correct = [reading.interval for reading in suite.measure_all(0.0, rng)]
+                if f == 0:
+                    # No tolerance for compromised sensors: fuse the raw readings.
+                    fusion = fuse(correct, 0)
+                else:
+                    policy = ExpectationPolicy(true_value_positions=2, placement_positions=2)
+                    config = RoundConfig(
+                        schedule=DescendingSchedule(), attacked_indices=(0,), policy=policy, f=f
+                    )
+                    fusion = run_round(correct, config, attack_rng).fusion
+                    assert fusion.contains(0.0)
+                widths.append(fusion.width)
+            mean_width[f] = float(np.mean(widths))
+        assert mean_width[0] <= mean_width[1] <= mean_width[2] + 1e-9

@@ -209,6 +209,40 @@ class TestFigureScenarios:
         assert fig5["ascending_better_in_5a"]
         assert fig5["descending_no_worse_in_5b"]
 
+    def test_fig1_width_strictly_grows_with_f(self):
+        fusions = run_scenario("fig1-marzullo").payload["fusions"]
+        widths = [fusions[str(f)]["width"] for f in (0, 1, 2)]
+        assert widths[0] < widths[1] < widths[2]
+
+    def test_fig2_each_realisation_has_a_zero_regret_commitment(self):
+        # With full knowledge of s2 the attacker can always commit optimally,
+        # which is why Descending (full knowledge) helps the attacker.
+        regrets = run_scenario("fig2-no-optimal-policy").payload["regrets"]
+        for realisation in ("s2 left", "s2 right"):
+            assert min(per[realisation] for per in regrets.values()) < 1e-9
+
+    def test_fig4_theorems_3_and_4(self):
+        payload = run_scenario("fig4-worst-case").payload
+        assert payload["widths"] == [2.0, 4.0, 8.0]
+        baseline = payload["no_attack_width"]
+        by_set = payload["worst_case_by_attacked_set"]
+        # Theorem 3: attacking the largest interval matches the no-attack worst case.
+        assert by_set["2"] == pytest.approx(baseline, abs=1e-9)
+        # Theorem 4: attacking the smallest is the global worst case, strictly
+        # above no attack for this configuration.
+        assert by_set["0"] == pytest.approx(max(by_set.values()), abs=1e-9)
+        assert by_set["0"] > baseline + 1e-9
+
+    def test_baseline_fusion_ablation_bounds_the_estimate_error(self):
+        errors = run_scenario("ablation-baseline-fusion").payload["mean_abs_error_by_bias"]
+        small, large = errors["0.5"], errors["10"]
+        # Fusion width <= some correct width (2 mph) bounds the midpoint error by 1 mph...
+        assert large["marzullo midpoint"] <= 1.0 + 1e-9
+        assert large["brooks-iyengar"] <= 1.0 + 1e-9
+        # ...while the naive mean degrades with the bias.
+        assert small["mean"] < large["mean"]
+        assert large["mean"] > 2.0 * large["marzullo midpoint"]
+
 
 class TestCaching:
     def test_second_run_is_served_from_store(self, tmp_path):

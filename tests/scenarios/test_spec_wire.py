@@ -18,6 +18,7 @@ from repro.scenarios.spec import (
     CHANNEL_SPEC_VERSION,
     SCHEMA_VERSION,
     SPEC_VERSION,
+    MAX_SHARD_SAMPLES,
     SUPPORTED_SPEC_VERSIONS,
     CaseStudyScenario,
     ComparisonScenario,
@@ -168,3 +169,27 @@ class TestRejection:
     def test_engine_accepts_null_and_names(self, engine):
         payload = {**wire(get_scenario("table1-smoke")), "engine": engine}
         assert spec_from_dict(payload).engine == engine
+
+    def test_case_study_shard_rounds_bounded(self):
+        # One shard of 8 replicas x 10^6 vehicles x 10^9 steps used to pass
+        # validation and allocate 8 * 10^6-row arrays on every step.
+        payload = wire(get_scenario("table2-proxy"))
+        payload.update(n_vehicles=10**6, n_steps=10**9, shard_replicas=8)
+        with pytest.raises(ExperimentError, match="rounds; at most"):
+            spec_from_dict(payload)
+
+    def test_case_study_shard_rounds_bound_is_inclusive(self):
+        # A batch shard steps min(n_replicas, shard_replicas) platoons; the
+        # scalar oracle steps one platoon per shard.
+        CaseStudyScenario(
+            name="edge", n_replicas=2, shard_replicas=8, n_vehicles=1, n_steps=MAX_SHARD_SAMPLES // 2
+        )
+        with pytest.raises(ExperimentError, match="rounds; at most"):
+            CaseStudyScenario(
+                name="edge", n_replicas=2, shard_replicas=8, n_vehicles=1, n_steps=MAX_SHARD_SAMPLES // 2 + 1
+            )
+        oracle = dict(name="edge", engine="scalar", attacker="expectation-grid", n_vehicles=1)
+        CaseStudyScenario(n_steps=MAX_SHARD_SAMPLES, **oracle)
+        with pytest.raises(ExperimentError, match="rounds; at most"):
+            CaseStudyScenario(n_steps=MAX_SHARD_SAMPLES + 1, **oracle)
+

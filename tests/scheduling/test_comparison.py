@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.attack import GreedyExtendPolicy, TruthfulPolicy
+from repro.attack import (
+    ExpectationPolicy,
+    GreedyExtendPolicy,
+    OmniscientPolicy,
+    RandomAdmissiblePolicy,
+    TruthfulPolicy,
+)
 from repro.core import ExperimentError
 from repro.scheduling import (
     AscendingSchedule,
@@ -70,6 +76,37 @@ class TestEstimators:
             self.config, AscendingSchedule(), TruthfulPolicy(), samples=800, rng=np.random.default_rng(0)
         )
         assert monte_carlo.expected_width == pytest.approx(exhaustive.expected_width, rel=0.15)
+
+    def test_attacker_strength_ordering(self):
+        # Under Descending the attackers order from harmless to omniscient:
+        # truthful <= greedy <= expectation (faithful) <= omniscient, the
+        # conservative expectation attacker is no stronger than the faithful
+        # one, and every stealthy attacker sits between the two extremes.
+        config = ScheduleComparisonConfig(lengths=(5.0, 11.0, 17.0), fa=1, positions=4)
+        attackers = {
+            "truthful": TruthfulPolicy(),
+            "random": RandomAdmissiblePolicy(),
+            "greedy": GreedyExtendPolicy(),
+            "conservative": ExpectationPolicy(conservative=True),
+            "faithful": ExpectationPolicy(),
+            "omniscient": OmniscientPolicy(),
+        }
+        widths = {
+            name: expected_fusion_width_exhaustive(
+                config,
+                DescendingSchedule(),
+                policy,
+                rng=np.random.default_rng(0),
+                give_oracle=name == "omniscient",
+            ).expected_width
+            for name, policy in attackers.items()
+        }
+        assert widths["truthful"] <= widths["greedy"] + 1e-9
+        assert widths["greedy"] <= widths["faithful"] + 1e-9
+        assert widths["conservative"] <= widths["faithful"] + 1e-9
+        assert widths["faithful"] <= widths["omniscient"] + 1e-6
+        for name in ("random", "greedy", "faithful"):
+            assert widths["truthful"] - 1e-9 <= widths[name] <= widths["omniscient"] + 1e-6
 
     def test_monte_carlo_needs_positive_samples(self):
         with pytest.raises(ExperimentError):

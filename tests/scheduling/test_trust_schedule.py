@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.attack import ExpectationPolicy
 from repro.core import ScheduleError
-from repro.scheduling import AscendingSchedule, TrustAwareSchedule
+from repro.scheduling import (
+    AscendingSchedule,
+    DescendingSchedule,
+    ScheduleComparisonConfig,
+    TrustAwareSchedule,
+    expected_fusion_width_exhaustive,
+)
 
 WIDTHS = [0.2, 0.2, 1.0, 2.0]  # encoder, encoder, GPS, camera
 
@@ -31,6 +38,25 @@ class TestTrustAwareSchedule:
         schedule = TrustAwareSchedule(spoofability=(5.0, 0.0, 0.0, 0.0))
         order = schedule.order(WIDTHS, np.random.default_rng(0))
         assert order[0] == 0
+
+    def test_attacked_gps_first_beats_both_precision_orders(self):
+        # The discussion section's advice with the GPS under attack: placing
+        # the spoofable sensor first is never worse than either precision-only
+        # order.  Ascending sends the GPS after both encoders, so it is the
+        # attacker's best order here.
+        config = ScheduleComparisonConfig(lengths=tuple(WIDTHS), fa=1, attacked_indices=(2,), positions=4)
+        widths = {
+            schedule.name: expected_fusion_width_exhaustive(
+                config, schedule, ExpectationPolicy(), rng=np.random.default_rng(0)
+            ).expected_width
+            for schedule in (
+                DescendingSchedule(),
+                AscendingSchedule(),
+                TrustAwareSchedule(spoofability=(0.1, 0.1, 1.0, 0.8)),
+            )
+        }
+        assert widths["trust-aware"] <= widths["ascending"] + 1e-9
+        assert widths["trust-aware"] <= widths["descending"] + 1e-9
 
     def test_is_a_permutation(self):
         schedule = TrustAwareSchedule(spoofability=(0.3, 0.9, 0.1, 0.5))

@@ -24,7 +24,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.runner import ArtifactStore
-from repro.scenarios import register_scenario
+from repro.scenarios import get_scenario, register_scenario
 from repro.scenarios.registry import _SCENARIOS
 from repro.scenarios.spec import ComparisonCase, ComparisonScenario, spec_dict
 from repro.serve import FusionServer, FusionService
@@ -217,6 +217,15 @@ def test_introspection_and_error_mapping(tmp_path, registered_specs):
         started = time.perf_counter()
         status, body = server.request("POST", "/v1/run", {"spec": huge})
         assert status == 400 and "per shard" in body["error"]
+        assert time.perf_counter() - started < 5.0
+
+        # And a case-study shard of 8 replicas x 10^6 vehicles x 10^9 steps.
+        huge = dict(
+            spec_dict(get_scenario("table2-proxy")), n_vehicles=10**6, n_steps=10**9, shard_replicas=8
+        )
+        started = time.perf_counter()
+        status, body = server.request("POST", "/v1/run", {"spec": huge})
+        assert status == 400 and "rounds; at most" in body["error"]
         assert time.perf_counter() - started < 5.0
 
         status, _ = server.request("GET", "/v1/run")

@@ -51,6 +51,19 @@ def test_dead_link_is_flagged(tmp_path):
     assert len(errors) == 1 and "nowhere.md" in errors[0]
 
 
+def test_stale_python_path_is_flagged(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "`tools/check_docs.py`, `tests/batch/test_batch_fuse*.py` and "
+        "`tests/runner/test_runner.py::TestFigureScenarios` exist; "
+        "`benchmarks/bench_gone.py` and `tests/gone.py::test_x` do not\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_paths(page, page.read_text(encoding="utf-8"))
+    assert len(errors) == 2
+    assert "benchmarks/bench_gone.py" in errors[0] and "tests/gone.py" in errors[1]
+
+
 @pytest.mark.parametrize("name", ["README.md", "docs/ARCHITECTURE.md", "docs/ATTACKERS.md"])
 def test_doc_set_exists(name):
     assert (TOOLS_DIR.parent / name).is_file()

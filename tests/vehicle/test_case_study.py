@@ -5,7 +5,13 @@ import pytest
 
 from repro.core import ExperimentError
 from repro.scheduling import AscendingSchedule, DescendingSchedule
-from repro.vehicle import CaseStudyConfig, ViolationStats, run_case_study, run_case_study_for_schedule
+from repro.vehicle import (
+    CaseStudyConfig,
+    ViolationStats,
+    landshark_suite,
+    run_case_study,
+    run_case_study_for_schedule,
+)
 
 
 class TestCaseStudyConfig:
@@ -94,3 +100,18 @@ class TestCaseStudyRuns:
         )
         total = lambda row: row.upper_violations + row.lower_violations  # noqa: E731
         assert total(precise_stats) >= total(random_stats)
+
+    def test_attacked_sensor_choice_orders_violations(self):
+        # Theorems 3 and 4 at the platoon level under Descending: no attack is
+        # harmless, the least precise sensor (camera) does least damage and
+        # the most precise (an encoder) the most.
+        def total(attacked_sensor) -> int:
+            config = CaseStudyConfig(n_steps=150, n_vehicles=2, seed=99, attacked_sensor=attacked_sensor)
+            stats = run_case_study_for_schedule(config, DescendingSchedule(), rng=np.random.default_rng(1))
+            return stats.upper_violations + stats.lower_violations
+
+        camera = landshark_suite().index_of("camera")
+        totals = [total(choice) for choice in ("none", camera, "random", "most_precise")]
+        assert totals[0] == 0
+        assert totals[1] <= totals[2] <= totals[3]
+        assert totals[3] > 0

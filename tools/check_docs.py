@@ -1,6 +1,6 @@
 """Lightweight docs checker: keep README/docs snippets and references honest.
 
-Three checks over ``README.md`` and ``docs/*.md``:
+Four checks over ``README.md`` and ``docs/*.md``:
 
 1. every fenced ``python`` code block must *compile* (syntax-checked with
    the file and line of the block on failure — snippets are not executed,
@@ -8,7 +8,10 @@ Three checks over ``README.md`` and ``docs/*.md``:
 2. every dotted ``repro.*`` reference must *resolve* — the module part must
    import and any attribute tail must exist, so renames cannot silently rot
    the prose;
-3. every relative markdown link must point at an existing file.
+3. every relative markdown link must point at an existing file;
+4. every backticked repo-relative ``*.py`` path (a ``*`` glob, or a
+   ``path.py::node`` test id, names the file part) must exist, so a deleted
+   module or test file cannot linger in a table.
 
 Run from the repository root (CI's docs job does)::
 
@@ -31,6 +34,10 @@ DOTTED_REF = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 #: Relative markdown links: ``[text](target)`` with no scheme or anchor-only
 #: target.
 MARKDOWN_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
+
+#: Backticked Python file paths relative to the repository root, with an
+#: optional ``::node`` test-id suffix.
+PY_PATH = re.compile(r"`([\w.*-][\w./*-]*\.py)(?:::[^`]*)?`")
 
 FENCE = re.compile(r"^```(\w*)\s*$")
 
@@ -115,6 +122,14 @@ def check_links(path: Path, text: str) -> list[str]:
     return errors
 
 
+def check_paths(path: Path, text: str) -> list[str]:
+    errors = []
+    for target in sorted(set(PY_PATH.findall(text))):
+        if not any(REPO_ROOT.glob(target)):
+            errors.append(f"{path.name}: path {target!r} does not exist")
+    return errors
+
+
 def main() -> int:
     errors: list[str] = []
     checked_blocks = 0
@@ -124,6 +139,7 @@ def main() -> int:
         errors.extend(check_python_blocks(path, text))
         errors.extend(check_references(path, text))
         errors.extend(check_links(path, text))
+        errors.extend(check_paths(path, text))
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
     files = len(docs_files())
