@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import api
 from repro.analysis import TABLE2_PAPER_RESULTS, format_percentage, format_table
 from repro.scheduling import DescendingSchedule
-from repro.vehicle import CaseStudyConfig, Platoon, run_case_study
+from repro.vehicle import CaseStudyConfig, Platoon
 
 N_STEPS = 150
 
 
 def violation_table(config: CaseStudyConfig) -> str:
-    result = run_case_study(config)
+    result = api.case_study(config=config, engine="scalar")
     rows = []
     for name in ("ascending", "descending", "random"):
         stats = result.for_schedule(name)

@@ -109,8 +109,7 @@ def main() -> None:
     # 6. Scale up through the engine layer: the same Monte-Carlo sweep on
     #    the scalar reference loop and on the vectorized batch engine.
     #    (`engine="batch"` is 1-2 orders of magnitude faster at large
-    #    sample counts; the default engine is env-overridable via
-    #    REPRO_ENGINE.)
+    #    sample counts; the default engine is "scalar".)
     # ------------------------------------------------------------------
     section("Same sweep on both simulation engines (greedy stretch attacker)")
     config = ScheduleComparisonConfig(lengths=(0.2, 1.0, 2.0, 4.0), fa=1)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.attack import ExpectationPolicy, TruthfulPolicy
+from repro.engine import get_engine
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -79,13 +80,12 @@ def main() -> None:
     # The same configuration on the batch engine: the exact expectation
     # attacker (problem (2)) vectorized over BATCH_SAMPLES Monte-Carlo
     # rounds per schedule — the README's "Table I, batched" quickstart.
-    batched = compare_schedules(
+    batched = get_engine("batch").compare(
         config,
         schedules,
-        engine="batch",
-        attack="expectation",
         samples=BATCH_SAMPLES,
         rng=np.random.default_rng(0),
+        attack="expectation",
     )
     rows = [
         [row.schedule_name, f"{row.expected_width:.3f}", f"{row.detected_fraction:.1%}"]

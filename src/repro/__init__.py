@@ -54,14 +54,13 @@ from repro.scheduling import (
     run_round,
 )
 from repro.sensors import Sensor, SensorSpec, SensorSuite, landshark_specs, sensors_from_widths
-from repro.vehicle import CaseStudyConfig, Platoon, PlatoonConfig, run_case_study
+from repro.vehicle import CaseStudyConfig, Platoon, PlatoonConfig
 from repro.engine import (
     BatchEngine,
     Engine,
     RoundsResult,
     ScalarEngine,
     available_engines,
-    default_engine_name,
     get_engine,
     register_engine,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "PlatoonConfig",
     "Platoon",
     "CaseStudyConfig",
-    "run_case_study",
     # engine
     "Engine",
     "ScalarEngine",
@@ -135,7 +133,6 @@ __all__ = [
     "get_engine",
     "register_engine",
     "available_engines",
-    "default_engine_name",
     # scenarios
     "ScenarioSpec",
     "ComparisonCase",

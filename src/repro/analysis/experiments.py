@@ -15,21 +15,10 @@ source of truth:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
-
-if TYPE_CHECKING:  # annotation-only: repro.engine is imported lazily below
-    from repro.engine.base import AttackSpec
 
 from repro.core.interval import Interval
-from repro.scheduling.comparison import ScheduleComparison, ScheduleComparisonConfig
-from repro.scheduling.schedule import (
-    AscendingSchedule,
-    DescendingSchedule,
-    RandomSchedule,
-    Schedule,
-)
+from repro.scheduling.comparison import ScheduleComparisonConfig
+from repro.scheduling.schedule import AscendingSchedule, DescendingSchedule, RandomSchedule
 
 __all__ = [
     "Table1Entry",
@@ -70,46 +59,6 @@ class Table1Entry:
     def comparison_config(self, positions: int = 3) -> ScheduleComparisonConfig:
         """Build the schedule-comparison configuration for this row."""
         return ScheduleComparisonConfig(lengths=self.lengths, fa=self.fa, positions=positions)
-
-    def engine_comparison(
-        self,
-        engine: str | object | None = "batch",
-        samples: int = 100_000,
-        rng: np.random.Generator | None = None,
-        schedules: Sequence[Schedule] | None = None,
-        attack: "AttackSpec" = "stretch",
-    ) -> ScheduleComparison:
-        """Run this row's schedule sweep on a registered simulation engine.
-
-        ``attack`` selects the engine attacker spec: the greedy stretch
-        attacker by default, or ``"expectation"`` for the paper's exact
-        problem (2) attacker (vectorized on the batch engine by
-        :class:`repro.batch.expectation.ExactExpectationBatchAttacker`, so
-        Table I rows run at 10³–10⁵ Monte-Carlo trials; drop ``samples``
-        accordingly — the exact attacker costs more per round).  The scalar
-        exhaustive path (via :meth:`comparison_config` and
-        :func:`repro.scheduling.comparison.compare_schedules`) remains the
-        paper-methodology reference.
-        """
-        from repro.engine import get_engine
-
-        if schedules is None:
-            schedules = (AscendingSchedule(), DescendingSchedule())
-        return get_engine(engine).compare(
-            self.comparison_config(), schedules, samples=samples, rng=rng, attack=attack
-        )
-
-    def batch_comparison(
-        self,
-        samples: int = 100_000,
-        rng: np.random.Generator | None = None,
-        schedules: Sequence[Schedule] | None = None,
-        attack: "AttackSpec" = "stretch",
-    ) -> ScheduleComparison:
-        """Shorthand for :meth:`engine_comparison` on the batch engine."""
-        return self.engine_comparison(
-            "batch", samples=samples, rng=rng, schedules=schedules, attack=attack
-        )
 
 
 #: The eight configurations of Table I with the expected fusion lengths the

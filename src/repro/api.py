@@ -95,7 +95,7 @@ def run(
     only changes wall-clock time (payloads are worker-count invariant), and
     ``force=True`` recomputes.  To run a registered scenario on a different
     backend, derive a new spec first (``dataclasses.replace(spec,
-    engine="fused")``) — engine choice is part of a result's identity.
+    engine="scalar")``) — engine choice is part of a result's identity.
     """
     return run_scenario(scenario, workers=workers, store=resolve_store(store), force=force)
 
@@ -132,7 +132,7 @@ def compare(
     engine-route ``attack`` spec.  Schedules share one RNG stream consumed
     in order, so results are reproducible from ``rng`` (a generator or a
     seed) alone.  ``engine`` selects the backend by registry name (default:
-    the ``REPRO_ENGINE``-overridable default).
+    :data:`~repro.engine.base.DEFAULT_ENGINE`).
 
     For repeated or published numbers, prefer declaring a
     :class:`~repro.scenarios.spec.ComparisonScenario` and calling

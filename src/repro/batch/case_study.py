@@ -211,7 +211,7 @@ def batch_case_study(
     n_replicas: int = DEFAULT_REPLICAS,
     attacker_factory: Callable[[], BatchAttacker] | None = None,
 ) -> CaseStudyResult:
-    """Batched counterpart of :func:`repro.vehicle.case_study.run_case_study`.
+    """Batched counterpart of :meth:`repro.engine.ScalarEngine.run_case_study`.
 
     Uses the same per-schedule seeding rule as the scalar driver — the
     collision-free :func:`repro.utils.seeding.derive_rng` child stream per

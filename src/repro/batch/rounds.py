@@ -506,8 +506,7 @@ def sample_correct_bounds(
     """Sample ``samples`` rounds of correct intervals containing ``true_value``.
 
     Each sensor's interval has its configured length and a uniformly random
-    offset, exactly like the scalar Monte-Carlo estimator in
-    :func:`repro.scheduling.comparison.expected_fusion_width_monte_carlo`.
+    offset.  Both engines draw their Monte-Carlo rounds here.
     """
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.ndim != 1 or lengths.size == 0:

@@ -389,10 +389,11 @@ def report_experiments(store: ArtifactStore, workers: int = 1, force: bool = Fal
     """The source of ``EXPERIMENTS.md``: every backbone scenario's current artifact.
 
     For each name in :data:`EXPERIMENTS_BACKBONE` the *newest stored
-    artifact* is used as is, whichever engine produced it — so a
-    ``python -m repro run NAME --engine fused`` refresh flows into the
-    regenerated document under its own key with the same payload bytes.  Only scenarios absent from the store are computed, at
-    their registered spec; ``force=True`` recomputes everything.
+    artifact* is used as is, whichever engine produced it — so a Table I
+    ``python -m repro run NAME --engine scalar`` refresh flows into the
+    regenerated document under its own key with the same payload bytes.
+    Only scenarios absent from the store are computed, at their registered
+    spec; ``force=True`` recomputes everything.
     """
     from pathlib import Path
 
@@ -446,7 +447,7 @@ def _render_experiments(payload: dict) -> str:
         "",
         "Each section renders the scenario name's *current* stored artifact —",
         "whichever engine produced it, so `python -m repro run NAME --engine",
-        "fused` refreshes a section under a new",
+        "scalar` refreshes a Table I section under a new",
         "key with bit-identical numbers.  Scenarios missing from the store are",
         "computed on the spot at their registered spec.  Paper reference",
         "numbers are quoted in the scenario descriptions (`python -m repro",

@@ -16,10 +16,8 @@ same experiments — the scalar reference loop (:mod:`repro.scheduling.round`,
   parity test-suite does exactly that for the deterministic stretch
   attacker).
 * :func:`register_engine` / :func:`get_engine` form the registry every call
-  site goes through.  ``get_engine(None)`` resolves the default backend,
-  which is ``"scalar"`` unless overridden by the ``REPRO_ENGINE``
-  environment variable — the deployment-side knob for flipping experiments
-  onto the batch engine (or a future jax backend) without touching code.
+  site goes through.  ``get_engine(None)`` resolves the fixed default
+  backend, :data:`DEFAULT_ENGINE` (``"scalar"``).
 
 Attack models are requested by *specification* (:class:`StretchAttack`,
 :class:`ExpectationAttack`, :class:`TruthfulAttack`, or their string
@@ -38,7 +36,6 @@ documented in ``docs/ARCHITECTURE.md``; the attacker catalogue in
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence, Union
 
@@ -55,7 +52,6 @@ from repro.utils.seeding import ensure_rng
 from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
 
 __all__ = [
-    "ENGINE_ENV_VAR",
     "DEFAULT_ENGINE",
     "TruthfulAttack",
     "StretchAttack",
@@ -67,15 +63,10 @@ __all__ = [
     "Engine",
     "register_engine",
     "available_engines",
-    "list_engines",
-    "default_engine_name",
     "get_engine",
 ]
 
-#: Environment variable overriding the default backend name.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Backend used when neither the caller nor the environment picks one.
+#: Backend used when the caller picks none.
 DEFAULT_ENGINE = "scalar"
 
 
@@ -375,21 +366,20 @@ class Engine(abc.ABC):
 _REGISTRY: dict[str, Callable[[], Engine]] = {}
 
 
-def _unknown_engine_error(name: str, env: bool = False) -> ExperimentError:
+def _unknown_engine_error(name: str) -> ExperimentError:
     """One consistent error for an engine name the registry cannot resolve.
 
-    Shared by :func:`get_engine` and :func:`default_engine_name` (and thereby
-    the CLI, ``repro.api`` and the scenario runner), so every entry point
-    reports a missing backend the same way: an *unknown engine* message with
-    the registered names and a did-you-mean suggestion.
+    Raised by :func:`get_engine` (and thereby the CLI, ``repro.api`` and the
+    scenario runner), so every entry point reports a missing backend the
+    same way: an *unknown engine* message with the registered names and a
+    did-you-mean suggestion.
     """
     import difflib
 
     available = ", ".join(available_engines())
-    source = f" (from {ENGINE_ENV_VAR}={name!r})" if env else ""
     matches = difflib.get_close_matches(name, available_engines(), n=3, cutoff=0.5)
     hint = f" — did you mean {', '.join(repr(match) for match in matches)}?" if matches else ""
-    return ExperimentError(f"unknown engine {name!r}{source}; available engines: {available}{hint}")
+    return ExperimentError(f"unknown engine {name!r}; available engines: {available}{hint}")
 
 
 def register_engine(name: str, factory: Callable[[], Engine], replace: bool = False) -> None:
@@ -410,35 +400,15 @@ def available_engines() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-#: Alias used by the registry-driven engine conformance suite
-#: (``tests/engine/conformance.py``): parametrising over ``list_engines()``
-#: covers every backend the moment it registers.
-list_engines = available_engines
-
-
-def default_engine_name() -> str:
-    """The backend used when no explicit choice is made.
-
-    Resolution order: the ``REPRO_ENGINE`` environment variable if set (and
-    validated against the registry), else ``"scalar"``.
-    """
-    name = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    if not name:
-        return DEFAULT_ENGINE
-    if name not in _REGISTRY:
-        raise _unknown_engine_error(name, env=True)
-    return name
-
-
 def get_engine(engine: str | Engine | None = None) -> Engine:
     """Resolve an engine selection to a backend instance.
 
-    ``None`` resolves the default (env-overridable) backend, a string looks
-    up the registry, and an :class:`Engine` instance passes through — so
-    call sites accept all three forms with one line.
+    ``None`` resolves :data:`DEFAULT_ENGINE`, a string looks up the
+    registry, and an :class:`Engine` instance passes through — so call sites
+    accept all three forms with one line.
     """
     if engine is None:
-        engine = default_engine_name()
+        engine = DEFAULT_ENGINE
     if isinstance(engine, Engine):
         return engine
     factory = _REGISTRY.get(engine)

@@ -9,8 +9,7 @@ batched closed-loop stepper of :mod:`repro.batch.case_study`, which
 simulates every platoon replica, vehicle and fusion round of a control
 period at once — 10⁴+ platoon rounds per schedule in seconds where the
 scalar engine manages a few hundred.  The engine is registered as
-``"batch"`` and, for the scenarios and store keys that name it so, as
-``"fused"``.
+``"batch"``.
 """
 
 from __future__ import annotations

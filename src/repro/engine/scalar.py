@@ -42,9 +42,20 @@ from repro.engine.base import (
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.round import RoundConfig, run_round
-from repro.scheduling.schedule import FixedSchedule, Schedule
+from repro.scheduling.schedule import (
+    AscendingSchedule,
+    DescendingSchedule,
+    FixedSchedule,
+    RandomSchedule,
+    Schedule,
+)
 from repro.utils.seeding import derive_rng, spawn_rng
-from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
+from repro.vehicle.case_study import (
+    CaseStudyConfig,
+    CaseStudyResult,
+    default_attack_policy,
+    run_case_study_for_schedule,
+)
 
 __all__ = ["ScalarEngine"]
 
@@ -212,18 +223,6 @@ class ScalarEngine(Engine):
         Accepts ``policy_factory`` (defaults to the paper's coarse-grid
         expectation attacker); any other option is rejected.
         """
-        # Imported lazily: repro.vehicle.case_study dispatches through this
-        # module via the registry.
-        from repro.vehicle.case_study import (
-            default_attack_policy,
-            run_case_study_for_schedule,
-        )
-        from repro.scheduling.schedule import (
-            AscendingSchedule,
-            DescendingSchedule,
-            RandomSchedule,
-        )
-
         policy_factory = options.pop("policy_factory", None) or default_attack_policy
         if options:
             raise ExperimentError(

@@ -18,7 +18,6 @@ from repro.optimize.base import (
     available_optimizers,
     best_row,
     get_optimizer,
-    list_optimizers,
     register_optimizer,
     sort_key,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Optimizer",
     "register_optimizer",
     "available_optimizers",
-    "list_optimizers",
     "get_optimizer",
     "sort_key",
     "best_row",

@@ -38,7 +38,6 @@ __all__ = [
     "Optimizer",
     "register_optimizer",
     "available_optimizers",
-    "list_optimizers",
     "get_optimizer",
     "sort_key",
     "best_row",
@@ -136,11 +135,6 @@ def register_optimizer(
 def available_optimizers() -> tuple[str, ...]:
     """Names of all registered strategies, sorted."""
     return tuple(sorted(_REGISTRY))
-
-
-#: Alias mirroring :func:`repro.engine.list_engines`, for suites that
-#: parametrise over every registered strategy.
-list_optimizers = available_optimizers
 
 
 def get_optimizer(strategy: str | Optimizer) -> Optimizer:

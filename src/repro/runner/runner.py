@@ -37,7 +37,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.exceptions import ExperimentError
-from repro.engine import default_engine_name, get_engine
+from repro.engine import DEFAULT_ENGINE, get_engine
 from repro.runner.store import ArtifactStore
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import (
@@ -455,18 +455,19 @@ def merge_outcomes(spec: ScenarioSpec, outcomes: list) -> dict:
 
 
 def resolve_spec_engine(spec: ScenarioSpec) -> ScenarioSpec:
-    """Pin the env-resolved default backend into a comparison/optimization spec.
+    """Pin the default backend into a comparison/optimization spec.
 
-    Applied *before* hashing: otherwise two ``REPRO_ENGINE`` sessions would
-    share one store entry and a future non-bit-parity backend could serve
-    another backend's numbers.  Case-study specs (whose engines are
-    validated fields) and explicitly pinned specs pass through unchanged.
+    Applied *before* hashing, so ``engine=None`` and
+    ``engine=DEFAULT_ENGINE`` share one store entry and a change of default
+    could never serve another backend's numbers under an old key.
+    Case-study specs (whose engines are validated fields) and explicitly
+    pinned specs pass through unchanged.
     """
     if spec.engine is None and spec.kind in (
         ComparisonScenario.kind,
         OptimizationScenario.kind,
     ):
-        return dataclasses.replace(spec, engine=default_engine_name())
+        return dataclasses.replace(spec, engine=DEFAULT_ENGINE)
     return spec
 
 

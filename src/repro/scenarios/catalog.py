@@ -409,9 +409,8 @@ def _lossy_scenarios() -> list[ComparisonScenario]:
 
     Each case pairs a schedule grid with a :class:`repro.channel.ChannelSpec`
     — i.i.d. loss, Gilbert–Elliott bursts, or delivery delay — crossed with
-    a retransmission budget.  They run on the batch engine under its
-    ``"fused"`` name, which their store keys carry (the lossy multi-slot
-    leg is the ``benchmarks/bench_lossy.py`` workload), and their
+    a retransmission budget.  They run on the batch engine (the lossy
+    multi-slot leg is the ``benchmarks/bench_lossy.py`` workload), and their
     payload rows carry the ``channel_dropped`` / ``channel_retransmits``
     counters; findings are written up in ``docs/CHANNELS.md``.
     """
@@ -424,7 +423,7 @@ def _lossy_scenarios() -> list[ComparisonScenario]:
                 "crossed with a retransmission budget — how much of the "
                 "descending advantage survives an unreliable bus"
             ),
-            engine="fused",
+            engine="batch",
             tags=("sweep", "channel"),
             samples=50_000,
             shard_samples=12_500,
@@ -446,7 +445,7 @@ def _lossy_scenarios() -> list[ComparisonScenario]:
                 "i.i.d. channel: bursts wipe out adjacent slots, so schedules "
                 "that cluster precise sensors suffer disproportionately"
             ),
-            engine="fused",
+            engine="batch",
             tags=("sweep", "channel"),
             samples=50_000,
             shard_samples=12_500,
@@ -479,7 +478,7 @@ def _lossy_scenarios() -> list[ComparisonScenario]:
                 "transmissions from the attacker (shrinking its support region) "
                 "but also miss fusion when they slip past the round end"
             ),
-            engine="fused",
+            engine="batch",
             tags=("sweep", "channel"),
             samples=50_000,
             shard_samples=12_500,
@@ -499,7 +498,7 @@ def _lossy_scenarios() -> list[ComparisonScenario]:
                 "Small-budget lossy-channel scenario — the CI smoke run for the "
                 "channel path (loss, delay and retransmission all exercised)"
             ),
-            engine="fused",
+            engine="batch",
             tags=("smoke", "channel"),
             samples=8_000,
             shard_samples=2_000,

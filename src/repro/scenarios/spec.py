@@ -240,10 +240,10 @@ class ScenarioSpec:
         Registry name (also the CLI spelling: ``python -m repro run NAME``).
     engine:
         Simulation backend, resolved through the :mod:`repro.engine`
-        registry; ``None`` uses the (env-overridable) default backend, which
+        registry; ``None`` uses the default backend (``"scalar"``), which
         the runner pins into the spec — and therefore into the content hash
-        — before executing, so two ``REPRO_ENGINE`` sessions never share a
-        store entry.
+        — before executing, so ``None`` and ``"scalar"`` share one store
+        entry.
     seed:
         Base seed.  Every shard derives its stream with
         :func:`repro.utils.seeding.derive_rng` spawn keys, so the full

@@ -7,7 +7,6 @@ from repro.scheduling.comparison import (
     compare_schedules,
     default_attacked_indices,
     expected_fusion_width_exhaustive,
-    expected_fusion_width_monte_carlo,
 )
 from repro.scheduling.enumeration import (
     canonical_schedule,
@@ -53,5 +52,4 @@ __all__ = [
     "compare_schedules",
     "default_attacked_indices",
     "expected_fusion_width_exhaustive",
-    "expected_fusion_width_monte_carlo",
 ]

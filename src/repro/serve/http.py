@@ -36,7 +36,7 @@ import json
 from urllib.parse import parse_qs
 
 from repro.core.exceptions import ExperimentError
-from repro.engine import available_engines, default_engine_name
+from repro.engine import DEFAULT_ENGINE, available_engines
 from repro.serve.service import API_VERSION, FusionService
 
 __all__ = ["FusionServer", "MAX_BODY_BYTES"]
@@ -146,8 +146,15 @@ class FusionServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the line overran the reader's buffer limit (64 KiB)
+            raise _HttpError(400, "request line or header line too long") from None
+
     async def _read_request(self, reader: asyncio.StreamReader):
-        request_line = await reader.readline()
+        request_line = await self._readline(reader)
         if not request_line:
             return None
         try:
@@ -157,7 +164,7 @@ class FusionServer:
         headers: dict[str, str] = {}
         total = len(request_line)
         while True:
-            line = await reader.readline()
+            line = await self._readline(reader)
             total += len(line)
             if total > _MAX_HEADER_BYTES:
                 raise _HttpError(400, "request headers too large")
@@ -196,7 +203,7 @@ class FusionServer:
                 return 200, {
                     "status": "ok",
                     "api_version": API_VERSION,
-                    "default_engine": default_engine_name(),
+                    "default_engine": DEFAULT_ENGINE,
                     "engines": list(available_engines()),
                 }
             if path == "/v1/metrics":

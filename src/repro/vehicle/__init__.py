@@ -5,7 +5,6 @@ from repro.vehicle.case_study import (
     CaseStudyResult,
     ViolationStats,
     default_attack_policy,
-    run_case_study,
     run_case_study_for_schedule,
 )
 from repro.vehicle.controller import SpeedController
@@ -40,7 +39,6 @@ __all__ = [
     "ViolationStats",
     "CaseStudyResult",
     "default_attack_policy",
-    "run_case_study",
     "run_case_study_for_schedule",
     "AttackedSensorSelector",
     "NoAttackSelector",

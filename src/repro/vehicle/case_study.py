@@ -21,16 +21,17 @@ Which sensor is attacked is configurable:
   rates; used by the ablation benchmark);
 * an integer index — a fixed sensor.
 
-:func:`run_case_study` dispatches through the :mod:`repro.engine` registry:
-``engine="scalar"`` steps the original per-vehicle object stack,
-``engine="batch"`` runs the vectorized closed-loop stepper of
+:func:`run_case_study_for_schedule` is the scalar reference driver; the
+full experiment runs through an engine, ``get_engine(name).run_case_study``
+(or :func:`repro.api.case_study`): ``"scalar"`` steps the per-vehicle object
+stack, ``"batch"`` runs the vectorized closed-loop stepper of
 :mod:`repro.batch.case_study` (10⁴+ platoon rounds per schedule in seconds).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "CaseStudyResult",
     "default_attack_policy",
     "run_case_study_for_schedule",
-    "run_case_study",
 ]
 
 
@@ -180,38 +180,3 @@ def run_case_study_for_schedule(
         upper_violations=upper,
         lower_violations=lower,
     )
-
-
-def run_case_study(
-    config: CaseStudyConfig | None = None,
-    schedules: Sequence[Schedule] | None = None,
-    policy_factory: Callable[[], AttackPolicy] | None = None,
-    engine: str | object | None = None,
-    **engine_options,
-) -> CaseStudyResult:
-    """Run the full Table II experiment (all three schedules by default).
-
-    Parameters
-    ----------
-    policy_factory:
-        Scalar attack-policy factory (defaults to the paper's coarse-grid
-        expectation attacker).  Only the scalar engine can honour it; the
-        batch engine rejects it and takes ``attacker_factory`` instead.
-    engine:
-        Simulation backend: ``"scalar"`` (the reference per-vehicle object
-        stack), ``"batch"`` (the vectorized closed-loop stepper of
-        :mod:`repro.batch.case_study`, typically 10–100x faster and scaled
-        up by the ``n_replicas`` option), any registered engine name, or an
-        :class:`~repro.engine.base.Engine` instance.  ``None`` picks the
-        default backend, overridable via the ``REPRO_ENGINE`` environment
-        variable.
-    engine_options:
-        Backend-specific options forwarded verbatim, e.g. ``n_replicas=64``
-        or ``attacker_factory=...`` for the batch engine.
-    """
-    # Imported lazily: the engine backends wrap the drivers in this module.
-    from repro.engine import get_engine
-
-    if policy_factory is not None:
-        engine_options = {"policy_factory": policy_factory, **engine_options}
-    return get_engine(engine).run_case_study(config, schedules, **engine_options)

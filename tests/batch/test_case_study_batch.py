@@ -13,8 +13,9 @@ import pytest
 
 from repro.batch.case_study import batch_case_study, batch_case_study_for_schedule
 from repro.core import ExperimentError
+from repro.engine import get_engine
 from repro.scheduling import AscendingSchedule, DescendingSchedule, RandomSchedule
-from repro.vehicle import CaseStudyConfig, run_case_study
+from repro.vehicle import CaseStudyConfig
 
 
 def total_rate(stats) -> float:
@@ -48,7 +49,7 @@ class TestBatchCaseStudyStatistics:
         # The scalar reference at a reduced-but-stable scale; the proxy
         # attacker must land in the same statistical regime (the measured
         # ratio is ~0.9 for Descending and ~1.05 for Random).
-        scalar = run_case_study(CaseStudyConfig(n_steps=60, n_vehicles=2), engine="scalar")
+        scalar = get_engine("scalar").run_case_study(CaseStudyConfig(n_steps=60, n_vehicles=2))
         for name in ("descending", "random"):
             batch_rate = total_rate(batch_result.for_schedule(name))
             scalar_rate = total_rate(scalar.for_schedule(name))
@@ -67,9 +68,7 @@ class TestBatchCaseStudyStatistics:
 
 class TestBatchCaseStudyConfigurations:
     def test_engine_route_through_run_case_study(self):
-        result = run_case_study(
-            CaseStudyConfig(n_steps=40), engine="batch", n_replicas=4
-        )
+        result = get_engine("batch").run_case_study(CaseStudyConfig(n_steps=40), n_replicas=4)
         assert result.for_schedule("ascending").rounds == 4 * 3 * 40
         ordering = [total_rate(s) for s in result.stats]
         assert ordering[0] < ordering[1]  # ascending < descending

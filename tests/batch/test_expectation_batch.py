@@ -128,23 +128,6 @@ def test_engine_compare_rows_match_expectation():
     assert scalar.rows == batch.rows
 
 
-def test_compare_schedules_engine_attack_route():
-    """compare_schedules(engine=..., attack='expectation') goes through the registry."""
-    from repro.scheduling import compare_schedules
-
-    config = ScheduleComparisonConfig(lengths=(5.0, 11.0, 17.0), fa=1)
-    schedules = [AscendingSchedule(), DescendingSchedule()]
-    spec = ExpectationAttack(**COARSE)
-    via_engine = compare_schedules(
-        config, schedules, engine="batch", attack=spec, samples=16, rng=np.random.default_rng(1)
-    )
-    direct = BatchEngine().compare(
-        config, schedules, samples=16, rng=np.random.default_rng(1), attack=spec
-    )
-    assert via_engine.rows == direct.rows
-    assert all(row.detected_fraction == 0.0 for row in via_engine.rows)
-
-
 def test_attacker_selectable_in_batch_rounds():
     """The exact attacker plugs into batch_rounds like any BatchAttacker."""
     attacker = ExactExpectationBatchAttacker(**COARSE)

@@ -1,10 +1,13 @@
 """CLI coverage: in-process command tests plus a true subprocess smoke."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main, render_payload
 
@@ -112,22 +115,24 @@ class TestErrorPaths:
         assert "unknown scenario or derived report" in err
         assert "table2-exact-vs-proxy" in err  # the derived-report namespace
 
-    def test_run_with_removed_engine_name_fails_cleanly(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", ["numba", "fused"])
+    def test_run_with_removed_engine_name_fails_cleanly(self, capsys, tmp_path, name):
         code, _, err = run_cli(
-            "run", "table1-smoke", "--engine", "numba", "--store", str(tmp_path), capsys=capsys
+            "run", "table1-smoke", "--engine", name, "--store", str(tmp_path), capsys=capsys
         )
         assert code == 1
-        assert "error: unknown engine 'numba'; available engines: batch, fused, scalar" in err
+        assert f"error: unknown engine '{name}'; available engines: batch, scalar" in err
         assert "Traceback" not in err
 
-    def test_removed_engine_name_exits_1_in_a_real_subprocess(self, tmp_path):
+    @pytest.mark.parametrize("name", ["numba", "fused"])
+    def test_removed_engine_name_exits_1_in_a_real_subprocess(self, tmp_path, name):
         env = {
             **os.environ,
             "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
             "REPRO_STORE_DIR": str(tmp_path),
         }
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "table1-smoke", "--engine", "numba"],
+            [sys.executable, "-m", "repro", "run", "table1-smoke", "--engine", name],
             capture_output=True,
             text=True,
             cwd=str(tmp_path),
@@ -135,7 +140,7 @@ class TestErrorPaths:
         )
         assert completed.returncode == 1
         assert completed.stderr.strip().endswith(
-            "error: unknown engine 'numba'; available engines: batch, fused, scalar"
+            f"error: unknown engine '{name}'; available engines: batch, scalar"
         )
         assert "Traceback" not in completed.stderr
 
@@ -196,25 +201,29 @@ class TestExperimentsReport:
         assert section["cached"] is True  # second pass reads the stored artifact
 
     def test_engine_refresh_flows_into_the_document(self, capsys, tmp_path, monkeypatch):
-        # A fused-engine rerun writes a new key for the same name; the
+        # A scalar-engine rerun writes a new key for the same name; the
         # experiments report must pick up that newest artifact — same
         # payload bytes, new provenance.
         import repro.cli as cli
+        from repro.scenarios.registry import _SCENARIOS, get_scenario
 
         monkeypatch.setattr(cli, "EXPERIMENTS_BACKBONE", ("table1-smoke",))
+        # A smaller budget keeps the scalar-engine rerun quick.
+        small = dataclasses.replace(get_scenario("table1-smoke"), samples=400, shard_samples=200)
+        monkeypatch.setitem(_SCENARIOS, "table1-smoke", small)
         store = str(tmp_path / "store")
         code, out, _ = run_cli("run", "table1-smoke", "--json", "--store", store, capsys=capsys)
         (batch_run,) = json.loads(out)["results"]
         code, out, _ = run_cli(
-            "run", "table1-smoke", "--engine", "fused", "--json", "--store", store, capsys=capsys
+            "run", "table1-smoke", "--engine", "scalar", "--json", "--store", store, capsys=capsys
         )
-        (fused_run,) = json.loads(out)["results"]
-        assert fused_run["key"] != batch_run["key"]
+        (scalar_run,) = json.loads(out)["results"]
+        assert scalar_run["key"] != batch_run["key"]
         code, out, _ = run_cli("report", "experiments", "--store", store, "--json", capsys=capsys)
         assert code == 0
         (section,) = json.loads(out)["sections"]
-        assert section["key"] == fused_run["key"]
-        assert section["engine"] == "fused"
+        assert section["key"] == scalar_run["key"]
+        assert section["engine"] == "scalar"
         assert section["payload"] == batch_run["payload"]
 
 

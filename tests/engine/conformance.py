@@ -5,9 +5,9 @@ the scalar reference oracle under the deterministic attack specs, fill the
 complete :class:`~repro.engine.base.RoundsResult` (per-sensor arrays
 included), and consume the shared random stream with perfect discipline.
 ``tests/engine/test_conformance.py`` parametrises these checks over
-:func:`repro.engine.list_engines`, so a new backend — the fused engine
-today, a jax engine tomorrow — inherits the whole suite the moment
-``register_engine`` runs; nothing needs hand-wiring per backend.
+:func:`repro.engine.available_engines`, so a new backend — a jax engine,
+say — inherits the whole suite the moment ``register_engine`` runs;
+nothing needs hand-wiring per backend.
 
 The module holds the conformance *matrix* (configurations × schedules ×
 attacks × fault models) and the check implementations; scalar-oracle
@@ -67,9 +67,13 @@ class ConformanceCase:
     seed: int = 2014
     #: Optional lossy-channel spec (frozen, so the case stays hashable).
     channel: ChannelSpec | None = None
+    #: Explicit attacked sensors; ``None`` attacks the ``fa`` most precise.
+    attacked: tuple[int, ...] | None = None
 
     def config(self) -> ScheduleComparisonConfig:
-        return ScheduleComparisonConfig(lengths=self.lengths, fa=self.fa, f=self.f)
+        return ScheduleComparisonConfig(
+            lengths=self.lengths, fa=self.fa, f=self.f, attacked_indices=self.attacked
+        )
 
     def schedule_object(self):
         return _SCHEDULES[self.schedule]()
@@ -138,6 +142,54 @@ CONFORMANCE_MATRIX: tuple[ConformanceCase, ...] = (
         "channel-faults", (1.0, 1.0, 1.0, 1.0, 1.0), 1, "ascending", f=2,
         fault_probability=0.35,
         channel=ChannelSpec(model="iid", loss=0.25, retransmit_budget=1), samples=160,
+    ),
+    # Sensor-set shapes: an even sensor count, a wide seven-sensor array
+    # with three attackers, a fault bound above the attacker count, tied
+    # lengths (the schedules' sort must break ties the same way), no
+    # attacker at all, and an explicitly chosen (least precise) victim.
+    ConformanceCase("stretch-even-n4", (1.0, 2.0, 4.0, 8.0), 1, "descending"),
+    ConformanceCase(
+        "stretch-left-n7-fa3", (0.5, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0), 3, "random",
+        attack="stretch-left",
+    ),
+    ConformanceCase("stretch-f-above-fa", (2.0, 3.0, 3.0, 6.0, 8.0), 1, "ascending", f=2),
+    ConformanceCase("stretch-tied-lengths", (3.0, 3.0, 3.0, 3.0, 3.0), 2, "descending"),
+    ConformanceCase("no-attacker-random", (5.0, 11.0, 17.0), 0, "random"),
+    ConformanceCase(
+        "stretch-explicit-victim", (2.0, 3.0, 3.0, 6.0, 8.0), 1, "fixed", attacked=(4,),
+    ),
+    # More fault / channel crossings: the truthful attacker under faults,
+    # the left stretch over a bursty channel, bursts with delay and faults,
+    # and the two loss extremes (a lossless channel still reports zero
+    # counters; a total loss empties every fusion).
+    ConformanceCase(
+        "truthful-faults-random", (2.0, 3.0, 3.0, 6.0, 8.0), 2, "random", attack="truthful",
+        fault_probability=0.25, samples=128,
+    ),
+    ConformanceCase(
+        "channel-burst-stretch-left", (5.0, 11.0, 17.0), 1, "descending", attack="stretch-left",
+        channel=ChannelSpec(
+            model="gilbert-elliott", good_to_bad=0.2, bad_to_good=0.5,
+            loss_good=0.0, loss_bad=0.8,
+        ),
+        samples=128,
+    ),
+    ConformanceCase(
+        "channel-burst-delay-faults", (1.0, 1.0, 1.0, 1.0, 1.0), 1, "random", f=2,
+        fault_probability=0.2,
+        channel=ChannelSpec(
+            model="gilbert-elliott", good_to_bad=0.25, bad_to_good=0.5,
+            loss_good=0.05, loss_bad=0.7, delay=0.3, max_delay=2, retransmit_budget=1,
+        ),
+        samples=128,
+    ),
+    ConformanceCase(
+        "channel-lossless-retx", (2.0, 3.0, 3.0, 6.0, 8.0), 2, "ascending",
+        channel=ChannelSpec(model="iid", loss=0.0, retransmit_budget=2),
+    ),
+    ConformanceCase(
+        "channel-total-loss", (5.0, 11.0, 17.0), 1, "ascending",
+        channel=ChannelSpec(model="iid", loss=1.0, retransmit_budget=1),
     ),
 )
 

@@ -1,6 +1,6 @@
 """Registry-driven engine conformance: every backend, one contract.
 
-Parametrised over :func:`repro.engine.list_engines`, so registering a new
+Parametrised over :func:`repro.engine.available_engines`, so registering a new
 engine automatically subjects it to the whole suite — scalar-oracle bit
 parity under the deterministic attack specs, result completeness, RNG
 stream discipline, and scenario-payload equality across engines and
@@ -11,7 +11,7 @@ engines (see ``.github/workflows/ci.yml``).
 import numpy as np
 import pytest
 
-from repro.engine import list_engines
+from repro.engine import available_engines
 from repro.runner import run_scenario
 from repro.scenarios import ComparisonCase, ComparisonScenario
 
@@ -23,7 +23,7 @@ from conformance import (
     conformance_ids,
 )
 
-ENGINES = list_engines()
+ENGINES = available_engines()
 #: The expectation cells re-run the scalar policy's grid search per round;
 #: restricting them to a subset of the matrix keeps the suite fast while
 #: the stretch/truthful cells cover every schedule and fault model.
@@ -31,9 +31,9 @@ FAST_MATRIX = tuple(c for c in CONFORMANCE_MATRIX if not c.attack.startswith("ex
 
 
 def test_every_builtin_engine_is_covered():
-    # The suite must cover the three shipped backends (and anything else
+    # The suite must cover the two shipped backends (and anything else
     # registered by the session under test).
-    assert {"scalar", "batch", "fused"} <= set(ENGINES)
+    assert {"scalar", "batch"} <= set(ENGINES)
 
 
 @pytest.mark.parametrize("case", CONFORMANCE_MATRIX, ids=conformance_ids)

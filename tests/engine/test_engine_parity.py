@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformance import assert_rounds_equal
-from repro.engine import BatchEngine, ScalarEngine, StretchAttack, get_engine, list_engines
+from repro.engine import BatchEngine, ScalarEngine, StretchAttack, available_engines, get_engine
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -21,7 +21,7 @@ from repro.scheduling import (
 )
 
 #: The oracle fuzzes against every other registered backend.
-NON_ORACLE_ENGINES = [name for name in list_engines() if name != "scalar"]
+NON_ORACLE_ENGINES = [name for name in available_engines() if name != "scalar"]
 
 
 @pytest.mark.parametrize("engine_name", NON_ORACLE_ENGINES)

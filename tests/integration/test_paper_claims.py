@@ -17,6 +17,7 @@ from repro.analysis import TABLE1_CONFIGURATIONS, figure1_intervals
 from repro.attack import ExpectationPolicy, optimal_fusion_width
 from repro.core import Interval, fuse, theorem2_bound
 from repro.core.worst_case import worst_case_no_attack, worst_case_with_attack
+from repro.engine import get_engine
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -26,7 +27,7 @@ from repro.scheduling import (
     run_round,
 )
 from repro.sensors import SensorSuite, UniformNoise, sensors_from_widths
-from repro.vehicle import CaseStudyConfig, run_case_study
+from repro.vehicle import CaseStudyConfig
 
 
 class TestFigure1:
@@ -92,8 +93,12 @@ class TestTable1Shape:
         # stealthy attacker is never detected.
         tolerance = max(0.05, 10.0 / math.sqrt(samples))
         for entry in TABLE1_CONFIGURATIONS:
-            comparison = entry.engine_comparison(
-                "batch", samples=samples, rng=np.random.default_rng(0), attack=attack
+            comparison = get_engine("batch").compare(
+                entry.comparison_config(),
+                (AscendingSchedule(), DescendingSchedule()),
+                samples=samples,
+                rng=np.random.default_rng(0),
+                attack=attack,
             )
             assert (
                 comparison.expected_width("descending")
@@ -122,7 +127,7 @@ class TestTable1Shape:
 class TestTable2Shape:
     def test_schedule_ordering_of_violations(self):
         config = CaseStudyConfig(n_steps=120, n_vehicles=2, seed=5)
-        result = run_case_study(config)
+        result = get_engine("scalar").run_case_study(config)
         total = lambda name: (  # noqa: E731
             result.for_schedule(name).upper_violations + result.for_schedule(name).lower_violations
         )

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.engine import get_engine, list_engines
+from repro.engine import available_engines, get_engine
 from repro.runner import run_scenario
 from repro.scenarios import ComparisonCase, ComparisonScenario
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.schedule import FixedSchedule
 
-ENGINES = list_engines()
+ENGINES = available_engines()
 
 CONFIG = ScheduleComparisonConfig(lengths=(5.0, 8.0, 11.0), fa=1, attacked_indices=(1,))
 

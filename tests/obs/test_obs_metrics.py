@@ -23,7 +23,7 @@ class TestCounter:
             "c_total", engine="batch"
         )
         assert registry.counter("c_total", engine="batch") is not registry.counter(
-            "c_total", engine="fused"
+            "c_total", engine="scalar"
         )
 
     def test_kind_mismatch_raises(self):

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.engine import list_engines
+from repro.engine import available_engines
 from repro.runner import run_scenario
 from repro.scenarios.spec import ComparisonCase, OptimizationScenario
 
@@ -38,8 +38,8 @@ def payload_bytes(spec: OptimizationScenario, workers: int = 1) -> str:
     return json.dumps(run_scenario(spec, workers=workers, store=None).payload, sort_keys=True)
 
 
-#: Engines that uphold the bit-identity conformance contract.
-PACKED_ENGINES = [name for name in list_engines() if name in ("batch", "fused")]
+#: Engines checked against the default (scalar) engine's payload.
+PACKED_ENGINES = [name for name in available_engines() if name != "scalar"]
 
 
 class TestWorkerInvariance:

@@ -8,7 +8,6 @@ from repro.optimize import (
     Optimizer,
     available_optimizers,
     get_optimizer,
-    list_optimizers,
     register_optimizer,
 )
 
@@ -16,9 +15,6 @@ from repro.optimize import (
 class TestRegistry:
     def test_builtin_strategies_registered(self):
         assert set(available_optimizers()) >= {"exhaustive", "anneal", "bandit"}
-
-    def test_list_optimizers_is_available_optimizers(self):
-        assert list_optimizers is available_optimizers
 
     def test_get_by_name(self):
         assert isinstance(get_optimizer("anneal"), AnnealOptimizer)

@@ -108,14 +108,13 @@ class TestShardInvariance:
         totals = [row["upper_violations"] + row["lower_violations"] for row in payload["rows"]]
         assert totals[0] != totals[1]
 
-    def test_default_engine_is_pinned_into_spec_and_key(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_engine_is_pinned_into_spec_and_key(self, tmp_path):
         store = ArtifactStore(tmp_path)
         spec = table1_scenario(name="runner-test-default-engine", engine=None, samples=60, shard_samples=30)
         run = run_scenario(spec, store=store)
         assert run.spec.engine == "scalar"  # the resolved default, not None
         # The stored artifact is addressed (and self-described) by the
-        # resolved backend, so another REPRO_ENGINE session cannot hit it.
+        # resolved backend, so engine=None and engine="scalar" share it.
         assert run.key != spec_key(spec)
         assert run.key == spec_key(dataclasses.replace(spec, engine="scalar"))
         rerun = run_scenario(spec, store=store)
@@ -283,10 +282,11 @@ class TestPayloadShape:
 
     def test_scalar_case_study_matches_engine_route(self):
         run = run_scenario(get_scenario("table2-scalar"), workers=3)
-        from repro.vehicle import CaseStudyConfig, run_case_study
+        from repro.engine import get_engine
+        from repro.vehicle import CaseStudyConfig
 
-        reference = run_case_study(
-            CaseStudyConfig(n_steps=60, n_vehicles=2, seed=2014), engine="scalar"
+        reference = get_engine("scalar").run_case_study(
+            CaseStudyConfig(n_steps=60, n_vehicles=2, seed=2014)
         )
         for row in run.payload["rows"]:
             stats = reference.for_schedule(row["schedule"])

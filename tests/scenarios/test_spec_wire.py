@@ -165,7 +165,7 @@ class TestRejection:
         with pytest.raises(ExperimentError, match="engine must be"):
             spec_from_dict(payload)
 
-    @pytest.mark.parametrize("engine", [None, "batch", "fused", "scalar"])
+    @pytest.mark.parametrize("engine", [None, "batch", "scalar"])
     def test_engine_accepts_null_and_names(self, engine):
         payload = {**wire(get_scenario("table1-smoke")), "engine": engine}
         assert spec_from_dict(payload).engine == engine

@@ -11,6 +11,7 @@ from repro.attack import (
     TruthfulPolicy,
 )
 from repro.core import ExperimentError
+from repro.engine import get_engine
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -18,7 +19,6 @@ from repro.scheduling import (
     compare_schedules,
     default_attacked_indices,
     expected_fusion_width_exhaustive,
-    expected_fusion_width_monte_carlo,
 )
 
 
@@ -71,10 +71,12 @@ class TestEstimators:
         assert row.detected_fraction == 0.0
 
     def test_monte_carlo_close_to_exhaustive_for_truthful(self):
+        # The engines' uniform-placement Monte-Carlo sweep cross-checks the
+        # paper's grid enumeration.
         exhaustive = expected_fusion_width_exhaustive(self.config, AscendingSchedule(), TruthfulPolicy())
-        monte_carlo = expected_fusion_width_monte_carlo(
-            self.config, AscendingSchedule(), TruthfulPolicy(), samples=800, rng=np.random.default_rng(0)
-        )
+        monte_carlo = get_engine("scalar").run_rounds(
+            self.config, AscendingSchedule(), "truthful", samples=800, rng=np.random.default_rng(0)
+        ).to_row()
         assert monte_carlo.expected_width == pytest.approx(exhaustive.expected_width, rel=0.15)
 
     def test_attacker_strength_ordering(self):
@@ -108,9 +110,12 @@ class TestEstimators:
         for name in ("random", "greedy", "faithful"):
             assert widths["truthful"] - 1e-9 <= widths[name] <= widths["omniscient"] + 1e-6
 
-    def test_monte_carlo_needs_positive_samples(self):
-        with pytest.raises(ExperimentError):
-            expected_fusion_width_monte_carlo(self.config, AscendingSchedule(), TruthfulPolicy(), samples=0)
+    @pytest.mark.parametrize("engine_name", ["scalar", "batch"])
+    def test_monte_carlo_needs_positive_samples(self, engine_name):
+        with pytest.raises(ExperimentError, match="positive number of samples"):
+            get_engine(engine_name).run_rounds(
+                self.config, AscendingSchedule(), "truthful", samples=0
+            )
 
 
 class TestCompareSchedules:
@@ -128,8 +133,3 @@ class TestCompareSchedules:
         config = ScheduleComparisonConfig(lengths=(5.0, 11.0, 17.0), fa=1, positions=3)
         comparison = compare_schedules(config, [AscendingSchedule(), DescendingSchedule()])
         assert comparison.expected_width("descending") >= comparison.expected_width("ascending") - 1e-9
-
-    def test_unknown_method_rejected(self):
-        config = ScheduleComparisonConfig(lengths=(5.0, 11.0), fa=0, positions=2)
-        with pytest.raises(ExperimentError):
-            compare_schedules(config, [AscendingSchedule()], method="magic")

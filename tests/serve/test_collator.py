@@ -22,7 +22,7 @@ class TestPlanKey:
         assert plan_key("batch", CASE, "ascending") == plan_key("batch", relabeled, "ascending")
 
     def test_physics_fields_affect_key(self):
-        assert plan_key("batch", CASE, "ascending") != plan_key("fused", CASE, "ascending")
+        assert plan_key("batch", CASE, "ascending") != plan_key("scalar", CASE, "ascending")
         assert plan_key("batch", CASE, "ascending") != plan_key("batch", CASE, "descending")
         wider = ComparisonCase(label="case", lengths=(2.0, 3.0, 9.0), fa=1)
         assert plan_key("batch", CASE, "ascending") != plan_key("batch", wider, "ascending")

@@ -193,7 +193,8 @@ def test_introspection_and_error_mapping(tmp_path, registered_specs):
         status, health = server.request("GET", "/v1/health")
         assert status == 200
         assert health["status"] == "ok"
-        assert set(health["engines"]) >= {"scalar", "batch", "fused"}
+        assert health["default_engine"] == "scalar"
+        assert health["engines"] == ["batch", "scalar"]
 
         status, catalogue = server.request("GET", "/v1/scenarios")
         assert status == 200
@@ -255,19 +256,21 @@ def test_malformed_engine_answers_400(engine):
             assert status == 400 and "engine must be" in body["error"]
 
 
-def test_removed_jit_engine_name_answers_400():
-    # "numba" is an ordinary unknown engine name: a 400 naming the
-    # registered engines, from the override and from an inline spec alike.
+@pytest.mark.parametrize("name", ["numba", "fused"])
+def test_removed_engine_name_answers_400(name):
+    # The former JIT backend's name and the former alias of the batch engine
+    # are ordinary unknown engine names: a 400 naming the registered engines,
+    # from the override and from an inline spec alike.
     service = FusionService(store=None)
     with ServerThread(service) as server:
         for request in (
-            {"scenario": "table1-smoke", "engine": "numba"},
-            {"spec": dict(spec_dict(SPEC_A), engine="numba")},
+            {"scenario": "table1-smoke", "engine": name},
+            {"spec": dict(spec_dict(SPEC_A), engine=name)},
         ):
             status, body = server.request("POST", "/v1/run", request)
             assert status == 400
-            assert "unknown engine 'numba'" in body["error"]
-            assert "available engines: batch, fused, scalar" in body["error"]
+            assert f"unknown engine '{name}'" in body["error"]
+            assert "available engines: batch, scalar" in body["error"]
 
 
 def test_keep_alive_serves_sequential_requests_on_one_connection(registered_specs):
@@ -300,3 +303,26 @@ def test_invalid_content_length_answers_400(length):
         head, _, body = response.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert f"invalid Content-Length '{length}'" in json.loads(body)["error"]
+
+
+@pytest.mark.parametrize(
+    "request_head",
+    [
+        "GET /v1/health?pad=" + "x" * 70_000 + " HTTP/1.1\r\n\r\n",
+        "GET /v1/health HTTP/1.1\r\nX-Pad: " + "x" * 70_000 + "\r\n\r\n",
+    ],
+    ids=["request-line", "header-line"],
+)
+def test_overlong_line_answers_400(request_head):
+    # A line past the stream reader's 64 KiB limit used to raise an uncaught
+    # ValueError, dropping the socket without an answer.
+    service = FusionService(store=None)
+    with ServerThread(service) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(request_head.encode("latin-1"))
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "line too long" in json.loads(body)["error"]

@@ -18,12 +18,12 @@ SPEC = ComparisonScenario(
     engine="batch",
 )
 
-CASE_STUDY_FREE_SPEC = ComparisonScenario(
-    name="serve-test-fused",
+SCALAR_SPEC = ComparisonScenario(
+    name="serve-test-scalar",
     cases=(ComparisonCase(label="case", lengths=(2.0, 3.0, 4.0), fa=1),),
     samples=80,
     shard_samples=40,
-    engine="fused",
+    engine="scalar",
 )
 
 
@@ -49,9 +49,9 @@ class TestResolveRequest:
 
     def test_engine_override_derives_new_spec(self):
         spec, _ = self.service().resolve_request(
-            {"spec": spec_dict(SPEC), "engine": "fused"}
+            {"spec": spec_dict(SPEC), "engine": "scalar"}
         )
-        assert spec.engine == "fused"
+        assert spec.engine == "scalar"
         assert spec_key(spec) != spec_key(SPEC)
 
     @pytest.mark.parametrize(
@@ -76,14 +76,6 @@ class TestResolveRequest:
     def test_non_name_engine_override_rejected(self, engine):
         with pytest.raises(ExperimentError, match="engine must be"):
             self.service().resolve_request({"scenario": "table1-smoke", "engine": engine})
-
-    def test_env_default_naming_an_unregistered_engine_rejected(self, monkeypatch):
-        # A spec without an engine pins the REPRO_ENGINE default while the
-        # request is parsed, so a stale name is a request error.
-        monkeypatch.setenv("REPRO_ENGINE", "numba")
-        payload = {**spec_dict(SPEC), "engine": None}
-        with pytest.raises(ExperimentError, match="unknown engine 'numba'"):
-            self.service().resolve_request({"spec": payload})
 
 
 class TestServing:
@@ -155,10 +147,10 @@ class TestServing:
             reference = run_scenario(spec, workers=1, store=None)
             assert canonical(response["payload"]) == canonical(reference.payload)
 
-    def test_fused_engine_serves_identically(self, tmp_path):
+    def test_scalar_engine_serves_identically(self, tmp_path):
         service = FusionService(store=None)
-        response = asyncio.run(service.run_spec(CASE_STUDY_FREE_SPEC))
-        reference = run_scenario(CASE_STUDY_FREE_SPEC, workers=1, store=None)
+        response = asyncio.run(service.run_spec(SCALAR_SPEC))
+        reference = run_scenario(SCALAR_SPEC, workers=1, store=None)
         assert canonical(response["payload"]) == canonical(reference.payload)
 
     def test_non_comparison_kinds_served_via_thread(self):

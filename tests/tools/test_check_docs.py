@@ -64,6 +64,18 @@ def test_stale_python_path_is_flagged(tmp_path):
     assert "benchmarks/bench_gone.py" in errors[0] and "tests/gone.py" in errors[1]
 
 
+def test_stale_environment_variable_is_flagged(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "set `REPRO_STORE_DIR` or a `REPRO_BENCH_*` knob; `REPRO_WARP_DRIVE` is gone\n",
+        encoding="utf-8",
+    )
+    known = check_docs.code_env_vars()
+    assert {"REPRO_STORE_DIR", "REPRO_BENCH_STEPS"} <= known
+    errors = check_docs.check_env_vars(page, page.read_text(encoding="utf-8"), known)
+    assert len(errors) == 1 and "REPRO_WARP_DRIVE" in errors[0]
+
+
 @pytest.mark.parametrize("name", ["README.md", "docs/ARCHITECTURE.md", "docs/ATTACKERS.md"])
 def test_doc_set_exists(name):
     assert (TOOLS_DIR.parent / name).is_file()

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import ExperimentError
+from repro.engine import get_engine
 from repro.scheduling import AscendingSchedule, DescendingSchedule
 from repro.vehicle import (
     CaseStudyConfig,
     ViolationStats,
     landshark_suite,
-    run_case_study,
     run_case_study_for_schedule,
 )
 
@@ -74,7 +74,7 @@ class TestCaseStudyRuns:
 
     def test_full_case_study_ordering(self):
         config = self.small_config(n_steps=80, n_vehicles=2)
-        result = run_case_study(config)
+        result = get_engine("scalar").run_case_study(config)
         ascending = result.for_schedule("ascending")
         descending = result.for_schedule("descending")
         random_row = result.for_schedule("random")
@@ -84,7 +84,7 @@ class TestCaseStudyRuns:
         assert total(descending) > total(random_row) >= total(ascending)
 
     def test_unknown_schedule_lookup_rejected(self):
-        result = run_case_study(self.small_config(n_steps=5, n_vehicles=1), schedules=(AscendingSchedule(),))
+        result = get_engine("scalar").run_case_study(self.small_config(n_steps=5, n_vehicles=1), (AscendingSchedule(),))
         with pytest.raises(ExperimentError):
             result.for_schedule("descending")
 

@@ -15,7 +15,8 @@ arithmetic.
 
 import pytest
 
-from repro.vehicle import CaseStudyConfig, run_case_study
+from repro.engine import get_engine
+from repro.vehicle import CaseStudyConfig
 
 #: (upper_violations, lower_violations) per schedule for the pinned config.
 PINNED_COUNTS = {
@@ -29,7 +30,7 @@ PINNED_CONFIG = dict(n_steps=60, n_vehicles=2, seed=2014)
 
 @pytest.fixture(scope="module")
 def pinned_result():
-    return run_case_study(CaseStudyConfig(**PINNED_CONFIG), engine="scalar")
+    return get_engine("scalar").run_case_study(CaseStudyConfig(**PINNED_CONFIG))
 
 
 def test_scalar_violation_counts_are_pinned(pinned_result):
@@ -54,9 +55,7 @@ def test_paper_ordering_holds_at_pin(pinned_result):
     assert totals["ascending"] < totals["random"] < totals["descending"]
 
 
-def test_default_engine_matches_scalar_pin(pinned_result, monkeypatch):
-    # run_case_study with no engine choice must keep producing the scalar
-    # reference numbers (REPRO_ENGINE unset).
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    default = run_case_study(CaseStudyConfig(**PINNED_CONFIG))
+def test_default_engine_matches_scalar_pin(pinned_result):
+    # The default engine must keep producing the scalar reference numbers.
+    default = get_engine(None).run_case_study(CaseStudyConfig(**PINNED_CONFIG))
     assert default.stats == pinned_result.stats

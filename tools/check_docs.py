@@ -1,6 +1,6 @@
 """Lightweight docs checker: keep README/docs snippets and references honest.
 
-Four checks over ``README.md`` and ``docs/*.md``:
+Five checks over ``README.md`` and ``docs/*.md``:
 
 1. every fenced ``python`` code block must *compile* (syntax-checked with
    the file and line of the block on failure — snippets are not executed,
@@ -11,7 +11,10 @@ Four checks over ``README.md`` and ``docs/*.md``:
 3. every relative markdown link must point at an existing file;
 4. every backticked repo-relative ``*.py`` path (a ``*`` glob, or a
    ``path.py::node`` test id, names the file part) must exist, so a deleted
-   module or test file cannot linger in a table.
+   module or test file cannot linger in a table;
+5. every ``REPRO_*`` environment variable named must appear in the code
+   under ``src/`` or ``benchmarks/``, so a deleted knob cannot linger in
+   the docs.
 
 Run from the repository root (CI's docs job does)::
 
@@ -40,6 +43,13 @@ MARKDOWN_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 PY_PATH = re.compile(r"`([\w.*-][\w./*-]*\.py)(?:::[^`]*)?`")
 
 FENCE = re.compile(r"^```(\w*)\s*$")
+
+#: ``REPRO_*`` environment variable names; a ``REPRO_BENCH_*`` style glob
+#: names no single variable and is skipped.
+ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9](?![A-Z0-9_])")
+
+#: Where a documented environment variable must be read.
+CODE_DIRS = ("src", "benchmarks")
 
 
 def docs_files() -> list[Path]:
@@ -130,9 +140,26 @@ def check_paths(path: Path, text: str) -> list[str]:
     return errors
 
 
+def code_env_vars() -> set[str]:
+    """Every ``REPRO_*`` name the Python code under :data:`CODE_DIRS` mentions."""
+    names: set[str] = set()
+    for directory in CODE_DIRS:
+        for source in (REPO_ROOT / directory).rglob("*.py"):
+            names.update(ENV_VAR.findall(source.read_text(encoding="utf-8")))
+    return names
+
+
+def check_env_vars(path: Path, text: str, known: set[str]) -> list[str]:
+    return [
+        f"{path.name}: environment variable {name!r} appears nowhere in src/ or benchmarks/"
+        for name in sorted(set(ENV_VAR.findall(text)) - known)
+    ]
+
+
 def main() -> int:
     errors: list[str] = []
     checked_blocks = 0
+    known_env_vars = code_env_vars()
     for path in docs_files():
         text = path.read_text(encoding="utf-8")
         checked_blocks += len(python_blocks(text))
@@ -140,6 +167,7 @@ def main() -> int:
         errors.extend(check_references(path, text))
         errors.extend(check_links(path, text))
         errors.extend(check_paths(path, text))
+        errors.extend(check_env_vars(path, text, known_env_vars))
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
     files = len(docs_files())
