@@ -14,27 +14,34 @@ force the safety supervisor to preempt the low-level controller.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro import api
 from repro.analysis import TABLE2_PAPER_RESULTS, format_percentage, format_table
+from repro.scenarios import get_scenario
 from repro.scheduling import DescendingSchedule
 from repro.vehicle import CaseStudyConfig, Platoon
 
 N_STEPS = 150
 
 
-def violation_table(config: CaseStudyConfig) -> str:
-    result = api.case_study(config=config, engine="scalar")
+def violation_table(n_steps: int) -> str:
+    """Table II on the scalar reference stack (the ``table2-scalar`` scenario)."""
+    spec = dataclasses.replace(
+        get_scenario("table2-scalar"), n_steps=n_steps, n_vehicles=3, seed=2014
+    )
+    by_schedule = {row["schedule"]: row for row in api.run(spec, store=None).payload["rows"]}
     rows = []
     for name in ("ascending", "descending", "random"):
-        stats = result.for_schedule(name)
+        row = by_schedule[name]
         paper_upper, paper_lower = TABLE2_PAPER_RESULTS[name]
         rows.append(
             [
                 name,
-                format_percentage(stats.upper_percentage),
-                format_percentage(stats.lower_percentage),
+                format_percentage(row["upper_percentage"]),
+                format_percentage(row["lower_percentage"]),
                 f"{format_percentage(paper_upper)} / {format_percentage(paper_lower)}",
             ]
         )
@@ -42,8 +49,8 @@ def violation_table(config: CaseStudyConfig) -> str:
         ["schedule", "> 10.5 mph", "< 9.5 mph", "paper (upper / lower)"],
         rows,
         title=(
-            f"Critical speed violations over {config.n_steps} control periods x "
-            f"{config.n_vehicles} vehicles (one random sensor attacked per round)"
+            f"Critical speed violations over {spec.n_steps} control periods x "
+            f"{spec.n_vehicles} vehicles (one random sensor attacked per round)"
         ),
     )
 
@@ -71,8 +78,7 @@ def platoon_trace(n_steps: int = 50) -> str:
 
 
 def main() -> None:
-    config = CaseStudyConfig(n_steps=N_STEPS, n_vehicles=3, seed=2014)
-    print(violation_table(config))
+    print(violation_table(N_STEPS))
     print(
         "\nThe Ascending schedule forces the attacker to transmit before seeing any other"
         "\nmeasurement, so she cannot push the fusion interval over the critical speeds."

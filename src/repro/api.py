@@ -16,10 +16,13 @@ callers cannot drift apart:
   (:mod:`repro.optimize`): resolve a scenario name to an
   :class:`~repro.scenarios.spec.OptimizationScenario`, optionally swap the
   strategy, and run it through the same cached runner.
-* :func:`case_study` — the Table II closed-loop platoon case study.
 * :func:`serve` — fusion-as-a-service: an asyncio HTTP server with dynamic
   request batching (:mod:`repro.serve`), plus :func:`create_service` /
   :func:`create_server` for embedding and tests.
+
+The Table II closed-loop platoon case study is a scenario like any other:
+``run(dataclasses.replace(get_scenario("table2-proxy"), n_steps=100))``
+(``table2-scalar`` for the per-vehicle object-stack oracle).
 
 Store arguments follow one convention everywhere: the string ``"default"``
 (the default) resolves through :func:`repro.runner.default_store` —
@@ -57,14 +60,12 @@ from repro.scheduling.comparison import ScheduleComparison, ScheduleComparisonCo
 from repro.scheduling.schedule import Schedule
 from repro.serve import FusionServer, FusionService
 from repro.utils.seeding import ensure_rng
-from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
 
 __all__ = [
     "run",
     "compare",
     "optimize",
     "resolve_optimization_scenario",
-    "case_study",
     "serve",
     "create_service",
     "create_server",
@@ -98,15 +99,6 @@ def run(
     engine="scalar")``) — engine choice is part of a result's identity.
     """
     return run_scenario(scenario, workers=workers, store=resolve_store(store), force=force)
-
-
-def _schedule_objects(
-    schedules: Sequence[str | Schedule],
-) -> tuple[Schedule, ...]:
-    return tuple(
-        schedule_from_spec(entry) if isinstance(entry, str) else entry
-        for entry in schedules
-    )
 
 
 def compare(
@@ -148,9 +140,12 @@ def compare(
     )
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
+    schedules = tuple(
+        schedule_from_spec(entry) if isinstance(entry, str) else entry for entry in schedules
+    )
     return get_engine(engine).compare(
         config,
-        _schedule_objects(schedules),
+        schedules,
         samples=samples,
         rng=ensure_rng(rng),
         attack=attack,
@@ -254,26 +249,6 @@ def optimize(
         # Validates the strategy name eagerly (did-you-mean on typos).
         spec = dataclasses.replace(spec, strategy=strategy)
     return run_scenario(spec, workers=workers, store=resolve_store(store), force=force)
-
-
-def case_study(
-    schedules: Sequence[str | Schedule] | None = None,
-    *,
-    config: CaseStudyConfig | None = None,
-    engine: str | None = "batch",
-    **options,
-) -> CaseStudyResult:
-    """Run the Table II platoon case study on the selected backend.
-
-    ``options`` pass through to the engine (``n_replicas`` /
-    ``attacker_factory`` on the batch family, ``policy_factory`` on the
-    scalar oracle); engines reject options they cannot honour.  As with
-    :func:`compare`, the scenario route (:func:`run` with a
-    :class:`~repro.scenarios.spec.CaseStudyScenario`) is the cached,
-    sharded spelling of the same computation.
-    """
-    resolved = _schedule_objects(schedules) if schedules is not None else None
-    return get_engine(engine).run_case_study(config, resolved, **options)
 
 
 def create_service(

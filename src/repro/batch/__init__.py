@@ -31,7 +31,7 @@ engine seam this subpackage plugs into are described in
 ``docs/ARCHITECTURE.md``.
 """
 
-from repro.batch.case_study import batch_case_study, batch_case_study_for_schedule
+from repro.batch.case_study import batch_case_study_for_schedule
 from repro.batch.expectation import ExactExpectationBatchAttacker, VectorizedExpectationPolicy
 from repro.batch.fuse import (
     BatchFusion,
@@ -80,6 +80,5 @@ __all__ = [
     "fusable_attacker",
     "monte_carlo_rounds",
     # case study
-    "batch_case_study",
     "batch_case_study_for_schedule",
 ]

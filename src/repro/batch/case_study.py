@@ -28,7 +28,7 @@ see ``tests/batch/test_case_study_batch.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from repro.batch.rounds import (
 from repro.core.exceptions import ExperimentError
 from repro.core.marzullo import max_safe_fault_bound
 from repro.scheduling.schedule import Schedule
-from repro.utils.seeding import derive_rng, ensure_rng
-from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult, ViolationStats
+from repro.utils.seeding import ensure_rng
+from repro.vehicle.case_study import CaseStudyConfig, ViolationStats
 from repro.vehicle.controller import SpeedController
 from repro.vehicle.dynamics import VehicleParameters
 from repro.vehicle.landshark import landshark_suite
@@ -54,15 +54,7 @@ from repro.vehicle.selection import (
     RandomSensorSelector,
 )
 
-__all__ = [
-    "DEFAULT_REPLICAS",
-    "batch_case_study_for_schedule",
-    "batch_case_study",
-]
-
-#: Platoon replicas simulated in parallel by default; with the paper's three
-#: vehicles and 200 steps this yields ~2·10⁴ fusion rounds per schedule.
-DEFAULT_REPLICAS = 32
+__all__ = ["batch_case_study_for_schedule"]
 
 
 def _attacked_indices_per_round(
@@ -98,7 +90,7 @@ def _attacked_indices_per_round(
 def batch_case_study_for_schedule(
     config: CaseStudyConfig,
     schedule: Schedule,
-    n_replicas: int = DEFAULT_REPLICAS,
+    n_replicas: int,
     rng: np.random.Generator | None = None,
     attacker_factory: Callable[[], BatchAttacker] | None = None,
     preempt_gain: float = 2.0,
@@ -204,38 +196,3 @@ def batch_case_study_for_schedule(
         lower_violations=lower_count,
     )
 
-
-def batch_case_study(
-    config: CaseStudyConfig | None = None,
-    schedules: Sequence[Schedule] | None = None,
-    n_replicas: int = DEFAULT_REPLICAS,
-    attacker_factory: Callable[[], BatchAttacker] | None = None,
-) -> CaseStudyResult:
-    """Batched counterpart of :meth:`repro.engine.ScalarEngine.run_case_study`.
-
-    Uses the same per-schedule seeding rule as the scalar driver — the
-    collision-free :func:`repro.utils.seeding.derive_rng` child stream per
-    schedule index — so batched runs are reproducible per schedule.
-    """
-    config = config if config is not None else CaseStudyConfig()
-    if schedules is None:
-        from repro.scheduling.schedule import (
-            AscendingSchedule,
-            DescendingSchedule,
-            RandomSchedule,
-        )
-
-        schedules = (AscendingSchedule(), DescendingSchedule(), RandomSchedule())
-    stats = []
-    for index, schedule in enumerate(schedules):
-        rng = derive_rng(config.seed, index)
-        stats.append(
-            batch_case_study_for_schedule(
-                config,
-                schedule,
-                n_replicas=n_replicas,
-                rng=rng,
-                attacker_factory=attacker_factory,
-            )
-        )
-    return CaseStudyResult(config=config, stats=tuple(stats))

@@ -8,9 +8,10 @@ same experiments — the scalar reference loop (:mod:`repro.scheduling.round`,
 
 * :class:`Engine` is the backend protocol.  An engine simulates batches
   of fusion rounds for one schedule (:meth:`Engine.run_many`, with
-  :meth:`Engine.run_rounds` as its one-item form), sweeps a whole schedule
-  comparison (:meth:`Engine.compare`), and runs the Table II platoon case
-  study (:meth:`Engine.run_case_study`).
+  :meth:`Engine.run_rounds` as its one-item form) and sweeps a whole
+  schedule comparison (:meth:`Engine.compare`).  The Table II platoon case
+  study is not an engine concern: the ``table2-*`` catalogue scenarios call
+  the per-schedule simulators directly (see :mod:`repro.runner`).
 * :class:`RoundsResult` is the backend-agnostic result of ``run_rounds``:
   plain per-round arrays, so two engines can be compared bit-for-bit (the
   parity test-suite does exactly that for the deterministic stretch
@@ -49,7 +50,6 @@ from repro.scheduling.comparison import (
 )
 from repro.scheduling.schedule import Schedule
 from repro.utils.seeding import ensure_rng
-from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -346,21 +346,6 @@ class Engine(abc.ABC):
             for schedule in schedules
         )
         return ScheduleComparison(config=config, rows=rows)
-
-    @abc.abstractmethod
-    def run_case_study(
-        self,
-        config: CaseStudyConfig | None = None,
-        schedules: Sequence[Schedule] | None = None,
-        **options,
-    ) -> CaseStudyResult:
-        """Run the Table II platoon case study on this backend.
-
-        Backend-specific options (``policy_factory`` for the scalar engine,
-        ``attacker_factory`` / ``n_replicas`` for the batch engine) are
-        keyword-only; engines must reject options they cannot honour instead
-        of silently ignoring them.
-        """
 
 
 _REGISTRY: dict[str, Callable[[], Engine]] = {}

@@ -1,15 +1,10 @@
 """The vectorized batch engine: NumPy array operations over whole batches.
 
-:class:`BatchEngine` wraps and extends :mod:`repro.batch` behind the
+:class:`BatchEngine` wraps :mod:`repro.batch` behind the
 :class:`repro.engine.base.Engine` protocol: fusion-round sweeps go through
 :func:`repro.batch.rounds.batch_rounds_prepared` (one vectorized pass
 instead of ``B`` Python calls; the attacker type picks the per-transmission
-program or the slot loop) and the Table II case study goes through the
-batched closed-loop stepper of :mod:`repro.batch.case_study`, which
-simulates every platoon replica, vehicle and fusion round of a control
-period at once — 10⁴+ platoon rounds per schedule in seconds where the
-scalar engine manages a few hundred.  The engine is registered as
-``"batch"``.
+program or the slot loop).  The engine is registered as ``"batch"``.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.batch import rounds
-from repro.batch.case_study import DEFAULT_REPLICAS, batch_case_study
 from repro.batch.expectation import ExactExpectationBatchAttacker
 from repro.batch.rounds import (
     ActiveStretchBatchAttacker,
@@ -30,7 +24,6 @@ from repro.batch.rounds import (
     TruthfulBatchAttacker,
 )
 from repro.channel import ChannelSpec
-from repro.core.exceptions import ExperimentError
 from repro import obs
 from repro.engine.base import (
     AttackSpec,
@@ -45,7 +38,6 @@ from repro.engine.base import (
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.schedule import Schedule
-from repro.vehicle.case_study import CaseStudyConfig, CaseStudyResult
 
 __all__ = ["BatchEngine"]
 
@@ -202,42 +194,3 @@ class BatchEngine(Engine):
             )
             start = stop
         return results
-
-    def run_case_study(
-        self,
-        config: CaseStudyConfig | None = None,
-        schedules: Sequence[Schedule] | None = None,
-        **options,
-    ) -> CaseStudyResult:
-        """Table II on the batched closed-loop platoon stepper.
-
-        Accepts ``n_replicas`` (parallel platoon replicas, default
-        ``DEFAULT_REPLICAS``) and ``attacker_factory`` (defaults to the
-        vectorized expectation-proxy attacker).  A scalar ``policy_factory``
-        cannot be honoured here and is rejected loudly.
-        """
-        if options.pop("policy_factory", None) is not None:
-            raise ExperimentError(
-                "engine='batch' runs the vectorized expectation-proxy attacker and cannot "
-                "honour a scalar policy_factory; pass attacker_factory (a BatchAttacker "
-                "factory) instead"
-            )
-        n_replicas = options.pop("n_replicas", DEFAULT_REPLICAS)
-        attacker_factory = options.pop("attacker_factory", None)
-        if options:
-            raise ExperimentError(
-                f"batch engine does not understand case-study options {sorted(options)}"
-            )
-        with obs.span("engine.run", engine=self.name, kind="case_study"):
-            result = batch_case_study(
-                config,
-                schedules,
-                n_replicas=n_replicas,
-                attacker_factory=attacker_factory,
-            )
-        obs.add(
-            "repro_engine_samples_total",
-            sum(stat.rounds for stat in result.stats),
-            engine=self.name,
-        )
-        return result

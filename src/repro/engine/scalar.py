@@ -1,9 +1,8 @@
 """The scalar reference engine: one Python call per simulated round.
 
-:class:`ScalarEngine` wraps the repository's original simulators —
-:func:`repro.scheduling.round.run_round` for fusion rounds and the
-:class:`repro.vehicle.platoon.Platoon` loop for the Table II case study —
-behind the :class:`repro.engine.base.Engine` protocol.  It is the oracle the
+:class:`ScalarEngine` wraps the repository's original fusion-round
+simulator, :func:`repro.scheduling.round.run_round`, behind the
+:class:`repro.engine.base.Engine` protocol.  It is the oracle the
 vectorized :class:`repro.engine.batch.BatchEngine` is tested against: both
 engines draw correct intervals through the same
 :func:`repro.batch.rounds.sample_correct_bounds` call, compute transmission
@@ -26,7 +25,7 @@ from repro.attack.policy import AttackPolicy, TruthfulPolicy
 from repro.attack.stretch import ActiveStretchPolicy
 from repro.batch.rounds import BatchTransientFaults, batch_orders, sample_correct_bounds
 from repro.channel import ChannelSpec, realize_channel
-from repro.core.exceptions import EmptyFusionError, ExperimentError
+from repro.core.exceptions import EmptyFusionError
 from repro.core.interval import Interval
 from repro import obs
 from repro.engine.base import (
@@ -42,20 +41,8 @@ from repro.engine.base import (
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.round import RoundConfig, run_round
-from repro.scheduling.schedule import (
-    AscendingSchedule,
-    DescendingSchedule,
-    FixedSchedule,
-    RandomSchedule,
-    Schedule,
-)
-from repro.utils.seeding import derive_rng, spawn_rng
-from repro.vehicle.case_study import (
-    CaseStudyConfig,
-    CaseStudyResult,
-    default_attack_policy,
-    run_case_study_for_schedule,
-)
+from repro.scheduling.schedule import FixedSchedule, Schedule
+from repro.utils.seeding import spawn_rng
 
 __all__ = ["ScalarEngine"]
 
@@ -211,34 +198,3 @@ class ScalarEngine(Engine):
                 )
             )
         return results
-
-    def run_case_study(
-        self,
-        config: CaseStudyConfig | None = None,
-        schedules: Sequence[Schedule] | None = None,
-        **options,
-    ) -> CaseStudyResult:
-        """Table II on the original per-vehicle object stack.
-
-        Accepts ``policy_factory`` (defaults to the paper's coarse-grid
-        expectation attacker); any other option is rejected.
-        """
-        policy_factory = options.pop("policy_factory", None) or default_attack_policy
-        if options:
-            raise ExperimentError(
-                f"scalar engine does not understand case-study options {sorted(options)}; "
-                "n_replicas/attacker_factory belong to the batch engine"
-            )
-        config = config if config is not None else CaseStudyConfig()
-        if schedules is None:
-            schedules = (AscendingSchedule(), DescendingSchedule(), RandomSchedule())
-        stats = []
-        with obs.span("engine.run", engine=self.name, kind="case_study"):
-            for index, schedule in enumerate(schedules):
-                # Collision-free per-schedule stream: the old `seed + index`
-                # arithmetic made schedule index+1 under seed s share the
-                # stream of schedule index under seed s+1.
-                rng = derive_rng(config.seed, index)
-                stats.append(run_case_study_for_schedule(config, schedule, policy_factory, rng))
-        obs.add("repro_engine_samples_total", sum(stat.rounds for stat in stats), engine=self.name)
-        return CaseStudyResult(config=config, stats=tuple(stats))

@@ -236,7 +236,7 @@ def _case_study_attacker_factory(spec: CaseStudyScenario):
 def _plan_case_study(spec: CaseStudyScenario) -> list[ShardTask]:
     if spec.attacker == "expectation-grid":
         # The scalar oracle cannot shard replicas; parallelise per schedule
-        # with the exact stream ScalarEngine.run_case_study derives.
+        # with a collision-free derive_rng(seed, schedule_index) stream.
         return [
             ShardTask(spec=spec, index=index, params=("schedule", index))
             for index in range(len(spec.schedules))
@@ -249,7 +249,7 @@ def _plan_case_study(spec: CaseStudyScenario) -> list[ShardTask]:
 
 def _execute_case_study(task: ShardTask) -> list[dict]:
     # The shards call the per-schedule simulators directly, so they report
-    # the same engine span and sample counter as Engine.run_case_study.
+    # the engine span and sample counter themselves.
     engine = task.spec.engine
     with obs.span("engine.run", engine=engine, kind="case_study"):
         rows = _case_study_shard(task)

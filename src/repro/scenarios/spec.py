@@ -40,12 +40,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.batch.rounds import BatchTransientFaults
 from repro.channel import ChannelSpec, channel_spec_from_dict
-from repro.core.exceptions import ExperimentError
+from repro.core.exceptions import ExperimentError, ReproError
 from repro.engine.base import check_channel_support, resolve_attack
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.schedule import (
@@ -96,6 +97,18 @@ def shard_count(total: int, shard_size: int) -> int:
 def shard_sizes(total: int, shard_size: int) -> list[int]:
     """Split ``total`` into deterministic front-loaded chunks of at most ``shard_size``."""
     return [min(shard_size, total - start) for start in range(0, total, shard_size)]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_counts(spec, *field_names: str) -> None:
+    """Reject count fields that are not positive ``int`` s (``bool`` included)."""
+    for field_name in field_names:
+        value = getattr(spec, field_name)
+        if not _is_int(value) or value <= 0:
+            raise ExperimentError(f"{field_name} must be a positive integer, got {value!r}")
 
 
 def _check_plan(name: str, shards: int, what: str) -> None:
@@ -193,6 +206,17 @@ class ComparisonCase:
     def __post_init__(self) -> None:
         if not self.schedules:
             raise ExperimentError(f"case {self.label!r} needs at least one schedule")
+        lengths = [float(length) for length in self.lengths]
+        if not all(math.isfinite(length) and length > 0 for length in lengths):
+            raise ExperimentError(
+                f"case {self.label!r}: lengths must be finite and positive, got {self.lengths!r}"
+            )
+        for index in self.attacked_indices or ():
+            if not _is_int(index) or not 0 <= index < len(lengths):
+                raise ExperimentError(
+                    f"case {self.label!r}: attacked index {index!r} is out of range "
+                    f"for {len(lengths)} sensors"
+                )
         if self.channel is not None and not isinstance(self.channel, ChannelSpec):
             raise ExperimentError(
                 f"case {self.label!r}: channel must be a ChannelSpec or None, "
@@ -264,6 +288,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ExperimentError("a scenario needs a non-empty name")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ExperimentError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.engine is not None and not (isinstance(self.engine, str) and self.engine):
             raise ExperimentError(
                 f"engine must be a registered engine name or null, got {self.engine!r}"
@@ -290,10 +316,7 @@ class ComparisonScenario(ScenarioSpec):
         super().__post_init__()
         if not self.cases:
             raise ExperimentError(f"comparison scenario {self.name!r} needs at least one case")
-        if self.samples <= 0:
-            raise ExperimentError(f"samples must be positive, got {self.samples}")
-        if self.shard_samples <= 0:
-            raise ExperimentError(f"shard_samples must be positive, got {self.shard_samples}")
+        _check_counts(self, "samples", "shard_samples")
         _check_shard_samples(self.name, self.shard_samples)
         _check_plan(
             self.name,
@@ -355,11 +378,12 @@ class CaseStudyScenario(ScenarioSpec):
                 f"got engine={self.engine!r} (the scalar oracle is attacker="
                 "'expectation-grid'; 'proxy'/'exact' are batch attackers)"
             )
-        for field_name in ("n_steps", "n_vehicles", "n_replicas", "shard_replicas"):
-            if getattr(self, field_name) <= 0:
-                raise ExperimentError(
-                    f"{field_name} must be positive, got {getattr(self, field_name)}"
-                )
+        _check_counts(self, "n_steps", "n_vehicles", "n_replicas", "shard_replicas")
+        grid = self.expectation_grid
+        if not (
+            isinstance(grid, tuple) and len(grid) == 3 and all(_is_int(v) and v > 0 for v in grid)
+        ):
+            raise ExperimentError(f"expectation_grid must be 3 positive integers, got {grid!r}")
         _check_plan(
             self.name,
             shard_count(self.n_replicas, self.shard_replicas),
@@ -454,22 +478,22 @@ class OptimizationScenario(ScenarioSpec):
         super().__post_init__()
         if self.case is None:
             raise ExperimentError(f"optimization scenario {self.name!r} needs a case")
-        for field_name in ("samples", "shard_samples", "shard_candidates", "max_candidates"):
-            if getattr(self, field_name) <= 0:
-                raise ExperimentError(
-                    f"{field_name} must be positive, got {getattr(self, field_name)}"
-                )
+        _check_counts(
+            self,
+            "samples",
+            "shard_samples",
+            "shard_candidates",
+            "max_candidates",
+            "anneal_steps",
+            "bandit_population",
+            "bandit_rounds",
+        )
         _check_shard_samples(self.name, self.shard_samples)
         _check_plan(
             self.name,
             shard_count(self.samples, self.shard_samples),
             "samples / shard_samples per candidate",
         )
-        for field_name in ("anneal_steps", "bandit_population", "bandit_rounds"):
-            if getattr(self, field_name) < 1:
-                raise ExperimentError(
-                    f"{field_name} must be at least 1, got {getattr(self, field_name)}"
-                )
         if self.anneal_initial_temperature <= 0:
             raise ExperimentError(
                 f"anneal_initial_temperature must be positive, got {self.anneal_initial_temperature}"
@@ -627,16 +651,23 @@ def spec_from_dict(payload: dict) -> ScenarioSpec:
         raise ExperimentError(
             f"{kind} spec carries unknown fields: {', '.join(unknown)}"
         )
-    values = {name: _tuplify(name, value) for name, value in payload.items()}
-    if cls is ComparisonScenario and "cases" in values:
-        values["cases"] = tuple(_case_from_dict(case, version) for case in values["cases"])
-    if cls is OptimizationScenario and values.get("case") is not None:
-        values["case"] = _case_from_dict(values["case"], version)
-    if cls is CaseStudyScenario and isinstance(values.get("attacked_sensor"), float):
-        # JSON has one number type; an integral sensor index survives the trip.
-        if values["attacked_sensor"].is_integer():
-            values["attacked_sensor"] = int(values["attacked_sensor"])
-    return cls(**values)
+    try:
+        values = {name: _tuplify(name, value) for name, value in payload.items()}
+        if cls is ComparisonScenario and "cases" in values:
+            values["cases"] = tuple(_case_from_dict(case, version) for case in values["cases"])
+        if cls is OptimizationScenario and values.get("case") is not None:
+            values["case"] = _case_from_dict(values["case"], version)
+        if cls is CaseStudyScenario and isinstance(values.get("attacked_sensor"), float):
+            # JSON has one number type; an integral sensor index survives the trip.
+            if values["attacked_sensor"].is_integer():
+                values["attacked_sensor"] = int(values["attacked_sensor"])
+        return cls(**values)
+    except ExperimentError:
+        raise
+    except (ReproError, TypeError, ValueError) as error:
+        # Whatever a field's own validation raises, a malformed wire spec is
+        # a request error, never an internal one.
+        raise ExperimentError(f"invalid {kind} spec: {error}") from error
 
 
 def spec_key(spec: ScenarioSpec) -> str:

@@ -1,6 +1,5 @@
 """Small shared utilities (deterministic RNG construction and derivation)."""
 
-from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.seeding import (
     child_seed_sequence,
     derive_rng,
@@ -10,8 +9,6 @@ from repro.utils.seeding import (
 )
 
 __all__ = [
-    "make_rng",
-    "spawn_rngs",
     "child_seed_sequence",
     "derive_rng",
     "ensure_rng",

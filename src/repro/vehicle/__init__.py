@@ -2,7 +2,6 @@
 
 from repro.vehicle.case_study import (
     CaseStudyConfig,
-    CaseStudyResult,
     ViolationStats,
     default_attack_policy,
     run_case_study_for_schedule,
@@ -37,7 +36,6 @@ __all__ = [
     "PlatoonStep",
     "CaseStudyConfig",
     "ViolationStats",
-    "CaseStudyResult",
     "default_attack_policy",
     "run_case_study_for_schedule",
     "AttackedSensorSelector",

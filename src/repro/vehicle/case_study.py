@@ -21,11 +21,12 @@ Which sensor is attacked is configurable:
   rates; used by the ablation benchmark);
 * an integer index — a fixed sensor.
 
-:func:`run_case_study_for_schedule` is the scalar reference driver; the
-full experiment runs through an engine, ``get_engine(name).run_case_study``
-(or :func:`repro.api.case_study`): ``"scalar"`` steps the per-vehicle object
-stack, ``"batch"`` runs the vectorized closed-loop stepper of
-:mod:`repro.batch.case_study` (10⁴+ platoon rounds per schedule in seconds).
+:func:`run_case_study_for_schedule` is the scalar reference driver and
+:func:`repro.batch.case_study.batch_case_study_for_schedule` its vectorized
+counterpart.  The full experiment is a catalogue scenario:
+``api.run(get_scenario("table2-scalar"))`` steps the per-vehicle object
+stack, ``table2-proxy`` and ``table2-exact`` run the batched stepper
+(10⁴+ platoon rounds per schedule in seconds).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.vehicle.selection import AttackedSensorSelector, selector_from_spec
 __all__ = [
     "CaseStudyConfig",
     "ViolationStats",
-    "CaseStudyResult",
     "default_attack_policy",
     "run_case_study_for_schedule",
 ]
@@ -127,21 +127,6 @@ class ViolationStats:
     def lower_percentage(self) -> float:
         """Percentage of rounds with the fusion lower bound below ``v - δ2``."""
         return 100.0 * self.lower_violations / self.rounds if self.rounds else 0.0
-
-
-@dataclass(frozen=True)
-class CaseStudyResult:
-    """Violation statistics for every schedule of the case study."""
-
-    config: CaseStudyConfig
-    stats: tuple[ViolationStats, ...]
-
-    def for_schedule(self, name: str) -> ViolationStats:
-        """Return the statistics row for schedule ``name``."""
-        for row in self.stats:
-            if row.schedule_name == name:
-                return row
-        raise ExperimentError(f"no case-study statistics for schedule {name!r}")
 
 
 def run_case_study_for_schedule(

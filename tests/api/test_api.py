@@ -95,20 +95,6 @@ class TestCompare:
             api.compare((2.0, 3.0, 4.0), 1, schedules=())
 
 
-class TestCaseStudy:
-    def test_runs_on_batch_engine(self):
-        from repro.vehicle.case_study import CaseStudyConfig
-
-        result = api.case_study(
-            ("ascending",),
-            config=CaseStudyConfig(n_steps=20, seed=3),
-            n_replicas=2,
-        )
-        (row,) = result.stats
-        assert row.schedule_name == "ascending"
-        assert row.rounds > 0
-
-
 class TestServing:
     def test_create_server_round_trip(self, tmp_path):
         async def scenario():

@@ -100,18 +100,6 @@ class TestAttackSpecs:
 
 
 class TestEngineErrors:
-    def test_scalar_rejects_batch_options(self):
-        with pytest.raises(ExperimentError, match="batch engine"):
-            ScalarEngine().run_case_study(n_replicas=8)
-
-    def test_batch_rejects_policy_factory(self):
-        with pytest.raises(ExperimentError, match="attacker_factory"):
-            BatchEngine().run_case_study(policy_factory=object)
-
-    def test_batch_rejects_unknown_options(self):
-        with pytest.raises(ExperimentError, match="does not understand"):
-            BatchEngine().run_case_study(warp_factor=9)
-
     def test_nonpositive_samples_rejected(self):
         for engine in (ScalarEngine(), BatchEngine()):
             with pytest.raises(ExperimentError):

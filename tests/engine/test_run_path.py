@@ -56,22 +56,18 @@ def assert_rounds_equal(got, want):
 
 class TestAbstractSeam:
     def test_run_many_is_the_abstract_simulation_method(self):
-        assert "run_many" in Engine.__abstractmethods__
-        assert "run_rounds" not in Engine.__abstractmethods__
+        assert Engine.__abstractmethods__ == {"run_many"}
 
     def test_backend_without_run_many_cannot_be_built(self):
-        class CaseStudyOnly(Engine):
-            name = "case-study-only"
-
-            def run_case_study(self, config=None, schedules=None, **options):
-                raise NotImplementedError
+        class Empty(Engine):
+            name = "empty"
 
         with pytest.raises(TypeError, match="run_many"):
-            CaseStudyOnly()
+            Empty()
 
     def test_minimal_backend_gets_run_rounds_and_compare(self):
-        # A third-party backend implementing run_many (and the case study)
-        # alone inherits the one-item form and the Table I sweep.
+        # A third-party backend implementing run_many alone inherits the
+        # one-item form and the Table I sweep.
         class Delegating(Engine):
             name = "delegating"
 
@@ -80,9 +76,6 @@ class TestAbstractSeam:
 
             def run_many(self, *args, **kwargs):
                 return self.inner.run_many(*args, **kwargs)
-
-            def run_case_study(self, config=None, schedules=None, **options):
-                return self.inner.run_case_study(config, schedules, **options)
 
         schedules = [AscendingSchedule(), DescendingSchedule()]
         engine = Delegating()

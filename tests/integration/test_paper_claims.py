@@ -8,6 +8,7 @@ the results (orderings, zero/non-zero rates, bound satisfaction), which is
 what the reproduction is expected to preserve.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.attack import ExpectationPolicy, optimal_fusion_width
 from repro.core import Interval, fuse, theorem2_bound
 from repro.core.worst_case import worst_case_no_attack, worst_case_with_attack
 from repro.engine import get_engine
+from repro.runner import run_scenario
+from repro.scenarios import get_scenario
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -27,7 +30,6 @@ from repro.scheduling import (
     run_round,
 )
 from repro.sensors import SensorSuite, UniformNoise, sensors_from_widths
-from repro.vehicle import CaseStudyConfig
 
 
 class TestFigure1:
@@ -126,11 +128,9 @@ class TestTable1Shape:
 
 class TestTable2Shape:
     def test_schedule_ordering_of_violations(self):
-        config = CaseStudyConfig(n_steps=120, n_vehicles=2, seed=5)
-        result = get_engine("scalar").run_case_study(config)
-        total = lambda name: (  # noqa: E731
-            result.for_schedule(name).upper_violations + result.for_schedule(name).lower_violations
-        )
+        spec = dataclasses.replace(get_scenario("table2-scalar"), n_steps=120, n_vehicles=2, seed=5)
+        rows = {row["schedule"]: row for row in run_scenario(spec, store=None).payload["rows"]}
+        total = lambda name: rows[name]["upper_violations"] + rows[name]["lower_violations"]  # noqa: E731
         assert total("ascending") == 0
         assert total("descending") > 0
         assert total("descending") >= total("random") >= total("ascending")

@@ -1,5 +1,6 @@
 """Span tracing: no-op default, nesting, grafting, JSONL round-trip."""
 
+import dataclasses
 import json
 import threading
 
@@ -11,9 +12,14 @@ from repro.core.exceptions import ExperimentError
 from repro.engine import get_engine
 from repro.obs.report import build_perf_report, load_trace, render_perf_report
 from repro.runner import run_scenario
-from repro.scenarios import CaseStudyScenario
-from repro.scheduling import AscendingSchedule, DescendingSchedule, ScheduleComparisonConfig
-from repro.vehicle.case_study import CaseStudyConfig
+from repro.scenarios import CaseStudyScenario, get_scenario
+from repro.scheduling import AscendingSchedule, ScheduleComparisonConfig
+
+
+def case_study_spec(engine_name: str, **overrides) -> CaseStudyScenario:
+    """A small ``table2-*`` scenario on ``engine_name``, in one replica shard."""
+    name = {"batch": "table2-proxy", "scalar": "table2-scalar"}[engine_name]
+    return dataclasses.replace(get_scenario(name), n_replicas=2, shard_replicas=2, **overrides)
 
 
 class TestDisabledPath:
@@ -160,36 +166,36 @@ class TestJsonlRoundTrip:
 
     @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
     def test_engine_case_study_reports_its_rounds(self, tmp_path, engine_name):
-        config = CaseStudyConfig(n_steps=4)
-        schedules = (AscendingSchedule(), DescendingSchedule())
-        engine = get_engine(engine_name)
+        spec = case_study_spec(engine_name, n_steps=4, schedules=("ascending", "descending"))
         path = tmp_path / "trace.jsonl"
         with obs.collect() as session:
-            result = engine.run_case_study(config, schedules)
+            result = run_scenario(spec, store=None).payload
             session.write_jsonl(path)
         payload = build_perf_report(path)
-        rounds = sum(stat.rounds for stat in result.stats)
+        rounds = sum(row["rounds"] for row in result["rows"])
         assert rounds > 0
         assert payload["throughput"]["samples"] == rounds
         assert payload["throughput"]["engine_seconds"] > 0
-        assert result == engine.run_case_study(config, schedules)
+        assert result == run_scenario(spec, store=None).payload
 
     @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
     def test_engine_case_study_span_is_labelled(self, engine_name):
-        config = CaseStudyConfig(n_steps=3)
+        spec = case_study_spec(engine_name, n_steps=3, schedules=("ascending",))
         with obs.collect() as session:
-            get_engine(engine_name).run_case_study(config, (AscendingSchedule(),))
+            run_scenario(spec, store=None)
         (root,) = session.snapshot()["spans"]
-        assert root["name"] == "engine.run"
-        assert root["attrs"] == {"engine": engine_name, "kind": "case_study"}
+        (shard,) = [span for span in root["children"] if span["name"] == "runner.shard"]
+        (engine_run,) = shard["children"]
+        assert engine_run["name"] == "engine.run"
+        assert engine_run["attrs"] == {"engine": engine_name, "kind": "case_study"}
 
     def test_case_study_perf_report_prints_its_throughput(self, tmp_path):
-        config = CaseStudyConfig(n_steps=3)
+        spec = case_study_spec("batch", n_steps=3, schedules=("ascending",))
         path = tmp_path / "trace.jsonl"
         with obs.collect() as session:
-            result = get_engine("batch").run_case_study(config, (AscendingSchedule(),))
+            result = run_scenario(spec, store=None).payload
             session.write_jsonl(path)
-        rounds = sum(stat.rounds for stat in result.stats)
+        rounds = sum(row["rounds"] for row in result["rows"])
         text = render_perf_report(build_perf_report(path))
         assert f"throughput: {rounds} samples in " in text
         assert "samples/s" in text

@@ -15,9 +15,11 @@ from repro.scenarios import (
     ComparisonScenario,
     FigureScenario,
     get_scenario,
+    schedule_from_spec,
     spec_key,
 )
 from repro.utils.seeding import derive_rng
+from repro.vehicle import run_case_study_for_schedule
 
 
 def table1_scenario(**overrides) -> ComparisonScenario:
@@ -174,9 +176,6 @@ class TestPlanning:
                     for samples in budgets
                 ]
 
-            def run_case_study(self, config=None, schedules=None, **options):
-                raise NotImplementedError
-
         from repro.engine.base import _REGISTRY
 
         register_engine("legacy-stub", LegacyEngine, replace=True)
@@ -280,15 +279,16 @@ class TestPayloadShape:
         ascending, descending = case["rows"]
         assert ascending["expected_width"] < descending["expected_width"]
 
-    def test_scalar_case_study_matches_engine_route(self):
-        run = run_scenario(get_scenario("table2-scalar"), workers=3)
-        from repro.engine import get_engine
-        from repro.vehicle import CaseStudyConfig
-
-        reference = get_engine("scalar").run_case_study(
-            CaseStudyConfig(n_steps=60, n_vehicles=2, seed=2014)
-        )
-        for row in run.payload["rows"]:
-            stats = reference.for_schedule(row["schedule"])
+    def test_scalar_case_study_matches_direct_driver(self):
+        # One shard per schedule, each on derive_rng(seed, schedule_index):
+        # the sharded payload equals plain per-schedule driver calls.
+        spec = get_scenario("table2-scalar")
+        run = run_scenario(spec, workers=3)
+        for index, row in enumerate(run.payload["rows"]):
+            stats = run_case_study_for_schedule(
+                spec.case_study_config(),
+                schedule_from_spec(spec.schedules[index]),
+                rng=derive_rng(spec.seed, index),
+            )
             assert row["upper_violations"] == stats.upper_violations
             assert row["lower_violations"] == stats.lower_violations

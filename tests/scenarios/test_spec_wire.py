@@ -111,6 +111,31 @@ class TestVersioning:
 
 
 class TestRejection:
+    @pytest.mark.parametrize(
+        "scenario, fields",
+        [
+            ("table1-smoke", {"seed": -1}),
+            ("table1-smoke", {"seed": 1.5}),
+            ("table1-smoke", {"seed": True}),
+            ("table1-smoke", {"samples": 150.5}),
+            ("table1-smoke", {"schedules": ["fixed:a"]}),
+            ("table1-smoke", {"attacked_indices": [5]}),
+            ("table1-smoke", {"fault_probability": 2.0}),
+            ("table1-smoke", {"lengths": ["NaN", 1, 2]}),
+            ("table1-smoke", {"lengths": 5}),
+            ("table2-proxy", {"n_steps": 2.5}),
+            ("table2-proxy", {"n_replicas": True}),
+            ("table2-proxy", {"attacker": "exact", "expectation_grid": [1, 1]}),
+            ("table2-proxy", {"attacker": "exact", "expectation_grid": [1, 0, 1]}),
+        ],
+    )
+    def test_invalid_field_values_are_experiment_errors(self, scenario, fields):
+        payload = wire(get_scenario(scenario))
+        for name, value in fields.items():
+            (payload if name in payload else payload["cases"][0])[name] = value
+        with pytest.raises(ExperimentError):
+            spec_from_dict(payload)
+
     def test_non_object_payload(self):
         with pytest.raises(ExperimentError, match="JSON object"):
             spec_from_dict(["not", "a", "spec"])

@@ -256,6 +256,37 @@ def test_malformed_engine_answers_400(engine):
             assert status == 400 and "engine must be" in body["error"]
 
 
+#: Invalid field values for the ``table1-smoke`` wire spec: top-level
+#: fields of the scenario, or fields of its single comparison case.
+INVALID_SMOKE_FIELDS = [
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": True},
+    {"samples": 150.5},
+    {"schedules": ["fixed:a"]},
+    {"attacked_indices": [5]},
+    {"fault_probability": 2.0},
+    {"lengths": ["NaN", 1, 2]},
+]
+
+
+@pytest.mark.parametrize("fields", INVALID_SMOKE_FIELDS)
+def test_invalid_wire_spec_answers_400(fields):
+    # Every malformed field is a request error raised while the spec is
+    # built, never a 500 from inside the runner.
+    spec = spec_dict(get_scenario("table1-smoke"))
+    for name, value in fields.items():
+        (spec if name in spec else spec["cases"][0])[name] = value
+    server = FusionServer(FusionService(store=None))
+    try:
+        status, body = asyncio.run(
+            server._dispatch("POST", "/v1/run", "", json.dumps({"spec": spec}).encode())
+        )
+    finally:
+        server.service.close()
+    assert status == 400, body
+
+
 @pytest.mark.parametrize("name", ["numba", "fused"])
 def test_removed_engine_name_answers_400(name):
     # The former JIT backend's name and the former alias of the batch engine

@@ -76,6 +76,22 @@ def test_stale_environment_variable_is_flagged(tmp_path):
     assert len(errors) == 1 and "REPRO_WARP_DRIVE" in errors[0]
 
 
+def test_stale_imported_and_facade_names_are_flagged(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "Call `api.run(...)`, not `api.teleport(...)`; see https://api.example.com/x.\n"
+        "```python\n"
+        "from repro import api\n"
+        "from repro.vehicle import CaseStudyConfig, WarpDrive\n"
+        "result = api.teleport()\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_imported_names(page, page.read_text(encoding="utf-8"))
+    assert len(errors) == 2
+    assert "repro.api.teleport" in errors[0] and "repro.vehicle.WarpDrive" in errors[1]
+
+
 @pytest.mark.parametrize("name", ["README.md", "docs/ARCHITECTURE.md", "docs/ATTACKERS.md"])
 def test_doc_set_exists(name):
     assert (TOOLS_DIR.parent / name).is_file()

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils import make_rng, spawn_rngs
 from repro.utils.seeding import (
     child_seed_sequence,
     derive_rng,
@@ -68,19 +67,11 @@ def test_ensure_rng_passthrough_and_default():
     )
 
 
-def test_shard_helpers_and_legacy_alias():
+def test_shard_helpers_spawn_keyed_streams():
     sequences = shard_seed_sequences(9, 3)
     assert [s.spawn_key for s in sequences] == [(0,), (1,), (2,)]
-    ours = [rng.random(4) for rng in shard_rngs(9, 3)]
-    legacy = [rng.random(4) for rng in spawn_rngs(9, 3)]
-    for a, b in zip(ours, legacy):
-        np.testing.assert_array_equal(a, b)
-    draws = {tuple(values) for values in ours}
+    draws = {tuple(rng.random(4)) for rng in shard_rngs(9, 3)}
     assert len(draws) == 3  # independent streams
-
-
-def test_make_rng_unseeded_still_works():
-    assert isinstance(make_rng(), np.random.Generator)
 
 
 @given(

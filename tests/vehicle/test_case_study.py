@@ -1,10 +1,13 @@
 """Unit tests for the Table II case-study driver (reduced scale for speed)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import ExperimentError
-from repro.engine import get_engine
+from repro.runner import run_scenario
+from repro.scenarios import get_scenario
 from repro.scheduling import AscendingSchedule, DescendingSchedule
 from repro.vehicle import (
     CaseStudyConfig,
@@ -73,20 +76,12 @@ class TestCaseStudyRuns:
         assert stats.rounds == 25 * 3
 
     def test_full_case_study_ordering(self):
-        config = self.small_config(n_steps=80, n_vehicles=2)
-        result = get_engine("scalar").run_case_study(config)
-        ascending = result.for_schedule("ascending")
-        descending = result.for_schedule("descending")
-        random_row = result.for_schedule("random")
-        total = lambda row: row.upper_violations + row.lower_violations  # noqa: E731
+        spec = dataclasses.replace(get_scenario("table2-scalar"), n_steps=80, n_vehicles=2, seed=11)
+        rows = {row["schedule"]: row for row in run_scenario(spec, store=None).payload["rows"]}
+        total = lambda name: rows[name]["upper_violations"] + rows[name]["lower_violations"]  # noqa: E731
         # Table II shape: Ascending is safest, Descending is worst, Random in between.
-        assert total(ascending) == 0
-        assert total(descending) > total(random_row) >= total(ascending)
-
-    def test_unknown_schedule_lookup_rejected(self):
-        result = get_engine("scalar").run_case_study(self.small_config(n_steps=5, n_vehicles=1), (AscendingSchedule(),))
-        with pytest.raises(ExperimentError):
-            result.for_schedule("descending")
+        assert total("ascending") == 0
+        assert total("descending") > total("random") >= total("ascending")
 
     def test_most_precise_attack_is_stronger_than_random(self):
         base = dict(n_steps=60, n_vehicles=2, seed=3)

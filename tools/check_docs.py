@@ -1,6 +1,6 @@
 """Lightweight docs checker: keep README/docs snippets and references honest.
 
-Five checks over ``README.md`` and ``docs/*.md``:
+Six checks over ``README.md`` and ``docs/*.md``:
 
 1. every fenced ``python`` code block must *compile* (syntax-checked with
    the file and line of the block on failure — snippets are not executed,
@@ -14,7 +14,11 @@ Five checks over ``README.md`` and ``docs/*.md``:
    module or test file cannot linger in a table;
 5. every ``REPRO_*`` environment variable named must appear in the code
    under ``src/`` or ``benchmarks/``, so a deleted knob cannot linger in
-   the docs.
+   the docs;
+6. every name a python block imports with ``from repro… import …``, and
+   every ``api.<name>`` the prose or a snippet calls, must exist — check 2
+   only resolves the dotted module part, so a deleted class or facade verb
+   would otherwise pass.
 
 Run from the repository root (CI's docs job does)::
 
@@ -23,6 +27,7 @@ Run from the repository root (CI's docs job does)::
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -47,6 +52,11 @@ FENCE = re.compile(r"^```(\w*)\s*$")
 #: ``REPRO_*`` environment variable names; a ``REPRO_BENCH_*`` style glob
 #: names no single variable and is skipped.
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9](?![A-Z0-9_])")
+
+#: ``api.<name>`` facade uses; a preceding word character, dot or slash
+#: means some other ``api`` (``repro.api.x`` is check 2's, a URL host is
+#: not ours).
+API_NAME = re.compile(r"(?<![\w./])api\.([A-Za-z_][A-Za-z0-9_]*)")
 
 #: Where a documented environment variable must be read.
 CODE_DIRS = ("src", "benchmarks")
@@ -121,6 +131,24 @@ def check_references(path: Path, text: str) -> list[str]:
     return errors
 
 
+def check_imported_names(path: Path, text: str) -> list[str]:
+    errors = []
+    names = set()
+    for _line, source in python_blocks(text):
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue  # check 1 reports it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+                names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    names.update(f"repro.api.{name}" for name in API_NAME.findall(text))
+    for name in sorted(names):
+        if not resolve_dotted(name):
+            errors.append(f"{path.name}: name {name!r} does not exist")
+    return errors
+
+
 def check_links(path: Path, text: str) -> list[str]:
     errors = []
     for target in MARKDOWN_LINK.findall(text):
@@ -168,6 +196,7 @@ def main() -> int:
         errors.extend(check_links(path, text))
         errors.extend(check_paths(path, text))
         errors.extend(check_env_vars(path, text, known_env_vars))
+        errors.extend(check_imported_names(path, text))
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
     files = len(docs_files())
