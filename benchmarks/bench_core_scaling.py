@@ -6,7 +6,10 @@ regressions in the inner loops of the experiment harnesses are caught.  The
 batched counterparts from :mod:`repro.batch` run the same workloads over all
 rounds at once; ``test_batch_fuse_speedup_report`` records the headline
 scalar-versus-batch throughput ratio and fails if vectorization ever degrades
-below 10x at the reference point (n=9, B=10 000).
+below 10x at the reference point (n=9, B=10 000), and
+``test_fusion_kernel_choice_report`` keeps the batch fusion's choice between
+its two kernels (endpoint sort for short batches, endpoint-coverage counts
+for wide ones) justified by measurement.
 """
 
 import time
@@ -23,11 +26,20 @@ from repro.batch import (
     batch_fuse,
     monte_carlo_rounds,
 )
+from repro.batch import fuse as fuse_module
 from repro.core import Interval, coverage_profile, detect, fuse
 from repro.scheduling import DescendingSchedule, RoundConfig, run_round
 
 SPEEDUP_N = 9
 SPEEDUP_BATCH = 10_000
+
+#: Each fusion kernel must beat the other by this factor where it is chosen:
+#: the counts kernel on wide batches, the sort on a Table II control step.
+KERNEL_CHOICE_FLOOR = 1.3
+WIDE_BATCH = 25_000
+WIDE_SENSORS = (3, 5, 9)
+STEP_BATCH = 24
+STEP_SENSORS = 4
 
 
 def _random_intervals(n: int, seed: int = 0) -> list[Interval]:
@@ -135,6 +147,50 @@ def test_batch_fuse_speedup_report(report_writer, speedup_floor):
         f"batch fusion is only {speedup:.1f}x faster than the scalar loop "
         f"(floor: {speedup_floor}x at n={SPEEDUP_N}, B={SPEEDUP_BATCH})"
     )
+
+
+def test_fusion_kernel_choice_report(report_writer):
+    """The counts kernel wins on wide batches and the sort on short ones.
+
+    ``coverage_extremes`` counts endpoint coverage from ``_COUNTS_MIN_ROWS``
+    rows on; both sides of that choice are timed here against the kernel it
+    rejects: B = 25,000 (a sweep shard) for n in {3, 5, 9}, and B = 24, n = 4
+    (one Table II control step).
+    """
+    assert STEP_BATCH < fuse_module._COUNTS_MIN_ROWS <= WIDE_BATCH
+    kernels = {"sort": fuse_module._swept_extremes, "counts": fuse_module._counted_extremes}
+    cases = [(WIDE_BATCH, n, 7) for n in WIDE_SENSORS] + [(STEP_BATCH, STEP_SENSORS, 200)]
+    rows, failures = [], []
+    for batch, n, repeats in cases:
+        lowers, uppers = _random_bounds(batch, n)
+        required = n - ((n + 1) // 2 - 1)
+        seconds = {
+            name: min(_timed(lambda: kernel(lowers, uppers, required)) for _ in range(repeats))
+            for name, kernel in kernels.items()
+        }
+        chosen, rejected = ("counts", "sort") if batch >= fuse_module._COUNTS_MIN_ROWS else ("sort", "counts")
+        advantage = seconds[rejected] / seconds[chosen]
+        rows.append(
+            [
+                f"{batch:,}",
+                n,
+                f"{seconds['sort'] * 1e6:,.0f}",
+                f"{seconds['counts'] * 1e6:,.0f}",
+                chosen,
+                f"{advantage:.2f}x",
+            ]
+        )
+        if advantage < KERNEL_CHOICE_FLOOR:
+            failures.append(f"B={batch}, n={n}: {chosen} is only {advantage:.2f}x faster than {rejected}")
+    report_writer(
+        "fusion_kernel_choice",
+        format_table(
+            ["B", "n", "sort us", "counts us", "chosen", "advantage"],
+            rows,
+            title=f"coverage_extremes kernel choice (floor {KERNEL_CHOICE_FLOOR}x)",
+        ),
+    )
+    assert not failures, "; ".join(failures)
 
 
 def _timed(thunk) -> float:

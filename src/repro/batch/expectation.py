@@ -17,10 +17,12 @@ fusion and admissibility sweeps per decision.  This module keeps the
   lockstep *play-out* (:class:`_Playout`): index arrays into the candidate
   grid, the scenario grid (built row-wise with the scalar ``_linspace``
   float operations) and, with ``fa >= 2``, the sub-decisions of the later
-  compromised slots; the rows are expanded into ``(rows, n)`` bound
-  matrices at most ``_FUSE_CHUNK_ROWS`` at a time and solved by batched
-  endpoint sweeps (:func:`repro.batch.fuse.coverage_extremes`, bit-identical
-  to the scalar :func:`repro.core.marzullo.fuse_or_none`);
+  compromised slots; the rows are expanded into sensor-major ``(n, rows)``
+  bound buffers at most ``_FUSE_CHUNK_ROWS`` at a time and fused by
+  :func:`repro.batch.fuse.coverage_extremes` (bit-identical to the scalar
+  :func:`repro.core.marzullo.fuse_or_none`), which counts endpoint coverage
+  on such buffers without a transposing copy — every play-out chunk past
+  a few hundred rows takes that sort-free kernel;
 * the per-candidate mean accumulates the per-scenario widths sequentially in
   the scalar enumeration order, so the scores — and therefore the decisions,
   tie sets included — equal the scalar policy's exactly.
@@ -107,9 +109,12 @@ _TIE_MARGIN = 2.0**-10
 _EXACT_LIMIT = 2.0**21
 
 #: Upper bound on the (candidate × scenario) rows fused per batched sweep;
-#: bounds the peak size of the event matrices (~10 MB per bound matrix at
-#: n = 10) without changing any result — chunks reproduce the same per-round
-#: sweeps.
+#: bounds peak memory without changing any result — chunks reproduce the same
+#: per-round sweeps.  At n = 10 a full chunk's two (n, rows) float64 bound
+#: buffers take 10.5 MB, and the counts kernel of ``coverage_extremes`` adds
+#: at most about 10 MB of transients (six uint8 counters and bool masks at
+#: 0.65 MB each, plus one float64 (n, rows) buffer while it picks each
+#: extreme).
 _FUSE_CHUNK_ROWS = 65_536
 
 
@@ -677,8 +682,9 @@ class _Playout:
         self.cand_hi = np.concatenate([prepared.hi for prepared, _context in items])
         blocked = np.concatenate([prepared.blocked for prepared, _context in items])
         self.live = np.flatnonzero(~blocked)
-        self.prefix_lo = np.stack([prepared.table.transmitted_lo for prepared, _context in items])
-        self.prefix_hi = np.stack([prepared.table.transmitted_hi for prepared, _context in items])
+        # Sensor-major (prefix, contexts), the layout ``assemble`` fills.
+        self.prefix_lo = np.stack([prepared.table.transmitted_lo for prepared, _context in items], axis=1)
+        self.prefix_hi = np.stack([prepared.table.transmitted_hi for prepared, _context in items], axis=1)
         self.scen_lo, self.scen_hi, scenarios = _scenario_grid(policy, contexts)
         self.scen_owner = np.repeat(np.arange(len(items)), scenarios)
         self.per_candidate = scenarios[self.owner[self.live]]
@@ -698,27 +704,32 @@ class _Playout:
             self.columns.append(None if compromised else position - sum(self.pattern[:position]))
 
     def assemble(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(stop - start, sensors)`` bound matrices of rows ``start:stop``."""
+        """The ``(stop - start, sensors)`` bound matrices of rows ``start:stop``.
+
+        Both are ``.T`` views of sensor-major ``(sensors, rows)`` buffers, so
+        the counts kernel of :func:`coverage_extremes` reads them without a
+        transposing copy.
+        """
         cand = self.cand[start:stop]
         scen = self.scen[start:stop]
         owner = self.owner[cand]
-        prefix = self.prefix_lo.shape[1]
-        shape = (cand.shape[0], prefix + 1 + len(self.pattern))
+        prefix = self.prefix_lo.shape[0]
+        shape = (prefix + 1 + len(self.pattern), cand.shape[0])
         lo = np.empty(shape)
         hi = np.empty(shape)
-        lo[:, :prefix] = self.prefix_lo[owner]
-        hi[:, :prefix] = self.prefix_hi[owner]
-        lo[:, prefix] = self.cand_lo[cand]
-        hi[:, prefix] = self.cand_hi[cand]
+        lo[:prefix] = self.prefix_lo[:, owner]
+        hi[:prefix] = self.prefix_hi[:, owner]
+        lo[prefix] = self.cand_lo[cand]
+        hi[prefix] = self.cand_hi[cand]
         for column, source in enumerate(self.columns, start=prefix + 1):
             if isinstance(source, int):
-                lo[:, column] = self.scen_lo[scen, source]
-                hi[:, column] = self.scen_hi[scen, source]
+                lo[column] = self.scen_lo[scen, source]
+                hi[column] = self.scen_hi[scen, source]
             else:
                 group, _decisions, group_lo, group_hi = source
-                lo[:, column] = group_lo[group[start:stop]]
-                hi[:, column] = group_hi[group[start:stop]]
-        return lo, hi
+                lo[column] = group_lo[group[start:stop]]
+                hi[column] = group_hi[group[start:stop]]
+        return lo.T, hi.T
 
     def advance(self) -> None:
         """Decide every future compromised position, in slot order.

@@ -882,13 +882,15 @@ def _compromised_transmissions(prepared: PreparedRounds, fa: int) -> tuple[np.nd
     the caller never writes.
     """
     orders = prepared.orders
+    batch, n = orders.shape
     if prepared.attacked:
         # The same fa sensors in every round: each row of the attacked-by-slot
-        # matrix holds exactly fa nonzeros, found in slot order.
-        attacked_by_slot = prepared.attacked_mask[0][orders]
-        slots = np.nonzero(attacked_by_slot)[1].reshape(-1, fa)
+        # matrix holds exactly fa nonzeros, found in slot order (as flat
+        # indices, a single 1-D scan).
+        cells = np.flatnonzero(prepared.attacked_mask[0][orders]).reshape(batch, fa)
+        slots = cells - np.arange(0, batch * n, n)[:, None]
     else:
-        attacked_by_slot = prepared.attacked_mask[np.arange(orders.shape[0])[:, None], orders]
+        attacked_by_slot = prepared.attacked_mask[np.arange(batch)[:, None], orders]
         # A stable sort of the honest flags moves each row's compromised
         # slots to the front, still in slot order.
         slots = np.argsort(~attacked_by_slot, axis=1, kind="stable")[:, :fa]
@@ -901,15 +903,28 @@ def _forge_stretch(
     broadcast_lo: np.ndarray,
     broadcast_hi: np.ndarray,
 ) -> None:
-    """Forge every compromised broadcast of the greedy stretch attacker in place."""
+    """Forge every compromised broadcast of the greedy stretch attacker in place.
+
+    ``(B, n)`` entries are read and written through flat ``row * n + sensor``
+    indices (one-array ``take`` / ``put``, several times cheaper than
+    two-array fancy indexing), and each support sweep gathers its prefix
+    sensor-major, the layout :func:`coverage_extremes` counts in.
+    """
     batch, n = prepared.shape
     f = prepared.f
     orders = prepared.orders
-    row_index = np.arange(batch)
+    row_start = np.arange(0, batch * n, n)  # flat index of each row's column 0
     static = bool(prepared.attacked)  # every row attacks the same sensors
-    fa_rows = prepared.attacked_mask.sum(axis=1)
-    fa = int(fa_rows.max())
+    if static:
+        fa = len(prepared.attacked)
+        fa_rows = np.full(batch, fa)
+    else:
+        fa_rows = prepared.attacked_mask.sum(axis=1)
+        fa = int(fa_rows.max())
     comp_slots, comp_sensors = _compromised_transmissions(prepared, fa)
+    widths = np.ravel(prepared.widths)
+    correct_lo = np.ravel(prepared.correct_lo)
+    correct_hi = np.ravel(prepared.correct_hi)
     # A prefix can only anchor a support when at least `required` of its
     # intervals are visible — every earlier slot on the perfect bus, only
     # the already-arrived ones under a lossy channel — so rows short of
@@ -924,25 +939,32 @@ def _forge_stretch(
     for j in range(fa):
         active_rows = None if static else fa_rows > j  # None: every row
         slot = comp_slots[:, j]
-        sensor = comp_sensors[:, j]
-        width = prepared.widths[row_index, sensor]
+        cell = row_start + comp_sensors[:, j]
+        width = widths.take(cell)
         need = unplaced if static else active_rows & unplaced
-        seen = slot if visible_table is None else visible_table[row_index, slot]
+        seen = slot if visible_table is None else visible_table[np.arange(batch), slot]
         required = n - f - (fa_rows - j)
         can_active = need & (seen >= required) & (required >= 1)
-        # Bucket by prefix length: each group sweeps a dense (rows, 2·slot)
-        # event matrix, masked only by the channel's visibility.
-        for s in np.flatnonzero(np.bincount(slot[can_active])):
-            group = np.nonzero(can_active & (slot == s))[0]
-            prefix_sensors = orders[group, :s]
+        # Bucket by prefix length: one stable sort lines the candidate rows
+        # up by slot (ascending row order within each), and each group
+        # sweeps a dense (slot, rows) prefix, masked only by the channel's
+        # visibility.
+        candidates = np.flatnonzero(can_active)
+        prefix_lengths = slot[candidates]
+        candidates = candidates[np.argsort(prefix_lengths, kind="stable")]
+        sizes = np.bincount(prefix_lengths)
+        stops = np.cumsum(sizes)
+        for s in np.flatnonzero(sizes):
+            group = candidates[stops[s] - sizes[s] : stops[s]]
+            prefix_cells = (orders[group, :s] + row_start[group, None]).T
             visible = (
                 None
                 if channel is None
                 else ~channel.lost[group, :s] & (channel.arrival[group, :s] < s)
             )
             region = coverage_extremes(
-                broadcast_lo[group[:, None], prefix_sensors],
-                broadcast_hi[group[:, None], prefix_sensors],
+                broadcast_lo.take(prefix_cells).T,
+                broadcast_hi.take(prefix_cells).T,
                 required[group],
                 mask=visible,
             )
@@ -951,18 +973,16 @@ def _forge_stretch(
             unplaced[anchored_rows] = False
 
         anchored = ~unplaced if static else active_rows & ~unplaced
-        lo = np.where(
-            anchored, support if right else support - width, prepared.correct_lo[row_index, sensor]
-        )
-        hi = np.where(
-            anchored, support + width if right else support, prepared.correct_hi[row_index, sensor]
-        )
+        lo = np.where(anchored, support if right else support - width, correct_lo.take(cell))
+        hi = np.where(anchored, support + width if right else support, correct_hi.take(cell))
         passive = need & unplaced & (width >= delta_width - PASSIVE_WIDTH_TOL)
         lo = np.where(passive, delta_lo if right else delta_hi - width, lo)
         hi = np.where(passive, delta_lo + width if right else delta_hi, hi)
-        writers = row_index if static else np.nonzero(active_rows)[0]
-        broadcast_lo[writers, sensor[writers]] = lo[writers]
-        broadcast_hi[writers, sensor[writers]] = hi[writers]
+        if not static:
+            writers = np.flatnonzero(active_rows)
+            cell, lo, hi = cell[writers], lo[writers], hi[writers]
+        broadcast_lo.put(cell, lo)
+        broadcast_hi.put(cell, hi)
 
 
 def _fuse_broadcasts(

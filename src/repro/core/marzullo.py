@@ -167,8 +167,10 @@ def fuse_or_none(intervals: Sequence[Interval], f: int) -> Interval | None:
     required = n - f
     if required <= 0:
         # Every point of the hull is trivially covered by >= 0 intervals; the
-        # natural reading is the convex hull of the inputs.
-        return Interval(min(s.lo for s in items), max(s.hi for s in items))
+        # natural reading is the convex hull of the inputs.  Ties go to the
+        # first lower and the *last* upper bound, the sweep's event order
+        # below (the choice only shows for ±0.0).
+        return Interval(min(s.lo for s in items), max(s.hi for s in reversed(items)))
 
     events = _sorted_events(items)
     coverage = 0

@@ -47,6 +47,13 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _MAX_HEADER_BYTES = 64 * 1024
 
+#: Longest a connection may take to deliver one whole request (request line,
+#: headers and body), counted from the end of its previous response — so it
+#: is also the keep-alive idle limit.  A client that goes quiet or trickles
+#: its bytes is disconnected after it instead of holding a server coroutine
+#: forever.
+_REQUEST_READ_TIMEOUT_S = 30.0
+
 
 class _HttpError(Exception):
     """Internal: carries a status + message to the response writer."""
@@ -118,9 +125,11 @@ class FusionServer:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await asyncio.wait_for(self._read_request(reader), _REQUEST_READ_TIMEOUT_S)
                 except asyncio.IncompleteReadError:
                     break  # client closed between requests — normal keep-alive end
+                except asyncio.TimeoutError:
+                    break  # idle or too slow: close the connection
                 if request is None:
                     break
                 method, path, query, headers, body = request

@@ -10,6 +10,7 @@ from repro.batch import (
     batch_fuse_or_none,
     coverage_extremes,
 )
+from repro.batch import fuse as fuse_module
 from repro.core import FaultBoundError, FusionError, Interval, detect, fuse, fuse_or_none
 
 
@@ -128,6 +129,56 @@ def test_coverage_extremes_masked_ties_with_inactive_endpoints():
     assert hull.valid.all()
     np.testing.assert_array_equal(hull.lo, [0.0, 1.0])
     np.testing.assert_array_equal(hull.hi, [2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    ("rows", "sensors", "kernel"),
+    [
+        (fuse_module._COUNTS_MIN_ROWS - 1, 4, "_swept_extremes"),
+        (fuse_module._COUNTS_MIN_ROWS, 4, "_counted_extremes"),
+        (fuse_module._COUNTS_MIN_ROWS, fuse_module._COUNTS_MAX_SENSORS, "_counted_extremes"),
+        (fuse_module._COUNTS_MIN_ROWS, fuse_module._COUNTS_MAX_SENSORS + 1, "_swept_extremes"),
+    ],
+)
+def test_coverage_extremes_selects_kernel_by_batch_shape(monkeypatch, rows, sensors, kernel):
+    calls = []
+    for name in ("_swept_extremes", "_counted_extremes"):
+        original = getattr(fuse_module, name)
+        monkeypatch.setattr(
+            fuse_module, name, lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args)
+        )
+    lowers = np.zeros((rows, sensors))
+    result = coverage_extremes(lowers, lowers + 1.0, sensors)
+    assert calls == [kernel]
+    assert result.valid.all()
+
+
+@pytest.mark.parametrize("rows", [1, fuse_module._COUNTS_MIN_ROWS])
+def test_hull_ties_take_the_sweep_order_signs(rows):
+    # With f >= n every point of the hull is covered; the tied extremes are
+    # -0.0 and +0.0, and the sweep's order keeps the first lower bound and
+    # the last upper bound — the scalar hull shortcut included.
+    lowers = np.tile([[-0.0, 0.0], [-1.0, -1.0]], (rows, 1))
+    uppers = np.tile([[1.0, 1.0], [-0.0, 0.0]], (rows, 1))
+    result = batch_fuse_or_none(lowers, uppers, 2)
+    for row in range(2):
+        scalar = fuse_or_none([Interval(lowers[row, i], uppers[row, i]) for i in range(2)], 2)
+        for got, want in ((result.lo[row], scalar.lo), (result.hi[row], scalar.hi)):
+            assert got == want and np.signbit(got) == np.signbit(want)
+    assert np.signbit(result.lo[0]) and not np.signbit(result.hi[1])
+
+
+@pytest.mark.parametrize("rows", [1, fuse_module._COUNTS_MIN_ROWS])
+def test_masked_out_nan_takes_no_part(rows):
+    # Validation checks active entries only, so a masked-out entry may hold
+    # NaN; both kernels must ignore it rather than let it reach a count.
+    lowers = np.tile([np.nan, 0.0], (rows, 1))
+    uppers = np.tile([np.nan, 1.0], (rows, 1))
+    mask = np.tile([False, True], (rows, 1))
+    result = batch_fuse_or_none(lowers, uppers, 0, mask=mask)
+    assert result.valid.all()
+    np.testing.assert_array_equal(result.lo, 0.0)
+    np.testing.assert_array_equal(result.hi, 1.0)
 
 
 def test_validation_errors():

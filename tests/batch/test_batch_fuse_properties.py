@@ -1,10 +1,16 @@
 """Property tests: the batch sweep bit-matches the scalar fusion core.
 
 Every test draws random ``(B, n)`` interval batches — continuous values as
-well as coarse grids that force endpoint ties and degenerate intervals — and
-asserts exact (bitwise) agreement between the vectorized sweep and the scalar
+well as coarse grids that force endpoint ties, degenerate intervals and
+``±0.0`` endpoints — and asserts exact (bitwise: value *and* sign bit)
+agreement between the vectorized sweep and the scalar
 :func:`repro.core.marzullo.fuse` / :func:`~repro.core.marzullo.fuse_or_none` /
 :func:`repro.core.detection.detect`, including rounds whose fusion is empty.
+
+:func:`~repro.batch.coverage_extremes` has two kernels, chosen by batch
+shape.  Each property therefore runs twice: on the ``BATCH`` drawn rows
+(the endpoint sort) and on those rows tiled past ``_COUNTS_MIN_ROWS`` (the
+endpoint-coverage counts).
 """
 
 import numpy as np
@@ -12,44 +18,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import batch_detect, batch_fuse, batch_fuse_or_none, coverage_extremes
+from repro.batch import fuse as fuse_module
 from repro.core import Interval, detect, fuse_or_none, max_safe_fault_bound
 
 BATCH = 6
 
 
 @st.composite
+def _grid_point(draw, low, high):
+    """A half-integer in ``[low/2, high/2]``; zero comes with either sign."""
+    value = draw(st.integers(min_value=low, max_value=high)) / 2.0
+    if value == 0.0 and draw(st.booleans()):
+        return -0.0
+    return value
+
+
+@st.composite
 def interval_batch(draw):
-    """A (B, n) batch mixing continuous and tie-heavy grid-valued intervals."""
+    """A (B, n) batch mixing continuous, tie-heavy grid-valued and
+    signed-zero-heavy intervals."""
     n = draw(st.integers(min_value=1, max_value=9))
-    grid = draw(st.booleans())
+    kind = draw(st.sampled_from(["continuous", "grid", "zeros"]))
     rows = []
     for _ in range(BATCH * n):
-        if grid:
-            lo = draw(st.integers(min_value=-6, max_value=6)) / 2.0
-            width = draw(st.integers(min_value=0, max_value=8)) / 2.0
+        if kind == "grid":
+            lo = draw(_grid_point(-6, 6))
+            hi = lo + draw(st.integers(min_value=0, max_value=8)) / 2.0
+            if hi == 0.0:
+                hi = draw(st.sampled_from([0.0, -0.0]))
+        elif kind == "zeros":
+            # Every endpoint at -1, ±0 or 1: most ties are between zeros of
+            # either sign, where only the sweep's event order fixes the sign.
+            lo = draw(st.sampled_from([-1.0, -0.0, 0.0]))
+            hi = draw(st.sampled_from([-0.0, 0.0, 1.0]))
         else:
             lo = draw(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
-            width = draw(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
-        rows.append((lo, lo + width))
+            hi = lo + draw(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+        rows.append((lo, hi))
     bounds = np.array(rows).reshape(BATCH, n, 2)
     return bounds[:, :, 0], bounds[:, :, 1]
 
 
-def _scalar_rows(lowers, uppers):
-    for row in range(lowers.shape[0]):
-        yield row, [Interval(lowers[row, i], uppers[row, i]) for i in range(lowers.shape[1])]
+def _both_kernels(*arrays):
+    """The per-row arrays as drawn (sort kernel) and tiled past the counts
+    kernel's row threshold; ``None`` passes through."""
+    reps = -(-fuse_module._COUNTS_MIN_ROWS // BATCH)
+    tiled = tuple(None if a is None else np.tile(a, (reps,) + (1,) * (a.ndim - 1)) for a in arrays)
+    return [arrays, tiled]
 
 
-def _assert_rows_match(result, lowers, uppers, f):
-    for row, intervals in _scalar_rows(lowers, uppers):
-        scalar = fuse_or_none(intervals, f)
-        if scalar is None:
-            assert not result.valid[row]
-            assert np.isnan(result.lo[row]) and np.isnan(result.hi[row])
-        else:
-            assert result.valid[row]
-            assert result.lo[row] == scalar.lo
-            assert result.hi[row] == scalar.hi
+def _scalar_fusion(lowers, uppers, f_of_row, mask=None):
+    """Per-row scalar ``fuse_or_none`` of the masked-in intervals as
+    ``(lo, hi, valid)`` arrays; ``f_of_row(row, count)`` gives the fault
+    bound, or ``None`` for a row that cannot reach its coverage."""
+    batch, n = lowers.shape
+    lo, hi = np.full(batch, np.nan), np.full(batch, np.nan)
+    valid = np.zeros(batch, dtype=bool)
+    for row in range(batch):
+        intervals = [
+            Interval(lowers[row, i], uppers[row, i]) for i in range(n) if mask is None or mask[row, i]
+        ]
+        f = f_of_row(row, len(intervals)) if intervals else None
+        fused = None if f is None else fuse_or_none(intervals, f)
+        if fused is not None:
+            lo[row], hi[row], valid[row] = fused.lo, fused.hi, True
+    return lo, hi, valid
+
+
+def _assert_same_bits(result, expected):
+    """``result`` equals ``expected`` (tiled to its length) in value and sign bit."""
+    lo, hi, valid = expected
+    reps = len(result) // lo.shape[0]
+    np.testing.assert_array_equal(result.valid, np.tile(valid, reps))
+    for got, want in ((result.lo, np.tile(lo, reps)), (result.hi, np.tile(hi, reps))):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @given(interval_batch())
@@ -57,49 +100,49 @@ def _assert_rows_match(result, lowers, uppers, f):
 def test_batch_fuse_bitmatches_scalar_in_valid_regime(batch):
     lowers, uppers = batch
     f = max_safe_fault_bound(lowers.shape[1])
-    _assert_rows_match(batch_fuse(lowers, uppers, f), lowers, uppers, f)
+    expected = _scalar_fusion(lowers, uppers, lambda row, count: f)
+    for lo, hi in _both_kernels(lowers, uppers):
+        _assert_same_bits(batch_fuse(lo, hi, f), expected)
 
 
 @given(interval_batch(), st.integers(min_value=0, max_value=11))
 @settings(max_examples=120, deadline=None)
 def test_batch_fuse_or_none_bitmatches_scalar_for_any_f(batch, f):
     lowers, uppers = batch
-    _assert_rows_match(batch_fuse_or_none(lowers, uppers, f), lowers, uppers, f)
+    expected = _scalar_fusion(lowers, uppers, lambda row, count: f)
+    for lo, hi in _both_kernels(lowers, uppers):
+        _assert_same_bits(batch_fuse_or_none(lo, hi, f), expected)
 
 
 @given(interval_batch())
 @settings(max_examples=60, deadline=None)
 def test_batch_detect_bitmatches_scalar_detect(batch):
     lowers, uppers = batch
-    f = max_safe_fault_bound(lowers.shape[1])
-    fusion = batch_fuse(lowers, uppers, f)
-    flagged = batch_detect(lowers, uppers, fusion)
-    for row, intervals in _scalar_rows(lowers, uppers):
-        if not fusion.valid[row]:
-            assert not flagged[row].any()
-            continue
-        scalar = detect(intervals, Interval(fusion.lo[row], fusion.hi[row]))
-        assert set(np.nonzero(flagged[row])[0]) == set(scalar.flagged_indices)
+    n = lowers.shape[1]
+    f = max_safe_fault_bound(n)
+    for lo, hi in _both_kernels(lowers, uppers):
+        fusion = batch_fuse(lo, hi, f)
+        flagged = batch_detect(lo, hi, fusion)
+        for row in range(lo.shape[0]):
+            if not fusion.valid[row]:
+                assert not flagged[row].any()
+                continue
+            intervals = [Interval(lo[row, i], hi[row, i]) for i in range(n)]
+            scalar = detect(intervals, Interval(fusion.lo[row], fusion.hi[row]))
+            assert set(np.nonzero(flagged[row])[0]) == set(scalar.flagged_indices)
 
 
 @given(interval_batch())
 @settings(max_examples=60, deadline=None)
 def test_masked_rows_equal_scalar_fusion_of_subset(batch):
     lowers, uppers = batch
-    n = lowers.shape[1]
-    f = max_safe_fault_bound(n)
+    f = max_safe_fault_bound(lowers.shape[1])
     rng = np.random.default_rng(0)
     mask = rng.random(lowers.shape) < 0.7
     mask[:, 0] = True
-    result = batch_fuse_or_none(lowers, uppers, f, mask=mask)
-    for row in range(lowers.shape[0]):
-        subset = [Interval(lowers[row, i], uppers[row, i]) for i in range(n) if mask[row, i]]
-        scalar = fuse_or_none(subset, f)
-        if scalar is None:
-            assert not result.valid[row]
-        else:
-            assert result.valid[row]
-            assert result.lo[row] == scalar.lo and result.hi[row] == scalar.hi
+    expected = _scalar_fusion(lowers, uppers, lambda row, count: f, mask)
+    for lo, hi, on in _both_kernels(lowers, uppers, mask):
+        _assert_same_bits(batch_fuse_or_none(lo, hi, f, mask=on), expected)
 
 
 def _covered_extremes(lowers, uppers, required, mask):
@@ -108,7 +151,8 @@ def _covered_extremes(lowers, uppers, required, mask):
     The points covered at least ``k`` times form a union of closed intervals
     whose left ends are lower endpoints and whose right ends are upper
     endpoints, so checking the coverage at every endpoint finds both
-    extremes exactly.
+    extremes exactly (as values: the signs of tied zeros follow the sweep's
+    event order, which the scalar-oracle tests pin).
     """
     active = [(lo, hi) for lo, hi, on in zip(lowers, uppers, mask) if on]
     needed = max(int(required), 1)
@@ -129,6 +173,7 @@ def test_coverage_extremes_matches_brute_force_support(batch, data):
     # The one-sided reading the stretch attacker's support search uses:
     # per-row required counts (including non-positive and unreachable
     # ones) under a per-row participation mask, empty rows included.
+    # Masked-out entries hold NaN: they must take part in nothing.
     lowers, uppers = batch
     n = lowers.shape[1]
     required = np.array(
@@ -137,15 +182,20 @@ def test_coverage_extremes_matches_brute_force_support(batch, data):
     mask = np.array(
         data.draw(st.lists(st.booleans(), min_size=BATCH * n, max_size=BATCH * n))
     ).reshape(BATCH, n)
-    result = coverage_extremes(lowers, uppers, required, mask=mask)
-    for row in range(BATCH):
-        expected = _covered_extremes(lowers[row], uppers[row], required[row], mask[row])
-        if expected is None:
-            assert not result.valid[row]
-            assert np.isnan(result.lo[row]) and np.isnan(result.hi[row])
-        else:
-            assert result.valid[row]
-            assert (result.lo[row], result.hi[row]) == expected
+    # The scalar reading of a row: fuse_or_none of its active intervals with
+    # f = count - required (a negative f cannot reach the coverage).
+    expected = _scalar_fusion(
+        lowers, uppers, lambda row, count: None if required[row] > count else count - required[row], mask
+    )
+    poisoned = (np.where(mask, lowers, np.nan), np.where(mask, uppers, np.nan))
+    for lo, hi, need, on in _both_kernels(*poisoned, required, mask):
+        result = coverage_extremes(lo, hi, need, mask=on)
+        _assert_same_bits(result, expected)
+        for row in range(BATCH):
+            covered = _covered_extremes(lowers[row], uppers[row], required[row], mask[row])
+            assert (covered is not None) == result.valid[row]
+            if covered is not None:
+                assert (result.lo[row], result.hi[row]) == covered
 
 
 @given(interval_batch(), st.integers(min_value=-1, max_value=10))
@@ -153,15 +203,9 @@ def test_coverage_extremes_matches_brute_force_support(batch, data):
 def test_coverage_extremes_scalar_required_without_mask(batch, required):
     lowers, uppers = batch
     n = lowers.shape[1]
-    result = coverage_extremes(lowers, uppers, required)
-    everyone = np.ones(n, dtype=bool)
-    for row in range(BATCH):
-        expected = _covered_extremes(lowers[row], uppers[row], required, everyone)
-        if expected is None:
-            assert not result.valid[row]
-        else:
-            assert result.valid[row]
-            assert (result.lo[row], result.hi[row]) == expected
+    expected = _scalar_fusion(lowers, uppers, lambda row, count: None if required > n else n - required)
+    for lo, hi in _both_kernels(lowers, uppers):
+        _assert_same_bits(coverage_extremes(lo, hi, required), expected)
 
 
 def test_large_seeded_sweep_bitmatches_scalar():
@@ -176,6 +220,10 @@ def test_large_seeded_sweep_bitmatches_scalar():
         lowers[::3, 0] += rng.uniform(5.0, 30.0)
         uppers = lowers + widths
         for f in range(0, max_safe_fault_bound(n) + 1):
-            _assert_rows_match(batch_fuse(lowers, uppers, f), lowers, uppers, f)
+            expected = _scalar_fusion(lowers, uppers, lambda row, count: f)
+            # Below and above the counts kernel's row threshold.
+            _assert_same_bits(batch_fuse(lowers, uppers, f), expected)
+            tiles = (-(-fuse_module._COUNTS_MIN_ROWS // batch), 1)
+            _assert_same_bits(batch_fuse(np.tile(lowers, tiles), np.tile(uppers, tiles), f), expected)
             checked += batch
     assert checked >= 1000

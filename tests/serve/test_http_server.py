@@ -28,6 +28,7 @@ from repro.scenarios import get_scenario, register_scenario
 from repro.scenarios.registry import _SCENARIOS
 from repro.scenarios.spec import ComparisonCase, ComparisonScenario, spec_dict
 from repro.serve import FusionServer, FusionService
+from repro.serve import http as http_module
 
 CASES = (ComparisonCase(label="case", lengths=(2.0, 3.0, 4.0), fa=1),)
 
@@ -357,3 +358,28 @@ def test_overlong_line_answers_400(request_head):
         head, _, body = response.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "line too long" in json.loads(body)["error"]
+
+
+@pytest.mark.parametrize(
+    "sent",
+    [b"", b"GET /v1/health HTTP/1.1\r\nHost: x"],
+    ids=["idle", "half-sent-request"],
+)
+def test_stalled_connection_is_closed_after_read_timeout(monkeypatch, sent):
+    # Without a read deadline an idle keep-alive client, or one that stops
+    # halfway through its request, held a server coroutine forever.
+    monkeypatch.setattr(http_module, "_REQUEST_READ_TIMEOUT_S", 0.2)
+    service = FusionService(store=None)
+    with ServerThread(service) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            # A complete request first: the deadline then restarts per request.
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\n\r\n")
+            response = b""
+            while b"\r\n\r\n" not in response:
+                response += sock.recv(4096)
+            assert response.startswith(b"HTTP/1.1 200 ")
+            sock.sendall(sent)
+            start = time.monotonic()
+            while sock.recv(4096):  # the rest of the health body, then EOF
+                pass
+            assert time.monotonic() - start < 5.0
