@@ -22,11 +22,12 @@ import numpy as np
 from repro import (
     AscendingSchedule,
     DescendingSchedule,
-    FusionEngine,
     RoundConfig,
     ScheduleComparisonConfig,
+    detect,
     fuse,
     get_engine,
+    max_safe_fault_bound,
     run_round,
     sensors_from_widths,
 )
@@ -63,14 +64,15 @@ def main() -> None:
         print(f"f = {f}: fusion = {fusion} (width {fusion.width:.3f})")
 
     # ------------------------------------------------------------------
-    # 3. Controller-side engine: fusion + detection in one call.
+    # 3. Controller side: fusion with the conservative f = ceil(n/2) - 1,
+    #    then detection of every interval disjoint from the fusion.
     # ------------------------------------------------------------------
     section("Fusion engine with detection")
-    engine = FusionEngine(n_sensors=len(suite))
-    outcome = engine.process_round(intervals)
-    print(f"fusion interval : {outcome.fusion}")
-    print(f"point estimate  : {outcome.estimate:.3f} (true value {true_speed})")
-    print(f"flagged sensors : {list(outcome.detection.flagged_indices) or 'none'}")
+    fusion = fuse(intervals, max_safe_fault_bound(len(intervals)))
+    detection = detect(intervals, fusion)
+    print(f"fusion interval : {fusion}")
+    print(f"point estimate  : {fusion.center:.3f} (true value {true_speed})")
+    print(f"flagged sensors : {list(detection.flagged_indices) or 'none'}")
 
     # ------------------------------------------------------------------
     # 4. A stealthy attacker compromises the most precise sensor.  Under the

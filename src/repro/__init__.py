@@ -19,8 +19,6 @@ the paper-versus-measured comparison of every experiment.
 
 from repro.core import (
     DetectionResult,
-    FusionEngine,
-    FusionOutcome,
     Interval,
     IntervalSet,
     convex_hull,
@@ -90,8 +88,6 @@ __all__ = [
     "fuse",
     "fuse_or_none",
     "max_safe_fault_bound",
-    "FusionEngine",
-    "FusionOutcome",
     "DetectionResult",
     "detect",
     # attack

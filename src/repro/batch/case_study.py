@@ -1,8 +1,8 @@
 """Vectorized Table II — the platoon case study at Monte-Carlo scale.
 
 The scalar case study (:mod:`repro.vehicle.case_study`) steps every LandShark
-through the full object stack — sensor suite, shared bus, attacker node,
-fusion engine, PI controller, safety supervisor, longitudinal dynamics — one
+through the full object stack — sensor suite, scalar fusion round with its
+attack policy, PI controller, safety supervisor, longitudinal dynamics — one
 control period at a time, which caps Table II at a few hundred rounds per
 schedule.  This module replays the *same* closed loop as array operations:
 

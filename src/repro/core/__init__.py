@@ -4,7 +4,6 @@ The public names re-exported here form the stable core API:
 
 * :class:`~repro.core.interval.Interval` / :class:`~repro.core.interval.IntervalSet`
 * :func:`~repro.core.marzullo.fuse` and friends
-* :class:`~repro.core.fusion.FusionEngine` / :class:`~repro.core.fusion.FusionOutcome`
 * :func:`~repro.core.detection.detect`
 * the theoretical bounds of :mod:`repro.core.bounds`
 * the worst-case search of :mod:`repro.core.worst_case`
@@ -22,7 +21,6 @@ from repro.core.bounds import (
 from repro.core.detection import DetectionResult, detect, is_stealthy_against
 from repro.core.exceptions import (
     AttackError,
-    BusError,
     EmptyFusionError,
     EmptyIntersectionError,
     ExperimentError,
@@ -35,7 +33,6 @@ from repro.core.exceptions import (
     StealthViolationError,
     VehicleError,
 )
-from repro.core.fusion import FusionEngine, FusionOutcome
 from repro.core.interval import Interval, IntervalSet, convex_hull, intersect_all
 from repro.core.marzullo import (
     CoverageSegment,
@@ -72,9 +69,6 @@ __all__ = [
     "kth_smallest_lower_bound",
     "kth_largest_upper_bound",
     "CoverageSegment",
-    # fusion engine
-    "FusionEngine",
-    "FusionOutcome",
     # detection
     "DetectionResult",
     "detect",
@@ -111,7 +105,6 @@ __all__ = [
     "StealthViolationError",
     "ScheduleError",
     "SensorError",
-    "BusError",
     "VehicleError",
     "ExperimentError",
 ]

@@ -53,10 +53,6 @@ class SensorError(ReproError):
     """Raised for invalid sensor specifications or measurements."""
 
 
-class BusError(ReproError):
-    """Raised for shared-bus protocol violations (wrong slot, double send...)."""
-
-
 class VehicleError(ReproError):
     """Raised for invalid vehicle, controller or platoon configurations."""
 

@@ -7,7 +7,7 @@ encodes the sensor's precision: wide interval, imprecise sensor.
 
 The :class:`Interval` type in this module is deliberately small and immutable;
 it is the currency in which every other subsystem (fusion, attack policies,
-schedules, the bus, the vehicle case study) trades.
+schedules, the fusion round, the vehicle case study) trades.
 """
 
 from __future__ import annotations

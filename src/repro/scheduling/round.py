@@ -6,10 +6,9 @@ whatever their attack policy chooses (having seen every earlier message), and
 once all ``n`` intervals are in, the controller fuses them with its fixed
 ``f`` and runs the detection procedure.
 
-The round simulator is deliberately independent of the richer event-driven
-bus model in :mod:`repro.bus` — it is the fast inner loop of the exhaustive
-Table I style experiments — but both share the same attack-policy interface,
-so an attacker behaves identically under either substrate.
+This is the one scalar round: the Table I style experiments, the figures,
+the conformance oracle and every :class:`~repro.vehicle.landshark.LandShark`
+control period all run through :func:`run_round`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
-"""LandShark vehicle assembly: dynamics + sensors + bus + fusion + control.
+"""LandShark vehicle assembly: dynamics + sensors + fusion round + control.
 
 A :class:`LandShark` bundles everything one vehicle of the platoon needs:
 
 * the longitudinal dynamics (the "plant"),
 * the four-sensor speed suite of the case study (GPS, camera, two encoders),
-* its own shared bus with the configured communication schedule,
-* the attacker node (if this vehicle is under attack),
-* the controller-side fusion engine, the PI speed controller and the safety
-  supervisor.
+* the communication schedule and fault bound of its fusion round,
+* the attacked-sensor selector and attack policy (if this vehicle is under
+  attack),
+* the PI speed controller and the safety supervisor.
 
-One call to :meth:`step` performs a full control period: measure, broadcast
-according to the schedule (with the attacker forging her slots), fuse, detect,
-review against the safety envelope, and advance the dynamics with the applied
-command.
+One call to :meth:`step` performs a full control period: pick the attacked
+sensors, measure, run one fusion round
+(:func:`~repro.scheduling.round.run_round`: broadcast according to the
+schedule with the attacker forging her slots, fuse, detect), review against
+the safety envelope, and advance the dynamics with the applied command.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attack.policy import AttackPolicy, TruthfulPolicy
-from repro.bus.can import SharedBus
-from repro.bus.nodes import AttackerNode, BusRound, BusRoundResult
 from repro.core.exceptions import VehicleError
 from repro.core.interval import Interval
+from repro.core.marzullo import validate_fault_bound
 from repro.sensors.library import landshark_specs, make_sensor
 from repro.sensors.noise import NoiseModel, UniformNoise
 from repro.sensors.suite import SensorSuite
+from repro.scheduling.round import RoundConfig, RoundResult, run_round
 from repro.scheduling.schedule import Schedule
 from repro.vehicle.controller import SpeedController
 from repro.vehicle.dynamics import LongitudinalVehicle, VehicleParameters, VehicleState
@@ -53,7 +54,7 @@ class StepRecord:
     fusion: Interval
     estimate: float
     decision: SupervisorDecision
-    round_result: BusRoundResult
+    round_result: RoundResult
 
     @property
     def upper_violation(self) -> bool:
@@ -100,12 +101,11 @@ class LandShark:
             if attacked_selector is not None
             else FixedSelector(indices=tuple(attacked_indices))
         )
-        attacker = AttackerNode(
-            compromised_indices=tuple(attacked_indices),
-            policy=attack_policy if attack_policy is not None else TruthfulPolicy(),
-        )
-        self._bus = SharedBus()
-        self._round = BusRound(self._suite, schedule, attacker, f)
+        self._schedule = schedule
+        self._policy = attack_policy if attack_policy is not None else TruthfulPolicy()
+        if f is not None:
+            validate_fault_bound(len(self._suite), f)
+        self._f = f
         self._step_index = 0
 
     # ------------------------------------------------------------------
@@ -142,8 +142,13 @@ class LandShark:
     def step(self, rng: np.random.Generator) -> StepRecord:
         """Run one full control period and advance the dynamics."""
         true_speed = self._vehicle.speed
-        self._round.attacker.set_compromised(self._attacked_selector.select(self._suite, rng))
-        round_result = self._round.run(self._bus, true_speed, rng)
+        attacked = self._attacked_selector.select(self._suite, rng)
+        readings = self._suite.measure_all(true_speed, rng)
+        round_result = run_round(
+            [r.interval for r in readings],
+            RoundConfig(self._schedule, attacked, self._policy, self._f),
+            rng,
+        )
         estimate = round_result.fusion.center
         command = self._controller.command(
             self._limits.target_speed, estimate, self._vehicle.parameters.dt

@@ -2,7 +2,7 @@
 
 Three LandSharks move away from enemy territory in a platoon; the leader sets
 a target speed ``v`` for all three, and each vehicle regulates its own speed
-with its own sensors, bus, fusion and supervisor.  The platoon layer tracks
+with its own sensors, fusion round and supervisor.  The platoon layer tracks
 positions so that inter-vehicle gaps (the physical quantity the safety
 envelope protects) can be inspected, and aggregates the per-vehicle violation
 statistics that Table II reports.

@@ -1,11 +1,10 @@
-"""End-to-end integration tests across substrates (sensors → bus → fusion → control)."""
+"""End-to-end integration tests across layers (sensors → round → fusion → control)."""
 
 import numpy as np
 import pytest
 
-from repro.attack import ExpectationPolicy, GreedyExtendPolicy, TruthfulPolicy
-from repro.bus import AttackerNode, BusRound, SharedBus
-from repro.core import FusionEngine
+from repro.attack import ExpectationPolicy, TruthfulPolicy
+from repro.core import detect, fuse, max_safe_fault_bound
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
@@ -21,79 +20,40 @@ class TestSensorsToFusionPipeline:
     def test_many_rounds_all_contain_truth(self):
         rng = np.random.default_rng(0)
         suite = SensorSuite(sensors_from_widths([0.5, 1.0, 2.0, 4.0], noise=UniformNoise()))
-        engine = FusionEngine(len(suite))
+        f = max_safe_fault_bound(len(suite))
         for step in range(200):
             true_value = 5.0 + np.sin(step / 10.0)
-            readings = suite.measure_all(true_value, rng)
-            outcome = engine.process_round([r.interval for r in readings])
-            assert outcome.contains_true_value(true_value)
-            assert not outcome.detection.any_flagged
+            intervals = [r.interval for r in suite.measure_all(true_value, rng)]
+            fusion = fuse(intervals, f)
+            assert fusion.contains(true_value)
+            assert not detect(intervals, fusion).any_flagged
 
     def test_fusion_estimate_tracks_truth_better_than_worst_sensor(self):
         rng = np.random.default_rng(1)
         suite = SensorSuite(sensors_from_widths([0.5, 1.0, 4.0], noise=UniformNoise()))
-        engine = FusionEngine(len(suite), f=1)
         fusion_errors = []
         worst_sensor_errors = []
         for _ in range(300):
             readings = suite.measure_all(10.0, rng)
-            outcome = engine.process_round([r.interval for r in readings])
-            fusion_errors.append(abs(outcome.estimate - 10.0))
+            fusion = fuse([r.interval for r in readings], 1)
+            fusion_errors.append(abs(fusion.center - 10.0))
             worst_sensor_errors.append(abs(readings[2].measurement - 10.0))
         assert np.mean(fusion_errors) < np.mean(worst_sensor_errors)
 
 
-class TestBusAndFastSimulatorAgree:
-    def test_same_policy_same_decision(self):
-        # For identical readings and schedule, the message-level bus round and
-        # the fast round simulator must produce the same fusion interval.
-        rng_measure = np.random.default_rng(7)
-        suite = SensorSuite(sensors_from_widths([0.4, 1.0, 2.0], noise=UniformNoise()))
-        readings = suite.measure_all(3.0, rng_measure)
-        intervals = [r.interval for r in readings]
-
-        fast = run_round(
-            intervals,
-            RoundConfig(
-                schedule=DescendingSchedule(),
-                attacked_indices=(0,),
-                policy=GreedyExtendPolicy(),
-                f=1,
-            ),
-            np.random.default_rng(0),
-        )
-
-        bus = SharedBus()
-        attacker = AttackerNode(compromised_indices=(0,), policy=GreedyExtendPolicy())
-        bus_round = BusRound(suite, DescendingSchedule(), attacker, f=1)
-        # Inject the same readings by monkeypatching measure_all through a
-        # zero-noise equivalent: easier is to run the fast simulator on the
-        # bus result's readings instead.
-        bus_result = bus_round.run(bus, 3.0, np.random.default_rng(7))
-        replay = run_round(
-            [r.interval for r in bus_result.readings],
-            RoundConfig(
-                schedule=DescendingSchedule(),
-                attacked_indices=(0,),
-                policy=GreedyExtendPolicy(),
-                f=1,
-            ),
-            np.random.default_rng(0),
-        )
-        assert bus_result.fusion.almost_equal(replay.fusion)
-        assert fast.fusion.contains(3.0)
-
-    def test_attacked_bus_round_consistency_over_time(self):
+class TestAttackedRoundsOverTime:
+    def test_expectation_attacker_stays_stealthy_over_time(self):
         rng = np.random.default_rng(3)
         suite = SensorSuite(sensors_from_widths([0.4, 1.0, 2.0], noise=UniformNoise()))
-        bus = SharedBus()
-        attacker = AttackerNode(
-            compromised_indices=(0,),
+        config = RoundConfig(
+            schedule=RandomSchedule(),
+            attacked_indices=(0,),
             policy=ExpectationPolicy(true_value_positions=2, placement_positions=2),
+            f=1,
         )
-        bus_round = BusRound(suite, RandomSchedule(), attacker, f=1)
         for _ in range(40):
-            result = bus_round.run(bus, 3.0, rng)
+            intervals = [r.interval for r in suite.measure_all(3.0, rng)]
+            result = run_round(intervals, config, rng)
             assert result.fusion.contains(3.0)
             assert not result.detection.any_flagged
 

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.attack import ExpectationPolicy, GreedyExtendPolicy, TruthfulPolicy
+from repro.attack import AttackPolicy, ExpectationPolicy, GreedyExtendPolicy, TruthfulPolicy
 from repro.core import Interval, ScheduleError, fuse
 from repro.scheduling import (
     AscendingSchedule,
     DescendingSchedule,
     FixedSchedule,
+    RandomSchedule,
     RoundConfig,
     run_round,
 )
+from repro.sensors import SensorSuite, UniformNoise, ZeroNoise, sensors_from_widths
+from repro.vehicle import landshark_suite
 
 CORRECT = [Interval(9.9, 10.1), Interval(9.7, 10.3), Interval(9.6, 10.6), Interval(9.2, 11.2)]
 
@@ -122,3 +125,89 @@ class TestRoundWithAttack:
             )
             assert result.fusion.contains(10.0)
             assert not result.attacker_detected
+
+
+class RecordingPolicy(AttackPolicy):
+    """Forward to ``inner`` and keep every attack context the round built."""
+
+    def __init__(self, inner: AttackPolicy | None = None) -> None:
+        self.inner = inner if inner is not None else TruthfulPolicy()
+        self.contexts = []
+
+    def choose_interval(self, context, rng):
+        self.contexts.append(context)
+        return self.inner.choose_interval(context, rng)
+
+
+ORDERS = [(0, 1, 2, 3), (3, 2, 1, 0), (3, 1, 0, 2)]
+
+
+class TestSharedMediumView:
+    """A compromised sensor sees every earlier transmission of its round."""
+
+    @pytest.mark.parametrize("permutation", ORDERS, ids=lambda p: "".join(map(str, p)))
+    @pytest.mark.parametrize("attacked", [(0,), (2,), (1, 3)], ids=lambda a: "+".join(map(str, a)))
+    def test_attacker_context_is_the_bus_so_far(self, permutation, attacked):
+        policy = RecordingPolicy(GreedyExtendPolicy())
+        config = RoundConfig(
+            schedule=FixedSchedule(permutation), attacked_indices=attacked, policy=policy, f=1
+        )
+        result = run_round(CORRECT, config, np.random.default_rng(0))
+        delta = CORRECT[attacked[0]]
+        for index in attacked[1:]:
+            delta = delta.intersection(CORRECT[index])
+        assert [c.sensor_index for c in policy.contexts] == [s for s in permutation if s in attacked]
+        for context in policy.contexts:
+            slot = context.slot_index
+            earlier = permutation[:slot]
+            later = permutation[slot + 1 :]
+            assert permutation[slot] == context.sensor_index
+            assert context.own_reading == CORRECT[context.sensor_index]
+            assert context.delta == delta
+            assert context.transmitted == tuple(result.broadcast[s] for s in earlier)
+            assert context.transmitted_compromised == tuple(s in attacked for s in earlier)
+            assert context.remaining_widths == tuple(CORRECT[s].width for s in later)
+            assert context.remaining_compromised == tuple(s in attacked for s in later)
+            assert context.n_hidden == 0
+
+    def test_zero_noise_round_centres_every_broadcast_on_the_truth(self):
+        suite = SensorSuite(sensors_from_widths([0.2, 1.0, 2.0], noise=ZeroNoise()))
+        rng = np.random.default_rng(0)
+        intervals = [r.interval for r in suite.measure_all(10.0, rng)]
+        result = run_round(intervals, RoundConfig(schedule=AscendingSchedule()), rng)
+        assert result.fusion.contains(10.0)
+        assert not result.detection.any_flagged
+        for interval in result.broadcast:
+            assert interval.center == pytest.approx(10.0)
+
+    def test_landshark_suite_round_contains_the_truth(self):
+        rng = np.random.default_rng(0)
+        intervals = [r.interval for r in landshark_suite().measure_all(10.0, rng)]
+        result = run_round(intervals, RoundConfig(schedule=AscendingSchedule()), rng)
+        assert len(result.order) == len(result.broadcast) == 4
+        assert result.fusion.contains(10.0)
+        assert not result.detection.any_flagged
+
+
+class TestStealthyPoliciesStayUndetected:
+    @pytest.mark.parametrize(
+        "policy",
+        [ExpectationPolicy(), GreedyExtendPolicy(), TruthfulPolicy()],
+        ids=["expectation", "greedy", "truthful"],
+    )
+    @pytest.mark.parametrize(
+        "schedule",
+        [AscendingSchedule(), DescendingSchedule(), RandomSchedule()],
+        ids=["ascending", "descending", "random"],
+    )
+    @pytest.mark.parametrize("attacked", [(0,), (2,)], ids=["precise", "coarse"])
+    def test_no_flag_and_truth_kept_over_rounds(self, policy, schedule, attacked):
+        suite = SensorSuite(sensors_from_widths([0.4, 1.0, 2.0], noise=UniformNoise()))
+        rng = np.random.default_rng(5)
+        config = RoundConfig(schedule=schedule, attacked_indices=attacked, policy=policy, f=1)
+        for _ in range(15):
+            intervals = [r.interval for r in suite.measure_all(3.0, rng)]
+            result = run_round(intervals, config, rng)
+            assert result.fusion.contains(3.0)
+            assert not result.detection.any_flagged
+            assert all(mode is not None for mode in result.attacker_modes.values())

@@ -1,12 +1,21 @@
 """Unit tests for the LandShark vehicle assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.attack import ExpectationPolicy
-from repro.core import VehicleError
-from repro.scheduling import AscendingSchedule, DescendingSchedule
-from repro.vehicle import FixedSelector, LandShark, SafetyLimits
+from repro.attack import ExpectationPolicy, GreedyExtendPolicy, TruthfulPolicy
+from repro.core import FaultBoundError, VehicleError
+from repro.scheduling import (
+    AscendingSchedule,
+    DescendingSchedule,
+    RandomSchedule,
+    RoundConfig,
+    RoundResult,
+    run_round,
+)
+from repro.vehicle import FixedSelector, LandShark, RandomSensorSelector, SafetyLimits
 
 
 def make_landshark(**kwargs) -> LandShark:
@@ -33,6 +42,11 @@ class TestLandSharkConstruction:
 
     def test_initial_position(self):
         assert make_landshark(initial_position=-5.0).position == pytest.approx(-5.0)
+
+    def test_unsafe_fault_bound_rejected_at_construction(self):
+        # Four sensors tolerate at most f = 1.
+        with pytest.raises(FaultBoundError):
+            make_landshark(f=2)
 
 
 class TestLandSharkStepping:
@@ -108,3 +122,73 @@ class TestLandSharkStepping:
         assert shark.supervisor.upper_violations == upper
         assert shark.supervisor.lower_violations == lower
         assert shark.supervisor.checks == 100
+
+
+class TestLandSharkLongRun:
+    def test_memory_stays_flat_over_many_steps(self):
+        # A vehicle keeps no per-step history: after warm-up, 1,000 more
+        # control periods may only grow traced memory by allocator noise.
+        rng = np.random.default_rng(7)
+        shark = make_landshark()
+        for _ in range(200):
+            shark.step(rng)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1_000):
+                shark.step(rng)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert growth < 256 * 1024
+
+
+POLICIES = {
+    "truthful": TruthfulPolicy,
+    "greedy": GreedyExtendPolicy,
+    "expectation": lambda: ExpectationPolicy(true_value_positions=2, placement_positions=2),
+}
+SELECTORS = {
+    "none": FixedSelector(()),
+    "pair": FixedSelector((0, 1)),
+    "random": RandomSensorSelector(1),
+}
+
+
+class TestLandSharkRound:
+    @pytest.mark.parametrize(
+        "schedule",
+        [AscendingSchedule(), DescendingSchedule(), RandomSchedule()],
+        ids=["ascending", "descending", "random"],
+    )
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("selector", sorted(SELECTORS))
+    def test_step_is_select_measure_run_round(self, schedule, policy, selector):
+        # One control period is exactly three calls on one generator:
+        # pick the attacked set, measure, run the fusion round.
+        shark = make_landshark(
+            schedule=schedule,
+            attacked_selector=SELECTORS[selector],
+            attack_policy=POLICIES[policy](),
+        )
+        replay_policy = POLICIES[policy]()
+        rng = np.random.default_rng(2014)
+        for _ in range(12):
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            true_speed = shark.true_speed
+            record = shark.step(rng)
+            attacked = SELECTORS[selector].select(shark.suite, twin)
+            readings = shark.suite.measure_all(true_speed, twin)
+            expected = run_round(
+                [r.interval for r in readings],
+                RoundConfig(schedule, attacked, replay_policy),
+                twin,
+            )
+            assert isinstance(record.round_result, RoundResult)
+            assert record.round_result == expected
+            assert record.fusion == expected.fusion
+            assert record.estimate == expected.fusion.center
