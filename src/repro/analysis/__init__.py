@@ -1,4 +1,4 @@
-"""Analysis helpers: metrics, report formatting and canonical experiment configs."""
+"""Analysis helpers: report formatting and canonical experiment configs."""
 
 from repro.analysis.experiments import (
     TABLE1_CONFIGURATIONS,
@@ -11,19 +11,9 @@ from repro.analysis.experiments import (
     figure5a_configuration,
     figure5b_configuration,
 )
-from repro.analysis.metrics import (
-    FusionStatistics,
-    containment_rate,
-    summarize_widths,
-    violation_rates,
-)
 from repro.analysis.report import format_percentage, format_table, format_table1_row
 
 __all__ = [
-    "FusionStatistics",
-    "summarize_widths",
-    "violation_rates",
-    "containment_rate",
     "format_table",
     "format_table1_row",
     "format_percentage",

@@ -53,6 +53,7 @@ from repro.vehicle.selection import (
     NoAttackSelector,
     RandomSensorSelector,
 )
+from repro.vehicle.supervisor import PREEMPT_GAIN
 
 __all__ = ["batch_case_study_for_schedule"]
 
@@ -93,7 +94,6 @@ def batch_case_study_for_schedule(
     n_replicas: int,
     rng: np.random.Generator | None = None,
     attacker_factory: Callable[[], BatchAttacker] | None = None,
-    preempt_gain: float = 2.0,
 ) -> ViolationStats:
     """Run the platoon under one schedule with all rounds of a step batched.
 
@@ -106,9 +106,6 @@ def batch_case_study_for_schedule(
         Zero-argument callable building the vectorized attacker (defaults to
         :class:`~repro.batch.rounds.ExpectationProxyBatchAttacker`, the
         stand-in for the scalar case study's expectation policy).
-    preempt_gain:
-        Supervisor preemption gain, matching the scalar
-        :class:`~repro.vehicle.supervisor.SafetySupervisor` default.
     """
     if n_replicas <= 0:
         raise ExperimentError(f"need a positive number of replicas, got {n_replicas}")
@@ -175,8 +172,8 @@ def batch_case_study_for_schedule(
         # bounds are violated.
         command = np.where(
             upper_violation,
-            -preempt_gain * (fusion.hi - limits.upper_limit),
-            np.where(lower_violation, preempt_gain * (limits.lower_limit - fusion.lo), command),
+            -PREEMPT_GAIN * (fusion.hi - limits.upper_limit),
+            np.where(lower_violation, PREEMPT_GAIN * (limits.lower_limit - fusion.lo), command),
         )
 
         # Longitudinal dynamics with saturated acceleration and bounded

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
+from repro import obs
 from repro.core.exceptions import ExperimentError
 from repro.scheduling.comparison import (
     ScheduleComparison,
@@ -50,6 +51,10 @@ from repro.scheduling.comparison import (
 )
 from repro.scheduling.schedule import Schedule
 from repro.utils.seeding import ensure_rng
+
+if TYPE_CHECKING:
+    from repro.attack.expectation import ExpectationPolicy
+    from repro.batch.rounds import BatchRoundResult
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -60,6 +65,7 @@ __all__ = [
     "resolve_attack",
     "check_channel_support",
     "RoundsResult",
+    "rounds_results",
     "Engine",
     "register_engine",
     "available_engines",
@@ -170,15 +176,14 @@ class RoundsResult:
     and ``NaN`` bounds; they count towards ``samples`` but not towards
     :attr:`mean_width`.
 
-    The optional per-sensor arrays (``(B, n)``, sensor-indexed like the
-    scalar :attr:`repro.scheduling.round.RoundResult.broadcast`) expose what
-    every sensor actually broadcast and which sensors the controller's
-    detection procedure flagged — the inputs detection ablations need, on
-    either backend.  Both engines fill them; they are ``None`` only for
-    results built by older third-party backends.  Their entries are
-    meaningful where :attr:`valid` is ``True`` — the scalar engine aborts an
-    empty-fusion round before detection, so invalid rows carry ``NaN``
-    broadcasts and all-``False`` flags on every backend.
+    The per-sensor arrays (``(B, n)``, sensor-indexed like the scalar
+    :attr:`repro.scheduling.round.RoundResult.broadcast`) expose what every
+    sensor actually broadcast and which sensors the controller's detection
+    procedure flagged — the inputs detection ablations need, on either
+    backend.  Their entries are meaningful where :attr:`valid` is ``True`` —
+    the scalar engine aborts an empty-fusion round before detection, so
+    invalid rows carry ``NaN`` broadcasts and all-``False`` flags on every
+    backend (:func:`rounds_results` enforces it).
 
     ``channel_dropped`` / ``channel_retransmits`` are filled only when a
     :class:`repro.channel.ChannelSpec` was configured: per-round counts of
@@ -192,9 +197,9 @@ class RoundsResult:
     fusion_hi: np.ndarray
     valid: np.ndarray
     attacker_detected: np.ndarray
-    broadcast_lo: np.ndarray | None = None
-    broadcast_hi: np.ndarray | None = None
-    flagged: np.ndarray | None = None
+    broadcast_lo: np.ndarray
+    broadcast_hi: np.ndarray
+    flagged: np.ndarray
     channel_dropped: np.ndarray | None = None
     channel_retransmits: np.ndarray | None = None
 
@@ -221,16 +226,7 @@ class RoundsResult:
 
     @property
     def flagged_fraction_per_sensor(self) -> np.ndarray:
-        """Per-sensor flag rates over the valid rounds (``(n,)`` floats).
-
-        Requires the per-sensor arrays; raises for results from backends that
-        do not fill them.
-        """
-        if self.flagged is None:
-            raise ExperimentError(
-                "this RoundsResult carries no per-sensor flag array; the producing "
-                "engine predates the per-sensor extension"
-            )
+        """Per-sensor flag rates over the valid rounds (``(n,)`` floats)."""
         valid = np.asarray(self.valid, dtype=bool)
         if not bool(valid.any()):
             return np.full(self.flagged.shape[1], np.nan)
@@ -246,6 +242,68 @@ class RoundsResult:
             combinations=self.samples,
             detected_fraction=self.detected_fraction,
         )
+
+
+def rounds_results(
+    engine: str,
+    schedule_name: str,
+    result: BatchRoundResult,
+    budgets: Sequence[int],
+    memo: ExpectationPolicy | None = None,
+) -> list[RoundsResult]:
+    """Split one simulated batch into a :class:`RoundsResult` per budget.
+
+    The result path of every engine: ``budgets[i]`` consecutive rows of
+    ``result`` become the ``i``-th result.  Empty-fusion rows get ``NaN``
+    broadcasts (the batch programs keep what was transmitted before fusion
+    failed; the scalar loop never records it), so both engines agree on
+    them.  The run's counters — rounds simulated, the hit/miss tallies of
+    the expectation ``memo`` and the channel's losses — are folded into the
+    live telemetry scope (no-op when tracing is off; the memo itself keeps
+    plain ints so the per-decision hot path stays lock-free).
+    """
+    obs.add("repro_engine_samples_total", sum(budgets), engine=engine)
+    if memo is not None and obs.enabled():
+        stats = memo.stats()
+        if stats["hits"]:
+            obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
+        if stats["misses"]:
+            obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
+    channel = result.channel
+    if channel is not None:
+        obs.add("repro_channel_dropped_total", int(channel.dropped.sum()), engine=engine)
+        obs.add("repro_channel_retransmits_total", int(channel.retransmits.sum()), engine=engine)
+
+    fusion = result.fusion
+    broadcast_lo = result.broadcast_lo
+    broadcast_hi = result.broadcast_hi
+    invalid = ~fusion.valid
+    if bool(invalid.any()):
+        broadcast_lo = broadcast_lo.copy()
+        broadcast_hi = broadcast_hi.copy()
+        broadcast_lo[invalid] = np.nan
+        broadcast_hi[invalid] = np.nan
+    detected = result.attacker_detected
+    results = []
+    start = 0
+    for samples in budgets:
+        rows = slice(start, start + samples)
+        results.append(
+            RoundsResult(
+                schedule_name=schedule_name,
+                fusion_lo=fusion.lo[rows],
+                fusion_hi=fusion.hi[rows],
+                valid=fusion.valid[rows],
+                attacker_detected=detected[rows],
+                broadcast_lo=broadcast_lo[rows],
+                broadcast_hi=broadcast_hi[rows],
+                flagged=result.flagged[rows],
+                channel_dropped=None if channel is None else channel.dropped[rows],
+                channel_retransmits=None if channel is None else channel.retransmits[rows],
+            )
+        )
+        start += samples
+    return results
 
 
 def check_run_many_args(
@@ -288,10 +346,11 @@ class Engine(abc.ABC):
 
         Every engine draws the correct intervals with
         :func:`repro.batch.rounds.sample_correct_bounds` and the
-        transmission orders with :func:`repro.batch.rounds.batch_orders`
-        before simulating, so under the deterministic attack specs two
-        engines given equal ``rng`` states return identical
-        :class:`RoundsResult` arrays (the parity tests rely on this).
+        transmission orders and faults with
+        :func:`repro.batch.rounds.prepare_rounds` before simulating, so
+        under the deterministic attack specs two engines given equal
+        ``rng`` states return identical :class:`RoundsResult` arrays (the
+        parity tests rely on this).
         ``faults`` takes a :class:`repro.batch.rounds.BatchTransientFaults`;
         ``channel`` an optional :class:`repro.channel.ChannelSpec`, realized
         from a generator spawned off ``rng`` so the main stream — and every

@@ -19,7 +19,6 @@ from repro.batch.rounds import (
     ActiveStretchBatchAttacker,
     BatchAttacker,
     BatchRoundConfig,
-    BatchRoundResult,
     BatchTransientFaults,
     TruthfulBatchAttacker,
 )
@@ -35,6 +34,7 @@ from repro.engine.base import (
     check_channel_support,
     check_run_many_args,
     resolve_attack,
+    rounds_results,
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.schedule import Schedule
@@ -62,59 +62,6 @@ class BatchEngine(Engine):
             )
         return ActiveStretchBatchAttacker(side=attack.side)
 
-    @staticmethod
-    def _flush_attacker_stats(attacker: BatchAttacker) -> None:
-        # Fold the expectation memo's per-run hit/miss tallies into the live
-        # telemetry scope (no-op when tracing is off); the policy itself
-        # keeps plain ints so the per-decision hot path stays lock-free.
-        if not obs.enabled() or not isinstance(attacker, ExactExpectationBatchAttacker):
-            return
-        stats = attacker.policy.stats()
-        if stats["hits"]:
-            obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
-        if stats["misses"]:
-            obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
-
-    def _flush_channel_stats(self, result: BatchRoundResult) -> None:
-        realization = result.channel
-        if realization is None:
-            return
-        obs.add("repro_channel_dropped_total", int(realization.dropped.sum()), engine=self.name)
-        obs.add(
-            "repro_channel_retransmits_total",
-            int(realization.retransmits.sum()),
-            engine=self.name,
-        )
-
-    @staticmethod
-    def _rounds_result(schedule: Schedule, result: BatchRoundResult) -> RoundsResult:
-        # The batch driver keeps broadcasts for empty-fusion rounds (they were
-        # transmitted before fusion failed); the scalar engine aborts such
-        # rounds before recording them, so the engines agree on NaN / no-flag
-        # for invalid rows.  Without invalid rows (faults off, the common
-        # case) the driver arrays pass through untouched.
-        invalid = ~result.fusion.valid
-        broadcast_lo = result.broadcast_lo
-        broadcast_hi = result.broadcast_hi
-        if bool(invalid.any()):
-            broadcast_lo = broadcast_lo.copy()
-            broadcast_hi = broadcast_hi.copy()
-            broadcast_lo[invalid] = np.nan
-            broadcast_hi[invalid] = np.nan
-        realization = result.channel
-        return RoundsResult(
-            schedule_name=schedule.name,
-            fusion_lo=result.fusion.lo,
-            fusion_hi=result.fusion.hi,
-            valid=result.fusion.valid,
-            attacker_detected=result.attacker_detected,
-            broadcast_lo=broadcast_lo,
-            broadcast_hi=broadcast_hi,
-            flagged=result.flagged,
-            channel_dropped=None if realization is None else realization.dropped,
-            channel_retransmits=None if realization is None else realization.retransmits,
-        )
-
     def run_many(
         self,
         config: ScheduleComparisonConfig,
@@ -133,8 +80,9 @@ class BatchEngine(Engine):
         prologue.  The prepared items are then concatenated and the RNG-free
         simulation body runs once over the packed batch, so
         ``len(budgets)`` requests pay one invocation's overhead.  Slicing the
-        packed result row-wise returns exactly the arrays of one-item calls
-        (the ``run_many`` conformance tests pin this).
+        packed result row-wise (:func:`repro.engine.base.rounds_results`)
+        returns exactly the arrays of one-item calls (the ``run_many``
+        conformance tests pin this).
         """
         budgets, streams = check_run_many_args(budgets, rngs)
         spec = resolve_attack(attack)
@@ -164,33 +112,6 @@ class BatchEngine(Engine):
             packed = rounds.batch_rounds_prepared(
                 rounds.concat_prepared(items), round_config, streams[0]
             )
-        obs.add("repro_engine_samples_total", sum(budgets), engine=self.name)
-        self._flush_attacker_stats(round_config.attacker)
-        self._flush_channel_stats(packed)
-        full = self._rounds_result(schedule, packed)
-        results = []
-        start = 0
-        for samples in budgets:
-            stop = start + samples
-            results.append(
-                RoundsResult(
-                    schedule_name=full.schedule_name,
-                    fusion_lo=full.fusion_lo[start:stop],
-                    fusion_hi=full.fusion_hi[start:stop],
-                    valid=full.valid[start:stop],
-                    attacker_detected=full.attacker_detected[start:stop],
-                    broadcast_lo=full.broadcast_lo[start:stop],
-                    broadcast_hi=full.broadcast_hi[start:stop],
-                    flagged=full.flagged[start:stop],
-                    channel_dropped=(
-                        None if full.channel_dropped is None else full.channel_dropped[start:stop]
-                    ),
-                    channel_retransmits=(
-                        None
-                        if full.channel_retransmits is None
-                        else full.channel_retransmits[start:stop]
-                    ),
-                )
-            )
-            start = stop
-        return results
+        attacker = round_config.attacker
+        memo = attacker.policy if isinstance(attacker, ExactExpectationBatchAttacker) else None
+        return rounds_results(self.name, schedule.name, packed, budgets, memo)

@@ -4,14 +4,15 @@
 simulator, :func:`repro.scheduling.round.run_round`, behind the
 :class:`repro.engine.base.Engine` protocol.  It is the oracle the
 vectorized :class:`repro.engine.batch.BatchEngine` is tested against: both
-engines draw correct intervals through the same
-:func:`repro.batch.rounds.sample_correct_bounds` call, compute transmission
-orders through the same :func:`repro.batch.rounds.batch_orders` call, and
-apply transient faults through the same
-:class:`repro.batch.rounds.BatchTransientFaults` model — so their RNG
-streams coincide and their :class:`~repro.engine.base.RoundsResult` arrays
-match bit-for-bit under the deterministic attack specs (randomized
-schedules included).
+engines draw correct intervals with
+:func:`repro.batch.rounds.sample_correct_bounds`, draw transmission orders,
+transient faults and the channel with the same
+:func:`repro.batch.rounds.prepare_rounds` prologue, and return through the
+same :func:`repro.engine.base.rounds_results` builder — so their RNG streams
+coincide and their :class:`~repro.engine.base.RoundsResult` arrays match
+bit-for-bit under the deterministic attack specs (randomized schedules
+included).  Only the simulation body differs: here ``run_round`` plays each
+prepared row with a scalar attack policy.
 """
 
 from __future__ import annotations
@@ -23,8 +24,15 @@ import numpy as np
 from repro.attack.expectation import ExpectationPolicy
 from repro.attack.policy import AttackPolicy, TruthfulPolicy
 from repro.attack.stretch import ActiveStretchPolicy
-from repro.batch.rounds import BatchTransientFaults, batch_orders, sample_correct_bounds
-from repro.channel import ChannelSpec, realize_channel
+from repro.batch import rounds
+from repro.batch.fuse import BatchFusion
+from repro.batch.rounds import (
+    BatchRoundConfig,
+    BatchRoundResult,
+    BatchTransientFaults,
+    PreparedRounds,
+)
+from repro.channel import ChannelSpec
 from repro.core.exceptions import EmptyFusionError
 from repro.core.interval import Interval
 from repro import obs
@@ -38,11 +46,11 @@ from repro.engine.base import (
     check_channel_support,
     check_run_many_args,
     resolve_attack,
+    rounds_results,
 )
 from repro.scheduling.comparison import ScheduleComparisonConfig
 from repro.scheduling.round import RoundConfig, run_round
 from repro.scheduling.schedule import FixedSchedule, Schedule
-from repro.utils.seeding import spawn_rng
 
 __all__ = ["ScalarEngine"]
 
@@ -87,114 +95,84 @@ class ScalarEngine(Engine):
         budgets, streams = check_run_many_args(budgets, rngs)
         spec = resolve_attack(attack)
         check_channel_support(spec, channel)
-        n = config.n
-        attacked = config.resolved_attacked
+        round_config = BatchRoundConfig(
+            schedule=schedule,
+            attacked_indices=config.resolved_attacked,
+            f=config.resolved_f,
+            faults=faults,
+            channel=channel,
+        )
         results = []
         for samples, rng in zip(budgets, streams):
             with obs.span("engine.run", engine=self.name, schedule=schedule.name, samples=samples):
-                with obs.span("engine.prepare", engine=self.name):
-                    lowers, uppers = sample_correct_bounds(
-                        config.lengths, config.true_value, samples, rng
-                    )
-                    # Schedules order sensors by their *correct* widths (widths
-                    # are the public a-priori information, and transient faults
-                    # only displace an interval).  Precomputing the orders with
-                    # the same vectorized call as the batch engine keeps the two
-                    # RNG streams — and, down to floating-point tie-breaking on
-                    # faulted rounds, the simulated rounds — bit-identical
-                    # across engines.
-                    orders = batch_orders(schedule, uppers - lowers, rng)
-                    if faults is not None:
-                        # Same fault model, mask semantics and RNG consumption
-                        # as the batch engine: honest sensors only, drawn for
-                        # the whole batch.
-                        eligible = np.ones((samples, n), dtype=bool)
-                        if attacked:
-                            eligible[:, list(attacked)] = False
-                        lowers, uppers, _fault_mask = faults.apply(lowers, uppers, eligible, rng)
-                    # The channel draws from its own spawned child stream so
-                    # that the main stream — and therefore every channel-free
-                    # payload — is untouched, and every engine backend realizes
-                    # the identical channel for identical (spec, samples, rng)
-                    # triples.
-                    realization = (
-                        realize_channel(channel, samples, n, spawn_rng(rng))
-                        if channel is not None
-                        else None
-                    )
-
-                policy = self._policy(spec)
-                fusion_lo = np.full(samples, np.nan)
-                fusion_hi = np.full(samples, np.nan)
-                valid = np.zeros(samples, dtype=bool)
-                detected = np.zeros(samples, dtype=bool)
-                broadcast_lo = np.full((samples, n), np.nan)
-                broadcast_hi = np.full((samples, n), np.nan)
-                flagged = np.zeros((samples, n), dtype=bool)
-                with obs.span("engine.rounds", engine=self.name, samples=samples):
-                    for index in range(samples):
-                        intervals = [Interval(lowers[index, i], uppers[index, i]) for i in range(n)]
-                        round_config = RoundConfig(
-                            schedule=FixedSchedule(tuple(int(i) for i in orders[index])),
-                            attacked_indices=attacked,
-                            policy=policy,
-                            f=config.resolved_f,
-                        )
-                        try:
-                            result = run_round(
-                                intervals,
-                                round_config,
-                                rng,
-                                channel=None if realization is None else realization.row(index),
-                            )
-                        except EmptyFusionError:
-                            # The batch engine reports these rounds through its
-                            # `valid` mask; mirror that instead of aborting the
-                            # sweep.  The per-sensor arrays keep their NaN /
-                            # all-False convention for these rows on both
-                            # backends.
-                            continue
-                        fusion_lo[index] = result.fusion.lo
-                        fusion_hi[index] = result.fusion.hi
-                        valid[index] = True
-                        detected[index] = result.attacker_detected
-                        for sensor, interval in enumerate(result.broadcast):
-                            broadcast_lo[index, sensor] = interval.lo
-                            broadcast_hi[index, sensor] = interval.hi
-                        # Detection reports flags in slot order; re-index by
-                        # sensor like the batch engine's flagged array.
-                        for slot, sensor in enumerate(result.order):
-                            flagged[index, sensor] = result.detection.is_flagged(slot)
-                obs.add("repro_engine_samples_total", samples, engine=self.name)
-                if obs.enabled() and isinstance(policy, ExpectationPolicy):
-                    stats = policy.stats()
-                    if stats["hits"]:
-                        obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
-                    if stats["misses"]:
-                        obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
-                if realization is not None:
-                    obs.add(
-                        "repro_channel_dropped_total",
-                        int(realization.dropped.sum()),
-                        engine=self.name,
-                    )
-                    obs.add(
-                        "repro_channel_retransmits_total",
-                        int(realization.retransmits.sum()),
-                        engine=self.name,
-                    )
-            results.append(
-                RoundsResult(
-                    schedule_name=schedule.name,
-                    fusion_lo=fusion_lo,
-                    fusion_hi=fusion_hi,
-                    valid=valid,
-                    attacker_detected=detected,
-                    broadcast_lo=broadcast_lo,
-                    broadcast_hi=broadcast_hi,
-                    flagged=flagged,
-                    channel_dropped=None if realization is None else realization.dropped,
-                    channel_retransmits=None if realization is None else realization.retransmits,
+                prepared = rounds.prepare_rounds(
+                    *rounds.sample_correct_bounds(config.lengths, config.true_value, samples, rng),
+                    round_config,
+                    rng,
                 )
-            )
+                policy = self._policy(spec)
+                results += rounds_results(
+                    self.name,
+                    schedule.name,
+                    self._simulate(prepared, policy, rng),
+                    [samples],
+                    policy if isinstance(policy, ExpectationPolicy) else None,
+                )
         return results
+
+    def _simulate(
+        self, prepared: PreparedRounds, policy: AttackPolicy, rng: np.random.Generator
+    ) -> BatchRoundResult:
+        """Play every prepared row through ``run_round``, in the batch result shape.
+
+        Each row's transmission order is replayed as a fixed schedule over
+        the (possibly faulted) readings the prologue drew, so the rounds are
+        the ones the batch programs simulate.
+        """
+        samples, n = prepared.shape
+        fusion_lo = np.full(samples, np.nan)
+        fusion_hi = np.full(samples, np.nan)
+        valid = np.zeros(samples, dtype=bool)
+        broadcast_lo = np.full((samples, n), np.nan)
+        broadcast_hi = np.full((samples, n), np.nan)
+        flagged = np.zeros((samples, n), dtype=bool)
+        with obs.span("engine.rounds", engine=self.name, samples=samples):
+            for index in range(samples):
+                intervals = list(map(Interval, prepared.sent_lo[index], prepared.sent_hi[index]))
+                round_config = RoundConfig(
+                    schedule=FixedSchedule(tuple(int(i) for i in prepared.orders[index])),
+                    attacked_indices=prepared.attacked,
+                    policy=policy,
+                    f=prepared.f,
+                )
+                try:
+                    result = run_round(
+                        intervals,
+                        round_config,
+                        rng,
+                        channel=None if prepared.channel is None else prepared.channel.row(index),
+                    )
+                except EmptyFusionError:
+                    # An empty-fusion round is reported through `valid`, like
+                    # the batch programs do, instead of aborting the sweep.
+                    continue
+                fusion_lo[index] = result.fusion.lo
+                fusion_hi[index] = result.fusion.hi
+                valid[index] = True
+                broadcast_lo[index] = [interval.lo for interval in result.broadcast]
+                broadcast_hi[index] = [interval.hi for interval in result.broadcast]
+                # Detection reports flags in slot order; re-index by sensor.
+                flagged[index, [result.order[slot] for slot in result.detection.flagged_indices]] = True
+        return BatchRoundResult(
+            orders=prepared.orders,
+            correct_lo=prepared.correct_lo,
+            correct_hi=prepared.correct_hi,
+            broadcast_lo=broadcast_lo,
+            broadcast_hi=broadcast_hi,
+            fusion=BatchFusion(lo=fusion_lo, hi=fusion_hi, valid=valid),
+            flagged=flagged,
+            attacked_indices=prepared.attacked,
+            fault_mask=prepared.fault_mask,
+            attacked_mask=prepared.attacked_mask,
+            channel=prepared.channel,
+        )

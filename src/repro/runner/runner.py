@@ -120,12 +120,6 @@ def comparison_stats_row(result) -> dict:
     collator and must reduce them with *exactly* the runner's arithmetic to
     keep served payloads bit-identical to ``python -m repro run`` artifacts.
     """
-    if result.flagged is None:
-        raise ExperimentError(
-            "engine returned a RoundsResult without the per-sensor flagged "
-            "array; scenario payloads require it (fill broadcast_lo/"
-            "broadcast_hi/flagged like the built-in backends)"
-        )
     valid = result.valid
     row = {
         "schedule": result.schedule_name,
@@ -154,14 +148,9 @@ def _execute_comparison(task: ShardTask) -> list[dict]:
     # the same convention as Engine.compare, so a single-shard scenario
     # reproduces an engine.compare call exactly.
     rng = derive_rng(spec.seed, case_index, shard_index)
-    # Only lossy cases pass the channel through, so third-party backends
-    # predating the channel parameter keep working on channel-free scenarios.
-    channel_args = (case.channel,) if case.channel is not None else ()
     return [
         comparison_stats_row(
-            engine.run_rounds(
-                config, schedule, case.attack, faults, samples, rng, *channel_args
-            )
+            engine.run_rounds(config, schedule, case.attack, faults, samples, rng, case.channel)
         )
         for schedule in case.schedule_objects()
     ]

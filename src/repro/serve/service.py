@@ -66,6 +66,9 @@ __all__ = ["API_VERSION", "FusionService"]
 #: (new provenance fields, new routes) without touching spec hashing.
 API_VERSION = 1
 
+#: Threads of the pool each service runs its blocking work on.
+_THREADS = max(2, min(8, os.cpu_count() or 2))
+
 
 class FusionService:
     """Transport-independent serving core; one instance per server."""
@@ -75,16 +78,15 @@ class FusionService:
         store: ArtifactStore | None = None,
         max_wait_ms: float = 2.0,
         max_batch: int = 64,
-        threads: int | None = None,
     ) -> None:
         self.store = store
         # Engine passes and store IO run on a pool the service *owns*: the
         # loop's default executor is shared by every asyncio.to_thread user
         # in the process, and a saturated shared pool (e.g. in-process test
         # clients) must not be able to starve the simulation work — or vice
-        # versa.  ``threads`` bounds blocking-work concurrency.
+        # versa.
         self._executor = ThreadPoolExecutor(
-            max_workers=threads or max(2, min(8, os.cpu_count() or 2)),
+            max_workers=_THREADS,
             thread_name_prefix="repro-serve",
         )
         #: Per-service metric registry (always on, unlike the thread-local

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from repro.core.exceptions import VehicleError
 from repro.core.interval import Interval
 
-__all__ = ["SafetyLimits", "SupervisorDecision", "SafetySupervisor"]
+__all__ = ["PREEMPT_GAIN", "SafetyLimits", "SupervisorDecision", "SafetySupervisor"]
+
+#: Gain of the conservative command the supervisor substitutes when it
+#: preempts: proportional to how far the violated fusion bound overshoots the
+#: envelope.  The vectorized case study (:mod:`repro.batch.case_study`) uses
+#: the same constant.
+PREEMPT_GAIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -88,11 +94,8 @@ class SupervisorDecision:
 class SafetySupervisor:
     """Checks the fusion interval against the platoon's speed envelope."""
 
-    def __init__(self, limits: SafetyLimits, preempt_gain: float = 2.0) -> None:
-        if preempt_gain <= 0:
-            raise VehicleError(f"preempt gain must be positive, got {preempt_gain}")
+    def __init__(self, limits: SafetyLimits) -> None:
         self._limits = limits
-        self._preempt_gain = preempt_gain
         self._upper_violations = 0
         self._lower_violations = 0
         self._checks = 0
@@ -146,9 +149,9 @@ class SafetySupervisor:
         # interval) braking wins — collisions with the front vehicle or an
         # obstacle are the more severe hazard in the case study.
         if upper_violation:
-            command = -self._preempt_gain * (fusion.hi - self._limits.upper_limit)
+            command = -PREEMPT_GAIN * (fusion.hi - self._limits.upper_limit)
         else:
-            command = self._preempt_gain * (self._limits.lower_limit - fusion.lo)
+            command = PREEMPT_GAIN * (self._limits.lower_limit - fusion.lo)
         return SupervisorDecision(
             upper_violation=upper_violation,
             lower_violation=lower_violation,

@@ -71,18 +71,3 @@ def test_rounds_result_accessors():
     row = result.to_row()
     assert row.schedule_name == "descending"
     assert row.combinations == 500
-
-
-def test_flagged_fraction_requires_per_sensor_arrays():
-    from repro.core.exceptions import ExperimentError
-    from repro.engine import RoundsResult
-
-    legacy = RoundsResult(
-        schedule_name="ascending",
-        fusion_lo=np.zeros(4),
-        fusion_hi=np.ones(4),
-        valid=np.ones(4, dtype=bool),
-        attacker_detected=np.zeros(4, dtype=bool),
-    )
-    with pytest.raises(ExperimentError):
-        legacy.flagged_fraction_per_sensor

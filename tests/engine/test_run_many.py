@@ -9,6 +9,7 @@ alike — plus the ``concat_prepared`` packing helper they are built from.
 
 import numpy as np
 import pytest
+from conformance import CONFORMANCE_MATRIX, assert_rounds_equal
 
 from repro.batch.rounds import (
     BatchRoundConfig,
@@ -94,6 +95,38 @@ def test_run_many_single_item_matches_run_rounds():
         CONFIG, AscendingSchedule(), samples=64, rng=np.random.default_rng(3)
     )
     assert_results_equal(packed, [solo])
+
+
+@pytest.mark.parametrize("engine_name", sorted(available_engines()))
+def test_run_many_packs_items_with_empty_fusion_rows(engine_name):
+    # Transient faults on five equal sensors with f=2 leave some rounds with
+    # an empty fusion; the shared result builder blanks their broadcasts and
+    # splits the packed rows, so each item must still equal its solo run.
+    case = next(c for c in CONFORMANCE_MATRIX if c.label == "stretch-faults")
+    engine = get_engine(engine_name)
+    budgets = [24, 24, 24]
+    seeds = [3, 2, 4]  # empty-fusion rows in the middle and last items only
+    packed = engine.run_many(
+        case.config(),
+        case.schedule_object(),
+        case.attack,
+        case.faults(),
+        budgets,
+        [np.random.default_rng(seed) for seed in seeds],
+    )
+    assert [result.samples for result in packed] == budgets
+    assert any(not result.valid.all() for result in packed)
+    for result in packed:
+        invalid = ~result.valid
+        assert np.isnan(result.broadcast_lo[invalid]).all()
+        assert np.isnan(result.broadcast_hi[invalid]).all()
+        assert not result.flagged[invalid].any()
+        assert not result.attacker_detected[invalid].any()
+    reference = reference_loop(
+        engine, case.config(), case.schedule_object(), case.attack, budgets, seeds, case.faults()
+    )
+    for got, want in zip(packed, reference):
+        assert_rounds_equal(got, want)
 
 
 @pytest.mark.parametrize("engine_name", sorted(available_engines()))

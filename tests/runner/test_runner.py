@@ -153,42 +153,6 @@ class TestPlanning:
         with pytest.raises(ExperimentError):
             run_scenario(table1_scenario(), workers=0)
 
-    def test_legacy_backend_without_per_sensor_arrays_fails_loudly(self):
-        # RoundsResult documents flagged=None as valid for older third-party
-        # backends; the runner must turn that into a diagnostic, not a
-        # TypeError inside a worker.
-        from repro.engine import Engine, RoundsResult, register_engine
-
-        class LegacyEngine(Engine):
-            name = "legacy-stub"
-
-            def run_many(
-                self, config, schedule, attack="stretch", faults=None, budgets=(), rngs=None, channel=None
-            ):
-                return [
-                    RoundsResult(
-                        schedule_name=schedule.name,
-                        fusion_lo=np.zeros(samples),
-                        fusion_hi=np.ones(samples),
-                        valid=np.ones(samples, dtype=bool),
-                        attacker_detected=np.zeros(samples, dtype=bool),
-                    )
-                    for samples in budgets
-                ]
-
-        from repro.engine.base import _REGISTRY
-
-        register_engine("legacy-stub", LegacyEngine, replace=True)
-        try:
-            spec = table1_scenario(
-                name="runner-test-legacy", engine="legacy-stub", samples=20, shard_samples=20
-            )
-            with pytest.raises(ExperimentError, match="per-sensor flagged"):
-                run_scenario(spec)
-        finally:
-            # Later tests read the registered names; leave the registry as found.
-            _REGISTRY.pop("legacy-stub", None)
-
 
 class TestFigureScenarios:
     def test_figure_payload_is_deterministic(self):
