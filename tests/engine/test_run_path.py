@@ -175,6 +175,27 @@ class TestScalarItemLoop:
         ]
         assert counter["value"] == sum(budgets)
 
+    def test_items_are_prepared_by_the_batch_prologue(self):
+        # The scalar engine draws its rounds with prepare_rounds, so its
+        # prepare spans are the batch prologue's own.
+        with obs.collect() as session:
+            ScalarEngine().run_many(
+                CONFIG,
+                AscendingSchedule(),
+                "stretch",
+                None,
+                [2, 2],
+                [np.random.default_rng(seed) for seed in (1, 2)],
+            )
+        prepares = [
+            child
+            for node in session.snapshot()["spans"]
+            if node["name"] == "engine.run"
+            for child in node["children"]
+            if child["name"] == "engine.prepare"
+        ]
+        assert [node["attrs"] for node in prepares] == [{"kernel": "batch"}] * 2
+
     @pytest.mark.parametrize(
         "faults, channel",
         [(BatchTransientFaults(probability=0.3), None), (None, LOSSY)],
