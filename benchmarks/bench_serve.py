@@ -1,4 +1,4 @@
-"""Serving throughput: dynamic request batching vs a no-coalescing baseline.
+"""Serving throughput: coalesce-while-busy batching vs a no-coalescing baseline.
 
 The serving stack's promise is that coalescing is pure profit: when many
 clients ask for the same *plan* (same physics, same schedule — different
@@ -90,9 +90,9 @@ async def _post_run(port: int, payload: dict) -> tuple[float, dict]:
     return latency, json.loads(response_body)
 
 
-async def _drive(max_batch: int, max_wait_ms: float, clients: int, samples: int) -> dict:
+async def _drive(max_batch: int, clients: int, samples: int) -> dict:
     """Run the full client burst against one server configuration."""
-    service = FusionService(store=None, max_wait_ms=max_wait_ms, max_batch=max_batch)
+    service = FusionService(store=None, max_batch=max_batch)
     try:
         async with FusionServer(service, port=0) as server:
             payloads = [
@@ -114,7 +114,6 @@ async def _drive(max_batch: int, max_wait_ms: float, clients: int, samples: int)
     assert not any(response["cached"] or response["deduplicated"] for response in responses)
     return {
         "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "elapsed_seconds": elapsed,
         "requests_per_second": clients / elapsed,
         "latency_p50_seconds": latencies[len(latencies) // 2],
@@ -130,12 +129,8 @@ def test_serving_coalescing_speedup(
     """64 identical-plan clients: coalescing must deliver the 3x floor."""
 
     async def bench() -> tuple[dict, dict]:
-        baseline = await _drive(
-            max_batch=1, max_wait_ms=0.0, clients=serve_clients, samples=serve_samples
-        )
-        coalesced = await _drive(
-            max_batch=serve_clients, max_wait_ms=10.0, clients=serve_clients, samples=serve_samples
-        )
+        baseline = await _drive(max_batch=1, clients=serve_clients, samples=serve_samples)
+        coalesced = await _drive(max_batch=serve_clients, clients=serve_clients, samples=serve_samples)
         return baseline, coalesced
 
     baseline, coalesced = asyncio.run(bench())

@@ -16,9 +16,10 @@ callers cannot drift apart:
   (:mod:`repro.optimize`): resolve a scenario name to an
   :class:`~repro.scenarios.spec.OptimizationScenario`, optionally swap the
   strategy, and run it through the same cached runner.
-* :func:`serve` — fusion-as-a-service: an asyncio HTTP server with dynamic
-  request batching (:mod:`repro.serve`), plus :func:`create_service` /
-  :func:`create_server` for embedding and tests.
+* :func:`serve` — fusion-as-a-service: an asyncio HTTP server that
+  coalesces same-plan work while the engine is busy (:mod:`repro.serve`),
+  plus :func:`create_service` / :func:`create_server` for embedding and
+  tests.
 
 The Table II closed-loop platoon case study is a scenario like any other:
 ``run(dataclasses.replace(get_scenario("table2-proxy"), n_steps=100))``
@@ -254,13 +255,10 @@ def optimize(
 def create_service(
     *,
     store: ArtifactStore | str | Path | None = "default",
-    max_wait_ms: float = 2.0,
     max_batch: int = 64,
 ) -> FusionService:
     """Build the transport-independent serving core (see :mod:`repro.serve`)."""
-    return FusionService(
-        store=resolve_store(store), max_wait_ms=max_wait_ms, max_batch=max_batch
-    )
+    return FusionService(store=resolve_store(store), max_batch=max_batch)
 
 
 def create_server(
@@ -268,7 +266,6 @@ def create_server(
     host: str = "127.0.0.1",
     port: int = 8014,
     store: ArtifactStore | str | Path | None = "default",
-    max_wait_ms: float = 2.0,
     max_batch: int = 64,
     service: FusionService | None = None,
 ) -> FusionServer:
@@ -280,7 +277,7 @@ def create_server(
     inspect its collator counters from a test).
     """
     if service is None:
-        service = create_service(store=store, max_wait_ms=max_wait_ms, max_batch=max_batch)
+        service = create_service(store=store, max_batch=max_batch)
     return FusionServer(service, host=host, port=port)
 
 
@@ -306,17 +303,16 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8014,
     store: ArtifactStore | str | Path | None = "default",
-    max_wait_ms: float = 2.0,
     max_batch: int = 64,
     metrics_interval: float | None = None,
 ) -> None:
     """Run fusion-as-a-service until interrupted (the ``repro serve`` CLI).
 
-    ``max_wait_ms`` and ``max_batch`` tune the dynamic batching window:
-    same-plan requests arriving within ``max_wait_ms`` of each other (up to
-    ``max_batch`` of them) share a single packed engine pass — and, per the
-    :meth:`~repro.engine.base.Engine.run_many` contract, still receive
-    payloads bit-identical to solo runs.  See ``docs/SERVING.md``.
+    Each plan runs one engine pass at a time: same-plan requests that
+    arrive while it runs share the next packed pass (up to ``max_batch`` of
+    them) and, per the :meth:`~repro.engine.base.Engine.run_many` contract,
+    still receive payloads bit-identical to solo runs.  See
+    ``docs/SERVING.md``.
 
     ``metrics_interval`` (the ``--metrics`` flag) additionally prints a
     one-line counter summary to stderr at that cadence; the full exposition
@@ -324,13 +320,11 @@ def serve(
     """
 
     async def _serve() -> None:
-        server = create_server(
-            host=host, port=port, store=store, max_wait_ms=max_wait_ms, max_batch=max_batch
-        )
+        server = create_server(host=host, port=port, store=store, max_batch=max_batch)
         async with server:
             print(
                 f"repro fusion service on http://{server.host}:{server.port} "
-                f"(max_wait_ms={max_wait_ms:g}, max_batch={max_batch})",
+                f"(max_batch={max_batch})",
                 flush=True,
             )
             reporter = None

@@ -20,9 +20,9 @@ thin shell over the :mod:`repro.api` facade:
   vectorized proxy on the Table II case study) and ``experiments`` (the
   whole evaluation backbone from stored artifacts — the source of
   ``EXPERIMENTS.md``);
-* ``python -m repro serve [--host H] [--port P] [--max-wait-ms W]
-  [--max-batch B] [--store DIR]`` — fusion-as-a-service: the asyncio HTTP
-  server with dynamic request batching (``docs/SERVING.md``);
+* ``python -m repro serve [--host H] [--port P] [--max-batch B]
+  [--store DIR]`` — fusion-as-a-service: the asyncio HTTP server that
+  coalesces same-plan work while the engine is busy (``docs/SERVING.md``);
 * ``python -m repro store ls|gc`` — artifact-store housekeeping: list each
   scenario's latest artifact, collect superseded keys.
 
@@ -523,7 +523,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         store=args.store if args.store else "default",
-        max_wait_ms=args.max_wait_ms,
         max_batch=args.max_batch,
         metrics_interval=10.0 if args.metrics else None,
     )
@@ -696,16 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_parser.add_argument("--port", type=int, default=8014, help="TCP port (0 picks one)")
     serve_parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="dynamic-batching window: how long a request waits for same-plan company",
-    )
-    serve_parser.add_argument(
         "--max-batch",
         type=int,
         default=64,
-        help="flush a batch at this many coalesced requests (1 disables coalescing)",
+        help="most requests one engine pass takes from a plan's queue (1 disables coalescing)",
     )
     serve_parser.add_argument("--store", help="artifact store directory (default results/store)")
     serve_parser.add_argument(

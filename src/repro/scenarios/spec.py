@@ -162,6 +162,8 @@ def schedule_from_spec(text: str) -> Schedule:
     ``"fixed:2,0,1"`` (an explicit permutation), or
     ``"trust-aware:0.5,1.0,2.0"`` (per-sensor spoofability scores).
     """
+    if not isinstance(text, str):
+        raise ExperimentError(f"a schedule spec must be a string, got {text!r}")
     kind, _, argument = text.partition(":")
     kind = kind.strip().lower()
     if kind == "fixed":
@@ -286,8 +288,8 @@ class ScenarioSpec:
     kind: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ExperimentError("a scenario needs a non-empty name")
+        if not (isinstance(self.name, str) and self.name):
+            raise ExperimentError(f"a scenario needs a non-empty name, got {self.name!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ExperimentError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.engine is not None and not (isinstance(self.engine, str) and self.engine):
@@ -640,7 +642,7 @@ def spec_from_dict(payload: dict) -> ScenarioSpec:
             f"unsupported spec schema {schema!r}; this build speaks schema {SCHEMA_VERSION}"
         )
     kind = payload.pop("kind", None)
-    cls = _SPEC_KINDS.get(kind)
+    cls = _SPEC_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ExperimentError(
             f"unknown scenario kind {kind!r}; expected one of {sorted(_SPEC_KINDS)}"

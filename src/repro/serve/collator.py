@@ -1,4 +1,4 @@
-"""Dynamic micro-batching of comparison work onto shared engine passes.
+"""Coalesce-while-busy batching of comparison work onto shared engine passes.
 
 The serving layer's throughput comes from one observation: the packed
 :meth:`repro.engine.base.Engine.run_many` seam makes ``k`` same-plan
@@ -7,22 +7,22 @@ of that seam means coalescing is *invisible* in the payloads.  The
 :class:`BatchCollator` is the piece that finds the ``k``: every comparison
 shard submitted to the service lands here keyed by its *plan* — engine
 backend, comparison configuration, attack spec, fault model and schedule,
-everything except the per-request ``(samples, rng)`` pair — and submissions
-sharing a plan key within a ``max_wait_ms`` window (or until ``max_batch``
-of them pile up) fuse into a single ``run_many`` call on a worker thread.
+everything except the per-request ``(samples, rng)`` pair.
 
-The waiting window is the classic dynamic-batching trade: a few
-milliseconds of added latency on the first request of a burst buys
-near-linear throughput scaling when many clients ask for the same physics
-(the common case for a fusion service sitting behind a dashboard or a
-parameter sweep).  ``benchmarks/bench_serve.py`` gates the win at ≥3x for
-64 concurrent same-plan clients.
+A plan runs at most one engine pass at a time.  A submission for an idle
+plan dispatches at once; submissions that arrive while the plan's pass is
+running queue up and leave together, up to ``max_batch`` per pass, when it
+finishes.  Coalescing therefore happens exactly when the engine is the
+bottleneck, and a lone request never waits for company.
+``benchmarks/bench_serve.py`` gates the win at ≥3x for 64 concurrent
+same-plan clients.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,50 +58,61 @@ def plan_key(engine: str, case: ComparisonCase, schedule: str) -> tuple:
     )
 
 
-@dataclass
-class _PendingBatch:
-    """Submissions accumulated for one plan key, awaiting a flush."""
+class _Submission(NamedTuple):
+    """One unit of work: its sample budget, its stream, and its waiter."""
 
+    samples: int
+    rng: np.random.Generator
+    future: asyncio.Future
+
+
+@dataclass
+class _Plan:
+    """A plan key with an engine pass in flight, and the submissions queued
+    behind that pass."""
+
+    key: tuple
     engine: str
     case: ComparisonCase
     schedule: str
-    budgets: list[int] = field(default_factory=list)
-    rngs: list[np.random.Generator] = field(default_factory=list)
-    futures: list[asyncio.Future] = field(default_factory=list)
-    timer: asyncio.TimerHandle | None = None
+    queued: list[_Submission] = field(default_factory=list)
+    #: The running pass (held here: the loop keeps only a weak reference).
+    task: asyncio.Task | None = None
+
+
+def _fail(batch: list[_Submission], error: BaseException) -> None:
+    for submission in batch:
+        if not submission.future.done():
+            submission.future.set_exception(error)
 
 
 class BatchCollator:
     """Coalesce same-plan comparison shards into packed engine passes.
 
-    Single-threaded asyncio discipline: ``submit``/flush bookkeeping runs on
-    the event loop (no locks), only the engine work leaves the loop via
-    :func:`asyncio.to_thread`.  A batch flushes when either ``max_batch``
-    submissions have accumulated or ``max_wait_ms`` has passed since its
-    first submission, whichever comes first; ``max_batch=1`` degenerates to
-    pass-through (no coalescing, no added latency) which is the baseline leg
-    of the serving benchmark.
+    Single-threaded asyncio discipline: ``submit`` and the pass bookkeeping
+    run on the event loop (no locks); only the engine work leaves the loop,
+    on ``executor``.  Each plan key has at most one pass in flight: an idle
+    plan dispatches a submission at once, a busy one queues it, and when a
+    pass finishes the next takes up to ``max_batch`` of the queue.
+    ``max_batch=1`` never coalesces (one submission per pass), which is the
+    baseline leg of the serving benchmark.
     """
 
     def __init__(
         self,
-        max_wait_ms: float = 2.0,
         max_batch: int = 64,
         executor=None,
         registry: Registry | None = None,
     ) -> None:
-        if max_wait_ms < 0:
-            raise ExperimentError(f"max_wait_ms must be non-negative, got {max_wait_ms}")
         if max_batch < 1:
             raise ExperimentError(f"max_batch must be at least 1, got {max_batch}")
-        self.max_wait_ms = float(max_wait_ms)
         self.max_batch = int(max_batch)
         #: Where the blocking engine passes run.  ``None`` uses the loop's
         #: default executor; the service installs a dedicated pool so engine
         #: work can never be starved by (or starve) other ``to_thread``
         #: users sharing the loop.
         self.executor = executor
-        self._pending: dict[tuple, _PendingBatch] = {}
+        self._busy: dict[tuple, _Plan] = {}
         #: Coalescing accounting lives on a ``repro.obs`` registry — the
         #: service passes its own so one ``/v1/metrics`` exposition covers
         #: both layers; a standalone collator gets a private one.
@@ -142,62 +153,60 @@ class BatchCollator:
         how many other submissions share the pass (the ``run_many``
         contract).
         """
-        loop = asyncio.get_running_loop()
-        key = plan_key(engine, case, schedule)
-        pending = self._pending.get(key)
-        if pending is None:
-            pending = _PendingBatch(engine=engine, case=case, schedule=schedule)
-            self._pending[key] = pending
-            if self.max_batch > 1 and self.max_wait_ms > 0:
-                pending.timer = loop.call_later(
-                    self.max_wait_ms / 1000.0, self._flush, key
-                )
-        future: asyncio.Future = loop.create_future()
-        pending.budgets.append(int(samples))
-        pending.rngs.append(rng)
-        pending.futures.append(future)
+        future = asyncio.get_running_loop().create_future()
+        submission = _Submission(int(samples), rng, future)
         self._requests.inc()
-        if len(pending.budgets) >= self.max_batch or pending.timer is None:
-            self._flush(key)
+        key = plan_key(engine, case, schedule)
+        plan = self._busy.get(key)
+        if plan is None:
+            plan = self._busy[key] = _Plan(key, engine, case, schedule)
+            self._dispatch(plan, [submission])
+        else:
+            plan.queued.append(submission)
         return await future
 
-    def _flush(self, key: tuple) -> None:
-        """Detach the pending batch for ``key`` and dispatch it."""
-        pending = self._pending.pop(key, None)
-        if pending is None:  # raced with a max_batch flush; timer fired late
-            return
-        if pending.timer is not None:
-            pending.timer.cancel()
+    def _dispatch(self, plan: _Plan, batch: list[_Submission]) -> None:
         self._batches.inc()
-        self._max_batch_observed.set_max(len(pending.budgets))
-        asyncio.get_running_loop().create_task(self._run_batch(pending))
+        self._max_batch_observed.set_max(len(batch))
+        plan.task = asyncio.get_running_loop().create_task(self._run_pass(plan, batch))
 
-    async def _run_batch(self, pending: _PendingBatch) -> None:
+    async def _run_pass(self, plan: _Plan, batch: list[_Submission]) -> None:
+        """Run one pass, settle its waiters, then start the next pass or go idle."""
         try:
             results = await asyncio.get_running_loop().run_in_executor(
-                self.executor, self._simulate, pending
+                self.executor, self._simulate, plan, batch
             )
-        except BaseException as error:  # noqa: BLE001 — every waiter must learn of it
-            for future in pending.futures:
-                if not future.done():
-                    future.set_exception(error)
+        except Exception as error:  # noqa: BLE001 — every waiter must learn of it
+            _fail(batch, error)
+        except BaseException as error:
+            # Cancelled (the loop is closing) or interrupted: the queued
+            # waiters fail with this pass rather than start another one.
+            del self._busy[plan.key]
+            _fail(batch + plan.queued, error)
+            raise
+        else:
+            for submission, result in zip(batch, results):
+                if not submission.future.done():  # a waiter may have been cancelled meanwhile
+                    submission.future.set_result(result)
+        # A waiter cancelled while queued needs no pass.
+        queued = [submission for submission in plan.queued if not submission.future.done()]
+        if not queued:
+            del self._busy[plan.key]
             return
-        for future, result in zip(pending.futures, results):
-            if not future.done():  # a waiter may have been cancelled meanwhile
-                future.set_result(result)
+        plan.queued = queued[self.max_batch :]
+        self._dispatch(plan, queued[: self.max_batch])
 
     @staticmethod
-    def _simulate(pending: _PendingBatch):
+    def _simulate(plan: _Plan, batch: list[_Submission]):
         """The blocking engine pass (runs on a worker thread)."""
-        engine = get_engine(pending.engine)
-        return engine.run_many(
-            pending.case.comparison_config(),
-            schedule_from_spec(pending.schedule),
-            pending.case.attack,
-            pending.case.faults(),
-            budgets=pending.budgets,
-            rngs=pending.rngs,
-            channel=pending.case.channel,
+        return get_engine(plan.engine).run_many(
+            plan.case.comparison_config(),
+            schedule_from_spec(plan.schedule),
+            plan.case.attack,
+            plan.case.faults(),
+            budgets=[submission.samples for submission in batch],
+            rngs=[submission.rng for submission in batch],
+            channel=plan.case.channel,
         )
 
     def stats(self) -> dict:
@@ -207,6 +216,5 @@ class BatchCollator:
             "batches": self.batches,
             "coalesced": self.requests - self.batches,
             "max_batch_observed": self.max_batch_observed,
-            "max_wait_ms": self.max_wait_ms,
             "max_batch": self.max_batch,
         }

@@ -203,7 +203,9 @@ class FusionServer:
                     return 405, {"error": "use POST for /v1/run"}
                 try:
                     request = json.loads(body.decode("utf-8") or "null")
-                except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                except (ValueError, RecursionError) as error:
+                    # ValueError covers bad UTF-8, bad JSON and over-long
+                    # integer literals; RecursionError is deep nesting.
                     return 400, {"error": f"request body is not valid JSON: {error}"}
                 return 200, await self.service.run_request(request)
             if method != "GET":

@@ -76,7 +76,6 @@ class FusionService:
     def __init__(
         self,
         store: ArtifactStore | None = None,
-        max_wait_ms: float = 2.0,
         max_batch: int = 64,
     ) -> None:
         self.store = store
@@ -93,12 +92,7 @@ class FusionService:
         #: tracing scopes): concurrent services never pool counters, and the
         #: collator shares it so one Prometheus exposition covers both.
         self.registry = Registry()
-        self.collator = BatchCollator(
-            max_wait_ms=max_wait_ms,
-            max_batch=max_batch,
-            executor=self._executor,
-            registry=self.registry,
-        )
+        self.collator = BatchCollator(max_batch=max_batch, executor=self._executor, registry=self.registry)
         self._inflight: dict[str, asyncio.Task] = {}
         self._served = self.registry.counter("repro_served_requests_total")
         self._cache_hits = self.registry.counter("repro_served_cache_hits_total")

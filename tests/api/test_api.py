@@ -98,7 +98,7 @@ class TestCompare:
 class TestServing:
     def test_create_server_round_trip(self, tmp_path):
         async def scenario():
-            service = api.create_service(store=tmp_path / "store", max_wait_ms=10.0)
+            service = api.create_service(store=tmp_path / "store")
             try:
                 async with api.create_server(port=0, service=service) as server:
                     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)

@@ -326,8 +326,8 @@ class TestServeParser:
 
         args = build_parser().parse_args(["serve"])
         assert (args.host, args.port) == ("127.0.0.1", 8014)
-        assert (args.max_wait_ms, args.max_batch) == (2.0, 64)
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--max-wait-ms", "5", "--max-batch", "8"]
-        )
-        assert (args.port, args.max_wait_ms, args.max_batch) == (0, 5.0, 8)
+        assert args.max_batch == 64
+        # The batching window is gone: max_batch is the only batching option.
+        assert set(vars(args)) == {"command", "handler", "host", "port", "max_batch", "store", "metrics"}
+        args = build_parser().parse_args(["serve", "--port", "0", "--max-batch", "8"])
+        assert (args.port, args.max_batch) == (0, 8)

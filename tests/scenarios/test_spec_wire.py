@@ -144,6 +144,24 @@ class TestRejection:
         with pytest.raises(ExperimentError, match="unknown scenario kind"):
             spec_from_dict({"kind": "mystery", "name": "x"})
 
+    def test_non_string_kind_is_rejected(self):
+        # An unhashable kind used to escape as a TypeError from the kind lookup.
+        with pytest.raises(ExperimentError, match="unknown scenario kind"):
+            spec_from_dict({"kind": [], "name": "x"})
+
+    def test_non_string_schedule_spec_is_rejected(self):
+        # A number in a case's schedules used to escape as an AttributeError.
+        payload = wire(get_scenario("table1-smoke"))
+        payload["cases"][0]["schedules"] = [5]
+        with pytest.raises(ExperimentError, match="schedule spec must be a string"):
+            spec_from_dict(payload)
+
+    def test_non_string_name_is_rejected(self):
+        # A numeric name used to be accepted and served.
+        payload = {**wire(get_scenario("table1-smoke")), "name": 5}
+        with pytest.raises(ExperimentError, match="non-empty name"):
+            spec_from_dict(payload)
+
     def test_unknown_fields_named_in_the_error(self):
         payload = {**wire(get_scenario("table1-smoke")), "bogus_knob": 3}
         with pytest.raises(ExperimentError, match="bogus_knob"):

@@ -10,16 +10,19 @@ assertions are the serving layer's two load-bearing promises:
 * **counter consistency**: ``requests`` equals the client count,
   ``coalesced == requests - batches``, batches are bounded by the distinct
   plan count below and the client count above, and no batch exceeded
-  ``max_batch``.
+  ``max_batch``;
+* **one pass per plan**: no plan ever has two engine passes in flight.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.scenarios.spec import ComparisonCase
-from repro.serve import BatchCollator
+from repro.serve import BatchCollator, plan_key
 
 PLANS = [
     (ComparisonCase(label="a", lengths=(2.0, 3.0, 4.0), fa=1), "ascending"),
@@ -80,12 +83,12 @@ def test_jittered_swarm_is_bit_identical_to_pass_through(seed):
     clients = build_clients(seed)
 
     async def coalesced():
-        collator = BatchCollator(max_wait_ms=15.0, max_batch=8)
+        collator = BatchCollator(max_batch=8)
         results = await run_swarm(collator, clients, jitter=True)
         return results, collator.stats()
 
     async def baseline():
-        collator = BatchCollator(max_wait_ms=0.0, max_batch=1)
+        collator = BatchCollator(max_batch=1)
         results = await run_swarm(collator, clients, jitter=False)
         return results, collator.stats()
 
@@ -107,20 +110,53 @@ def test_jittered_swarm_is_bit_identical_to_pass_through(seed):
 
 
 def test_burst_without_jitter_coalesces_per_plan():
-    # Simultaneous arrival: each plan's clients land in one batch, so the
-    # batch count collapses to the plan count exactly.
+    # Simultaneous arrival: each plan's first client dispatches alone and
+    # the rest share the pass after it, so every plan takes exactly two.
     clients = build_clients(42, per_plan=5)
 
     async def scenario():
-        collator = BatchCollator(max_wait_ms=50.0, max_batch=64)
+        collator = BatchCollator(max_batch=64)
         results = await run_swarm(collator, clients, jitter=False)
         return results, collator.stats()
 
     results, stats = asyncio.run(scenario())
     assert len(results) == len(clients)
-    assert stats["batches"] == len(PLANS)
-    assert stats["coalesced"] == len(clients) - len(PLANS)
-    assert stats["max_batch_observed"] == 5
+    assert stats["batches"] == 2 * len(PLANS)
+    assert stats["coalesced"] == len(clients) - 2 * len(PLANS)
+    assert stats["max_batch_observed"] == 4
+
+
+@pytest.mark.parametrize("seed", [2014, 7])
+def test_jittered_swarm_never_runs_two_passes_of_one_plan(seed):
+    clients = build_clients(seed)
+    lock = threading.Lock()
+    running: dict[tuple, int] = {}
+    peaks: dict[tuple, int] = {}
+
+    async def scenario():
+        collator = BatchCollator(max_batch=8)
+        simulate = collator._simulate
+
+        def counting(plan, batch):
+            key = plan_key(plan.engine, plan.case, plan.schedule)
+            with lock:
+                running[key] = running.get(key, 0) + 1
+                peaks[key] = max(peaks.get(key, 0), running[key])
+            try:
+                time.sleep(0.002)  # widen the window a second pass would need
+                return simulate(plan, batch)
+            finally:
+                with lock:
+                    running[key] -= 1
+
+        collator._simulate = counting
+        await run_swarm(collator, clients, jitter=True)
+        return collator.stats()
+
+    stats = asyncio.run(scenario())
+    assert stats["requests"] == len(clients)
+    assert len(peaks) == len(PLANS)
+    assert set(peaks.values()) == {1}
 
 
 def test_interleaved_waves_stay_isolated_per_plan():
@@ -129,13 +165,13 @@ def test_interleaved_waves_stay_isolated_per_plan():
     clients = build_clients(3, per_plan=3)
 
     async def scenario():
-        collator = BatchCollator(max_wait_ms=10.0, max_batch=4)
+        collator = BatchCollator(max_batch=4)
         first = await run_swarm(collator, clients, jitter=True)
         second = await run_swarm(collator, clients, jitter=True)
         return first, second, collator.stats()
 
     async def baseline():
-        collator = BatchCollator(max_wait_ms=0.0, max_batch=1)
+        collator = BatchCollator(max_batch=1)
         return await run_swarm(collator, clients, jitter=False)
 
     first, second, stats = asyncio.run(scenario())

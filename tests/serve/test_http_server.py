@@ -120,9 +120,7 @@ def test_served_payloads_bit_identical_to_cli_artifacts(
     reference_b = cli_artifact_payload(SPEC_B, cli_store)
     capsys.readouterr()  # swallow the CLI's table output
 
-    service = FusionService(
-        store=ArtifactStore(root=tmp_path / "serve-store"), max_wait_ms=25.0, max_batch=32
-    )
+    service = FusionService(store=ArtifactStore(root=tmp_path / "serve-store"), max_batch=32)
     with ServerThread(service) as server:
         requests = (
             [("POST", "/v1/run", {"spec": spec_dict(SPEC_A)})] * 6
@@ -286,6 +284,30 @@ def test_invalid_wire_spec_answers_400(fields):
     finally:
         server.service.close()
     assert status == 400, body
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"scenario": ' + b"1" * 5_000 + b"}"],
+    ids=["deep-nesting", "huge-integer"],
+)
+def test_hostile_json_answers_400_and_server_keeps_serving(body):
+    # Both bodies are far below MAX_BODY_BYTES, yet json.loads raised
+    # RecursionError (deep nesting) or ValueError (an integer literal past
+    # the int-to-str digit limit), which used to surface as a 500.
+    service = FusionService(store=None)
+    with ServerThread(service) as server:
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            conn.request("POST", "/v1/run", body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            status, payload = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 400, payload
+        assert "error" in payload
+        status, health = server.request("GET", "/v1/health")
+        assert status == 200 and health["status"] == "ok"
 
 
 @pytest.mark.parametrize("name", ["numba", "fused"])

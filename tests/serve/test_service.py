@@ -103,7 +103,7 @@ class TestServing:
         assert response["cached"] is False
 
     def test_concurrent_identical_specs_share_one_execution(self):
-        service = FusionService(store=None, max_wait_ms=20.0)
+        service = FusionService(store=None)
 
         async def burst():
             return await asyncio.gather(*(service.run_spec(SPEC) for _ in range(5)))
@@ -117,7 +117,7 @@ class TestServing:
     def test_cross_request_plan_coalescing(self):
         # Same physics, different seeds: distinct spec keys (no dedup), but
         # every shard shares the plan key, so the collator packs them.
-        service = FusionService(store=None, max_wait_ms=50.0, max_batch=32)
+        service = FusionService(store=None, max_batch=32)
         seeds = [2014, 2015, 2016]
         specs = [
             ComparisonScenario(

@@ -92,6 +92,39 @@ def test_stale_imported_and_facade_names_are_flagged(tmp_path):
     assert "repro.api.teleport" in errors[0] and "repro.vehicle.WarpDrive" in errors[1]
 
 
+def test_removed_cli_flag_is_flagged(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "```bash\n"
+        "python -m repro serve --port 0 --max-batch 8 --warp 9   # not --port-knob\n"
+        "python -m repro store gc --keep-latest 3 --json | grep --count key\n"
+        "python -m repro teleport --now\n"
+        "```\n"
+        "`python -m repro run NAME [--engine E] [--turbo]`\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_cli_flags(page, page.read_text(encoding="utf-8"), check_docs.cli_options())
+    assert len(errors) == 3
+    assert "serve" in errors[0] and "'--warp'" in errors[0]
+    assert "'python -m repro teleport' is not a subcommand" in errors[1]
+    assert "run" in errors[2] and "'--turbo'" in errors[2]
+
+
+def test_removed_api_keyword_is_flagged(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text(
+        "```python\n"
+        "from repro import api\n"
+        "api.run('table1-smoke', workers=2)\n"
+        "api.serve(port=8014, max_batch=64, warp_factor=9)\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_api_keywords(page, page.read_text(encoding="utf-8"))
+    assert len(errors) == 1
+    assert "page.md:4" in errors[0] and "api.serve()" in errors[0] and "'warp_factor'" in errors[0]
+
+
 @pytest.mark.parametrize("name", ["README.md", "docs/ARCHITECTURE.md", "docs/ATTACKERS.md"])
 def test_doc_set_exists(name):
     assert (TOOLS_DIR.parent / name).is_file()

@@ -1,6 +1,6 @@
 """Lightweight docs checker: keep README/docs snippets and references honest.
 
-Six checks over ``README.md`` and ``docs/*.md``:
+Eight checks over ``README.md`` and ``docs/*.md``:
 
 1. every fenced ``python`` code block must *compile* (syntax-checked with
    the file and line of the block on failure — snippets are not executed,
@@ -18,7 +18,13 @@ Six checks over ``README.md`` and ``docs/*.md``:
 6. every name a python block imports with ``from repro… import …``, and
    every ``api.<name>`` the prose or a snippet calls, must exist — check 2
    only resolves the dotted module part, so a deleted class or facade verb
-   would otherwise pass.
+   would otherwise pass;
+7. every ``--flag`` on a ``python -m repro SUB …`` line must be an option
+   of ``SUB``'s parser in :func:`repro.cli.build_parser`, so a removed CLI
+   option cannot linger in a synopsis or an example;
+8. every keyword of an ``api.<verb>(…)`` call in a python block must be a
+   parameter of that verb, so a removed facade option cannot linger in a
+   snippet (snippets compile but never run).
 
 Run from the repository root (CI's docs job does)::
 
@@ -27,8 +33,10 @@ Run from the repository root (CI's docs job does)::
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -57,6 +65,16 @@ ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9](?![A-Z0-9_])")
 #: means some other ``api`` (``repro.api.x`` is check 2's, a URL host is
 #: not ours).
 API_NAME = re.compile(r"(?<![\w./])api\.([A-Za-z_][A-Za-z0-9_]*)")
+
+#: ``python -m repro SUB rest-of-line`` command lines.
+CLI_LINE = re.compile(r"\bpython3? -m repro\s+([a-z][\w-]*)([^\n]*)")
+
+#: Where a command's own arguments end on its line: a closing backtick, a
+#: shell separator, a redirect or a comment.
+CLI_LINE_END = re.compile(r"`|;|&&|\s\|\s|\s>|\s#")
+
+#: Long options (``--flag``) within a command line.
+CLI_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
 #: Where a documented environment variable must be read.
 CODE_DIRS = ("src", "benchmarks")
@@ -149,6 +167,69 @@ def check_imported_names(path: Path, text: str) -> list[str]:
     return errors
 
 
+def cli_options() -> dict[str, set[str]]:
+    """Every option string each ``python -m repro`` subcommand accepts,
+    including those of its own subcommands (``store ls|gc``)."""
+    from repro.cli import build_parser
+
+    def options(parser: argparse.ArgumentParser) -> set[str]:
+        found = set()
+        for action in parser._actions:
+            found.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                for child in action.choices.values():
+                    found |= options(child)
+        return found
+
+    subparsers = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    return {name: options(parser) for name, parser in subparsers.choices.items()}
+
+
+def check_cli_flags(path: Path, text: str, known: dict[str, set[str]]) -> list[str]:
+    errors = []
+    for command, rest in CLI_LINE.findall(text):
+        flags = CLI_FLAG.findall(CLI_LINE_END.split(rest, maxsplit=1)[0])
+        if command not in known:
+            errors.append(f"{path.name}: 'python -m repro {command}' is not a subcommand")
+            continue
+        errors.extend(
+            f"{path.name}: 'python -m repro {command}' has no option {flag!r}"
+            for flag in flags
+            if flag not in known[command]
+        )
+    return errors
+
+
+def check_api_keywords(path: Path, text: str) -> list[str]:
+    from repro import api
+
+    errors = []
+    for line, source in python_blocks(text):
+        try:
+            tree = ast.parse(source)
+        except SyntaxError:
+            continue  # check 1 reports it
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "api"
+                and callable(getattr(api, node.func.attr, None))
+            ):
+                continue  # not a facade call, or a missing verb (check 6 reports it)
+            parameters = inspect.signature(getattr(api, node.func.attr)).parameters
+            if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+                continue
+            errors.extend(
+                f"{path.name}:{line + node.lineno - 1}: api.{node.func.attr}() "
+                f"has no parameter {keyword.arg!r}"
+                for keyword in node.keywords
+                if keyword.arg is not None and keyword.arg not in parameters
+            )
+    return errors
+
+
 def check_links(path: Path, text: str) -> list[str]:
     errors = []
     for target in MARKDOWN_LINK.findall(text):
@@ -188,6 +269,7 @@ def main() -> int:
     errors: list[str] = []
     checked_blocks = 0
     known_env_vars = code_env_vars()
+    known_cli_options = cli_options()
     for path in docs_files():
         text = path.read_text(encoding="utf-8")
         checked_blocks += len(python_blocks(text))
@@ -197,6 +279,8 @@ def main() -> int:
         errors.extend(check_paths(path, text))
         errors.extend(check_env_vars(path, text, known_env_vars))
         errors.extend(check_imported_names(path, text))
+        errors.extend(check_cli_flags(path, text, known_cli_options))
+        errors.extend(check_api_keywords(path, text))
     for error in errors:
         print(f"ERROR: {error}", file=sys.stderr)
     files = len(docs_files())
