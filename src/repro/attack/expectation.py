@@ -48,11 +48,23 @@ from repro.core.exceptions import AttackError
 from repro.core.interval import Interval, intersect_all
 from repro.core.marzullo import fuse_or_none
 
-__all__ = ["ExpectationPolicy", "TIE_TOLERANCE"]
+__all__ = ["ExpectationPolicy", "TIE_TOLERANCE", "feasible_true_region"]
 
 #: Scores within this distance of the best candidate's score count as tied;
 #: shared with the vectorized scorer so both build identical tie sets.
 TIE_TOLERANCE = 1e-9
+
+
+def feasible_true_region(context: AttackContext) -> Interval:
+    """Where the true value can be, given Δ and the seen correct intervals."""
+    pieces = [context.delta, *context.seen_correct_intervals]
+    try:
+        return intersect_all(pieces)
+    except Exception:
+        # Seen correct intervals always contain the true value and so does
+        # Δ, so the intersection cannot actually be empty; the fallback is
+        # purely defensive.
+        return context.delta
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -121,17 +133,9 @@ class ExpectationPolicy(AttackPolicy):
         clear anything (``tests/attack/test_expectation.py`` pins both)."""
 
     # ------------------------------------------------------------------
-    # Memo accounting (read-only outside; the batch attacker records via
-    # the methods below so the hot loop stays plain-int cheap)
+    # Memo accounting (read-only outside; ``_cached_decide`` keeps the
+    # tallies as plain ints so the hot loop stays cheap)
     # ------------------------------------------------------------------
-    def record_hit(self) -> None:
-        """Count one memo hit (used by the batch attacker's shared memo)."""
-        self._hits += 1
-
-    def record_miss(self) -> None:
-        """Count one memo miss (used by the batch attacker's shared memo)."""
-        self._misses += 1
-
     def stats(self) -> dict:
         """Read-only memo statistics: hits, misses, resident entries."""
         return {"hits": self._hits, "misses": self._misses, "entries": len(self._cache)}
@@ -145,8 +149,8 @@ class ExpectationPolicy(AttackPolicy):
     def _memo_key(self, context: AttackContext) -> tuple:
         """Memo-table key: the context's :meth:`~AttackContext.cache_key` plus
         the ``conservative`` flag (which changes the scoring rule, so the two
-        attacker variants must never share an entry — e.g. in the shared memo
-        of :class:`repro.batch.expectation.ExactExpectationBatchAttacker`)."""
+        attacker variants must never share an entry; the batched keys of
+        :mod:`repro.batch.expectation` carry the flag too)."""
         return (self.conservative, context.cache_key())
 
     def _cached_decide(
@@ -220,17 +224,6 @@ class ExpectationPolicy(AttackPolicy):
             return -np.inf
         return widths_total / count
 
-    def _feasible_true_region(self, context: AttackContext) -> Interval:
-        """Where the true value can be, given Δ and the seen correct intervals."""
-        pieces = [context.delta, *context.seen_correct_intervals]
-        try:
-            return intersect_all(pieces)
-        except Exception:
-            # Seen correct intervals always contain the true value and so does
-            # Δ, so the intersection cannot actually be empty; the fallback is
-            # purely defensive.
-            return context.delta
-
     def _future_scenarios(self, context: AttackContext) -> Iterator[list[tuple[float, bool, Interval | None]]]:
         """Yield scenarios for the sensors transmitting after the current slot.
 
@@ -239,7 +232,7 @@ class ExpectationPolicy(AttackPolicy):
         concrete interval and compromised sensors get ``None`` (their interval
         is decided recursively during play-out).
         """
-        region = self._feasible_true_region(context)
+        region = feasible_true_region(context)
         remaining = list(zip(context.remaining_widths, context.remaining_compromised))
         if not remaining:
             yield []

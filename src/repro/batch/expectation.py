@@ -27,15 +27,17 @@ fusion and admissibility sweeps per decision.  This module keeps the
   the scalar enumeration order, so the scores — and therefore the decisions,
   tie sets included — equal the scalar policy's exactly.
 
-:class:`VectorizedExpectationPolicy` packages this as a drop-in
-:class:`~repro.attack.policy.AttackPolicy`; :class:`ExactExpectationBatchAttacker`
-drives it over whole batches behind the
-:class:`repro.batch.rounds.BatchAttacker` interface: at each schedule slot it
-collects every compromised row's context, answers repeated contexts from one
-shared memo table — the Ascending-schedule fast path, where the attacker
+:class:`VectorizedExpectationPolicy` holds the grid parameters and the one
+memo table, whose entries are ``(decision, mode, support)``: the decision
+with the stealth mode and support point :func:`check_admissible
+<repro.attack.stealth.check_admissible>` reports for it.
+:class:`ExactExpectationBatchAttacker` drives it over whole batches behind
+the :class:`repro.batch.rounds.BatchAttacker` interface: at each schedule
+slot it collects every compromised row's context, answers repeated contexts
+from the memo — the Ascending-schedule fast path, where the attacker
 transmits before seeing anything and whole swaths of rounds share a decision
 — and scores all the memo-missing rows in **one** play-out per
-remaining-slot pattern (:func:`_decide_batch`).  With ``fa >= 2`` the
+remaining-slot pattern (:func:`_decide_batch`, the only decision path).  With ``fa >= 2`` the
 play-out decides each later compromised slot for all rows at once: rows that
 share a sub-context form one group, and all groups go through the same
 batched decision procedure one level deeper, so a slot costs a few array
@@ -76,13 +78,8 @@ import numpy as np
 from repro import obs
 from repro.attack.candidates import PASSIVE_WIDTH_TOL
 from repro.attack.context import AttackContext
-from repro.attack.expectation import TIE_TOLERANCE, ExpectationPolicy
-from repro.attack.stealth import (
-    AttackerMode,
-    active_mode_available,
-    check_admissible,
-    required_support,
-)
+from repro.attack.expectation import TIE_TOLERANCE, feasible_true_region
+from repro.attack.stealth import AttackerMode, active_mode_available, required_support
 from repro.batch.fuse import coverage_extremes
 from repro.batch.rounds import BatchAttacker, BatchSlotContext
 from repro.core.exceptions import ScheduleError
@@ -407,13 +404,13 @@ class _PreparedCandidates:
 
 
 @dataclass
-class VectorizedExpectationPolicy(ExpectationPolicy):
-    """Expectation policy with tensor-op candidate scoring (same decisions).
+class VectorizedExpectationPolicy:
+    """Grid parameters and memo table of the batched exact attacker.
 
-    The decision procedure — candidate enumeration, admissibility and
-    conservative-mode rules, tie tolerance and tie-breaking — matches
-    :class:`~repro.attack.expectation.ExpectationPolicy` exactly; only its
-    inner loops are replaced:
+    The parameters mirror :class:`~repro.attack.expectation.ExpectationPolicy`
+    with ``tie_break="first"``, and :func:`_decide_batch` reproduces its
+    decisions exactly — candidate enumeration, admissibility and
+    conservative-mode rules, tie tolerance — with the inner loops replaced:
 
     * candidates are enumerated, deduplicated and checked for stealth
       admissibility as flat arrays over all contexts of a batch;
@@ -421,28 +418,28 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
       batched endpoint sweeps instead of one scalar sweep each;
     * per-scenario widths are bit-identical to the scalar sweep's, and the
       per-candidate mean adds them in the scalar enumeration order, so every
-      score (and hence every decision) matches the parent class exactly.
+      score (and hence every decision) matches the scalar policy exactly.
 
-    Rounds with compromised sensors still to transmit (``fa >= 2`` lookahead)
-    advance all (candidate, scenario) play-outs in lockstep, deciding each
-    future compromised slot's sub-contexts in one batched call (see
-    :class:`_Playout`).
+    ``memo`` maps a :func:`_memo_keys` key to ``(decision, mode, support)``;
+    ``hits`` and ``misses`` count its lookups like the scalar policy's
+    tallies, so :meth:`stats` reads the same on both engines.
     """
 
-    _mode_memo: dict[tuple, tuple] = field(default_factory=dict, repr=False)
+    true_value_positions: int = 3
+    placement_positions: int = 3
+    grid_positions: int = 9
+    conservative: bool = False
+    memo: dict[tuple, tuple[Interval, AttackerMode, float | None]] = field(default_factory=dict, repr=False)
+    hits: int = field(default=0, repr=False, compare=False)
+    misses: int = field(default=0, repr=False, compare=False)
 
-    def _memo_key(self, context: AttackContext) -> tuple:
-        """The batched key format of :func:`_memo_keys` (same equality classes
-        as the scalar ``(conservative, context.cache_key())``)."""
-        return _memo_keys(self.conservative, [context])[0]
+    def stats(self) -> dict:
+        """Read-only memo statistics: hits, misses, resident entries."""
+        return {"hits": self.hits, "misses": self.misses, "entries": len(self.memo)}
 
     # ------------------------------------------------------------------
     # Candidate preparation (vectorized candidate_intervals)
     # ------------------------------------------------------------------
-    def _prepare_candidates(self, context: AttackContext) -> _PreparedCandidates:
-        """Admissible candidates as arrays; same values/order as the scalar path."""
-        return self._prepare_candidates_many([context])[0]
-
     def _prepare_candidates_many(self, contexts: list[AttackContext]) -> list[_PreparedCandidates]:
         """Per-context admissible candidate grids, equal to
         :func:`repro.attack.candidates.candidate_intervals` candidate for
@@ -498,52 +495,6 @@ class VectorizedExpectationPolicy(ExpectationPolicy):
         else:
             blocked = np.zeros(lo.shape, dtype=bool)
         return _PreparedCandidates(lo=lo, hi=hi, passive=passive, blocked=blocked, table=table)
-
-    # ------------------------------------------------------------------
-    # Decision procedure (overrides the scalar scoring loop)
-    # ------------------------------------------------------------------
-    def _decide(self, context: AttackContext, rng: np.random.Generator | None = None) -> Interval:
-        if _trivially_truthful(context):
-            return context.own_reading
-        prepared = self._prepare_candidates(context)
-        if len(prepared) == 1:
-            return prepared.interval(0)
-        playout = _Playout(self, [(prepared, context)])
-        playout.advance()
-        return self._select_prepared(prepared, playout.scores().tolist(), rng)
-
-    def _select_prepared(
-        self,
-        prepared: _PreparedCandidates,
-        scores: list[float],
-        rng: np.random.Generator | None,
-    ) -> Interval:
-        """Array-backed version of ``_select`` (same tie semantics)."""
-        best_score = max(scores)
-        ties = [index for index, score in enumerate(scores) if score >= best_score - TIE_TOLERANCE]
-        if self.tie_break == "random" and rng is not None and len(ties) > 1:
-            return prepared.interval(ties[int(rng.integers(0, len(ties)))])
-        return prepared.interval(ties[0])
-
-    def _decision_admissibility(
-        self, decision: Interval, sub_context: AttackContext, key: tuple | None = None
-    ) -> tuple[AttackerMode | None, float | None]:
-        """Mode and support of a (memoised) sub-decision, memoised alongside it.
-
-        The scalar play-out re-runs :func:`check_admissible` on every cache
-        hit; the result only depends on the decision and the key fields of
-        the context (``own_reading`` is not consulted), so it can share the
-        decision's memoisation granularity.  Callers that already hold the
-        context's memo ``key`` pass it to skip recomputing it.
-        """
-        if key is None:
-            key = self._memo_key(sub_context)
-        cached = self._mode_memo.get(key)
-        if cached is None:
-            admissibility = check_admissible(decision, sub_context)
-            cached = (admissibility.mode, admissibility.support)
-            self._mode_memo[key] = cached
-        return cached
 
 
 def _trivially_truthful(context: AttackContext) -> bool:
@@ -602,7 +553,7 @@ def _scenario_grid(
     if not contexts[0].remaining_compromised:
         empty = np.empty((count, 0))
         return empty, empty, np.ones(count, dtype=np.int64)
-    regions = [policy._feasible_true_region(ctx) for ctx in contexts]
+    regions = [feasible_true_region(ctx) for ctx in contexts]
     region_lo = np.asarray([region.lo for region in regions])
     region_hi = np.asarray([region.hi for region in regions])
     widths = np.asarray([ctx.unseen_correct_widths for ctx in contexts], dtype=np.float64)
@@ -815,7 +766,8 @@ class _Playout:
                         slot_index=context.slot_index + 1 + position,
                         sensor_index=-1,
                         width=context.remaining_widths[position],
-                        own_reading=policy._own_reading_guess(context),
+                        # The scalar ``_own_reading_guess`` stand-in: Δ.
+                        own_reading=context.delta,
                         delta=context.delta,
                         transmitted=tuple(transmitted),
                         transmitted_compromised=context.transmitted_compromised
@@ -826,16 +778,14 @@ class _Playout:
                         protected_points=protections[protection[row]],
                     )
                 )
-            decisions, memo_keys = _decide_batch(policy, sub_contexts)
+            entries = _decide_batch(policy, sub_contexts)
             group_protection = protection[representatives]
-            for index, (sub_context, decision, key) in enumerate(
-                zip(sub_contexts, decisions, memo_keys)
-            ):
-                mode, support = policy._decision_admissibility(decision, sub_context, key)
+            for index, (sub_context, (_decision, mode, support)) in enumerate(zip(sub_contexts, entries)):
                 if mode is AttackerMode.ACTIVE and support is not None:
                     group_protection[index] = len(protections)
                     protections.append(sub_context.protected_points + (support,))
             protection = group_protection[group]
+            decisions = [entry[0] for entry in entries]
             self.columns[position] = (
                 group,
                 decisions,
@@ -890,44 +840,35 @@ def _first_best(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(index, starts) - starts
 
 
-def _store_decision(
-    policy: VectorizedExpectationPolicy,
-    key: tuple,
-    prepared: _PreparedCandidates,
-    selected: int,
-) -> Interval:
-    """Cache a computed decision together with its stealth mode and support.
+def _store_decision(memo: dict, key: tuple, prepared: _PreparedCandidates, selected: int) -> tuple:
+    """Memoise a computed decision with its stealth mode and support point.
 
-    The mode/support pair equals what :func:`check_admissible` would report
-    for the decision in this context (passive is tried first; the active
-    support point comes from the same coverage profile and selection rule),
-    so lookahead consumers can skip the scalar admissibility sweep on every
-    play-out.  The scalar fallback case whose only "candidate" is an
-    inadmissible truthful reading is labelled passive here; consumers only
-    test for active mode, for which both labels behave identically.
+    The mode/support pair equals what :func:`check_admissible
+    <repro.attack.stealth.check_admissible>` reports for the decision in this
+    context (passive is tried first; the active support point comes from the
+    same coverage profile and selection rule), so consumers never rerun the
+    scalar admissibility sweep.  The scalar fallback case whose only
+    "candidate" is an inadmissible truthful reading is labelled passive here;
+    consumers only test for active mode, for which both labels behave
+    identically.
     """
     decision = prepared.interval(selected)
-    policy._cache[key] = decision
     if prepared.passive[selected]:
-        policy._mode_memo[key] = (AttackerMode.PASSIVE, None)
+        entry = (decision, AttackerMode.PASSIVE, None)
     else:
         table = prepared.table
-        policy._mode_memo[key] = (
-            AttackerMode.ACTIVE,
-            _support_value(
-                table.profile,
-                float(prepared.lo[selected]),
-                float(prepared.hi[selected]),
-                table.required,
-            ),
+        support = _support_value(
+            table.profile, float(prepared.lo[selected]), float(prepared.hi[selected]), table.required
         )
-    return decision
+        entry = (decision, AttackerMode.ACTIVE, support)
+    memo[key] = entry
+    return entry
 
 
-def _decide_batch(
-    policy: VectorizedExpectationPolicy, contexts: list[AttackContext]
-) -> tuple[list[Interval], list[tuple]]:
-    """Decide a batch of attack contexts; returns the decisions and memo keys.
+def _decide_batch(policy: VectorizedExpectationPolicy, contexts: list[AttackContext]) -> list[tuple]:
+    """Decide a batch of attack contexts; returns their memo entries.
+
+    Each entry is ``(decision, mode, support)`` (see :func:`_store_decision`).
 
     Contexts are visited in order so memo-key collisions resolve
     first-computed-wins, exactly like the scalar round-major loop.  The
@@ -945,30 +886,27 @@ def _decide_batch(
     position).  Each call emits one ``attack.candidates``, ``attack.recurse``
     and ``attack.score`` span.
     """
-    keys = _memo_keys(policy.conservative, contexts)
-    decisions: list[Interval | None] = [None] * len(contexts)
+    memo = policy.memo
+    entries: list[tuple | None] = [None] * len(contexts)
     pending_keys: set[tuple] = set()
     deferred: list[tuple[int, tuple]] = []
     staged: list[tuple[int, tuple, AttackContext]] = []
-    for index, (ctx, key) in enumerate(zip(contexts, keys)):
-        cached = policy._cache.get(key)
+    for index, (ctx, key) in enumerate(zip(contexts, _memo_keys(policy.conservative, contexts))):
+        cached = memo.get(key)
         if cached is not None:
-            policy.record_hit()
-            decisions[index] = cached
+            policy.hits += 1
+            entries[index] = cached
             continue
         if key in pending_keys:
             # A same-key context earlier in this batch is already being
-            # computed; reuse its (forthcoming) decision like the scalar
-            # loop would reuse its cache entry.
-            policy.record_hit()
+            # computed; reuse its (forthcoming) entry like the scalar loop
+            # would reuse its cache entry.
+            policy.hits += 1
             deferred.append((index, key))
             continue
         if _trivially_truthful(ctx):
-            policy.record_miss()
-            decision = ctx.own_reading
-            policy._cache[key] = decision
-            policy._mode_memo[key] = (AttackerMode.PASSIVE, None)
-            decisions[index] = decision
+            policy.misses += 1
+            entries[index] = memo[key] = (ctx.own_reading, AttackerMode.PASSIVE, None)
             continue
         staged.append((index, key, ctx))
         pending_keys.add(key)
@@ -976,13 +914,13 @@ def _decide_batch(
     with obs.span("attack.candidates", kernel="batch"):
         prepared_grids = policy._prepare_candidates_many([ctx for _index, _key, ctx in staged])
     # Single-candidate grids resolve on the spot; same-key followers land in
-    # ``deferred`` and read the stored decision at the end, as a cache hit
+    # ``deferred`` and read the stored entry at the end, as a cache hit
     # would.
     patterns: dict[tuple, list[tuple[int, tuple, _PreparedCandidates, AttackContext]]] = {}
     for (index, key, ctx), prepared in zip(staged, prepared_grids):
         if len(prepared) == 1:
-            policy.record_miss()
-            decisions[index] = _store_decision(policy, key, prepared, 0)
+            policy.misses += 1
+            entries[index] = _store_decision(memo, key, prepared, 0)
         else:
             patterns.setdefault(ctx.remaining_compromised, []).append((index, key, prepared, ctx))
 
@@ -1000,12 +938,12 @@ def _decide_batch(
             playout = playouts.get(pattern) or _Playout(policy, [entry[2:] for entry in members])
             selected = _first_best(playout.scores(), playout.offsets).tolist()
             for (index, key, prepared, _ctx), choice in zip(members, selected):
-                policy.record_miss()
-                decisions[index] = _store_decision(policy, key, prepared, choice)
+                policy.misses += 1
+                entries[index] = _store_decision(memo, key, prepared, choice)
 
     for index, key in deferred:
-        decisions[index] = policy._cache[key]
-    return decisions, keys
+        entries[index] = memo[key]
+    return entries
 
 
 @dataclass
@@ -1040,12 +978,11 @@ class ExactExpectationBatchAttacker(BatchAttacker):
             placement_positions=self.placement_positions,
             grid_positions=self.grid_positions,
             conservative=self.conservative,
-            tie_break="first",
         )
 
     @property
     def policy(self) -> VectorizedExpectationPolicy:
-        """The underlying policy (shared memo table, cache hit/miss counters)."""
+        """The grid parameters and the shared memo table with its hit/miss counters."""
         return self._policy
 
     def reset(self, batch: int) -> None:
@@ -1072,15 +1009,11 @@ class ExactExpectationBatchAttacker(BatchAttacker):
         hi = context.own_hi.copy()
         row_indices = [int(i) for i in np.flatnonzero(context.rows)]
         contexts = [self._row_context(context, i) for i in row_indices]
-        decisions, keys = _decide_batch(self._policy, contexts)
-        for row, ctx, decision, key in zip(row_indices, contexts, decisions, keys):
-            if any(ctx.remaining_compromised):
-                # Protection obligations only constrain *later* compromised
-                # slots of the same round; skip the admissibility lookup when
-                # there are none, like run_round's bookkeeping going unused.
-                mode, support = self._policy._decision_admissibility(decision, ctx, key)
-                if mode is AttackerMode.ACTIVE and support is not None:
-                    self._protected[row] = self._protected[row] + (support,)
+        entries = _decide_batch(self._policy, contexts)
+        for row, (decision, mode, support) in zip(row_indices, entries):
+            # Obligations constrain the later compromised slots of this round.
+            if mode is AttackerMode.ACTIVE and support is not None:
+                self._protected[row] = self._protected[row] + (support,)
             lo[row] = decision.lo
             hi[row] = decision.hi
         return lo, hi

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.scheduling.schedule import Schedule
 from repro.utils.seeding import ensure_rng
 
 if TYPE_CHECKING:
-    from repro.attack.expectation import ExpectationPolicy
     from repro.batch.rounds import BatchRoundResult
 
 __all__ = [
@@ -244,12 +243,19 @@ class RoundsResult:
         )
 
 
+class _MemoStats(Protocol):
+    """A memo that reports ``{"hits", "misses", "entries"}`` counts (the
+    scalar ``ExpectationPolicy`` and the batch ``VectorizedExpectationPolicy``)."""
+
+    def stats(self) -> dict: ...
+
+
 def rounds_results(
     engine: str,
     schedule_name: str,
     result: BatchRoundResult,
     budgets: Sequence[int],
-    memo: ExpectationPolicy | None = None,
+    memo: _MemoStats | None = None,
 ) -> list[RoundsResult]:
     """Split one simulated batch into a :class:`RoundsResult` per budget.
 

@@ -49,6 +49,7 @@ from repro.channel import ChannelSpec, channel_spec_from_dict
 from repro.core.exceptions import ExperimentError, ReproError
 from repro.engine.base import check_channel_support, resolve_attack
 from repro.scheduling.comparison import ScheduleComparisonConfig
+from repro.sensors.library import landshark_specs
 from repro.scheduling.schedule import (
     FixedSchedule,
     Schedule,
@@ -127,6 +128,24 @@ def _check_shard_samples(name: str, shard_samples: int, unit: str = "samples") -
         )
 
 
+def _check_width_sums(name: str, cases, samples: int) -> None:
+    """Reject lengths whose summed fusion widths would not be finite.
+
+    A round that fuses all ``n`` intervals has a fusion interval no wider
+    than the widest of them: with ``f < n / 2`` some interval holds both of
+    its ends.  Forged and faulted intervals keep their sensor's width, so
+    ``samples`` such rounds sum to at most ``samples × max(lengths)``, the
+    bound checked here.  (A lossy-channel round that fuses ``2f`` or fewer
+    received intervals is not covered by this argument.)
+    """
+    for case in cases:
+        if not math.isfinite(samples * max(float(length) for length in case.lengths)):
+            raise ExperimentError(
+                f"scenario {name!r}, case {case.label!r}: {samples} samples of lengths up to "
+                f"{max(case.lengths)!r} overflow the summed fusion widths"
+            )
+
+
 #: Bumped whenever the serialised spec layout changes incompatibly; part of
 #: the content hash, so old artifact-store entries invalidate themselves.
 SCHEMA_VERSION = 1
@@ -154,13 +173,15 @@ SUPPORTED_SPEC_VERSIONS = (1, CHANNEL_SPEC_VERSION)
 CASE_STUDY_ATTACKERS = ("proxy", "exact", "expectation-grid")
 
 
-def schedule_from_spec(text: str) -> Schedule:
+def schedule_from_spec(text: str, sensors: int | None = None) -> Schedule:
     """Build a :class:`~repro.scheduling.schedule.Schedule` from its spec string.
 
     Scenario specs carry schedules as strings so they stay hashable and
     JSON-serialisable: ``"ascending"`` / ``"descending"`` / ``"random"``,
     ``"fixed:2,0,1"`` (an explicit permutation), or
-    ``"trust-aware:0.5,1.0,2.0"`` (per-sensor spoofability scores).
+    ``"trust-aware:0.5,1.0,2.0"`` (per-sensor spoofability scores).  Given
+    ``sensors``, a ``fixed`` permutation must be one of ``range(sensors)``
+    and ``trust-aware`` must give ``sensors`` scores.
     """
     if not isinstance(text, str):
         raise ExperimentError(f"a schedule spec must be a string, got {text!r}")
@@ -169,14 +190,20 @@ def schedule_from_spec(text: str) -> Schedule:
     if kind == "fixed":
         if not argument:
             raise ExperimentError("a fixed schedule spec needs a permutation, e.g. 'fixed:2,0,1'")
-        return FixedSchedule(tuple(int(part) for part in argument.split(",")))
-    if kind == "trust-aware":
+        schedule = FixedSchedule(tuple(int(part) for part in argument.split(",")))
+        covered = len(schedule.permutation)
+    elif kind == "trust-aware":
         if not argument:
             raise ExperimentError(
                 "a trust-aware schedule spec needs spoofability scores, e.g. 'trust-aware:0.5,1,2'"
             )
-        return TrustAwareSchedule(tuple(float(part) for part in argument.split(",")))
-    return schedule_by_name(kind)
+        schedule = TrustAwareSchedule(tuple(float(part) for part in argument.split(",")))
+        covered = len(schedule.spoofability)
+    else:
+        return schedule_by_name(kind)
+    if sensors is not None and covered != sensors:
+        raise ExperimentError(f"schedule {text!r} covers {covered} sensors, but there are {sensors}")
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -206,8 +233,14 @@ class ComparisonCase:
     channel: ChannelSpec | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ExperimentError(f"a case label must be a string, got {self.label!r}")
         if not self.schedules:
             raise ExperimentError(f"case {self.label!r} needs at least one schedule")
+        if not _is_int(self.fa) or not (self.f is None or _is_int(self.f)):
+            raise ExperimentError(
+                f"case {self.label!r}: fa and f must be integers, got fa={self.fa!r}, f={self.f!r}"
+            )
         lengths = [float(length) for length in self.lengths]
         if not all(math.isfinite(length) and length > 0 for length in lengths):
             raise ExperimentError(
@@ -243,7 +276,7 @@ class ComparisonCase:
 
     def schedule_objects(self) -> tuple[Schedule, ...]:
         """The schedule instances named by :attr:`schedules`."""
-        return tuple(schedule_from_spec(text) for text in self.schedules)
+        return tuple(schedule_from_spec(text, len(self.lengths)) for text in self.schedules)
 
     def faults(self) -> BatchTransientFaults | None:
         """The transient-fault model, or ``None`` when faults are disabled."""
@@ -290,6 +323,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.name, str) and self.name):
             raise ExperimentError(f"a scenario needs a non-empty name, got {self.name!r}")
+        if not isinstance(self.description, str):
+            raise ExperimentError(f"description must be a string, got {self.description!r}")
+        if not (isinstance(self.tags, tuple) and all(isinstance(tag, str) for tag in self.tags)):
+            raise ExperimentError(f"tags must be strings, got {self.tags!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ExperimentError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.engine is not None and not (isinstance(self.engine, str) and self.engine):
@@ -305,7 +342,9 @@ class ComparisonScenario(ScenarioSpec):
     ``samples`` is the Monte-Carlo budget *per case*; the runner splits it
     into shards of at most ``shard_samples`` rounds.  The shard layout is a
     pure function of ``(samples, shard_samples)``, which is what makes runs
-    worker-count invariant.
+    worker-count invariant.  A case's summed fusion widths are at most
+    ``samples × max(lengths)`` (see :func:`_check_width_sums`), and that
+    bound must be finite.
     """
 
     cases: tuple[ComparisonCase, ...] = ()
@@ -325,6 +364,7 @@ class ComparisonScenario(ScenarioSpec):
             len(self.cases) * shard_count(self.samples, self.shard_samples),
             "cases × samples / shard_samples",
         )
+        _check_width_sums(self.name, self.cases, self.samples)
         labels = [case.label for case in self.cases]
         if len(set(labels)) != len(labels):
             raise ExperimentError(f"comparison scenario {self.name!r} has duplicate case labels")
@@ -402,7 +442,7 @@ class CaseStudyScenario(ScenarioSpec):
                 f"case-study scenario {self.name!r} has duplicate schedule specs"
             )
         for text in self.schedules:
-            schedule_from_spec(text)
+            schedule_from_spec(text, len(landshark_specs()))
         self.case_study_config()  # validates attacked_sensor eagerly
 
     def case_study_config(self):
@@ -490,6 +530,7 @@ class OptimizationScenario(ScenarioSpec):
             "bandit_population",
             "bandit_rounds",
         )
+        _check_width_sums(self.name, (self.case,), self.samples)
         _check_shard_samples(self.name, self.shard_samples)
         _check_plan(
             self.name,

@@ -17,6 +17,7 @@ examples such as Figure 5 and for unit tests.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -132,8 +133,8 @@ class TrustAwareSchedule(Schedule):
     def __post_init__(self) -> None:
         if not self.spoofability:
             raise ScheduleError("trust-aware schedule needs at least one spoofability score")
-        if any(score < 0 for score in self.spoofability):
-            raise ScheduleError("spoofability scores must be non-negative")
+        if not all(math.isfinite(score) and score >= 0 for score in self.spoofability):
+            raise ScheduleError(f"spoofability scores must be finite and non-negative, got {self.spoofability}")
 
     def order(self, widths: Sequence[float], rng: np.random.Generator) -> tuple[int, ...]:
         self._validate(widths)

@@ -203,8 +203,8 @@ def _context_from(lengths, transmitted_count, fa_remaining, seed):
 
 def _candidate_parity_check(context: AttackContext, grid_positions: int = 9) -> bool:
     """The array candidate enumeration equals the scalar one."""
-    policy = VectorizedExpectationPolicy(grid_positions=grid_positions, tie_break="first")
-    prepared = policy._prepare_candidates(context)
+    policy = VectorizedExpectationPolicy(grid_positions=grid_positions)
+    prepared = policy._prepare_candidates_many([context])[0]
     scalar = candidate_intervals(context, grid_positions)
     return [(s.lo, s.hi) for s in scalar] == list(zip(prepared.lo.tolist(), prepared.hi.tolist()))
 
@@ -259,11 +259,9 @@ def test_vectorized_policy_decides_like_scalar(
     if collapse and transmitted_count:
         context = _collapse_region(context)
     scalar = ExpectationPolicy(conservative=conservative, tie_break="first", **EDGE_GRIDS[grid])
-    vectorized = VectorizedExpectationPolicy(
-        conservative=conservative, tie_break="first", **EDGE_GRIDS[grid]
-    )
-    rng = np.random.default_rng(0)
-    assert scalar.choose_interval(context, rng) == vectorized.choose_interval(context, rng)
+    vectorized = VectorizedExpectationPolicy(conservative=conservative, **EDGE_GRIDS[grid])
+    decision = expectation_module._decide_batch(vectorized, [context])[0][0]
+    assert scalar.choose_interval(context, np.random.default_rng(0)) == decision
 
 
 @pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
@@ -279,8 +277,8 @@ def test_lookahead_batch_mixes_scenario_counts(conservative):
         context = _context_from((5.0, 8.0, 11.0), 1, fa_remaining=1, seed=seed)
         contexts.append(_collapse_region(context) if collapse else context)
     assert contexts[1].delta.hi == contexts[1].transmitted[0].lo
-    policy = VectorizedExpectationPolicy(conservative=conservative, tie_break="first", **COARSE)
-    decisions, _keys = expectation_module._decide_batch(policy, contexts)
+    policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
+    decisions = [entry[0] for entry in expectation_module._decide_batch(policy, contexts)]
     expected = [
         ExpectationPolicy(conservative=conservative, tie_break="first", **COARSE).choose_interval(
             context, None
@@ -316,33 +314,6 @@ def test_fusion_sweeps_capped_at_chunk_rows(monkeypatch, schedule, conservative)
     assert max(rows) == 64
 
 
-def test_vectorized_policy_runs_in_scalar_round():
-    """The vectorized policy is a drop-in AttackPolicy for run_round."""
-    from repro.scheduling import RoundConfig, run_round
-
-    correct = [Interval(-2.5, 2.5), Interval(-5.5, 5.5), Interval(-8.5, 8.5)]
-    results = []
-    for policy in (
-        ExpectationPolicy(tie_break="first"),
-        VectorizedExpectationPolicy(tie_break="first"),
-    ):
-        rng = np.random.default_rng(0)
-        results.append(
-            run_round(
-                correct,
-                RoundConfig(
-                    schedule=DescendingSchedule(),
-                    attacked_indices=(0,),
-                    policy=policy,
-                    f=1,
-                ),
-                rng,
-            )
-        )
-    assert results[0].broadcast == results[1].broadcast
-    assert results[0].fusion == results[1].fusion
-
-
 @given(
     st.lists(st.floats(min_value=0.2, max_value=9.0), min_size=3, max_size=5),
     st.booleans(),
@@ -365,9 +336,7 @@ def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
     contexts += [
         dataclasses.replace(ctx, protected_points=(ctx.own_reading.center,)) for ctx in contexts[::2]
     ] + [dataclasses.replace(ctx, width=ctx.width * scale) for ctx in contexts[1::2] for scale in (0.5, 1.5)]
-    policy = VectorizedExpectationPolicy(
-        conservative=conservative, tie_break="first", **COARSE
-    )
+    policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
     for ctx, prepared in zip(contexts, policy._prepare_candidates_many(contexts)):
         scalar = candidate_intervals(ctx, COARSE["grid_positions"])
         assert list(zip(prepared.lo.tolist(), prepared.hi.tolist())) == [(c.lo, c.hi) for c in scalar]
@@ -387,8 +356,8 @@ def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
 def test_candidate_parity_check_rejects_mismatch():
     """The parity hook itself notices a divergent enumeration."""
     context = _context_from((5.0, 11.0, 17.0), 1, 0, seed=1)
-    policy = VectorizedExpectationPolicy(grid_positions=7, tie_break="first")
-    prepared = policy._prepare_candidates(context)
+    policy = VectorizedExpectationPolicy(grid_positions=7)
+    prepared = policy._prepare_candidates_many([context])[0]
     scalar = candidate_intervals(context, 7)
     assert len(prepared) == len(scalar)
 
@@ -512,8 +481,8 @@ def _field_value(context: AttackContext, field: str) -> float:
 def test_batched_memo_keys_collide_like_cache_key(lengths, transmitted_count, fa_remaining, seed, field):
     """Batched memo keys fall into the classes of ``(conservative,
     ctx.cache_key())``, including contexts 1 ulp either side of a rounding
-    boundary and both ``conservative`` flags; the single-context key is the
-    batched one."""
+    boundary and both ``conservative`` flags; a single context's key is its
+    key within the batch."""
     lengths = tuple(lengths)
     transmitted_count = min(transmitted_count, len(lengths) - 1)
     base = _context_from(lengths, transmitted_count, fa_remaining, seed)
@@ -531,8 +500,75 @@ def test_batched_memo_keys_collide_like_cache_key(lengths, transmitted_count, fa
         scalar = [(conservative, ctx.cache_key()) for ctx in contexts]
         batched = expectation_module._memo_keys(conservative, contexts)
         assert _same_classes(scalar, batched)
-        policy = VectorizedExpectationPolicy(conservative=conservative, tie_break="first")
-        assert [policy._memo_key(ctx) for ctx in contexts] == batched
+        assert [expectation_module._memo_keys(conservative, [ctx])[0] for ctx in contexts] == batched
     assert not set(expectation_module._memo_keys(False, contexts)) & set(
         expectation_module._memo_keys(True, contexts)
     )
+
+
+# ----------------------------------------------------------------------
+# The one memo table: entries, tallies and stored stealth modes
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", [ScalarEngine(), BatchEngine()], ids=lambda e: e.name)
+@pytest.mark.parametrize("schedule", [DescendingSchedule(), RandomSchedule()], ids=lambda s: s.name)
+def test_memo_holds_one_entry_per_miss(monkeypatch, engine, schedule):
+    """Every miss stores exactly one memo entry, and nothing else does
+    (Table I row 8, fa = 2, on both engines)."""
+    entry = TABLE1_CONFIGURATIONS[7]
+    config = ScheduleComparisonConfig(lengths=entry.lengths, fa=entry.fa)
+    module = inspect.getmodule(type(engine))
+    memos = []
+    build = module.rounds_results
+
+    def recording(engine_name, schedule_name, result, budgets, memo=None):
+        memos.append(memo)
+        return build(engine_name, schedule_name, result, budgets, memo)
+
+    monkeypatch.setattr(module, "rounds_results", recording)
+    engine.run_rounds(config, schedule, ExpectationAttack(**COARSE), None, 8, np.random.default_rng(4))
+    (memo,) = memos
+    stats = memo.stats()
+    assert stats["misses"] > 0
+    assert stats["entries"] == stats["misses"]
+
+
+@pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
+def test_memo_entries_carry_the_scalar_stealth_mode(monkeypatch, conservative):
+    """Each batch memo entry's mode and support are what ``check_admissible``
+    reports for its decision in its context, at every lookahead level; the
+    one exception is the inadmissible truthful fallback, labelled passive."""
+    decide = expectation_module._decide_batch
+    seen = []
+
+    def recording(policy, contexts):
+        entries = decide(policy, contexts)
+        seen.extend(zip(contexts, entries))
+        return entries
+
+    monkeypatch.setattr(expectation_module, "_decide_batch", recording)
+    entry = TABLE1_CONFIGURATIONS[7]
+    config = ScheduleComparisonConfig(lengths=entry.lengths, fa=entry.fa)
+    spec = ExpectationAttack(conservative=conservative, **COARSE)
+    for schedule in (AscendingSchedule(), DescendingSchedule(), RandomSchedule()):
+        BatchEngine().run_rounds(config, schedule, spec, None, 8, np.random.default_rng(5))
+    # Protection obligations no placement of this width can cover: every
+    # candidate, the Δ-centred one and the truthful reading are inadmissible.
+    stuck = _context_from((5.0, 8.0, 11.0), 1, 0, seed=2)
+    stuck = dataclasses.replace(stuck, protected_points=(stuck.delta.lo - 50.0, stuck.delta.hi + 50.0))
+    expectation_module._decide_batch(VectorizedExpectationPolicy(conservative=conservative, **COARSE), [stuck])
+    labels = set()
+    for ctx, (decision, mode, support) in seen:
+        check = check_admissible(decision, ctx)
+        if check.admissible:
+            assert (mode, support) == (check.mode, check.support)
+        else:
+            assert decision == ctx.own_reading
+            assert (mode, support) == (AttackerMode.PASSIVE, None)
+        labels.add((mode, check.admissible, ctx.sensor_index == -1))
+    # Both modes occur at the top level and in the lookahead, and the fallback once.
+    assert {(AttackerMode.PASSIVE, True), (AttackerMode.ACTIVE, True)} <= {
+        (mode, ok) for mode, ok, lookahead in labels if lookahead
+    }
+    assert (AttackerMode.ACTIVE, True, False) in labels
+    assert (AttackerMode.PASSIVE, False, False) in labels

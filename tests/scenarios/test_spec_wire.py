@@ -9,6 +9,7 @@ the field (store hashes stay valid), unsupported versions fail loudly.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -134,6 +135,87 @@ class TestRejection:
         for name, value in fields.items():
             (payload if name in payload else payload["cases"][0])[name] = value
         with pytest.raises(ExperimentError):
+            spec_from_dict(payload)
+
+    # Each of these used to validate and then fail mid-run (a 500 over HTTP)
+    # or be served under a store key of its own.
+    @pytest.mark.parametrize("value", [1.0, True, "1"])
+    def test_fa_must_be_an_integer(self, value):
+        payload = wire(get_scenario("table1-smoke"))
+        payload["cases"][0]["fa"] = value
+        with pytest.raises(ExperimentError, match="fa and f must be integers"):
+            spec_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_f_must_be_an_integer_or_null(self, value):
+        payload = wire(get_scenario("table1-smoke"))
+        payload["cases"][0]["f"] = value
+        with pytest.raises(ExperimentError, match="fa and f must be integers"):
+            spec_from_dict(payload)
+        payload["cases"][0]["f"] = 1
+        assert spec_from_dict(payload).cases[0].f == 1
+
+    @pytest.mark.parametrize("scenario", ["table1-smoke", "table2-proxy"])
+    @pytest.mark.parametrize(
+        "schedule, match",
+        [
+            ("fixed:0,1", "covers 2 sensors"),
+            ("trust-aware:1", "covers 1 sensors"),
+            ("trust-aware:nan,1,2", "finite"),
+        ],
+    )
+    def test_schedules_are_checked_against_the_sensor_count(self, scenario, schedule, match):
+        payload = wire(get_scenario(scenario))
+        (payload if "schedules" in payload else payload["cases"][0])["schedules"] = [schedule]
+        with pytest.raises(ExperimentError, match=match):
+            spec_from_dict(payload)
+
+    @pytest.mark.parametrize("scenario", ["table1-smoke", "table2-proxy"])
+    def test_schedules_matching_the_sensor_count_are_accepted(self, scenario):
+        payload = wire(get_scenario(scenario))
+        sensors = 4 if scenario == "table2-proxy" else len(payload["cases"][0]["lengths"])
+        schedules = [
+            "fixed:" + ",".join(str(i) for i in reversed(range(sensors))),
+            "trust-aware:" + ",".join(str(float(i)) for i in range(sensors)),
+        ]
+        (payload if "schedules" in payload else payload["cases"][0])["schedules"] = schedules
+        spec_from_dict(payload)
+
+    def test_lengths_whose_width_sums_overflow_are_rejected(self):
+        payload = wire(get_scenario("table1-smoke"))
+        payload["cases"][0]["lengths"] = [1e308, 1e308, 1e308]
+        with pytest.raises(ExperimentError, match="overflow the summed fusion widths"):
+            spec_from_dict(payload)
+
+    def test_width_sum_bound_is_samples_times_the_widest_length(self):
+        payload = wire(get_scenario("table1-smoke"))
+        samples = payload["samples"]
+        widest = sys.float_info.max / samples
+        payload["cases"][0]["lengths"] = [widest / 4, widest / 2, widest]
+        spec_from_dict(payload)
+        payload["cases"][0]["lengths"][-1] = widest * 1.001
+        with pytest.raises(ExperimentError, match="overflow"):
+            spec_from_dict(payload)
+
+    def test_optimization_lengths_are_bounded_too(self):
+        payload = wire(get_scenario("optimize-table1-row6"))
+        payload["case"]["lengths"] = [1e308] * len(payload["case"]["lengths"])
+        with pytest.raises(ExperimentError, match="overflow"):
+            spec_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [
+            ("case", "label", 5),
+            ("spec", "description", 5),
+            ("spec", "tags", [5]),
+            ("spec", "tags", ["paper", None]),
+        ],
+    )
+    def test_labels_and_descriptions_must_be_strings(self, where, field, value):
+        payload = wire(get_scenario("table1-smoke"))
+        (payload["cases"][0] if where == "case" else payload)[field] = value
+        with pytest.raises(ExperimentError, match="must be a string|must be strings"):
             spec_from_dict(payload)
 
     def test_non_object_payload(self):
