@@ -4,45 +4,47 @@
 placement by enumerating a (true-value × placement) grid of futures and
 fusing each one with a scalar Marzullo sweep — thousands of Python-level
 fusion and admissibility sweeps per decision.  This module keeps the
-*decision procedure* bit-for-bit identical while evaluating the whole
-(candidate × true-value × placement) grid as broadcast tensor ops:
+*decision procedure* bit-for-bit identical while evaluating whole batches of
+contexts as array passes:
 
-* the candidate placements of every context in a batch are generated as
-  one flat bound array (same values, same order, same 9-decimal
-  first-occurrence dedup as :func:`repro.attack.candidates.candidate_intervals`,
-  via one exact integer rounding pass, :func:`_quantize`) and filtered by
-  array comparisons that evaluate every candidate's passive/active
-  admissibility — and the conservative-mode support rule — at once;
+* the contexts of one decision call are one :class:`ContextBatch`, a struct
+  of arrays (padded transmitted bounds, remaining widths and flags,
+  protected points) sliced from the engine's
+  :class:`~repro.batch.rounds.BatchSlotContext` or gathered from a
+  play-out's rows — no per-context object is built on this path;
+* the candidate placements of every context are one flat bound array (same
+  values, same order, same 9-decimal first-occurrence dedup as
+  :func:`repro.attack.candidates.candidate_intervals`, via one exact integer
+  rounding pass, :func:`_quantize`), filtered by array comparisons that
+  evaluate every candidate's passive/active admissibility — and the
+  conservative-mode support rule — at once;
 * every surviving ``(candidate, scenario)`` combination is a row of a
   lockstep *play-out* (:class:`_Playout`): index arrays into the candidate
-  grid, the scenario grid (built row-wise with the scalar ``_linspace``
-  float operations) and, with ``fa >= 2``, the sub-decisions of the later
-  compromised slots; the rows are expanded into sensor-major ``(n, rows)``
-  bound buffers at most ``_FUSE_CHUNK_ROWS`` at a time and fused by
+  grid, the scenario grid (built with the scalar ``_linspace`` float
+  operations) and, with ``fa >= 2``, the sub-decisions of the later
+  compromised slots; rows are expanded into sensor-major ``(n, rows)`` bound
+  buffers at most ``_FUSE_CHUNK_ROWS`` at a time and fused by
   :func:`repro.batch.fuse.coverage_extremes` (bit-identical to the scalar
-  :func:`repro.core.marzullo.fuse_or_none`), which counts endpoint coverage
-  on such buffers without a transposing copy — every play-out chunk past
-  a few hundred rows takes that sort-free kernel;
+  :func:`repro.core.marzullo.fuse_or_none`) without a transposing copy;
 * the per-candidate mean accumulates the per-scenario widths sequentially in
   the scalar enumeration order, so the scores — and therefore the decisions,
-  tie sets included — equal the scalar policy's exactly.
+  tie sets included — equal the scalar policy's exactly;
+* the support points of active placements (protection obligations) come from
+  one masked pass per call, :func:`_support_points`, equal to
+  :func:`repro.attack.stealth.support_point` bit for bit.
 
 :class:`VectorizedExpectationPolicy` holds the grid parameters and the one
-memo table, whose entries are ``(decision, mode, support)``: the decision
-with the stealth mode and support point :func:`check_admissible
-<repro.attack.stealth.check_admissible>` reports for it.
-:class:`ExactExpectationBatchAttacker` drives it over whole batches behind
-the :class:`repro.batch.rounds.BatchAttacker` interface: at each schedule
-slot it collects every compromised row's context, answers repeated contexts
-from the memo — the Ascending-schedule fast path, where the attacker
-transmits before seeing anything and whole swaths of rounds share a decision
-— and scores all the memo-missing rows in **one** play-out per
-remaining-slot pattern (:func:`_decide_batch`, the only decision path).  With ``fa >= 2`` the
-play-out decides each later compromised slot for all rows at once: rows that
-share a sub-context form one group, and all groups go through the same
-batched decision procedure one level deeper, so a slot costs a few array
-passes per lookahead level instead of one Python play-out per
-``(candidate, scenario)``.
+memo table.  :class:`ExactExpectationBatchAttacker` drives it behind the
+:class:`repro.batch.rounds.BatchAttacker` interface: at each schedule slot it
+slices the compromised rows into a :class:`ContextBatch`, answers repeated
+contexts from the memo — the Ascending-schedule fast path, where whole
+swaths of rounds share a decision — and scores all the memo-missing rows in
+**one** play-out per remaining-slot pattern (:func:`_decide_batch`, the only
+decision path).  With ``fa >= 2`` the play-out decides each later
+compromised slot for all rows at once: rows sharing a sub-context form one
+group, the groups' sub-contexts are gathered from the play-out's columns
+into one :class:`ContextBatch`, and that goes through the same batched
+decision procedure one level deeper.
 
 Equivalence contract
 --------------------
@@ -71,22 +73,21 @@ See ``docs/ATTACKERS.md`` for where this attacker sits in the catalogue and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.attack.candidates import PASSIVE_WIDTH_TOL
 from repro.attack.context import AttackContext
-from repro.attack.expectation import TIE_TOLERANCE, feasible_true_region
-from repro.attack.stealth import AttackerMode, active_mode_available, required_support
+from repro.attack.expectation import TIE_TOLERANCE
 from repro.batch.fuse import coverage_extremes
 from repro.batch.rounds import BatchAttacker, BatchSlotContext
-from repro.core.exceptions import ScheduleError
-from repro.core.interval import Interval
-from repro.core.marzullo import coverage_profile
+from repro.core.exceptions import AttackError, ScheduleError
 
-__all__ = ["VectorizedExpectationPolicy", "ExactExpectationBatchAttacker"]
+__all__ = ["ContextBatch", "VectorizedExpectationPolicy", "ExactExpectationBatchAttacker"]
 
 #: Decimal places of the candidate dedup and of the memo keys; equal to
 #: ``repro.attack.candidates._DEDUP_PRECISION`` and the default precision of
@@ -111,7 +112,7 @@ _EXACT_LIMIT = 2.0**21
 #: buffers take 10.5 MB, and the counts kernel of ``coverage_extremes`` adds
 #: at most about 10 MB of transients (six uint8 counters and bool masks at
 #: 0.65 MB each, plus one float64 (n, rows) buffer while it picks each
-#: extreme).
+#: extreme).  The admissibility sweep chunks its flat candidates alike.
 _FUSE_CHUNK_ROWS = 65_536
 
 
@@ -142,34 +143,145 @@ def _quantize(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _memo_keys(conservative: bool, contexts: list[AttackContext]) -> list[tuple]:
-    """Memo keys of many contexts from one :func:`_quantize` pass.
+def _present(counts: np.ndarray, width: int) -> np.ndarray:
+    """``(len(counts), width)`` mask of the used entries of padded rows."""
+    return np.arange(width) < counts[:, None]
 
-    A key holds the context's integers and flag tuples plus the quantized
-    width, Δ, transmitted bounds, remaining widths and protected points as
-    one ``bytes`` string.  The flag tuples fix the transmitted and remaining
-    counts and the protected-point count is stored, so the string's layout
-    is unambiguous: two keys are equal exactly when
-    ``(conservative, ctx.cache_key())`` are.
+
+def _padded(rows: Sequence[Sequence], fill, dtype=np.float64) -> np.ndarray:
+    """Ragged rows as one matrix, padded on the right with ``fill``."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=dtype)
+    for index, row in enumerate(rows):
+        out[index, : len(row)] = row
+    return out
+
+
+def _append_points(points: np.ndarray, counts: np.ndarray, values: np.ndarray, mask: np.ndarray) -> tuple:
+    """Padded point rows with ``values[i]`` appended to every row where ``mask[i]``."""
+    rows = np.flatnonzero(mask)
+    if not rows.shape[0]:
+        return points, counts
+    out = np.zeros((points.shape[0], max(points.shape[1], int(counts[rows].max()) + 1)))
+    out[:, : points.shape[1]] = points
+    out[rows, counts[rows]] = values[rows]
+    return out, counts + mask
+
+
+@dataclass(frozen=True, eq=False)
+class ContextBatch:
+    """Attack contexts as arrays: entry ``i`` of every field is context ``i``.
+
+    The batched decision path's counterpart of
+    :class:`~repro.attack.context.AttackContext` (which stays the scalar
+    oracle's API), on the perfect bus the exact attacker runs on
+    (``n_hidden = 0``), with the fields a decision or its memo key reads.
+    Ragged fields are padded on the right and carry a per-row count:
+
+    * ``transmitted_lo``/``transmitted_hi`` hold ``+inf``/``-inf`` past
+      ``transmitted_count`` — an empty interval that covers no point — with
+      ``transmitted_compromised`` ``True`` there, so the padding never reads
+      as a seen correct interval;
+    * ``remaining_widths``/``remaining_compromised`` are used up to
+      ``n - transmitted_count - 1`` and padded with ``0.0``/``False``;
+    * ``protected`` is used up to ``protected_count`` and padded with ``0.0``.
     """
-    values: list[float] = []
-    ends: list[int] = []
-    for ctx in contexts:
-        values += (ctx.width, ctx.delta.lo, ctx.delta.hi)
-        for interval in ctx.transmitted:
-            values += (interval.lo, interval.hi)
-        values += ctx.remaining_widths
-        values += ctx.protected_points
-        ends.append(8 * len(values))
-    data = _quantize(np.asarray(values, dtype=np.float64)).tobytes()
-    keys = []
-    for ctx, start, end in zip(contexts, [0] + ends, ends):
-        flags = (ctx.n, ctx.f, ctx.n_hidden, ctx.transmitted_compromised, ctx.remaining_compromised)
-        keys.append((conservative, *flags, len(ctx.protected_points), data[start:end]))
-    return keys
+
+    n: np.ndarray
+    f: np.ndarray
+    width: np.ndarray
+    delta_lo: np.ndarray
+    delta_hi: np.ndarray
+    own_lo: np.ndarray
+    own_hi: np.ndarray
+    transmitted_lo: np.ndarray
+    transmitted_hi: np.ndarray
+    transmitted_compromised: np.ndarray
+    transmitted_count: np.ndarray
+    remaining_widths: np.ndarray
+    remaining_compromised: np.ndarray
+    protected: np.ndarray
+    protected_count: np.ndarray
+
+    @classmethod
+    def from_contexts(cls, contexts: Sequence[AttackContext]) -> "ContextBatch":
+        """Stack scalar contexts (hand-built ones, in tests) into one batch."""
+        if any(ctx.n_hidden for ctx in contexts):
+            raise AttackError("the exact batched attacker models the perfect bus (n_hidden = 0)")
+        return cls(
+            n=np.asarray([ctx.n for ctx in contexts], dtype=np.int64),
+            f=np.asarray([ctx.f for ctx in contexts], dtype=np.int64),
+            width=np.asarray([ctx.width for ctx in contexts], dtype=np.float64),
+            delta_lo=np.asarray([ctx.delta.lo for ctx in contexts], dtype=np.float64),
+            delta_hi=np.asarray([ctx.delta.hi for ctx in contexts], dtype=np.float64),
+            own_lo=np.asarray([ctx.own_reading.lo for ctx in contexts], dtype=np.float64),
+            own_hi=np.asarray([ctx.own_reading.hi for ctx in contexts], dtype=np.float64),
+            transmitted_lo=_padded([[s.lo for s in ctx.transmitted] for ctx in contexts], np.inf),
+            transmitted_hi=_padded([[s.hi for s in ctx.transmitted] for ctx in contexts], -np.inf),
+            transmitted_compromised=_padded([ctx.transmitted_compromised for ctx in contexts], True, bool),
+            transmitted_count=np.asarray([ctx.n_transmitted for ctx in contexts], dtype=np.int64),
+            remaining_widths=_padded([ctx.remaining_widths for ctx in contexts], 0.0),
+            remaining_compromised=_padded([ctx.remaining_compromised for ctx in contexts], False, bool),
+            protected=_padded([ctx.protected_points for ctx in contexts], 0.0),
+            protected_count=np.asarray([len(ctx.protected_points) for ctx in contexts], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return int(self.n.shape[0])
+
+    def take(self, index: np.ndarray) -> "ContextBatch":
+        """The contexts at ``index``, in that order."""
+        return ContextBatch(**{item.name: getattr(self, item.name)[index] for item in fields(self)})
+
+    @property
+    def remaining_count(self) -> np.ndarray:
+        return self.n - self.transmitted_count - 1
+
+    @property
+    def required(self) -> np.ndarray:
+        """:func:`~repro.attack.stealth.required_support`: ``n - f - far``."""
+        return self.n - self.f - 1 - self.remaining_compromised.sum(axis=1)
+
+    @property
+    def available(self) -> np.ndarray:
+        """:func:`~repro.attack.stealth.active_mode_available` per context."""
+        return self.transmitted_count >= self.required
 
 
-def _dedup_candidates(contexts: list[AttackContext], grid_positions: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _memo_keys(conservative: bool, batch: ContextBatch) -> list[bytes]:
+    """Memo keys of a whole batch from one :func:`_quantize` pass.
+
+    A key is one ``bytes`` string of int64 words: a header of the
+    ``conservative`` flag, ``n``, ``f`` and the transmitted and protected
+    counts, then the transmitted and remaining flags and the quantized width,
+    Δ, transmitted bounds, remaining widths and protected points, padding
+    dropped.  The header fixes every section's length (the remaining count
+    is ``n - transmitted - 1``), so the layout is unambiguous: two keys are
+    equal exactly when ``(conservative, ctx.cache_key())`` are.
+    """
+    count = len(batch)
+    t_used = _present(batch.transmitted_count, batch.transmitted_lo.shape[1])
+    r_used = _present(batch.remaining_count, batch.remaining_widths.shape[1])
+    p_used = _present(batch.protected_count, batch.protected.shape[1])
+    scalars = np.column_stack([batch.width, batch.delta_lo, batch.delta_hi])
+    values = np.concatenate(
+        [scalars, batch.transmitted_lo, batch.transmitted_hi, batch.remaining_widths, batch.protected], axis=1
+    )
+    value_used = np.concatenate([np.ones(scalars.shape, dtype=bool), t_used, t_used, r_used, p_used], axis=1)
+    quantized = np.zeros(values.shape, dtype=np.int64)
+    quantized[value_used] = _quantize(values[value_used])
+    header = np.column_stack(
+        [np.full(count, conservative), batch.n, batch.f, batch.transmitted_count, batch.protected_count]
+    ).astype(np.int64)
+    words = np.concatenate(
+        [header, batch.transmitted_compromised, batch.remaining_compromised, quantized], axis=1, dtype=np.int64
+    )
+    used = np.concatenate([np.ones(header.shape, dtype=bool), t_used, r_used, value_used], axis=1)
+    data = words[used].tobytes()
+    ends = (8 * np.cumsum(used.sum(axis=1))).tolist()
+    return [data[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _dedup_candidates(batch: ContextBatch, grid_positions: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every context's deduplicated candidate grid, as flat bound arrays.
 
     Reproduces :func:`repro.attack.candidates.candidate_intervals` before
@@ -178,62 +290,57 @@ def _dedup_candidates(contexts: list[AttackContext], grid_positions: int) -> tup
     returns ``(lo, hi, sizes)``, context-major.  Each context's raw
     candidates fill one row of a padded matrix with the scalar code's float
     operations, in its order; only the endpoint reference points stay
-    per-context Python, since the iteration order of their ``set`` (built by
-    the same insertion sequence) orders the candidates and so decides ties.
-    The dedup is one :func:`_quantize` pass over all raw bounds and one
-    stable ``lexsort`` on ``(owner, k_lo, k_hi)`` that keeps each context's
-    first candidate of every rounded pair.
+    per-context Python — one ``set`` per context built by the scalar
+    insertion sequence, since its iteration order orders the candidates and
+    so decides ties.  The dedup is one :func:`_quantize` pass over all raw
+    bounds and one stable ``lexsort`` on ``(owner, k_lo, k_hi)`` that keeps
+    each context's first candidate of every rounded pair.
     """
-    count = len(contexts)
-    points: list[float] = []
-    point_counts: list[int] = []
-    window: list[tuple[float, float]] = []
-    for context in contexts:
-        delta = context.delta
-        reference = {delta.lo, delta.hi}
-        for interval in context.transmitted:
-            reference.add(interval.lo)
-            reference.add(interval.hi)
-        for point in context.protected_points:
-            reference.add(point)
-        reference.add(context.own_reading.lo)
-        reference.add(context.own_reading.hi)
-        points += reference
-        point_counts.append(len(reference))
-        g_lows = [delta.lo] + [s.lo for s in context.transmitted] + list(context.protected_points)
-        g_highs = [delta.hi] + [s.hi for s in context.transmitted] + list(context.protected_points)
-        window.append((min(g_lows), max(g_highs)))
-    width = np.asarray([context.width for context in contexts], dtype=np.float64)
-    d_lo = np.asarray([context.delta.lo for context in contexts])
-    d_hi = np.asarray([context.delta.hi for context in contexts])
-    center = (d_lo + d_hi) / 2.0
+    count = len(batch)
+    t_used = _present(batch.transmitted_count, batch.transmitted_lo.shape[1])
+    p_used = _present(batch.protected_count, batch.protected.shape[1])
+    delta_lo, delta_hi = batch.delta_lo, batch.delta_hi
+    # Reference points in the scalar insertion order: Δ, each transmitted
+    # interval's bounds, the protected points, the own reading; used entries
+    # are moved to the front of each row so a row prefix holds them.
+    pairs = np.stack([batch.transmitted_lo, batch.transmitted_hi], axis=2).reshape(count, -1)
+    points = np.concatenate(
+        [delta_lo[:, None], delta_hi[:, None], pairs, batch.protected, batch.own_lo[:, None], batch.own_hi[:, None]],
+        axis=1,
+    )
+    ends = np.ones((count, 2), dtype=bool)
+    used = np.concatenate([ends, np.repeat(t_used, 2, axis=1), p_used, ends], axis=1)
+    points = np.take_along_axis(points, np.argsort(~used, axis=1, kind="stable"), axis=1)
+    references = [set(row[:size]) for row, size in zip(points.tolist(), used.sum(axis=1).tolist())]
+    point_counts = np.asarray([len(reference) for reference in references])
+    width = batch.width
+    center = (delta_lo + delta_hi) / 2.0
     w = width[:, None]
     positions = max(2, grid_positions)  # clamped like the scalar code
-    aligned = max(point_counts)
+    aligned = int(point_counts.max())
     grid = 4 + 2 * aligned  # first grid column
     lo, hi = np.empty((count, grid + positions)), np.empty((count, grid + positions))
     ok = np.ones(lo.shape, dtype=bool)
     # truthful reading, then passive extremes (when the width can contain Δ)
-    lo[:, 0] = [context.own_reading.lo for context in contexts]
-    hi[:, 0] = [context.own_reading.hi for context in contexts]
-    lo[:, 1:4] = np.column_stack([d_hi - width, d_lo, center - width / 2.0])
-    hi[:, 1:4] = np.column_stack([d_hi, d_lo + width, center + width / 2.0])
-    ok[:, 1:4] = (width >= (d_hi - d_lo) - PASSIVE_WIDTH_TOL)[:, None]
+    lo[:, 0] = batch.own_lo
+    hi[:, 0] = batch.own_hi
+    lo[:, 1:4] = np.column_stack([delta_hi - width, delta_lo, center - width / 2.0])
+    hi[:, 1:4] = np.column_stack([delta_hi, delta_lo + width, center + width / 2.0])
+    ok[:, 1:4] = (width >= (delta_hi - delta_lo) - PASSIVE_WIDTH_TOL)[:, None]
     # endpoint alignments: [p, p + w] then [p - w, p] per reference point
-    owner = np.repeat(np.arange(count), point_counts)
-    starts = np.cumsum(point_counts) - point_counts
-    column = np.arange(owner.shape[0]) - starts[owner]
+    present = np.arange(aligned) < point_counts[:, None]
     reference = np.zeros((count, aligned))
-    reference[owner, column] = points
-    present = np.arange(aligned) < np.asarray(point_counts)[:, None]
+    reference[present] = list(chain.from_iterable(references))
     lo[:, 4:grid:2] = reference
     hi[:, 4:grid:2] = reference + w
     lo[:, 5:grid:2] = reference - w
     hi[:, 5:grid:2] = reference
     ok[:, 4:grid] = np.repeat(present, 2, axis=1)
-    # uniform grid over the window (one placement when it collapses)
-    window_lo = np.asarray([extremes[0] for extremes in window]) - width
-    window_hi = np.asarray([extremes[1] for extremes in window]) + width
+    # uniform grid over the hull of Δ, the transmitted bounds (padding is
+    # [+inf, -inf]) and the protected points, widened by one width each side
+    protected = np.where(p_used, batch.protected, np.nan)
+    window_lo = np.nanmin(np.concatenate([delta_lo[:, None], batch.transmitted_lo, protected], axis=1), axis=1) - width
+    window_hi = np.nanmax(np.concatenate([delta_hi[:, None], batch.transmitted_hi, protected], axis=1), axis=1) + width
     span = window_hi - width - window_lo
     placement = window_lo[:, None] + np.arange(positions) * (span / (positions - 1))[:, None]
     collapsed = span <= 0
@@ -250,95 +357,21 @@ def _dedup_candidates(contexts: list[AttackContext], grid_positions: int) -> tup
     s_owner, s_lo, s_hi = owner[order], k_lo[order], k_hi[order]
     first[1:] = (s_owner[1:] != s_owner[:-1]) | (s_lo[1:] != s_lo[:-1]) | (s_hi[1:] != s_hi[:-1])
     keep = np.sort(order[first])
-    return lo[keep], hi[keep], np.bincount(owner[keep], minlength=count).tolist()
+    return lo[keep], hi[keep], np.bincount(owner[keep], minlength=count)
 
 
-def _support_value(profile, candidate_lo: float, candidate_hi: float, required: int) -> float | None:
-    """:func:`repro.attack.stealth.support_point` over a precomputed profile.
+def _max_support(lo: np.ndarray, hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> np.ndarray:
+    """Per candidate, the most transmitted intervals sharing one of its points.
 
-    Identical selection rule — first strictly-best-coverage segment in
-    profile order, point of the overlap closest to the candidate centre — so
-    the returned float equals the scalar call bit for bit.
+    ``support_point(...) is not None`` exactly when this reaches the required
+    support (or that is ``<= 0``).  Coverage is piecewise constant with
+    breakpoints at the transmitted endpoints, and at a breakpoint the
+    (closed-interval) point coverage dominates both neighbouring pieces, so
+    the maximum over ``[lo, hi]`` is attained at an endpoint clipped into the
+    candidate or at ``lo`` — evaluating the point coverage there is exact.
+    Padded ``[+inf, -inf]`` intervals cover no point.
     """
-    center = (candidate_lo + candidate_hi) / 2.0
-    if required <= 0:
-        return center
-    best_point: float | None = None
-    best_coverage = -1
-    for segment in profile:
-        if segment.coverage < required:
-            continue
-        lo = max(segment.lo, candidate_lo)
-        hi = min(segment.hi, candidate_hi)
-        if hi < lo:
-            continue
-        if segment.coverage > best_coverage:
-            best_coverage = segment.coverage
-            best_point = min(max(center, lo), hi)
-    return best_point
-
-
-class _AdmissibilityTable:
-    """One context's inputs to the vectorized stealth predicates.
-
-    :func:`_admissibility` broadcasts these per candidate to evaluate the
-    passive/active rules of :mod:`repro.attack.stealth` for whole arrays of
-    candidate bounds at once; results match
-    :func:`repro.attack.stealth.check_admissible` candidate for candidate.
-    """
-
-    __slots__ = (
-        "delta_lo",
-        "delta_hi",
-        "protected",
-        "required",
-        "available",
-        "transmitted",
-        "transmitted_lo",
-        "transmitted_hi",
-        "_profile",
-    )
-
-    def __init__(self, context: AttackContext) -> None:
-        self.delta_lo = context.delta.lo
-        self.delta_hi = context.delta.hi
-        self.protected = tuple(context.protected_points)
-        self.required = required_support(context)
-        self.available = active_mode_available(context)
-        self.transmitted = context.transmitted
-        self.transmitted_lo = np.asarray([s.lo for s in context.transmitted])
-        self.transmitted_hi = np.asarray([s.hi for s in context.transmitted])
-        self._profile = None
-
-    @property
-    def profile(self):
-        """The transmitted prefix's coverage profile, built on first use.
-
-        Only support *values* (protection obligations of active decisions)
-        need the merged segment list; the admissibility masks get by with
-        point-coverage queries on the raw bounds.
-        """
-        if self._profile is None:
-            self._profile = coverage_profile(self.transmitted) if self.transmitted else []
-        return self._profile
-
-
-def _has_support(lo: np.ndarray, hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, required) -> np.ndarray:
-    """Candidates owning a point covered by >= ``required`` transmitted intervals.
-
-    The vectorized truth-value of ``support_point(...) is not None``;
-    ``t_lo``/``t_hi`` hold the transmitted bounds (one row per candidate, or
-    one for all), ``required`` is a scalar or per candidate.  Coverage is
-    piecewise constant with breakpoints at the transmitted endpoints, and at
-    a breakpoint the (closed-interval) point coverage dominates both
-    neighbouring pieces, so the maximum over ``[lo, hi]`` is attained at an
-    endpoint clipped into the candidate or at ``lo`` — evaluating the point
-    coverage there is exact.
-    """
-    required = np.asarray(required)
     count = t_lo.shape[1]
-    if count == 0:
-        return np.broadcast_to(required <= 0, lo.shape).copy()
     lo_col = lo[:, None]
     hi_col = hi[:, None]
     points = np.empty((lo.shape[0], 2 * count + 1))
@@ -348,59 +381,117 @@ def _has_support(lo: np.ndarray, hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndar
     coverage = np.zeros(points.shape, dtype=np.int64)
     for j in range(count):
         coverage += (t_lo[:, j : j + 1] <= points) & (points <= t_hi[:, j : j + 1])
-    return (required <= 0) | (coverage >= required.reshape(-1, 1)).any(axis=1)
+    return coverage.max(axis=1)
 
 
-def _admissibility(
-    tables: list[_AdmissibilityTable], ctx_idx: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(admissible, passive)`` masks of flat candidate arrays.
+def _support_points(lo: np.ndarray, hi: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, required: np.ndarray) -> np.ndarray:
+    """:func:`repro.attack.stealth.support_point` of many candidates, bit for bit.
 
-    Candidate ``i`` belongs to ``tables[ctx_idx[i]]``.  The tables share a
-    transmitted-prefix length, so the per-context scalars (Δ bounds,
-    protected points, required support, active availability) broadcast per
-    candidate.  ``passive`` marks the candidates admissible in passive mode
-    (the mode :func:`~repro.attack.stealth.check_admissible` reports, since
-    passive is tried first); admissible-but-not-passive candidates are
-    active.
+    Candidate ``i`` is ``[lo[i], hi[i]]`` with transmitted prefix row ``i``
+    of ``t_lo``/``t_hi`` (padded ``[+inf, -inf]``); ``NaN`` stands for
+    ``None``.  The scalar :func:`~repro.core.marzullo.coverage_profile` is
+    rebuilt as arrays: the events sort by position, openings first, then
+    input order (one ``lexsort``, which compares ``-0.0`` and ``0.0`` equal
+    like Python's sort), each run of equal positions takes its first event's
+    value, and the segments are, in profile order, the gap from the previous
+    position (its coverage: intervals spanning it) and the point itself
+    (intervals containing it).  Among segments reaching ``required`` and
+    touching the candidate, ``argmax`` takes the first of the highest
+    coverage, and the point of its overlap closest to the candidate centre
+    is picked with the scalar ``min``/``max`` tie rules.
     """
-    delta_lo = np.asarray([t.delta_lo for t in tables])[ctx_idx]
-    delta_hi = np.asarray([t.delta_hi for t in tables])[ctx_idx]
-    covers_protected = np.ones(lo.shape, dtype=bool)
-    max_protected = max(len(t.protected) for t in tables)
-    if max_protected:
-        protected = np.zeros((len(tables), max_protected))
-        real = np.zeros((len(tables), max_protected), dtype=bool)
-        for row, t in enumerate(tables):
-            protected[row, : len(t.protected)] = t.protected
-            real[row, : len(t.protected)] = True
-        spread = protected[ctx_idx]
-        inside = (lo[:, None] <= spread) & (spread <= hi[:, None])
-        covers_protected = (inside | ~real[ctx_idx]).all(axis=1)
-    passive = (lo <= delta_lo) & (delta_hi <= hi) & covers_protected
-    available = np.asarray([t.available for t in tables], dtype=bool)[ctx_idx]
-    required = np.asarray([t.required for t in tables], dtype=np.int64)[ctx_idx]
-    t_lo = np.stack([t.transmitted_lo for t in tables])[ctx_idx]
-    t_hi = np.stack([t.transmitted_hi for t in tables])[ctx_idx]
-    active = available & covers_protected & _has_support(lo, hi, t_lo, t_hi, required)
-    return passive | active, passive
+    center = (lo + hi) / 2.0
+    rows, events = t_lo.shape[0], 2 * t_lo.shape[1]
+    if not (rows and events):
+        return np.where(required <= 0, center, np.nan)
+    position = np.empty((rows, events))
+    position[:, 0::2] = t_lo
+    position[:, 1::2] = t_hi
+    position[~np.isfinite(position)] = np.inf  # padding events sort last and open no segment
+    closing = np.broadcast_to(np.arange(events) % 2, position.shape)
+    index = np.broadcast_to(np.arange(events), position.shape)
+    order = np.lexsort((index, closing, position), axis=1)
+    position = np.take_along_axis(position, order, axis=1)
+    head = np.ones(position.shape, dtype=bool)
+    head[:, 1:] = position[:, 1:] != position[:, :-1]
+    run = np.maximum.accumulate(np.where(head, np.arange(events), 0), axis=1)  # each run's first event
+    previous = np.zeros(run.shape, dtype=np.int64)
+    previous[:, 1:] = run[:, :-1]
+    previous = np.take_along_axis(position, previous, axis=1)  # at a run's head: the previous run's value
+    real = head & np.isfinite(position)
+    seg_lo = np.stack([previous, position], axis=2).reshape(rows, -1)
+    seg_hi = np.repeat(position, 2, axis=1)
+    valid = np.stack([real & (np.arange(events) > 0), real], axis=2).reshape(rows, -1)
+    t_lo3, t_hi3 = t_lo[:, None, :], t_hi[:, None, :]
+    coverage = ((t_lo3 <= seg_lo[:, :, None]) & (seg_hi[:, :, None] <= t_hi3)).sum(axis=2)
+    lo_col, hi_col = lo[:, None], hi[:, None]
+    overlap_lo = np.where(lo_col > seg_lo, lo_col, seg_lo)
+    overlap_hi = np.where(hi_col < seg_hi, hi_col, seg_hi)
+    qualified = valid & (coverage >= required[:, None]) & ~(overlap_hi < overlap_lo)
+    score = np.where(qualified, coverage, -1)
+    best = np.argmax(score, axis=1)[:, None]
+    point_lo = np.take_along_axis(overlap_lo, best, axis=1)[:, 0]
+    point_hi = np.take_along_axis(overlap_hi, best, axis=1)[:, 0]
+    point = np.where(point_lo > center, point_lo, center)
+    point = np.where(point_hi < point, point_hi, point)
+    found = np.take_along_axis(score, best, axis=1)[:, 0] >= 0
+    return np.where(required <= 0, center, np.where(found, point, np.nan))
+
+
+def _admissibility(batch: ContextBatch, owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """``(admissible, passive, conservative_support)`` masks of flat candidates.
+
+    Candidate ``i`` belongs to context ``owner[i]``.  ``passive`` marks the
+    candidates admissible in passive mode (the mode :func:`check_admissible
+    <repro.attack.stealth.check_admissible>` reports, since passive is tried
+    first); admissible-but-not-passive candidates are active.
+    ``conservative_support`` marks the candidates sharing a point with
+    ``n - f - 1`` transmitted intervals, the conservative-mode gate.  Results
+    match the scalar predicates candidate for candidate; the flat arrays are
+    swept ``_FUSE_CHUNK_ROWS`` candidates at a time (chunks make the same
+    element-wise comparisons).
+    """
+    admissible = np.empty(lo.shape, dtype=bool)
+    passive = np.empty(lo.shape, dtype=bool)
+    conservative = np.empty(lo.shape, dtype=bool)
+    p_used = _present(batch.protected_count, batch.protected.shape[1])
+    required, available = batch.required, batch.available
+    for start in range(0, lo.shape[0], _FUSE_CHUNK_ROWS):
+        chunk = slice(start, start + _FUSE_CHUNK_ROWS)
+        c_owner, c_lo, c_hi = owner[chunk], lo[chunk], hi[chunk]
+        spread = batch.protected[c_owner]
+        inside = (c_lo[:, None] <= spread) & (spread <= c_hi[:, None])
+        covers = (inside | ~p_used[c_owner]).all(axis=1)
+        passive[chunk] = (c_lo <= batch.delta_lo[c_owner]) & (batch.delta_hi[c_owner] <= c_hi) & covers
+        support = _max_support(c_lo, c_hi, batch.transmitted_lo[c_owner], batch.transmitted_hi[c_owner])
+        need = required[c_owner]
+        admissible[chunk] = passive[chunk] | (available[c_owner] & covers & ((need <= 0) | (support >= need)))
+        need = (batch.n - batch.f - 1)[c_owner]
+        conservative[chunk] = (need <= 0) | (support >= need)
+    return admissible, passive, conservative
 
 
 @dataclass
-class _PreparedCandidates:
-    """The admissible candidate grid of one context, as bound arrays."""
+class _Candidates:
+    """Admissible candidate grids, flat: context ``i`` owns ``offsets[i]:offsets[i + 1]``."""
 
     lo: np.ndarray
     hi: np.ndarray
     passive: np.ndarray
     blocked: np.ndarray  # conservative-mode gate: score forced to -inf
-    table: _AdmissibilityTable
+    offsets: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.lo.shape[0])
+    @property
+    def owner(self) -> np.ndarray:
+        return np.repeat(np.arange(self.offsets.shape[0] - 1), np.diff(self.offsets))
 
-    def interval(self, index: int) -> Interval:
-        return Interval(float(self.lo[index]), float(self.hi[index]))
+    def take(self, contexts: np.ndarray) -> "_Candidates":
+        """The grids of ``contexts`` (ascending context indices)."""
+        keep = np.isin(self.owner, contexts)
+        sizes = np.diff(self.offsets)[contexts]
+        return _Candidates(
+            self.lo[keep], self.hi[keep], self.passive[keep], self.blocked[keep], np.cumsum(np.r_[0, sizes])
+        )
 
 
 @dataclass
@@ -408,28 +499,20 @@ class VectorizedExpectationPolicy:
     """Grid parameters and memo table of the batched exact attacker.
 
     The parameters mirror :class:`~repro.attack.expectation.ExpectationPolicy`
-    with ``tie_break="first"``, and :func:`_decide_batch` reproduces its
-    decisions exactly — candidate enumeration, admissibility and
-    conservative-mode rules, tie tolerance — with the inner loops replaced:
-
-    * candidates are enumerated, deduplicated and checked for stealth
-      admissibility as flat arrays over all contexts of a batch;
-    * all ``(candidate, scenario)`` fusion problems are solved by chunked
-      batched endpoint sweeps instead of one scalar sweep each;
-    * per-scenario widths are bit-identical to the scalar sweep's, and the
-      per-candidate mean adds them in the scalar enumeration order, so every
-      score (and hence every decision) matches the scalar policy exactly.
-
-    ``memo`` maps a :func:`_memo_keys` key to ``(decision, mode, support)``;
-    ``hits`` and ``misses`` count its lookups like the scalar policy's
-    tallies, so :meth:`stats` reads the same on both engines.
+    with ``tie_break="first"``, whose decisions :func:`_decide_batch`
+    reproduces exactly — candidate enumeration, admissibility and
+    conservative-mode rules, tie tolerance.  ``memo`` maps a
+    :func:`_memo_keys` key to the ``(lo, hi, support)`` entry
+    :func:`_decide_batch` returns; ``hits`` and ``misses`` count its lookups
+    like the scalar policy's tallies, so :meth:`stats` reads the same on both
+    engines.
     """
 
     true_value_positions: int = 3
     placement_positions: int = 3
     grid_positions: int = 9
     conservative: bool = False
-    memo: dict[tuple, tuple[Interval, AttackerMode, float | None]] = field(default_factory=dict, repr=False)
+    memo: dict[bytes, tuple[float, float, float]] = field(default_factory=dict, repr=False)
     hits: int = field(default=0, repr=False, compare=False)
     misses: int = field(default=0, repr=False, compare=False)
 
@@ -437,67 +520,34 @@ class VectorizedExpectationPolicy:
         """Read-only memo statistics: hits, misses, resident entries."""
         return {"hits": self.hits, "misses": self.misses, "entries": len(self.memo)}
 
-    # ------------------------------------------------------------------
-    # Candidate preparation (vectorized candidate_intervals)
-    # ------------------------------------------------------------------
-    def _prepare_candidates_many(self, contexts: list[AttackContext]) -> list[_PreparedCandidates]:
-        """Per-context admissible candidate grids, equal to
+    def _prepare_candidates(self, batch: ContextBatch) -> _Candidates:
+        """Every context's admissible candidate grid, equal to
         :func:`repro.attack.candidates.candidate_intervals` candidate for
-        candidate: one :func:`_dedup_candidates` pass over all contexts, then
-        one :func:`_admissibility` sweep per transmitted-prefix length."""
-        if not contexts:
-            return []
-        lo, hi, sizes = _dedup_candidates(contexts, self.grid_positions)
-        tables = [_AdmissibilityTable(ctx) for ctx in contexts]
-        counts = np.asarray([table.transmitted_lo.shape[0] for table in tables])
-        owner = np.repeat(np.arange(len(contexts)), sizes)
-        admissible = np.empty(lo.shape, dtype=bool)
-        passive = np.empty(lo.shape, dtype=bool)
-        for count in np.unique(counts).tolist():
-            # One sweep per transmitted-prefix length, chunked so the flat
-            # candidate matrices stay bounded (same cap as the fusion sweeps;
-            # chunks make the same element-wise comparisons).
-            member = counts == count
-            group = [table for table, keep in zip(tables, member.tolist()) if keep]
-            local = np.cumsum(member) - 1
-            index = np.flatnonzero(member[owner])
-            for start in range(0, index.shape[0], _FUSE_CHUNK_ROWS):
-                chunk = index[start : start + _FUSE_CHUNK_ROWS]
-                admissible[chunk], passive[chunk] = _admissibility(group, local[owner[chunk]], lo[chunk], hi[chunk])
-        bounds = np.cumsum([0] + sizes).tolist()
-        return [
-            self._finalize_candidates(ctx, lo[a:b], hi[a:b], table, admissible[a:b], passive[a:b])
-            for ctx, table, a, b in zip(contexts, tables, bounds, bounds[1:])
-        ]
-
-    def _finalize_candidates(
-        self, context: AttackContext, lo, hi, table: _AdmissibilityTable, admissible, passive
-    ) -> _PreparedCandidates:
-        """Fallback ladder + conservative gate over evaluated masks."""
-        if not bool(admissible.any()):
-            # Same fallback ladder as candidate_intervals: a Δ-centred
-            # placement if admissible, else the truthful reading.
-            centre_lo = np.asarray([context.delta.center - context.width / 2.0])
-            centre_hi = centre_lo + context.width
-            centre_ok, centre_passive = _admissibility([table], np.zeros(1, dtype=np.int64), centre_lo, centre_hi)
-            if bool(centre_ok[0]):
-                lo, hi, passive = centre_lo, centre_hi, centre_passive
-            else:
-                lo = np.asarray([context.own_reading.lo])
-                hi = np.asarray([context.own_reading.hi])
-                passive = np.ones(1, dtype=bool)
-        else:
-            lo, hi, passive = lo[admissible], hi[admissible], passive[admissible]
-        if self.conservative and len(lo) > 1:
-            t_lo = table.transmitted_lo[None, :]
-            t_hi = table.transmitted_hi[None, :]
-            blocked = ~passive & ~_has_support(lo, hi, t_lo, t_hi, context.n - context.f - 1)
-        else:
-            blocked = np.zeros(lo.shape, dtype=bool)
-        return _PreparedCandidates(lo=lo, hi=hi, passive=passive, blocked=blocked, table=table)
+        candidate: one :func:`_dedup_candidates` pass, one
+        :func:`_admissibility` sweep, then the scalar fallback ladder for the
+        contexts left without an admissible candidate — a Δ-centred
+        placement if admissible, else the truthful reading (labelled
+        passive) — and the conservative gate of contexts with a choice."""
+        lo, hi, sizes = _dedup_candidates(batch, self.grid_positions)
+        owner = np.repeat(np.arange(len(batch)), sizes)
+        admissible, passive, supported = _admissibility(batch, owner, lo, hi)
+        kept = np.bincount(owner[admissible], minlength=len(batch))
+        stuck = np.flatnonzero(kept == 0)
+        center = (batch.delta_lo[stuck] + batch.delta_hi[stuck]) / 2.0
+        half = batch.width[stuck] / 2.0
+        centre_ok, centre_passive, centre_supported = _admissibility(batch, stuck, center - half, center + half)
+        owner = np.concatenate([owner[admissible], stuck])
+        order = np.argsort(owner, kind="stable")
+        lo = np.concatenate([lo[admissible], np.where(centre_ok, center - half, batch.own_lo[stuck])])[order]
+        hi = np.concatenate([hi[admissible], np.where(centre_ok, center + half, batch.own_hi[stuck])])[order]
+        passive = np.concatenate([passive[admissible], centre_passive | ~centre_ok])[order]
+        supported = np.concatenate([supported[admissible], centre_supported])[order]
+        choice = (kept >= 2)[owner[order]]
+        blocked = choice & ~passive & ~supported if self.conservative else np.zeros(lo.shape, dtype=bool)
+        return _Candidates(lo, hi, passive, blocked, np.cumsum(np.r_[0, np.maximum(kept, 1)]))
 
 
-def _trivially_truthful(context: AttackContext) -> bool:
+def _trivially_truthful(batch: ContextBatch) -> np.ndarray:
     """Contexts whose only admissible placement is the truthful reading.
 
     While active mode is out of reach and no protection obligations exist,
@@ -509,28 +559,26 @@ def _trivially_truthful(context: AttackContext) -> bool:
     enumeration collapses to the truthful reading and the whole grid
     evaluation can be skipped.
     """
-    delta = context.delta
-    width = context.width
+    delta_lo, delta_hi, width = batch.delta_lo, batch.delta_hi, batch.width
+    center = (delta_lo + delta_hi) / 2.0
     return (
-        not context.protected_points
-        and delta.lo == context.own_reading.lo
-        and delta.hi == context.own_reading.hi
+        (batch.protected_count == 0)
+        & (delta_lo == batch.own_lo)
+        & (delta_hi == batch.own_hi)
         # Exact float collapses: every passive extreme / aligned / grid
         # candidate that contains Δ reproduces Δ's bounds bit for bit, so the
         # scalar dedup folds them all into the truthful reading (C = 1).
         # Generic width mismatches (lookahead sub-decisions for a wider or
         # narrower slot) fail these checks and take the full enumeration.
-        and delta.hi - width == delta.lo
-        and delta.lo + width == delta.hi
-        and delta.center - width / 2.0 == delta.lo
-        and delta.center + width / 2.0 == delta.hi
-        and not active_mode_available(context)
+        & (delta_hi - width == delta_lo)
+        & (delta_lo + width == delta_hi)
+        & (center - width / 2.0 == delta_lo)
+        & (center + width / 2.0 == delta_hi)
+        & ~batch.available
     )
 
 
-def _scenario_grid(
-    policy: VectorizedExpectationPolicy, contexts: list[AttackContext]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scenario_grid(policy: VectorizedExpectationPolicy, batch: ContextBatch, pattern: tuple) -> tuple:
     """The future *correct* sensors' bounds in every scenario of every context.
 
     Returns ``(lo, hi, count)``.  ``lo``/``hi`` have one row per scenario —
@@ -540,24 +588,28 @@ def _scenario_grid(
     fastest) — and one column per remaining correct sensor, in slot order;
     future compromised sensors contribute no columns (their placements are
     decided, not enumerated).  ``count[i]`` is context ``i``'s number of
-    scenarios.  The contexts share their ``remaining_compromised`` pattern.
+    scenarios.  The contexts share their remaining-slot ``pattern``.
 
-    Grid points are computed with ``_linspace``'s float operations
-    (``lo + i·step``, or the midpoint of a collapsed grid), so they are the
-    same floats.  A context with no sensor left has one empty scenario, and
-    a feasible region collapsed to a point has a single true value.  A
-    placement window ``[t - w, t]`` would only collapse if ``t - w`` rounded
-    to ``t`` (``|t| ≳ 2⁵²·w``), so every placement grid has the same length.
+    The true value ranges over :func:`~repro.attack.expectation.feasible_true_region`
+    — Δ intersected with the seen correct intervals, Δ itself should that be
+    empty — as a masked max/min over the transmitted columns.  Grid points
+    are computed with ``_linspace``'s float operations (``lo + i·step``, or
+    the midpoint of a collapsed grid), so they are the same floats.  A
+    context with no sensor left has one empty scenario, and a feasible
+    region collapsed to a point has a single true value.  A placement window
+    ``[t - w, t]`` would only collapse if ``t - w`` rounded to ``t``
+    (``|t| ≳ 2⁵²·w``), so every placement grid has the same length.
     """
-    count = len(contexts)
-    if not contexts[0].remaining_compromised:
+    count = len(batch)
+    if not pattern:
         empty = np.empty((count, 0))
         return empty, empty, np.ones(count, dtype=np.int64)
-    regions = [feasible_true_region(ctx) for ctx in contexts]
-    region_lo = np.asarray([region.lo for region in regions])
-    region_hi = np.asarray([region.hi for region in regions])
-    widths = np.asarray([ctx.unseen_correct_widths for ctx in contexts], dtype=np.float64)
-    widths = widths.reshape(count, -1)
+    seen = ~batch.transmitted_compromised
+    region_lo = np.maximum(batch.delta_lo, np.where(seen, batch.transmitted_lo, -np.inf).max(axis=1, initial=-np.inf))
+    region_hi = np.minimum(batch.delta_hi, np.where(seen, batch.transmitted_hi, np.inf).min(axis=1, initial=np.inf))
+    empty = region_hi < region_lo  # intersect_all raises there and the region falls back to Δ
+    region_lo, region_hi = np.where(empty, batch.delta_lo, region_lo), np.where(empty, batch.delta_hi, region_hi)
+    widths = batch.remaining_widths[:, np.flatnonzero(~np.asarray(pattern, dtype=bool))]
     positions = policy.true_value_positions
     if positions <= 1:
         true_values = (region_lo + region_hi) / 2.0
@@ -599,15 +651,17 @@ class _Playout:
 
     The scalar policy plays each combination out on its own
     (:meth:`~repro.attack.expectation.ExpectationPolicy._play_out`).  The
-    contexts here share their ``remaining_compromised`` pattern, so all their
-    rounds advance together, held as index arrays with one entry per *row*
-    — a context's unblocked candidate × one of its scenarios, in the scalar
-    context-major, candidate-major, scenario-minor order: the row's
-    candidate, its scenario and, per future compromised position, the
-    sub-decision it received.  :meth:`assemble` expands a row range into the
-    rounds' bound matrices (transmitted prefix, candidate, then the future
-    sensors in slot order), so the fusion sweeps compare exactly what the
-    scalar sweep compares, at most ``_FUSE_CHUNK_ROWS`` rows at a time.
+    contexts here share ``n``, ``f`` and their remaining-slot pattern (hence
+    their transmitted-prefix length), so all their rounds advance together,
+    held as index arrays with one entry per *row* — a context's unblocked
+    candidate × one of its scenarios, in the scalar context-major,
+    candidate-major, scenario-minor order: the row's candidate, its scenario
+    and, per future compromised position, the sub-decision it received.
+    :meth:`gather` expands rows into the rounds' sensor-major bound buffers
+    (transmitted prefix, candidate, then the future sensors in slot order),
+    so the fusion sweeps compare exactly what the scalar sweep compares, and
+    the sub-contexts of :meth:`advance` hold exactly what the scalar
+    play-out has transmitted by then.
 
     :meth:`advance` decides the future compromised positions;
     :meth:`scores` fuses the final rounds and averages each candidate's
@@ -615,29 +669,25 @@ class _Playout:
     ``-inf``, like the scalar ``_expected_final_width`` gate.
     """
 
-    def __init__(
-        self,
-        policy: VectorizedExpectationPolicy,
-        items: list[tuple[_PreparedCandidates, AttackContext]],
-    ) -> None:
+    def __init__(self, policy: VectorizedExpectationPolicy, batch: ContextBatch, candidates: _Candidates) -> None:
         self.policy = policy
-        self.items = items
-        contexts = [context for _prepared, context in items]
-        self.pattern = contexts[0].remaining_compromised
-        self.f = contexts[0].f
-        sizes = [len(prepared) for prepared, _context in items]
+        self.batch = batch
+        self.candidates = candidates
+        remaining = int(batch.remaining_count[0])
+        self.pattern = tuple(batch.remaining_compromised[0, :remaining].tolist())
+        self.f = int(batch.f[0])
         #: Where each context's candidates start in the flat candidate arrays.
-        self.offsets = np.cumsum([0] + sizes)
-        self.owner = np.repeat(np.arange(len(items)), sizes)
-        self.cand_lo = np.concatenate([prepared.lo for prepared, _context in items])
-        self.cand_hi = np.concatenate([prepared.hi for prepared, _context in items])
-        blocked = np.concatenate([prepared.blocked for prepared, _context in items])
-        self.live = np.flatnonzero(~blocked)
-        # Sensor-major (prefix, contexts), the layout ``assemble`` fills.
-        self.prefix_lo = np.stack([prepared.table.transmitted_lo for prepared, _context in items], axis=1)
-        self.prefix_hi = np.stack([prepared.table.transmitted_hi for prepared, _context in items], axis=1)
-        self.scen_lo, self.scen_hi, scenarios = _scenario_grid(policy, contexts)
-        self.scen_owner = np.repeat(np.arange(len(items)), scenarios)
+        self.offsets = candidates.offsets
+        self.owner = candidates.owner
+        self.cand_lo = candidates.lo
+        self.cand_hi = candidates.hi
+        self.live = np.flatnonzero(~candidates.blocked)
+        # Sensor-major (prefix, contexts), the layout ``gather`` fills.
+        prefix = int(batch.transmitted_count[0])
+        self.prefix_lo = batch.transmitted_lo[:, :prefix].T
+        self.prefix_hi = batch.transmitted_hi[:, :prefix].T
+        self.scen_lo, self.scen_hi, scenarios = _scenario_grid(policy, batch, self.pattern)
+        self.scen_owner = np.repeat(np.arange(len(batch)), scenarios)
         self.per_candidate = scenarios[self.owner[self.live]]
         self.row_start = np.cumsum(self.per_candidate) - self.per_candidate
         self.cand = np.repeat(self.live, self.per_candidate)
@@ -649,81 +699,71 @@ class _Playout:
         )
         # Per future position: the scenario column of a correct sensor, or,
         # once ``advance`` has decided a compromised one, the row -> group
-        # index and the groups' decisions (as Intervals and bound arrays).
+        # index and the groups' decision bounds.
         self.columns: list = []
         for position, compromised in enumerate(self.pattern):
             self.columns.append(None if compromised else position - sum(self.pattern[:position]))
 
-    def assemble(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(stop - start, sensors)`` bound matrices of rows ``start:stop``.
-
-        Both are ``.T`` views of sensor-major ``(sensors, rows)`` buffers, so
-        the counts kernel of :func:`coverage_extremes` reads them without a
-        transposing copy.
-        """
-        cand = self.cand[start:stop]
-        scen = self.scen[start:stop]
+    def gather(self, rows, sensors: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sensor-major ``(sensors, rows)`` bounds of the first ``sensors``
+        transmissions of ``rows`` (a slice or an index array)."""
+        cand = self.cand[rows]
+        scen = self.scen[rows]
         owner = self.owner[cand]
         prefix = self.prefix_lo.shape[0]
-        shape = (prefix + 1 + len(self.pattern), cand.shape[0])
-        lo = np.empty(shape)
-        hi = np.empty(shape)
-        lo[:prefix] = self.prefix_lo[:, owner]
-        hi[:prefix] = self.prefix_hi[:, owner]
-        lo[prefix] = self.cand_lo[cand]
-        hi[prefix] = self.cand_hi[cand]
-        for column, source in enumerate(self.columns, start=prefix + 1):
+        lo = np.empty((sensors, cand.shape[0]))
+        hi = np.empty((sensors, cand.shape[0]))
+        # ``np.take`` into the buffer rows: no temporaries, unlike fancy indexing.
+        np.take(self.prefix_lo, owner, axis=1, out=lo[:prefix])
+        np.take(self.prefix_hi, owner, axis=1, out=hi[:prefix])
+        np.take(self.cand_lo, cand, out=lo[prefix])
+        np.take(self.cand_hi, cand, out=hi[prefix])
+        for column, source in enumerate(self.columns[: sensors - prefix - 1], start=prefix + 1):
             if isinstance(source, int):
-                lo[column] = self.scen_lo[scen, source]
-                hi[column] = self.scen_hi[scen, source]
+                np.take(self.scen_lo[:, source], scen, out=lo[column])
+                np.take(self.scen_hi[:, source], scen, out=hi[column])
             else:
-                group, _decisions, group_lo, group_hi = source
-                lo[column] = group_lo[group[start:stop]]
-                hi[column] = group_hi[group[start:stop]]
-        return lo.T, hi.T
+                group, group_lo, group_hi = source
+                np.take(group_lo, group[rows], out=lo[column])
+                np.take(group_hi, group[rows], out=hi[column])
+        return lo, hi
 
     def advance(self) -> None:
         """Decide every future compromised position, in slot order.
 
         At each position, rows whose candidate and correct placements so far
         coincide share their sub-context verbatim, and hence their
-        sub-decision and protection obligations.  One
-        :class:`AttackContext` is built per such group, in first-occurrence
-        order so the memo fills like the scalar play-out, and one
-        :func:`_decide_batch` call decides them all (recursing for the later
-        positions).  Decisions and protection-obligation tuple ids scatter
+        sub-decision and protection obligations.  The groups' sub-contexts
+        form one :class:`ContextBatch`, in first-occurrence order so the
+        memo fills like the scalar play-out, gathered from the play-out's
+        columns (the owner's Δ doubling as her own reading, the scalar
+        ``_own_reading_guess``), and one :func:`_decide_batch` call decides
+        them all (recursing for the later positions).  Protection
+        obligations live per group as padded point rows; decisions scatter
         back to the rows through the group index.  Memo keys cannot collide
         across positions: the transmitted-prefix length is part of the key.
         """
         if not any(self.pattern) or self.cand.shape[0] == 0:
             return
-        policy = self.policy
-        # Protection obligations as tuple ids: each live candidate starts from
-        # its context's obligations plus, for an active placement, its own
-        # support point (the scalar _expected_final_width bookkeeping).
-        protections: list[tuple[float, ...]] = []
-        candidates: dict[int, Interval] = {}
+        batch, candidates = self.batch, self.candidates
+        # Protection obligations, one row per live candidate: its context's
+        # obligations plus, for an active placement, its own support point
+        # (the scalar _expected_final_width bookkeeping).
+        owner = self.owner[self.live]
+        active = ~candidates.passive[self.live]
+        support = np.full(self.live.shape[0], np.nan)
+        support[active] = _support_points(
+            self.cand_lo[self.live][active],
+            self.cand_hi[self.live][active],
+            batch.transmitted_lo[owner[active]],
+            batch.transmitted_hi[owner[active]],
+            batch.required[owner[active]],
+        )
+        points, counts = _append_points(batch.protected[owner], batch.protected_count[owner], support, active)
         seed = np.zeros(self.cand_lo.shape[0], dtype=np.int64)
-        for index in self.live.tolist():
-            owner = int(self.owner[index])
-            prepared, context = self.items[owner]
-            local = index - int(self.offsets[owner])
-            candidates[index] = prepared.interval(local)
-            obligations = context.protected_points
-            if not prepared.passive[local]:
-                support = _support_value(
-                    prepared.table.profile,
-                    float(prepared.lo[local]),
-                    float(prepared.hi[local]),
-                    prepared.table.required,
-                )
-                assert support is not None  # active admissibility guarantees it
-                obligations = obligations + (support,)
-            seed[index] = len(protections)
-            protections.append(obligations)
+        seed[self.live] = np.arange(self.live.shape[0])
         protection = seed[self.cand]
-        placements_lo = self.scen_lo.tolist()
-        placements_hi = self.scen_hi.tolist()
+        prefix = self.prefix_lo.shape[0]
         correct_seen = 0
         for position, compromised in enumerate(self.pattern):
             if not compromised:
@@ -744,54 +784,39 @@ class _Playout:
             rank = np.empty_like(order)
             rank[order] = np.arange(order.shape[0])
             group = rank[inverse.reshape(-1)]
-            representatives = first[order].tolist()
-            sub_contexts = []
-            for row in representatives:
-                cand = int(self.cand[row])
-                scen = int(self.scen[row])
-                context = self.items[int(self.owner[cand])][1]
-                transmitted = list(context.transmitted)
-                transmitted.append(candidates[cand])
-                for source in self.columns[:position]:
-                    if isinstance(source, int):
-                        transmitted.append(
-                            Interval(placements_lo[scen][source], placements_hi[scen][source])
-                        )
-                    else:
-                        transmitted.append(source[1][source[0][row]])
-                sub_contexts.append(
-                    AttackContext(
-                        n=context.n,
-                        f=context.f,
-                        slot_index=context.slot_index + 1 + position,
-                        sensor_index=-1,
-                        width=context.remaining_widths[position],
-                        # The scalar ``_own_reading_guess`` stand-in: Δ.
-                        own_reading=context.delta,
-                        delta=context.delta,
-                        transmitted=tuple(transmitted),
-                        transmitted_compromised=context.transmitted_compromised
-                        + (True,)
-                        + self.pattern[:position],
-                        remaining_widths=context.remaining_widths[position + 1 :],
-                        remaining_compromised=self.pattern[position + 1 :],
-                        protected_points=protections[protection[row]],
-                    )
-                )
-            entries = _decide_batch(policy, sub_contexts)
-            group_protection = protection[representatives]
-            for index, (sub_context, (_decision, mode, support)) in enumerate(zip(sub_contexts, entries)):
-                if mode is AttackerMode.ACTIVE and support is not None:
-                    group_protection[index] = len(protections)
-                    protections.append(sub_context.protected_points + (support,))
-            protection = group_protection[group]
-            decisions = [entry[0] for entry in entries]
-            self.columns[position] = (
-                group,
-                decisions,
-                np.asarray([decision.lo for decision in decisions]),
-                np.asarray([decision.hi for decision in decisions]),
+            representatives = first[order]
+            groups = representatives.shape[0]
+            context = self.owner[self.cand[representatives]]
+            lo, hi = self.gather(representatives, prefix + 1 + position)
+            flags = np.broadcast_to(np.asarray((True,) + self.pattern[:position]), (groups, position + 1))
+            obligations = protection[representatives]
+            sub = ContextBatch(
+                n=batch.n[context],
+                f=batch.f[context],
+                width=batch.remaining_widths[context, position],
+                delta_lo=batch.delta_lo[context],
+                delta_hi=batch.delta_hi[context],
+                own_lo=batch.delta_lo[context],
+                own_hi=batch.delta_hi[context],
+                transmitted_lo=lo.T,
+                transmitted_hi=hi.T,
+                transmitted_compromised=np.concatenate(
+                    [batch.transmitted_compromised[context, :prefix], flags], axis=1
+                ),
+                transmitted_count=np.full(groups, prefix + 1 + position),
+                remaining_widths=batch.remaining_widths[context, position + 1 : len(self.pattern)],
+                remaining_compromised=np.broadcast_to(
+                    np.asarray(self.pattern[position + 1 :], dtype=bool), (groups, len(self.pattern) - position - 1)
+                ),
+                protected=points[obligations],
+                protected_count=counts[obligations],
             )
+            decisions = _decide_batch(self.policy, sub)
+            points, counts = _append_points(
+                sub.protected, sub.protected_count, decisions[:, 2], ~np.isnan(decisions[:, 2])
+            )
+            protection = group
+            self.columns[position] = (group, decisions[:, 0], decisions[:, 1])
 
     def scores(self) -> np.ndarray:
         """Expected final fusion width per candidate (flat, context-major).
@@ -804,12 +829,15 @@ class _Playout:
         ``+0.0`` — so each mean equals the scalar running total's.
         """
         total = self.cand.shape[0]
+        sensors = self.prefix_lo.shape[0] + 1 + len(self.pattern)
         widths = np.empty(total)
         valid = np.empty(total, dtype=bool)
         for start in range(0, total, _FUSE_CHUNK_ROWS):
             stop = min(start + _FUSE_CHUNK_ROWS, total)
-            lo, hi = self.assemble(start, stop)
-            fusion = coverage_extremes(lo, hi, lo.shape[1] - self.f)
+            lo, hi = self.gather(slice(start, stop), sensors)
+            # ``.T`` views of the sensor-major buffers: the counts kernel of
+            # coverage_extremes reads them without a transposing copy.
+            fusion = coverage_extremes(lo.T, hi.T, sensors - self.f)
             widths[start:stop] = fusion.hi - fusion.lo
             valid[start:stop] = fusion.valid
         scores = np.full(self.cand_lo.shape[0], -np.inf)
@@ -840,46 +868,27 @@ def _first_best(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(index, starts) - starts
 
 
-def _store_decision(memo: dict, key: tuple, prepared: _PreparedCandidates, selected: int) -> tuple:
-    """Memoise a computed decision with its stealth mode and support point.
+def _decide_batch(policy: VectorizedExpectationPolicy, batch: ContextBatch) -> np.ndarray:
+    """Decide a batch of attack contexts; returns their ``(len(batch), 3)`` memo entries.
 
-    The mode/support pair equals what :func:`check_admissible
-    <repro.attack.stealth.check_admissible>` reports for the decision in this
-    context (passive is tried first; the active support point comes from the
-    same coverage profile and selection rule), so consumers never rerun the
-    scalar admissibility sweep.  The scalar fallback case whose only
-    "candidate" is an inadmissible truthful reading is labelled passive here;
-    consumers only test for active mode, for which both labels behave
-    identically.
-    """
-    decision = prepared.interval(selected)
-    if prepared.passive[selected]:
-        entry = (decision, AttackerMode.PASSIVE, None)
-    else:
-        table = prepared.table
-        support = _support_value(
-            table.profile, float(prepared.lo[selected]), float(prepared.hi[selected]), table.required
-        )
-        entry = (decision, AttackerMode.ACTIVE, support)
-    memo[key] = entry
-    return entry
-
-
-def _decide_batch(policy: VectorizedExpectationPolicy, contexts: list[AttackContext]) -> list[tuple]:
-    """Decide a batch of attack contexts; returns their memo entries.
-
-    Each entry is ``(decision, mode, support)`` (see :func:`_store_decision`).
+    Row ``i`` is context ``i``'s ``(lo, hi, support)``: the decision's bounds
+    and the support point :func:`check_admissible
+    <repro.attack.stealth.check_admissible>` reports for it, ``NaN`` for a
+    passive decision (passive is tried first), so consumers never rerun the
+    scalar admissibility sweep.  The scalar fallback to an inadmissible
+    truthful reading is labelled passive; consumers only test for active mode.
 
     Contexts are visited in order so memo-key collisions resolve
-    first-computed-wins, exactly like the scalar round-major loop.  The
-    memo-missing contexts get their candidate grids from one batched
-    admissibility sweep; those with several candidates are grouped by their
-    remaining-slot pattern (identical for deterministic schedules;
-    RandomSchedule rows can genuinely differ) and each group is scored by one
-    :class:`_Playout`: the groups with future compromised sensors first
-    decide them (calling back into this function one level deeper), then
-    every group's final rounds are fused in chunked sweeps and each context
-    selects its first best-scoring candidate.
+    first-computed-wins, exactly like the scalar round-major loop; a
+    same-key context later in the batch reuses the first one's entry, as a
+    cache hit would.  The memo-missing contexts get their candidate grids
+    from one batched admissibility sweep; those with several candidates are
+    grouped by ``(n, f, remaining-slot pattern)`` (one group for
+    deterministic schedules; RandomSchedule rows can genuinely differ) and
+    each group is scored by one :class:`_Playout`: the groups with future
+    compromised sensors first decide them (calling back into this function
+    one level deeper), then every group's final rounds are fused in chunked
+    sweeps and each context selects its first best-scoring candidate.
 
     Shared by :class:`ExactExpectationBatchAttacker` (one call per schedule
     slot) and :meth:`_Playout.advance` (one call per future compromised
@@ -887,76 +896,86 @@ def _decide_batch(policy: VectorizedExpectationPolicy, contexts: list[AttackCont
     and ``attack.score`` span.
     """
     memo = policy.memo
-    entries: list[tuple | None] = [None] * len(contexts)
-    pending_keys: set[tuple] = set()
-    deferred: list[tuple[int, tuple]] = []
-    staged: list[tuple[int, tuple, AttackContext]] = []
-    for index, (ctx, key) in enumerate(zip(contexts, _memo_keys(policy.conservative, contexts))):
+    entries: list = [None] * len(batch)
+    pending: set[bytes] = set()
+    deferred: list[tuple[int, bytes]] = []
+    staged: list[int] = []
+    keys = _memo_keys(policy.conservative, batch)
+    for index, key in enumerate(keys):
         cached = memo.get(key)
         if cached is not None:
             policy.hits += 1
             entries[index] = cached
-            continue
-        if key in pending_keys:
-            # A same-key context earlier in this batch is already being
-            # computed; reuse its (forthcoming) entry like the scalar loop
-            # would reuse its cache entry.
+        elif key in pending:
             policy.hits += 1
             deferred.append((index, key))
-            continue
-        if _trivially_truthful(ctx):
-            policy.misses += 1
-            entries[index] = memo[key] = (ctx.own_reading, AttackerMode.PASSIVE, None)
-            continue
-        staged.append((index, key, ctx))
-        pending_keys.add(key)
-
-    with obs.span("attack.candidates", kernel="batch"):
-        prepared_grids = policy._prepare_candidates_many([ctx for _index, _key, ctx in staged])
-    # Single-candidate grids resolve on the spot; same-key followers land in
-    # ``deferred`` and read the stored entry at the end, as a cache hit
-    # would.
-    patterns: dict[tuple, list[tuple[int, tuple, _PreparedCandidates, AttackContext]]] = {}
-    for (index, key, ctx), prepared in zip(staged, prepared_grids):
-        if len(prepared) == 1:
-            policy.misses += 1
-            entries[index] = _store_decision(memo, key, prepared, 0)
         else:
-            patterns.setdefault(ctx.remaining_compromised, []).append((index, key, prepared, ctx))
+            pending.add(key)
+            staged.append(index)
+    policy.misses += len(staged)
+    staged = np.asarray(staged, dtype=np.int64)
+    truthful = _trivially_truthful(batch)[staged]
 
+    def store(contexts: np.ndarray, lo: np.ndarray, hi: np.ndarray, support: np.ndarray) -> None:
+        for index, entry in zip(contexts.tolist(), zip(lo.tolist(), hi.tolist(), support.tolist())):
+            entries[index] = memo[keys[index]] = entry
+
+    plain = staged[truthful]
+    store(plain, batch.own_lo[plain], batch.own_hi[plain], np.full(plain.shape[0], np.nan))
+    staged = staged[~truthful]
+    sub = batch.take(staged)
+    with obs.span("attack.candidates", kernel="batch"):
+        candidates = policy._prepare_candidates(sub) if staged.shape[0] else None
+    groups: list[tuple[np.ndarray, _Playout]] = []
     with obs.span("attack.recurse", kernel="batch"):
-        playouts = {
-            pattern: _Playout(policy, [entry[2:] for entry in members])
-            for pattern, members in patterns.items()
-            if any(pattern)
-        }
-        for playout in playouts.values():
-            playout.advance()
-
+        if candidates is not None:
+            multi = np.flatnonzero(np.diff(candidates.offsets) > 1)
+            signature = np.column_stack(
+                [sub.n[multi], sub.f[multi], sub.transmitted_count[multi], sub.remaining_compromised[multi]]
+            )
+            _, first, inverse = np.unique(signature, axis=0, return_index=True, return_inverse=True)
+            for label in np.argsort(first).tolist():
+                members = multi[inverse.reshape(-1) == label]
+                groups.append((members, _Playout(policy, sub.take(members), candidates.take(members))))
+            for _members, playout in groups:
+                playout.advance()
     with obs.span("attack.score", kernel="batch"):
-        for pattern, members in patterns.items():
-            playout = playouts.get(pattern) or _Playout(policy, [entry[2:] for entry in members])
-            selected = _first_best(playout.scores(), playout.offsets).tolist()
-            for (index, key, prepared, _ctx), choice in zip(members, selected):
-                policy.misses += 1
-                entries[index] = _store_decision(memo, key, prepared, choice)
-
+        if candidates is not None:
+            chosen = candidates.offsets[:-1].copy()
+            for members, playout in groups:
+                chosen[members] += _first_best(playout.scores(), playout.offsets)
+            lo, hi = candidates.lo[chosen], candidates.hi[chosen]
+            support = np.full(chosen.shape[0], np.nan)
+            active = np.flatnonzero(~candidates.passive[chosen])
+            support[active] = _support_points(
+                lo[active], hi[active], sub.transmitted_lo[active], sub.transmitted_hi[active], sub.required[active]
+            )
+            store(staged, lo, hi, support)
     for index, key in deferred:
         entries[index] = memo[key]
-    return entries
+    return np.asarray(entries, dtype=np.float64).reshape(len(batch), 3)
+
+
+#: The :class:`ContextBatch` fields a slot's rows slice straight from the
+#: :class:`~repro.batch.rounds.BatchSlotContext` arrays of the same name.
+_SLOT_FIELDS = (
+    "width", "delta_lo", "delta_hi", "own_lo", "own_hi", "transmitted_lo", "transmitted_hi",
+    "transmitted_compromised", "remaining_widths", "remaining_compromised",
+)
 
 
 @dataclass
 class ExactExpectationBatchAttacker(BatchAttacker):
     """Batched driver for the exact expectation attacker of problem (2).
 
-    At every schedule slot the attacker reconstructs each compromised row's
-    :class:`~repro.attack.context.AttackContext` from the batch arrays,
-    answers repeated contexts from the shared memo table (one decision per
-    unique memo key per batch, honouring the scalar first-computed-wins
-    semantics when keys collide across rows), and scores all remaining rows'
-    candidate grids in **one** play-out per remaining-slot pattern
-    (:func:`_decide_batch`).
+    At every schedule slot the attacker slices the compromised rows of the
+    :class:`~repro.batch.rounds.BatchSlotContext` into one
+    :class:`ContextBatch` (the rows' protection obligations are kept as a
+    padded point matrix), answers repeated contexts from the shared memo
+    table (one decision per unique memo key per batch, honouring the scalar
+    first-computed-wins semantics when keys collide across rows), and scores
+    all remaining rows' candidate grids in **one** play-out per
+    remaining-slot pattern (:func:`_decide_batch`).
 
     Parameters mirror :class:`~repro.attack.expectation.ExpectationPolicy`;
     tie-breaking is fixed to the deterministic ``"first"`` rule so the
@@ -970,7 +989,8 @@ class ExactExpectationBatchAttacker(BatchAttacker):
     grid_positions: int = 9
     conservative: bool = False
     _policy: VectorizedExpectationPolicy = field(init=False, repr=False)
-    _protected: list[tuple[float, ...]] = field(default_factory=list, repr=False)
+    _protected: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)), repr=False)
+    _protected_count: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64), repr=False)
 
     def __post_init__(self) -> None:
         self._policy = VectorizedExpectationPolicy(
@@ -989,58 +1009,38 @@ class ExactExpectationBatchAttacker(BatchAttacker):
         """Clear per-round protection obligations; the memo persists (its
         entries are deterministic functions of the context, like the scalar
         policy's cache surviving ``reset`` across rounds)."""
-        self._protected = [() for _ in range(batch)]
+        self._protected = np.zeros((batch, 0))
+        self._protected_count = np.zeros(batch, dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    # BatchAttacker interface
-    # ------------------------------------------------------------------
-    def forge(
-        self, context: BatchSlotContext, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def forge(self, context: BatchSlotContext, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         if context.remaining_widths is None or context.transmitted_compromised is None:
             raise ScheduleError(
                 "ExactExpectationBatchAttacker needs the lookahead fields of "
                 "BatchSlotContext (remaining_widths / remaining_compromised / "
                 "transmitted_compromised); drive it through repro.batch.rounds.batch_rounds"
             )
-        if len(self._protected) != context.rows.shape[0]:
+        if self._protected_count.shape[0] != context.rows.shape[0]:
             self.reset(context.rows.shape[0])
+        rows = np.flatnonzero(context.rows)
+        count = rows.shape[0]
+        batch = ContextBatch(
+            n=np.full(count, context.n, dtype=np.int64),
+            f=np.full(count, context.f, dtype=np.int64),
+            transmitted_count=np.full(count, context.transmitted_lo.shape[1], dtype=np.int64),
+            protected=self._protected[rows],
+            protected_count=self._protected_count[rows],
+            **{name: getattr(context, name)[rows] for name in _SLOT_FIELDS},
+        )
+        decisions = _decide_batch(self._policy, batch)
+        # Active decisions' support points constrain the later compromised
+        # slots of this round.
+        support = np.full(context.rows.shape[0], np.nan)
+        support[rows] = decisions[:, 2]
+        self._protected, self._protected_count = _append_points(
+            self._protected, self._protected_count, support, ~np.isnan(support)
+        )
         lo = context.own_lo.copy()
         hi = context.own_hi.copy()
-        row_indices = [int(i) for i in np.flatnonzero(context.rows)]
-        contexts = [self._row_context(context, i) for i in row_indices]
-        entries = _decide_batch(self._policy, contexts)
-        for row, (decision, mode, support) in zip(row_indices, entries):
-            # Obligations constrain the later compromised slots of this round.
-            if mode is AttackerMode.ACTIVE and support is not None:
-                self._protected[row] = self._protected[row] + (support,)
-            lo[row] = decision.lo
-            hi[row] = decision.hi
+        lo[rows] = decisions[:, 0]
+        hi[rows] = decisions[:, 1]
         return lo, hi
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _row_context(self, context: BatchSlotContext, row: int) -> AttackContext:
-        """One row's scalar attack context, rebuilt from the batch arrays."""
-        return AttackContext(
-            n=context.n,
-            f=context.f,
-            slot_index=context.slot,
-            sensor_index=int(context.sensor[row]),
-            width=float(context.width[row]),
-            own_reading=Interval(float(context.own_lo[row]), float(context.own_hi[row])),
-            delta=Interval(float(context.delta_lo[row]), float(context.delta_hi[row])),
-            transmitted=tuple(
-                Interval(float(a), float(b))
-                for a, b in zip(context.transmitted_lo[row], context.transmitted_hi[row])
-            ),
-            transmitted_compromised=tuple(
-                bool(flag) for flag in context.transmitted_compromised[row]
-            ),
-            remaining_widths=tuple(float(w) for w in context.remaining_widths[row]),
-            remaining_compromised=tuple(
-                bool(flag) for flag in context.remaining_compromised[row]
-            ),
-            protected_points=self._protected[row],
-        )

@@ -63,16 +63,29 @@ def _layer(name: str) -> str:
     return name.split(".", 1)[0] if "." in name else "other"
 
 
+def _duration(node: Mapping) -> float:
+    return float(node.get("duration_s") or 0.0)
+
+
 def _walk(spans: Iterable[Mapping], table: dict) -> None:
+    """Fold spans into per-name rows.
+
+    ``total_s`` sums each span's whole duration, so a name that nests in
+    itself or in another row's span is counted in both; ``self_s`` sums each
+    span's duration minus its children's, so the ``self_s`` column adds up
+    to the root spans' duration.
+    """
     for node in spans:
         row = table.setdefault(
-            node["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0}
+            node["name"], {"count": 0, "total_s": 0.0, "self_s": 0.0, "max_s": 0.0}
         )
-        duration = float(node.get("duration_s") or 0.0)
+        duration = _duration(node)
+        children = node.get("children", ())
         row["count"] += 1
         row["total_s"] += duration
+        row["self_s"] += duration - sum(_duration(child) for child in children)
         row["max_s"] = max(row["max_s"], duration)
-        _walk(node.get("children", ()), table)
+        _walk(children, table)
 
 
 def _outermost_seconds(spans: Iterable[Mapping], name: str) -> float:
@@ -84,7 +97,7 @@ def _outermost_seconds(spans: Iterable[Mapping], name: str) -> float:
     total = 0.0
     for node in spans:
         if node["name"] == name:
-            total += float(node.get("duration_s") or 0.0)
+            total += _duration(node)
         else:
             total += _outermost_seconds(node.get("children", ()), name)
     return total
@@ -130,6 +143,7 @@ def build_perf_report(path) -> dict:
             "layer": _layer(name),
             "count": stats["count"],
             "total_s": stats["total_s"],
+            "self_s": stats["self_s"],
             "mean_ms": stats["total_s"] / stats["count"] * 1e3,
             "max_ms": stats["max_s"] * 1e3,
         }
@@ -165,13 +179,14 @@ def render_perf_report(payload: Mapping) -> str:
     if payload["spans"]:
         sections.append(
             format_table(
-                ["span", "layer", "count", "total s", "mean ms", "max ms"],
+                ["span", "layer", "count", "total s", "self s", "mean ms", "max ms"],
                 [
                     [
                         row["span"],
                         row["layer"],
                         row["count"],
                         _fmt(row["total_s"]),
+                        _fmt(row["self_s"]),
                         _fmt(row["mean_ms"]),
                         _fmt(row["max_ms"]),
                     ]

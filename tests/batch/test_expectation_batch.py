@@ -13,6 +13,7 @@ and ``fa = 2``, both ``conservative`` modes.
 import dataclasses
 import inspect
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from repro.batch import (
     monte_carlo_rounds,
 )
 from repro.batch import expectation as expectation_module
-from repro.core.exceptions import ScheduleError
+from repro.batch.expectation import ContextBatch
+from repro.core.exceptions import AttackError, ScheduleError
 from repro.core.interval import Interval
 from repro.engine import BatchEngine, ExpectationAttack, ScalarEngine
 from repro.scheduling import (
@@ -201,12 +203,57 @@ def _context_from(lengths, transmitted_count, fa_remaining, seed):
     )
 
 
+def _decisions(policy, contexts) -> list[Interval]:
+    """The batched decision procedure on hand-built contexts."""
+    entries = expectation_module._decide_batch(policy, ContextBatch.from_contexts(contexts))
+    return [Interval(lo, hi) for lo, hi, _support in entries.tolist()]
+
+
+def _contexts_of(batch: ContextBatch) -> list[AttackContext]:
+    """The scalar contexts a batch stands for (the inverse of ``from_contexts``)."""
+    contexts = []
+    for i in range(len(batch)):
+        sent, left, kept = (
+            int(batch.transmitted_count[i]), int(batch.remaining_count[i]), int(batch.protected_count[i])
+        )
+        contexts.append(
+            AttackContext(
+                n=int(batch.n[i]),
+                f=int(batch.f[i]),
+                slot_index=sent,
+                sensor_index=0,
+                width=float(batch.width[i]),
+                own_reading=Interval(float(batch.own_lo[i]), float(batch.own_hi[i])),
+                delta=Interval(float(batch.delta_lo[i]), float(batch.delta_hi[i])),
+                transmitted=tuple(
+                    Interval(lo, hi)
+                    for lo, hi in zip(batch.transmitted_lo[i, :sent].tolist(), batch.transmitted_hi[i, :sent].tolist())
+                ),
+                transmitted_compromised=tuple(batch.transmitted_compromised[i, :sent].tolist()),
+                remaining_widths=tuple(batch.remaining_widths[i, :left].tolist()),
+                remaining_compromised=tuple(batch.remaining_compromised[i, :left].tolist()),
+                protected_points=tuple(batch.protected[i, :kept].tolist()),
+            )
+        )
+    return contexts
+
+
+def _prepared(policy, contexts) -> list[tuple]:
+    """Per context, its ``(lo, hi, passive, blocked)`` candidate lists."""
+    grids = policy._prepare_candidates(ContextBatch.from_contexts(contexts))
+    bounds = grids.offsets.tolist()
+    return [
+        tuple(array[a:b].tolist() for array in (grids.lo, grids.hi, grids.passive, grids.blocked))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
 def _candidate_parity_check(context: AttackContext, grid_positions: int = 9) -> bool:
     """The array candidate enumeration equals the scalar one."""
     policy = VectorizedExpectationPolicy(grid_positions=grid_positions)
-    prepared = policy._prepare_candidates_many([context])[0]
+    lo, hi, _passive, _blocked = _prepared(policy, [context])[0]
     scalar = candidate_intervals(context, grid_positions)
-    return [(s.lo, s.hi) for s in scalar] == list(zip(prepared.lo.tolist(), prepared.hi.tolist()))
+    return [(s.lo, s.hi) for s in scalar] == list(zip(lo, hi))
 
 
 @given(
@@ -260,8 +307,7 @@ def test_vectorized_policy_decides_like_scalar(
         context = _collapse_region(context)
     scalar = ExpectationPolicy(conservative=conservative, tie_break="first", **EDGE_GRIDS[grid])
     vectorized = VectorizedExpectationPolicy(conservative=conservative, **EDGE_GRIDS[grid])
-    decision = expectation_module._decide_batch(vectorized, [context])[0][0]
-    assert scalar.choose_interval(context, np.random.default_rng(0)) == decision
+    assert [scalar.choose_interval(context, np.random.default_rng(0))] == _decisions(vectorized, [context])
 
 
 @pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
@@ -278,7 +324,7 @@ def test_lookahead_batch_mixes_scenario_counts(conservative):
         contexts.append(_collapse_region(context) if collapse else context)
     assert contexts[1].delta.hi == contexts[1].transmitted[0].lo
     policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
-    decisions = [entry[0] for entry in expectation_module._decide_batch(policy, contexts)]
+    decisions = _decisions(policy, contexts)
     expected = [
         ExpectationPolicy(conservative=conservative, tie_break="first", **COARSE).choose_interval(
             context, None
@@ -337,12 +383,12 @@ def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
         dataclasses.replace(ctx, protected_points=(ctx.own_reading.center,)) for ctx in contexts[::2]
     ] + [dataclasses.replace(ctx, width=ctx.width * scale) for ctx in contexts[1::2] for scale in (0.5, 1.5)]
     policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
-    for ctx, prepared in zip(contexts, policy._prepare_candidates_many(contexts)):
+    for ctx, (lo, hi, passive, prepared_blocked) in zip(contexts, _prepared(policy, contexts)):
         scalar = candidate_intervals(ctx, COARSE["grid_positions"])
-        assert list(zip(prepared.lo.tolist(), prepared.hi.tolist())) == [(c.lo, c.hi) for c in scalar]
+        assert list(zip(lo, hi)) == [(c.lo, c.hi) for c in scalar]
         checks = [check_admissible(candidate, ctx) for candidate in scalar]
         # Passive is tried first; an inadmissible truthful fallback is labelled passive.
-        assert prepared.passive.tolist() == [check.mode is not AttackerMode.ACTIVE for check in checks]
+        assert passive == [check.mode is not AttackerMode.ACTIVE for check in checks]
         blocked = [
             conservative
             and len(scalar) > 1
@@ -350,16 +396,16 @@ def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
             and support_point(candidate, ctx.transmitted, ctx.n - ctx.f - 1) is None
             for candidate, check in zip(scalar, checks)
         ]
-        assert prepared.blocked.tolist() == blocked
+        assert prepared_blocked == blocked
 
 
 def test_candidate_parity_check_rejects_mismatch():
     """The parity hook itself notices a divergent enumeration."""
     context = _context_from((5.0, 11.0, 17.0), 1, 0, seed=1)
     policy = VectorizedExpectationPolicy(grid_positions=7)
-    prepared = policy._prepare_candidates_many([context])[0]
+    lo, _hi, _passive, _blocked = _prepared(policy, [context])[0]
     scalar = candidate_intervals(context, 7)
-    assert len(prepared) == len(scalar)
+    assert len(lo) == len(scalar)
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +527,10 @@ def _field_value(context: AttackContext, field: str) -> float:
 def test_batched_memo_keys_collide_like_cache_key(lengths, transmitted_count, fa_remaining, seed, field):
     """Batched memo keys fall into the classes of ``(conservative,
     ctx.cache_key())``, including contexts 1 ulp either side of a rounding
-    boundary and both ``conservative`` flags; a single context's key is its
-    key within the batch."""
+    boundary and both ``conservative`` flags, on a ragged batch: mixed
+    transmitted-prefix lengths (as RandomSchedule slots produce), mixed
+    protected-point counts and same-key rows.  A single context's key is its
+    key within the batch, and a batch rebuilt from its own rows keys alike."""
     lengths = tuple(lengths)
     transmitted_count = min(transmitted_count, len(lengths) - 1)
     base = _context_from(lengths, transmitted_count, fa_remaining, seed)
@@ -495,15 +543,99 @@ def test_batched_memo_keys_collide_like_cache_key(lengths, transmitted_count, fa
         _context_from(lengths, transmitted_count, 1 - fa_remaining, seed),  # same floats, other flags
     ]
     contexts += [_with_value(base, field, v) for v in variants]
-    contexts += contexts  # exact repeats must share keys too
+    contexts += [_context_from(lengths, count, fa, seed) for count in range(len(lengths)) for fa in (0, 1)]
+    contexts += [
+        dataclasses.replace(ctx, protected_points=(ctx.own_reading.center,) * points)
+        for ctx in contexts[:3]
+        for points in (1, 2)
+    ]
+    contexts += contexts[::-1]  # exact repeats must share keys too
+    batch = ContextBatch.from_contexts(contexts)
     for conservative in (False, True):
         scalar = [(conservative, ctx.cache_key()) for ctx in contexts]
-        batched = expectation_module._memo_keys(conservative, contexts)
+        batched = expectation_module._memo_keys(conservative, batch)
         assert _same_classes(scalar, batched)
-        assert [expectation_module._memo_keys(conservative, [ctx])[0] for ctx in contexts] == batched
-    assert not set(expectation_module._memo_keys(False, contexts)) & set(
-        expectation_module._memo_keys(True, contexts)
+        assert [
+            expectation_module._memo_keys(conservative, ContextBatch.from_contexts([ctx]))[0] for ctx in contexts
+        ] == batched
+        assert expectation_module._memo_keys(conservative, ContextBatch.from_contexts(_contexts_of(batch))) == batched
+    assert not set(expectation_module._memo_keys(False, batch)) & set(expectation_module._memo_keys(True, batch))
+
+
+@pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
+def test_same_key_rows_of_one_batch_share_one_decision(conservative):
+    """A ragged batch with repeated contexts: each distinct key is computed
+    once (a miss), every repeat counts as a hit and reads the same entry,
+    and every decision is the scalar policy's."""
+    lengths = (5.0, 8.0, 11.0, 14.0)
+    distinct = [_context_from(lengths, count, 0, seed=count) for count in range(len(lengths))]
+    distinct += [dataclasses.replace(distinct[1], protected_points=(distinct[1].own_reading.center,))]
+    contexts = distinct + distinct[::-1] + distinct[:2]
+    policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
+    entries = expectation_module._decide_batch(policy, ContextBatch.from_contexts(contexts))
+    assert policy.stats() == {"hits": len(contexts) - len(distinct), "misses": len(distinct), "entries": len(distinct)}
+    first = {ctx.cache_key(): row for ctx, row in reversed(list(zip(contexts, entries.tolist())))}
+    np.testing.assert_array_equal(entries, [first[ctx.cache_key()] for ctx in contexts])  # NaN == NaN here
+    scalar = ExpectationPolicy(conservative=conservative, tie_break="first", **COARSE)
+    assert _decisions(VectorizedExpectationPolicy(conservative=conservative, **COARSE), contexts) == [
+        scalar.choose_interval(ctx, None) for ctx in contexts
+    ]
+
+
+def test_context_batch_rejects_hidden_transmissions():
+    """The batched attacker models the perfect bus: a context with hidden
+    (lost or in-flight) transmissions does not convert."""
+    context = _context_from((5.0, 8.0, 11.0, 14.0), 1, 0, seed=0)
+    hidden = dataclasses.replace(context, remaining_widths=(14.0,), remaining_compromised=(False,), n_hidden=1)
+    with pytest.raises(AttackError, match="perfect bus"):
+        ContextBatch.from_contexts([context, hidden])
+
+
+# ----------------------------------------------------------------------
+# Support points: the batched kernel against stealth.support_point
+# ----------------------------------------------------------------------
+
+#: Endpoints that collide often: shared values, both signed zeros.
+_ENDPOINTS = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+_INTERVALS = st.tuples(_ENDPOINTS, _ENDPOINTS).map(lambda pair: Interval(*sorted(pair)))
+
+
+def _bits(value: float | None) -> bytes | None:
+    return None if value is None or math.isnan(value) else struct.pack("<d", value)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            _INTERVALS,
+            st.lists(st.one_of(_INTERVALS, st.sampled_from([Interval(0.0, 0.0), Interval(-0.0, 0.0)])), max_size=6),
+            st.integers(min_value=-1, max_value=7),
+        ),
+        min_size=1,
+        max_size=6,
     )
+)
+@example([(Interval(-0.0, 1.0), [Interval(0.0, 1.0), Interval(-0.0, 2.0)], 2)])
+@example([(Interval(1.0, 1.0), [Interval(1.0, 1.0), Interval(0.0, 1.0)], 2)])
+@example([(Interval(-1.0, 1.0), [], 0), (Interval(-1.0, 1.0), [], 1)])
+@example([(Interval(2.0, 3.0), [Interval(0.0, 1.0)], 1)])
+@settings(max_examples=300, deadline=None)
+def test_support_points_equal_scalar_support_point(queries):
+    """The batched support-point kernel returns ``support_point``'s float bit
+    for bit — tied endpoints, ±0.0, zero-width pieces, ``required <= 0``
+    (the centre) and no supported point (``None``, here ``NaN``) — on a
+    ragged batch of prefixes."""
+    lo = np.asarray([candidate.lo for candidate, _prefix, _required in queries])
+    hi = np.asarray([candidate.hi for candidate, _prefix, _required in queries])
+    t_lo = expectation_module._padded([[s.lo for s in prefix] for _c, prefix, _r in queries], np.inf)
+    t_hi = expectation_module._padded([[s.hi for s in prefix] for _c, prefix, _r in queries], -np.inf)
+    required = np.asarray([needed for _candidate, _prefix, needed in queries])
+    batched = expectation_module._support_points(lo, hi, t_lo, t_hi, required).tolist()
+    expected = [support_point(candidate, prefix, needed) for candidate, prefix, needed in queries]
+    assert [_bits(value) for value in batched] == [_bits(value) for value in expected]
 
 
 # ----------------------------------------------------------------------
@@ -540,10 +672,15 @@ def test_memo_entries_carry_the_scalar_stealth_mode(monkeypatch, conservative):
     one exception is the inadmissible truthful fallback, labelled passive."""
     decide = expectation_module._decide_batch
     seen = []
+    depth = []
 
-    def recording(policy, contexts):
-        entries = decide(policy, contexts)
-        seen.extend(zip(contexts, entries))
+    def recording(policy, batch):
+        depth.append(None)
+        try:
+            entries = decide(policy, batch)
+        finally:
+            depth.pop()
+        seen.extend(zip(_contexts_of(batch), entries.tolist(), [bool(depth)] * len(batch)))
         return entries
 
     monkeypatch.setattr(expectation_module, "_decide_batch", recording)
@@ -556,19 +693,49 @@ def test_memo_entries_carry_the_scalar_stealth_mode(monkeypatch, conservative):
     # candidate, the Δ-centred one and the truthful reading are inadmissible.
     stuck = _context_from((5.0, 8.0, 11.0), 1, 0, seed=2)
     stuck = dataclasses.replace(stuck, protected_points=(stuck.delta.lo - 50.0, stuck.delta.hi + 50.0))
-    expectation_module._decide_batch(VectorizedExpectationPolicy(conservative=conservative, **COARSE), [stuck])
+    recording(VectorizedExpectationPolicy(conservative=conservative, **COARSE), ContextBatch.from_contexts([stuck]))
     labels = set()
-    for ctx, (decision, mode, support) in seen:
+    for ctx, (lo, hi, support), lookahead in seen:
+        mode = AttackerMode.PASSIVE if math.isnan(support) else AttackerMode.ACTIVE
+        support = None if math.isnan(support) else support
+        decision = Interval(lo, hi)
         check = check_admissible(decision, ctx)
         if check.admissible:
             assert (mode, support) == (check.mode, check.support)
         else:
             assert decision == ctx.own_reading
             assert (mode, support) == (AttackerMode.PASSIVE, None)
-        labels.add((mode, check.admissible, ctx.sensor_index == -1))
+        labels.add((mode, check.admissible, lookahead))
     # Both modes occur at the top level and in the lookahead, and the fallback once.
     assert {(AttackerMode.PASSIVE, True), (AttackerMode.ACTIVE, True)} <= {
         (mode, ok) for mode, ok, lookahead in labels if lookahead
     }
     assert (AttackerMode.ACTIVE, True, False) in labels
     assert (AttackerMode.PASSIVE, False, False) in labels
+
+
+@pytest.mark.parametrize("row", [6, 7], ids=["row7", "row8"])
+def test_batched_path_builds_no_per_row_contexts(monkeypatch, row):
+    """The batch engine's exact attacker never builds an ``AttackContext``
+    (Table I rows 7 and 8, fa = 2, both schedules), and its payload is the
+    one an unpatched run gives."""
+    entry = TABLE1_CONFIGURATIONS[row]
+    config = ScheduleComparisonConfig(lengths=entry.lengths, fa=entry.fa)
+    assert entry.fa == 2
+
+    def run():
+        return [
+            BatchEngine().run_rounds(config, schedule, ExpectationAttack(), None, 12, np.random.default_rng(3))
+            for schedule in (AscendingSchedule(), DescendingSchedule())
+        ]
+
+    reference = run()
+
+    def refuse(self):
+        raise AssertionError("an AttackContext was built on the batched path")
+
+    monkeypatch.setattr(AttackContext, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="batched path"):
+        _context_from((5.0, 8.0, 11.0), 1, 0, seed=0)
+    for expected, result in zip(reference, run()):
+        _assert_rounds_equal(expected, result)

@@ -139,6 +139,25 @@ class TestJsonlRoundTrip:
         (histogram,) = payload["histograms"]
         assert histogram["count"] == 1 and histogram["p50_ms"] <= histogram["p99_ms"]
 
+    def test_self_seconds_add_up_to_the_root_span(self, tmp_path):
+        # The exact attacker's lookahead nests attack.* spans in attack.*
+        # spans, so total_s double-counts; self_s must not.
+        spec = dataclasses.replace(get_scenario("table1-expectation"), samples=8, shard_samples=8)
+        path = tmp_path / "trace.jsonl"
+        with obs.collect() as session:
+            run_scenario(spec, store=None)
+            session.write_jsonl(path)
+        (root,) = [record["span"] for record in load_trace(path) if record["kind"] == "span"]
+        payload = build_perf_report(path)
+        by_span = {row["span"]: row for row in payload["spans"]}
+        assert root["name"] == "runner.run_scenario"
+        assert sum(row["self_s"] for row in payload["spans"]) == pytest.approx(root["duration_s"], rel=1e-9)
+        assert all(-1e-9 <= row["self_s"] <= row["total_s"] for row in payload["spans"])
+        attack = [row for name, row in by_span.items() if name.startswith("attack.")]
+        assert sum(row["total_s"] for row in attack) > by_span["engine.attack"]["total_s"]
+        assert sum(row["self_s"] for row in attack) <= by_span["engine.attack"]["total_s"]
+        assert "self s" in render_perf_report(payload)
+
     @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
     def test_engine_seconds_counts_each_engine_run_once(self, tmp_path, engine_name):
         # The phase spans nested inside engine.run must not be added on top.
