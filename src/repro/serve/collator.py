@@ -82,8 +82,11 @@ class _Plan:
 
 def _fail(batch: list[_Submission], error: BaseException) -> None:
     for submission in batch:
-        if not submission.future.done():
-            submission.future.set_exception(error)
+        future = submission.future
+        # A closed loop (a pass dropped at shutdown) can run no callback:
+        # setting its future would raise "Event loop is closed".
+        if not future.done() and not future.get_loop().is_closed():
+            future.set_exception(error)
 
 
 class BatchCollator:

@@ -10,14 +10,16 @@ agreement between the vectorized sweep and the scalar
 :func:`~repro.batch.coverage_extremes` has two kernels, chosen by batch
 shape.  Each property therefore runs twice: on the ``BATCH`` drawn rows
 (the endpoint sort) and on those rows tiled past ``_COUNTS_MIN_ROWS`` (the
-endpoint-coverage counts).
+endpoint-coverage counts).  The counts kernel's grid form,
+:func:`~repro.batch.fuse.grid_extremes`, is checked against the sort on the
+rows its shared columns stand for.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import batch_detect, batch_fuse, batch_fuse_or_none, coverage_extremes
+from repro.batch import BatchFusion, batch_detect, batch_fuse, batch_fuse_or_none, coverage_extremes
 from repro.batch import fuse as fuse_module
 from repro.core import Interval, detect, fuse_or_none, max_safe_fault_bound
 
@@ -33,14 +35,14 @@ def _grid_point(draw, low, high):
     return value
 
 
-@st.composite
-def interval_batch(draw):
-    """A (B, n) batch mixing continuous, tie-heavy grid-valued and
-    signed-zero-heavy intervals."""
-    n = draw(st.integers(min_value=1, max_value=9))
-    kind = draw(st.sampled_from(["continuous", "grid", "zeros"]))
+KINDS = ["continuous", "grid", "zeros"]
+
+
+def _intervals(draw, kind, count):
+    """``(count, 2)`` interval bounds of one kind: continuous, tie-heavy
+    grid-valued or signed-zero-heavy."""
     rows = []
-    for _ in range(BATCH * n):
+    for _ in range(count):
         if kind == "grid":
             lo = draw(_grid_point(-6, 6))
             hi = lo + draw(st.integers(min_value=0, max_value=8)) / 2.0
@@ -55,8 +57,31 @@ def interval_batch(draw):
             lo = draw(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
             hi = lo + draw(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
         rows.append((lo, hi))
-    bounds = np.array(rows).reshape(BATCH, n, 2)
+    return np.array(rows).reshape(count, 2)
+
+
+@st.composite
+def interval_batch(draw):
+    """A (B, n) batch mixing continuous, tie-heavy grid-valued and
+    signed-zero-heavy intervals."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    bounds = _intervals(draw, draw(st.sampled_from(KINDS)), BATCH * n).reshape(BATCH, n, 2)
     return bounds[:, :, 0], bounds[:, :, 1]
+
+
+@st.composite
+def interval_grid(draw):
+    """``grid_extremes`` arguments: ``a`` narrow ``(a, 1, C)`` and ``k`` wide
+    ``(k, S, G)`` interval columns, and the wide blocks' per-candidate
+    ``repeats`` (``None``: one block per candidate, ``G = C``)."""
+    kind = draw(st.sampled_from(KINDS))
+    a, k, scenarios = (draw(st.integers(min_value=low, max_value=4)) for low in (1, 0, 1))
+    repeats = draw(st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(sum))
+    blocks = draw(st.integers(min_value=1, max_value=4)) if repeats is None else len(repeats)
+    candidates = blocks if repeats is None else sum(repeats)
+    narrow = _intervals(draw, kind, a * candidates).reshape(a, 1, candidates, 2)
+    wide = _intervals(draw, kind, k * scenarios * blocks).reshape(k, scenarios, blocks, 2)
+    return narrow[..., 0], narrow[..., 1], wide[..., 0], wide[..., 1], None if repeats is None else np.array(repeats)
 
 
 def _both_kernels(*arrays):
@@ -206,6 +231,29 @@ def test_coverage_extremes_scalar_required_without_mask(batch, required):
     expected = _scalar_fusion(lowers, uppers, lambda row, count: None if required > n else n - required)
     for lo, hi in _both_kernels(lowers, uppers):
         _assert_same_bits(coverage_extremes(lo, hi, required), expected)
+
+
+@given(interval_grid(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_grid_extremes_equal_coverage_extremes_on_materialised_rounds(grid, data):
+    # Shared narrow and wide columns fuse like the (S·C, a + k) rows they
+    # stand for, narrow columns first: coverage_extremes sorts rows this
+    # short, so the reference is the other kernel.
+    narrow_lo, narrow_hi, wide_lo, wide_hi, repeats = grid
+    columns = narrow_lo.shape[0] + wide_lo.shape[0]
+    required = data.draw(st.integers(min_value=-1, max_value=columns + 1))
+    result = fuse_module.grid_extremes(narrow_lo, narrow_hi, wide_lo, wide_hi, required, repeats=repeats)
+    if repeats is not None:
+        wide_lo, wide_hi = np.repeat(wide_lo, repeats, axis=2), np.repeat(wide_hi, repeats, axis=2)
+    shape = wide_lo.shape[1:]
+    assert result.lo.shape == shape
+    rows_lo, rows_hi = (
+        np.concatenate([np.broadcast_to(narrow, (narrow.shape[0],) + shape), wide]).reshape(columns, -1).T
+        for narrow, wide in ((narrow_lo, wide_lo), (narrow_hi, wide_hi))
+    )
+    expected = coverage_extremes(rows_lo, rows_hi, required)
+    flat = BatchFusion(lo=result.lo.ravel(), hi=result.hi.ravel(), valid=result.valid.ravel())
+    _assert_same_bits(flat, (expected.lo, expected.hi, expected.valid))
 
 
 def test_large_seeded_sweep_bitmatches_scalar():

@@ -337,8 +337,9 @@ def test_lookahead_batch_mixes_scenario_counts(conservative):
 @pytest.mark.parametrize("schedule", [AscendingSchedule(), DescendingSchedule()], ids=lambda s: s.name)
 @pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
 def test_fusion_sweeps_capped_at_chunk_rows(monkeypatch, schedule, conservative):
-    """Every bound matrix the attacker fuses has at most ``_FUSE_CHUNK_ROWS``
-    rows, and chunking changes no result (Table I row 8, fa = 2)."""
+    """Every (scenario × candidate) grid the attacker fuses has at most
+    ``_FUSE_CHUNK_ROWS`` rounds, chunks hold whole candidates, and chunking
+    changes no result (Table I row 8, fa = 2)."""
     entry = TABLE1_CONFIGURATIONS[7]
     config = ScheduleComparisonConfig(lengths=entry.lengths, fa=entry.fa)
     spec = ExpectationAttack(conservative=conservative)
@@ -347,17 +348,19 @@ def test_fusion_sweeps_capped_at_chunk_rows(monkeypatch, schedule, conservative)
         return BatchEngine().run_rounds(config, schedule, spec, None, 12, np.random.default_rng(8))
 
     reference = run()
-    rows = []
-    fuse = expectation_module.coverage_extremes
+    grids = []
+    fuse = expectation_module.grid_extremes
 
-    def recording(lowers, uppers, required, mask=None):
-        rows.append(lowers.shape[0])
-        return fuse(lowers, uppers, required, mask)
+    def recording(*args, **kwargs):
+        fusion = fuse(*args, **kwargs)
+        grids.append(fusion.lo.shape)
+        return fusion
 
     monkeypatch.setattr(expectation_module, "_FUSE_CHUNK_ROWS", 64)
-    monkeypatch.setattr(expectation_module, "coverage_extremes", recording)
+    monkeypatch.setattr(expectation_module, "grid_extremes", recording)
     _assert_rounds_equal(reference, run())
-    assert max(rows) == 64
+    assert max(scenarios * candidates for scenarios, candidates in grids) <= 64
+    assert any(candidates == 64 // scenarios for scenarios, candidates in grids if scenarios > 1)
 
 
 @given(
@@ -399,13 +402,22 @@ def test_prepare_candidates_many_matches_single(lengths, conservative, seed):
         assert prepared_blocked == blocked
 
 
-def test_candidate_parity_check_rejects_mismatch():
-    """The parity hook itself notices a divergent enumeration."""
+@pytest.mark.parametrize("divergence", ["drop", "nudge"])
+def test_candidate_parity_check_rejects_mismatch(monkeypatch, divergence):
+    """The parity hook itself notices a divergent enumeration: the scalar
+    one with a candidate dropped, or with one bound moved by one ulp."""
     context = _context_from((5.0, 11.0, 17.0), 1, 0, seed=1)
-    policy = VectorizedExpectationPolicy(grid_positions=7)
-    lo, _hi, _passive, _blocked = _prepared(policy, [context])[0]
-    scalar = candidate_intervals(context, 7)
-    assert len(lo) == len(scalar)
+    assert _candidate_parity_check(context, grid_positions=7)
+    scalar = candidate_intervals
+
+    def divergent(ctx, grid_positions):
+        found = list(scalar(ctx, grid_positions))
+        middle = found[len(found) // 2]
+        nudged = [Interval(middle.lo, math.nextafter(middle.hi, math.inf))]
+        return found[: len(found) // 2] + ([] if divergence == "drop" else nudged) + found[len(found) // 2 + 1 :]
+
+    monkeypatch.setitem(globals(), "candidate_intervals", divergent)
+    assert not _candidate_parity_check(context, grid_positions=7)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """BatchCollator behaviour: coalesce-while-busy, the max_batch cap, isolation, errors."""
 
 import asyncio
+import gc
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -198,6 +201,42 @@ class TestErrors:
         assert all(isinstance(outcome, asyncio.CancelledError) for outcome in outcomes)
         assert stats["batches"] == 1
         assert busy == 0
+
+    def test_closing_the_loop_under_a_pending_pass_raises_nothing(self, monkeypatch):
+        # A loop closed while a pass is pending (never run to its end) drops
+        # the pass's coroutine; closing that coroutine fails the waiters, and
+        # futures of a closed loop must be skipped rather than set (setting
+        # one schedules a callback on the closed loop: RuntimeError).
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        entered, release = threading.Event(), threading.Event()
+        executor = ThreadPoolExecutor(max_workers=1)
+        collator = BatchCollator(max_batch=8, executor=executor)
+
+        def blocked(plan, batch):
+            entered.set()
+            release.wait(30)
+            return []
+
+        collator._simulate = blocked
+
+        async def start():
+            waiters = [asyncio.ensure_future(submit(collator, seed=seed)) for seed in range(3)]
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            return waiters
+
+        loop = asyncio.new_event_loop()
+        loop.set_exception_handler(lambda loop, context: None)  # "Task was destroyed but it is pending!"
+        try:
+            waiters = loop.run_until_complete(start())
+        finally:
+            release.set()
+            executor.shutdown(wait=True)
+        loop.close()
+        del waiters, collator  # the pending pass is now garbage: collecting it closes its coroutine
+        gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
 
     def test_constructor_validation(self):
         with pytest.raises(ExperimentError):
