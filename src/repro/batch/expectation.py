@@ -18,15 +18,20 @@ contexts as array passes:
   rounding pass, :func:`_quantize`), filtered by array comparisons that
   evaluate every candidate's passive/active admissibility — and the
   conservative-mode support rule — at once;
-* every surviving ``(candidate, scenario)`` combination is a row of a
-  lockstep *play-out* (:class:`_Playout`): index arrays into the candidate
-  grid, the scenario grid (built with the scalar ``_linspace`` float
-  operations) and, with ``fa >= 2``, the sub-decisions of the later
-  compromised slots; the final rounds are fused as (scenario × candidate)
-  grids by :func:`repro.batch.fuse.grid_extremes` (bit-identical to the
-  scalar :func:`repro.core.marzullo.fuse_or_none`), which compares the
-  intervals a candidate's rounds share once per candidate, those its
-  context's scenarios share once per scenario, and only the rest per round;
+* every surviving ``(candidate, scenario)`` combination is a round of a
+  lockstep *play-out* (:class:`_Playout`), addressed by that pair into the
+  candidate grid, the scenario grid (built with the scalar ``_linspace``
+  float operations) and, with ``fa >= 2``, the per-group sub-decisions of
+  the later compromised slots — nothing is stored per round; the final
+  rounds are fused as (scenario × candidate) grids by
+  :func:`repro.batch.fuse.grid_extremes` (bit-identical to the scalar
+  :func:`repro.core.marzullo.fuse_or_none`), which compares the intervals a
+  candidate's rounds share once per candidate, those its context's
+  scenarios share once per scenario, and only the rest per round;
+* each round is fused once: when the later compromised slots all precede
+  the first correct one, a candidate's lookahead sub-decision has already
+  averaged that candidate's final rounds, and the score it returns for its
+  choice is reused as the candidate's score;
 * the per-candidate mean accumulates the per-scenario widths sequentially in
   the scalar enumeration order, so the scores — and therefore the decisions,
   tie sets included — equal the scalar policy's exactly;
@@ -109,12 +114,13 @@ _EXACT_LIMIT = 2.0**21
 
 #: Upper bound on the (candidate × scenario) rounds fused per grid; bounds
 #: peak memory without changing any result — chunks reproduce the same
-#: per-round sweeps.  At n = 10 a full chunk holds at most 9.4 MB of wide
-#: bounds repeated per candidate (two float64 buffers of up to nine columns),
-#: one 5.2 MB float64 clamp buffer for the picks, and about 3 MB of uint8
-#: counts and bool masks; the narrow columns take one entry per candidate.
-#: The admissibility sweep chunks its flat candidates alike.
-_FUSE_CHUNK_ROWS = 65_536
+#: per-round sweeps.  A play-out stores nothing per round, so one chunk is
+#: all its memory that grows with the rounds: at n = 10, 2.4 MB of wide
+#: bounds repeated per candidate (two float64 buffers, up to nine columns),
+#: a 1.3 MB float64 clamp buffer, 0.8 MB of uint8 counts and bool masks and
+#: 0.13 MB per group index.  Chosen by A/B: 65,536 gave the same throughput
+#: at 5 MiB more peak RSS.  The admissibility sweep chunks candidates alike.
+_FUSE_CHUNK_ROWS = 16_384
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -654,14 +660,15 @@ class _Playout:
     (:meth:`~repro.attack.expectation.ExpectationPolicy._play_out`).  The
     contexts here share ``n``, ``f`` and their remaining-slot pattern (hence
     their transmitted-prefix length), so all their rounds advance together.
-    A *row* is a context's unblocked candidate × one of its scenarios, in
-    the scalar context-major, candidate-major, scenario-minor order.
-    :meth:`advance` decides the future compromised positions for groups of
-    rows; :meth:`scores` fuses the final rounds and averages each
-    candidate's widths.  Both see each round's transmissions in the scalar
-    play-out's order (prefix, candidate, future sensors in slot order), so
-    the sweeps compare what the scalar sweep compares.  Conservative-blocked
-    candidates are never played out and score ``-inf``, like the scalar
+    A *round* is a context's unblocked (live) candidate × one of its
+    scenarios, in the scalar context-major, candidate-major, scenario-minor
+    order, addressed as a ``(live candidate, scenario)`` pair: nothing here
+    is stored per round.  :meth:`advance` decides the future compromised positions for groups of rounds;
+    :meth:`scores` fuses the final rounds and averages each candidate's
+    widths.  Both see each round's transmissions in the scalar play-out's
+    order (prefix, candidate, future sensors in slot order), so the sweeps
+    compare what the scalar sweep compares.  Conservative-blocked candidates
+    are never played out and score ``-inf``, like the scalar
     ``_expected_final_width`` gate.
     """
 
@@ -681,55 +688,73 @@ class _Playout:
         self.prefix_hi = batch.transmitted_hi[:, :prefix].T
         self.scen_lo, self.scen_hi, scenarios = _scenario_grid(policy, batch, self.pattern)
         self.scen_owner = np.repeat(np.arange(len(batch)), scenarios)
-        self.per_candidate = scenarios[self.owner[self.live]]
-        self.row_start = np.cumsum(self.per_candidate) - self.per_candidate
-        self.cand = np.repeat(self.live, self.per_candidate)
         self.scenario_start = np.cumsum(scenarios) - scenarios
-        offset = np.arange(self.cand.shape[0]) - np.repeat(self.row_start, self.per_candidate)
-        self.scen = self.scenario_start[self.owner[self.cand]] + offset
-        # Per future position: the scenario column of a correct sensor, or,
-        # once ``advance`` has decided a compromised one, the row -> group
-        # index and the groups' decision bounds.
+        self.per_candidate = scenarios[self.owner[self.live]]
+        # Per future position: a correct sensor's scenario column or, once
+        # ``advance`` decided a compromised one, ``(base, rank, lo, hi)``: round
+        # (live candidate i, scenario s) reads group ``base[i] + rank[s]``.
         self.columns: list = [None if flag else i - sum(self.pattern[:i]) for i, flag in enumerate(self.pattern)]
+        # Per live candidate: a sub-decision's score of its final rounds, or NaN (fuse them).
+        self.reused = np.full(self.live.shape[0], np.nan)
 
-    def gather(self, rows: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(len(rows), sensors)`` bounds of the first ``sensors``
-        transmissions of ``rows``."""
-        cand, scen = self.cand[rows], self.scen[rows]
+    def gather(self, live: np.ndarray, scenario: np.ndarray, sensors: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(len(live), sensors)`` bounds of the first ``sensors``
+        transmissions of rounds ``(live[i], scenario[i])``."""
+        cand = self.live[live]
         sources = [(cand, self.cand_lo, self.cand_hi)]
         for source in self.columns[: sensors - self.prefix_lo.shape[0] - 1]:
             if isinstance(source, int):
-                sources.append((scen, self.scen_lo[:, source], self.scen_hi[:, source]))
+                sources.append((scenario, self.scen_lo[:, source], self.scen_hi[:, source]))
             else:
-                sources.append((source[0][rows],) + source[1:])
+                base, rank, lo, hi = source
+                sources.append((base[live] + rank[scenario], lo, hi))
         columns = [(np.take(self.prefix_lo, self.owner[cand], axis=1), np.take(self.prefix_hi, self.owner[cand], axis=1))]
         columns += [(np.take(lo, index)[None], np.take(hi, index)[None]) for index, lo, hi in sources]
         return tuple(np.concatenate(bounds).T for bounds in zip(*columns))
 
+    def _ranks(self, correct_seen: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per scenario, the first-occurrence rank of its first ``correct_seen`` placements
+        (bit for bit) among its context's scenarios; per context, its rank count; and,
+        context-major, each context's first scenario of every rank."""
+        seen = np.column_stack([self.scen_owner, self.scen_lo[:, :correct_seen].view(np.int64)])
+        _, first, inverse = np.unique(seen, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # context-major, as the scenarios are
+        overall = np.empty_like(order)
+        overall[order] = np.arange(order.shape[0])
+        firsts = first[order]
+        distinct = np.bincount(self.scen_owner[firsts], minlength=len(self.batch))
+        rank = overall[inverse.reshape(-1)] - (np.cumsum(distinct) - distinct)[self.scen_owner]
+        return rank, distinct, firsts
+
     def advance(self) -> None:
         """Decide every future compromised position, in slot order.
 
-        At each position, rows whose candidate and correct placements so far
-        coincide share their sub-context verbatim, and hence their
-        sub-decision and protection obligations.  The groups' sub-contexts
-        form one :class:`ContextBatch`, in first-occurrence order so the
-        memo fills like the scalar play-out, gathered from the play-out's
-        columns (the owner's Δ doubling as her own reading, the scalar
-        ``_own_reading_guess``), and one :func:`_decide_batch` call decides
-        them all (recursing for the later positions).  Protection
-        obligations live per group as padded point rows; decisions scatter
-        back to the rows through the group index.  Memo keys cannot collide
-        across positions: the transmitted-prefix length is part of the key.
+        At each position, rounds whose candidate and correct placements so
+        far coincide share their sub-context verbatim, hence their
+        sub-decision and protection obligations (padded point rows per
+        group).  Group ``base[i] + rank[s]`` holds live candidate ``i``'s
+        rounds whose scenarios share placement rank ``rank[s]``
+        (:meth:`_ranks`), ``base`` being the running total of the
+        candidates' rank counts: first-occurrence order, so the memo fills
+        like the scalar play-out.  The groups' sub-contexts, gathered from
+        each group's first round (the owner's Δ doubling as her own reading,
+        the scalar ``_own_reading_guess``), form one :class:`ContextBatch`
+        that one :func:`_decide_batch` call decides (recursing for later
+        positions; the prefix length in the memo key keeps positions apart).
+        When no compromised position follows a correct one, lead positions'
+        groups are the live candidates, and a sub-decision scored in a
+        play-out averaged exactly its candidate's final rounds (same
+        intervals, order, scenarios): :meth:`scores` reuses that score.
         """
-        if not any(self.pattern) or self.cand.shape[0] == 0:
+        if not any(self.pattern) or self.live.shape[0] == 0:
             return
         batch, candidates = self.batch, self.candidates
         # Protection obligations, one row per live candidate: its context's
         # obligations plus, for an active placement, its own support point
         # (the scalar _expected_final_width bookkeeping).
-        owner = self.owner[self.live]
+        live, owner = self.live.shape[0], self.owner[self.live]
         active = ~candidates.passive[self.live]
-        support = np.full(self.live.shape[0], np.nan)
+        support = np.full(live, np.nan)
         support[active] = _support_points(
             self.cand_lo[self.live][active],
             self.cand_hi[self.live][active],
@@ -738,34 +763,22 @@ class _Playout:
             batch.required[owner[active]],
         )
         points, counts = _append_points(batch.protected[owner], batch.protected_count[owner], support, active)
-        protection = np.repeat(np.arange(self.live.shape[0]), self.per_candidate)  # row -> live candidate
-        prefix = self.prefix_lo.shape[0]
-        correct_seen = 0
+        previous = (np.arange(live), np.zeros(self.scen_owner.shape[0], dtype=np.int64))  # obligation rows
+        prefix, lead = self.prefix_lo.shape[0], (self.pattern + (False,)).index(False)
         for position, compromised in enumerate(self.pattern):
             if not compromised:
-                correct_seen += 1
                 continue
-            keys = self.cand
-            if correct_seen:
-                # Rows share a sub-context only if their placements so far
-                # are bit-for-bit equal (within one owning context).
-                seen = np.column_stack(
-                    [self.scen_owner, self.scen_lo[:, :correct_seen].view(np.int64)]
-                )
-                _, placement = np.unique(seen, axis=0, return_inverse=True)
-                placement = placement.reshape(-1)
-                keys = keys * (int(placement.max()) + 1) + placement[self.scen]
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.shape[0])
-            group = rank[inverse.reshape(-1)]
-            representatives = first[order]
-            groups = representatives.shape[0]
-            context = self.owner[self.cand[representatives]]
-            lo, hi = self.gather(representatives, prefix + 1 + position)
+            rank, distinct, firsts = self._ranks(position - sum(self.pattern[:position]))
+            sizes = distinct[owner]
+            base = np.cumsum(sizes) - sizes
+            # Each group's first round: its candidate and its rank's first scenario.
+            rep_live = np.repeat(np.arange(live), sizes)
+            groups = rep_live.shape[0]
+            rep_scen = firsts[(np.cumsum(distinct) - distinct)[owner][rep_live] + np.arange(groups) - base[rep_live]]
+            context = owner[rep_live]
+            lo, hi = self.gather(rep_live, rep_scen, prefix + 1 + position)
             flags = np.broadcast_to(np.asarray((True,) + self.pattern[:position]), (groups, position + 1))
-            obligations = protection[representatives]
+            obligations = previous[0][rep_live] + previous[1][rep_scen]
             sub = ContextBatch(
                 n=batch.n[context],
                 f=batch.f[context],
@@ -776,9 +789,7 @@ class _Playout:
                 own_hi=batch.delta_hi[context],
                 transmitted_lo=lo,
                 transmitted_hi=hi,
-                transmitted_compromised=np.concatenate(
-                    [batch.transmitted_compromised[context, :prefix], flags], axis=1
-                ),
+                transmitted_compromised=np.concatenate([batch.transmitted_compromised[context, :prefix], flags], axis=1),
                 transmitted_count=np.full(groups, prefix + 1 + position),
                 remaining_widths=batch.remaining_widths[context, position + 1 : len(self.pattern)],
                 remaining_compromised=np.broadcast_to(
@@ -787,28 +798,34 @@ class _Playout:
                 protected=points[obligations],
                 protected_count=counts[obligations],
             )
-            decisions = _decide_batch(self.policy, sub)
+            decisions, scores = _decide_batch(self.policy, sub)
             points, counts = _append_points(
                 sub.protected, sub.protected_count, decisions[:, 2], ~np.isnan(decisions[:, 2])
             )
-            protection = group
-            self.columns[position] = (group, decisions[:, 0], decisions[:, 1])
+            previous = (base, rank)
+            self.columns[position] = (base, rank, decisions[:, 0], decisions[:, 1])
+            if position < lead and not any(self.pattern[lead:]):  # groups = live candidates
+                self.reused = np.where(np.isnan(self.reused), scores, self.reused)
 
     def scores(self) -> np.ndarray:
         """Expected final fusion width per candidate (flat, context-major).
 
-        Candidates with ``S`` scenarios are fused as grids of whole
-        candidates (:meth:`_fuse`) of at most ``_FUSE_CHUNK_ROWS`` rounds —
-        one candidate's scenarios in slices should ``S`` exceed that.  As in
-        the scalar ``_expected_final_width``, widths of scenarios with no
-        fusion interval are skipped and the rest are added *sequentially* in
+        A live candidate's ``reused`` score stands; the others, grouped by
+        their scenario count ``S``, are fused as grids of whole candidates
+        (:meth:`_fuse`) of at most ``_FUSE_CHUNK_ROWS`` rounds — one
+        candidate's scenarios in slices should ``S`` exceed that.  As in the
+        scalar ``_expected_final_width``, widths of scenarios with no fusion
+        interval are skipped and the rest are added *sequentially* in
         scenario order: ``np.cumsum`` adds in order (``np.sum`` would
         pairwise-reduce and could flip a tie), a slice continues the running
         total, and a skipped scenario adds an exact ``+0.0``.
         """
         scores = np.full(self.cand_lo.shape[0], -np.inf)
-        for count in np.flatnonzero(np.bincount(self.per_candidate)).tolist():
-            chosen = np.flatnonzero(self.per_candidate == count)
+        scores[self.live] = self.reused  # the NaNs are all fused below
+        fused = np.flatnonzero(np.isnan(self.reused))
+        per_candidate = self.per_candidate[fused]
+        for count in np.flatnonzero(np.bincount(per_candidate)).tolist():
+            chosen = fused[per_candidate == count]
             step = max(1, _FUSE_CHUNK_ROWS // count)
             for start in range(0, chosen.shape[0], step):
                 part = chosen[start : start + step]
@@ -825,29 +842,31 @@ class _Playout:
         """:func:`~repro.batch.fuse.grid_extremes` of the final rounds at
         scenario ``offsets`` of live candidates ``part`` (one scenario count).
         Narrow columns: the prefix, the candidate and the compromised
-        positions before the first correct one (whose sub-contexts differ only
-        by candidate).  Wide columns: the contexts' scenario columns repeated
+        positions before the first correct one (whose groups are the live
+        candidates).  Wide columns: the contexts' scenario columns repeated
         per candidate, or, once a compromised position follows a correct one,
-        every position's bounds per round (sub-decisions via the group index)."""
-        cand, first = self.live[part], self.row_start[part]
+        every position's bounds per round (sub-decisions via ``base + rank``)."""
+        cand = self.live[part]
         owner = self.owner[cand]
-        contexts, repeats = np.unique(owner, return_counts=True)
+        # ``owner`` is sorted: its runs are the contexts and their candidate counts.
+        head = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        contexts, repeats = owner[head], np.diff(np.r_[head, owner.shape[0]])
         scenario = self.scenario_start[contexts] + offsets[:, None]
         grid_lo, grid_hi = (bounds[scenario].transpose(2, 0, 1) for bounds in (self.scen_lo, self.scen_hi))
         lead = (self.pattern + (False,)).index(False)
         # ``np.take``: fancy indexing costs several times more at these sizes.
-        sources = [(cand, self.cand_lo, self.cand_hi)] + [(group[first], lo, hi) for group, lo, hi in self.columns[:lead]]
+        sources = [(cand, self.cand_lo, self.cand_hi)] + [(base[part], lo, hi) for base, _, lo, hi in self.columns[:lead]]
         narrow = [(np.take(self.prefix_lo, owner, axis=1), np.take(self.prefix_hi, owner, axis=1))]
         narrow += [(np.take(lo, index)[None], np.take(hi, index)[None]) for index, lo, hi in sources]
         narrow_lo, narrow_hi = (np.concatenate(bounds)[:, None] for bounds in zip(*narrow))
         required = self.prefix_lo.shape[0] + 1 + len(self.pattern) - self.f
         if not any(self.pattern[lead:]):
             return grid_extremes(narrow_lo, narrow_hi, grid_lo, grid_hi, required, repeats=repeats)
-        rounds = first + offsets[:, None]
+        rounds = np.repeat(scenario, repeats, axis=1)  # each round's scenario
         wide = [
             (np.repeat(grid_lo[source], repeats, axis=1), np.repeat(grid_hi[source], repeats, axis=1))
             if isinstance(source, int)
-            else (source[1][source[0][rounds]], source[2][source[0][rounds]])
+            else (source[2][source[0][part] + source[1][rounds]], source[3][source[0][part] + source[1][rounds]])
             for source in self.columns[lead:]
         ]
         wide_lo, wide_hi = (np.stack(bounds) for bounds in zip(*wide))
@@ -867,8 +886,9 @@ def _first_best(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(index, starts) - starts
 
 
-def _decide_batch(policy: VectorizedExpectationPolicy, batch: ContextBatch) -> np.ndarray:
-    """Decide a batch of attack contexts; returns their ``(len(batch), 3)`` memo entries.
+def _decide_batch(policy: VectorizedExpectationPolicy, batch: ContextBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Decide a batch of attack contexts; returns their ``(len(batch), 3)``
+    memo entries and the chosen candidates' scores.
 
     Row ``i`` is context ``i``'s ``(lo, hi, support)``: the decision's bounds
     and the support point :func:`check_admissible
@@ -876,6 +896,11 @@ def _decide_batch(policy: VectorizedExpectationPolicy, batch: ContextBatch) -> n
     passive decision (passive is tried first), so consumers never rerun the
     scalar admissibility sweep.  The scalar fallback to an inadmissible
     truthful reading is labelled passive; consumers only test for active mode.
+    Score ``i`` is the chosen candidate's expected final width if this call
+    scored it in a play-out, else ``NaN``: for a memo hit or a same-key
+    repeat (whose entry may come from bounds equal only at 9 decimals), a
+    single candidate, or a conservative-blocked choice (``-inf`` by the
+    gate).  Scores are never memoised.
 
     Contexts are visited in order so memo-key collisions resolve
     first-computed-wins, exactly like the scalar round-major loop; a
@@ -938,11 +963,16 @@ def _decide_batch(policy: VectorizedExpectationPolicy, batch: ContextBatch) -> n
                 groups.append((members, _Playout(policy, sub.take(members), candidates.take(members))))
             for _members, playout in groups:
                 playout.advance()
+    scores = np.full(len(batch), np.nan)
     with obs.span("attack.score", kernel="batch"):
         if candidates is not None:
             chosen = candidates.offsets[:-1].copy()
             for members, playout in groups:
-                chosen[members] += _first_best(playout.scores(), playout.candidates.offsets)
+                values = playout.scores()
+                best = _first_best(values, playout.candidates.offsets)
+                chosen[members] += best
+                scores[staged[members]] = values[playout.candidates.offsets[:-1] + best]
+            scores[staged[candidates.blocked[chosen]]] = np.nan
             lo, hi = candidates.lo[chosen], candidates.hi[chosen]
             support = np.full(chosen.shape[0], np.nan)
             active = np.flatnonzero(~candidates.passive[chosen])
@@ -952,7 +982,7 @@ def _decide_batch(policy: VectorizedExpectationPolicy, batch: ContextBatch) -> n
             store(staged, lo, hi, support)
     for index, key in deferred:
         entries[index] = memo[key]
-    return np.asarray(entries, dtype=np.float64).reshape(len(batch), 3)
+    return np.asarray(entries, dtype=np.float64).reshape(len(batch), 3), scores
 
 
 #: The :class:`ContextBatch` fields a slot's rows slice straight from the
@@ -1030,7 +1060,7 @@ class ExactExpectationBatchAttacker(BatchAttacker):
             protected_count=self._protected_count[rows],
             **{name: getattr(context, name)[rows] for name in _SLOT_FIELDS},
         )
-        decisions = _decide_batch(self._policy, batch)
+        decisions, _scores = _decide_batch(self._policy, batch)
         # Active decisions' support points constrain the later compromised
         # slots of this round.
         support = np.full(context.rows.shape[0], np.nan)

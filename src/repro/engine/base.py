@@ -250,6 +250,19 @@ class _MemoStats(Protocol):
     def stats(self) -> dict: ...
 
 
+def count_memo_lookups(memo: _MemoStats) -> None:
+    """Fold an expectation memo's hit/miss tallies into the live telemetry
+    scope as ``repro_expectation_memo_total`` (zero tallies skipped; the memo
+    is not read while telemetry is off)."""
+    if not obs.enabled():
+        return
+    stats = memo.stats()
+    if stats["hits"]:
+        obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
+    if stats["misses"]:
+        obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
+
+
 def rounds_results(
     engine: str,
     schedule_name: str,
@@ -269,12 +282,8 @@ def rounds_results(
     plain ints so the per-decision hot path stays lock-free).
     """
     obs.add("repro_engine_samples_total", sum(budgets), engine=engine)
-    if memo is not None and obs.enabled():
-        stats = memo.stats()
-        if stats["hits"]:
-            obs.add("repro_expectation_memo_total", stats["hits"], outcome="hit")
-        if stats["misses"]:
-            obs.add("repro_expectation_memo_total", stats["misses"], outcome="miss")
+    if memo is not None:
+        count_memo_lookups(memo)
     channel = result.channel
     if channel is not None:
         obs.add("repro_channel_dropped_total", int(channel.dropped.sum()), engine=engine)

@@ -38,6 +38,7 @@ import numpy as np
 from repro import obs
 from repro.core.exceptions import ExperimentError
 from repro.engine import DEFAULT_ENGINE, get_engine
+from repro.engine.base import count_memo_lookups
 from repro.runner.store import ArtifactStore
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import (
@@ -275,7 +276,13 @@ def _case_study_shard(task: ShardTask) -> list[dict]:
     from repro.batch.case_study import batch_case_study_for_schedule
 
     _, shard_index, replicas = task.params
-    attacker_factory = _case_study_attacker_factory(spec)
+    build = _case_study_attacker_factory(spec)
+    attackers = []
+
+    def attacker_factory():
+        attackers.append(build())
+        return attackers[-1]
+
     shard_stats = []
     for schedule_index, schedule in enumerate(schedules):
         stats = batch_case_study_for_schedule(
@@ -283,9 +290,12 @@ def _case_study_shard(task: ShardTask) -> list[dict]:
             schedule,
             n_replicas=replicas,
             rng=derive_rng(spec.seed, schedule_index, shard_index),
-            attacker_factory=attacker_factory,
+            attacker_factory=None if build is None else attacker_factory,
         )
         shard_stats.append(_stats_dict(schedule_index, stats))
+    # The exact attacker's memo tallies, as rounds_results counts them.
+    for attacker in attackers:
+        count_memo_lookups(attacker.policy)
     return shard_stats
 
 

@@ -98,6 +98,17 @@ def test_engines_bitmatch_expectation_seeded(lengths, fa, schedule, conservative
     assert scalar.valid.all()
 
 
+@pytest.mark.parametrize("schedule", [AscendingSchedule(), DescendingSchedule()], ids=lambda s: s.name)
+def test_engines_bitmatch_expectation_seeded_fa3(schedule):
+    """fa = 3 (n = 7): play-outs with two lead compromised slots reuse their
+    first sub-decision's scores (the second one's are memo hits); 4 samples
+    keep the scalar oracle to a few seconds."""
+    config = ScheduleComparisonConfig(lengths=(5.0, 5.0, 5.0, 8.0, 11.0, 14.0, 17.0), fa=3)
+    scalar, batch = _run_both(config, schedule, seed=3, spec=ExpectationAttack(**COARSE), samples=4)
+    _assert_rounds_equal(scalar, batch)
+    assert scalar.valid.all()
+
+
 @given(
     st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=3, max_size=6),
     st.integers(min_value=0, max_value=5),
@@ -205,7 +216,7 @@ def _context_from(lengths, transmitted_count, fa_remaining, seed):
 
 def _decisions(policy, contexts) -> list[Interval]:
     """The batched decision procedure on hand-built contexts."""
-    entries = expectation_module._decide_batch(policy, ContextBatch.from_contexts(contexts))
+    entries, _scores = expectation_module._decide_batch(policy, ContextBatch.from_contexts(contexts))
     return [Interval(lo, hi) for lo, hi, _support in entries.tolist()]
 
 
@@ -584,7 +595,7 @@ def test_same_key_rows_of_one_batch_share_one_decision(conservative):
     distinct += [dataclasses.replace(distinct[1], protected_points=(distinct[1].own_reading.center,))]
     contexts = distinct + distinct[::-1] + distinct[:2]
     policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
-    entries = expectation_module._decide_batch(policy, ContextBatch.from_contexts(contexts))
+    entries, _scores = expectation_module._decide_batch(policy, ContextBatch.from_contexts(contexts))
     assert policy.stats() == {"hits": len(contexts) - len(distinct), "misses": len(distinct), "entries": len(distinct)}
     first = {ctx.cache_key(): row for ctx, row in reversed(list(zip(contexts, entries.tolist())))}
     np.testing.assert_array_equal(entries, [first[ctx.cache_key()] for ctx in contexts])  # NaN == NaN here
@@ -689,11 +700,11 @@ def test_memo_entries_carry_the_scalar_stealth_mode(monkeypatch, conservative):
     def recording(policy, batch):
         depth.append(None)
         try:
-            entries = decide(policy, batch)
+            entries, scores = decide(policy, batch)
         finally:
             depth.pop()
         seen.extend(zip(_contexts_of(batch), entries.tolist(), [bool(depth)] * len(batch)))
-        return entries
+        return entries, scores
 
     monkeypatch.setattr(expectation_module, "_decide_batch", recording)
     entry = TABLE1_CONFIGURATIONS[7]
@@ -751,3 +762,184 @@ def test_batched_path_builds_no_per_row_contexts(monkeypatch, row):
         _context_from((5.0, 8.0, 11.0), 1, 0, seed=0)
     for expected, result in zip(reference, run()):
         _assert_rounds_equal(expected, result)
+
+
+# ----------------------------------------------------------------------
+# The play-out: sub-decision scores reused, nothing as long as the rounds
+# ----------------------------------------------------------------------
+
+#: A compromised slot, then two correct ones: the one lead position's
+#: sub-decision averages its parent candidate's own final rounds.
+_REUSE_PATTERN = (True, False, False)
+_REUSE_LENGTHS = (8.0, 6.0, 3.0, 11.0, 14.0)
+
+
+def _shifted(interval: Interval, by: float) -> Interval:
+    return Interval(interval.lo + by, interval.hi + by)
+
+
+def _reuse_siblings() -> dict[str, AttackContext]:
+    """Contexts of one play-out (n = 5, one transmitted interval, pattern
+    ``_REUSE_PATTERN``), each exercising one way a sub-decision's score is
+    unavailable; ``plain`` reuses every sub-decision's score.  Δ is narrower
+    than the width, so several passive placements survive the conservative
+    gate."""
+
+    def narrowed(context: AttackContext, own: Interval) -> AttackContext:
+        return dataclasses.replace(context, own_reading=own, delta=Interval(own.lo + 1.0, own.hi - 1.0))
+
+    plain = _context_from(_REUSE_LENGTHS, 1, 1, seed=1)
+    own = plain.own_reading
+    # Another width, and an own reading equal to plain's at 9 decimals but
+    # not bit for bit: the truthful candidates' sub-contexts share a key.
+    twin = narrowed(dataclasses.replace(plain, width=7.0), _shifted(own, 1e-12))
+    # Δ pins every placement to cover 4 units: no width-3 sub-decision can
+    # (each sub-context falls back to its one truthful candidate).
+    pinned = dataclasses.replace(narrowed(plain, own), protected_points=(own.lo + 1.0, own.lo + 5.0))
+    # Δ wider than the width: every placement is active, supported by the one
+    # transmitted interval only, so the conservative gate blocks them all.
+    wide = dataclasses.replace(plain, delta=Interval(own.lo - 1.0, own.hi + 1.0))
+    prefilled = _context_from(_REUSE_LENGTHS, 1, 1, seed=2)
+    return {
+        "plain": narrowed(plain, own),
+        "prefilled": narrowed(prefilled, prefilled.own_reading),
+        "twin": twin,
+        "pinned": pinned,
+        "wide": wide,
+    }
+
+
+def _record_playouts(monkeypatch, reuse: bool) -> dict:
+    """``{playout: [fused, scores]}`` for every ``_REUSE_PATTERN`` play-out,
+    ``fused`` listing the live candidates each ``_fuse`` call fused; with
+    ``reuse=False`` every live candidate is fused."""
+    runs = {}
+    playout_class = expectation_module._Playout
+    advance, scores, fuse = playout_class.advance, playout_class.scores, playout_class._fuse
+
+    def advancing(self):
+        advance(self)
+        if not reuse:
+            self.reused = np.full(self.live.shape[0], np.nan)
+
+    def scoring(self):
+        values = scores(self)
+        if self.pattern == _REUSE_PATTERN:
+            runs.setdefault(self, [[], None])[1] = values
+        return values
+
+    def fusing(self, part, offsets):
+        if self.pattern == _REUSE_PATTERN:
+            runs.setdefault(self, [[], None])[0].extend(self.live[part].tolist())
+        return fuse(self, part, offsets)
+
+    monkeypatch.setattr(playout_class, "advance", advancing)
+    monkeypatch.setattr(playout_class, "scores", scoring)
+    monkeypatch.setattr(playout_class, "_fuse", fusing)
+    return runs
+
+
+@pytest.mark.parametrize("conservative", [False, True], ids=["faithful", "conservative"])
+def test_reused_sub_decision_scores_equal_fused_ones(monkeypatch, conservative):
+    """A lead sub-decision's score stands in for its parent candidate's
+    fused rounds, bit for bit, and exactly the candidates whose
+    sub-decision was not scored in a play-out are fused: a memo hit, a
+    same-key repeat in the sub-batch, single-candidate sub-contexts; under
+    ``conservative`` a context whose every candidate is blocked plays
+    nothing out.  The decisions' returned scores are ``NaN`` wherever this
+    call did not score the choice."""
+    siblings = _reuse_siblings()
+    names = list(siblings)
+    contexts = list(siblings.values())
+    # A repeat of ``plain`` (own reading not in the key) and a stuck context.
+    repeat = dataclasses.replace(siblings["plain"], own_reading=_shifted(siblings["plain"].own_reading, 0.5))
+    own = siblings["plain"].own_reading
+    stuck = dataclasses.replace(siblings["plain"], protected_points=(own.lo - 5.0, own.hi + 5.0))
+    batch = ContextBatch.from_contexts(contexts + [repeat, stuck])
+
+    # Cold run of ``prefilled`` alone: keep one lead sub-decision's entry.
+    cold = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
+    sub_keys = []
+    decide = expectation_module._decide_batch
+
+    def capturing(policy, sub):
+        sub_keys.append(expectation_module._memo_keys(policy.conservative, sub))
+        return decide(policy, sub)
+
+    monkeypatch.setattr(expectation_module, "_decide_batch", capturing)
+    decide(cold, ContextBatch.from_contexts([siblings["prefilled"]]))
+    monkeypatch.setattr(expectation_module, "_decide_batch", decide)
+    (lead_keys,) = sub_keys
+    prefilled_key = lead_keys[1]  # the second live candidate's sub-context
+
+    def run(reuse):
+        policy = VectorizedExpectationPolicy(conservative=conservative, **COARSE)
+        policy.memo[prefilled_key] = cold.memo[prefilled_key]
+        with monkeypatch.context() as patch:
+            runs = _record_playouts(patch, reuse)
+            entries, scores = expectation_module._decide_batch(policy, batch)
+        (top,) = [playout for playout in runs if len(playout.batch) == len(contexts)]
+        return entries, scores, top, *runs[top]
+
+    entries, scores, playout, fused, values = run(reuse=True)
+    ref_entries, _ref_scores, ref_playout, ref_fused, ref_values = run(reuse=False)
+    assert values.view(np.int64).tolist() == ref_values.view(np.int64).tolist()
+    np.testing.assert_array_equal(entries, ref_entries)
+    assert sorted(ref_fused) == ref_playout.live.tolist()
+
+    # Exactly the expected candidates were fused, each once.
+    offsets = playout.candidates.offsets.tolist()
+    alive = set(playout.live.tolist())
+    live = {name: [c for c in range(offsets[i], offsets[i + 1]) if c in alive] for i, name in enumerate(names)}
+    assert live["plain"] and len(live["prefilled"]) >= 2 and len(live["pinned"]) >= 2
+    assert live["twin"][0] == offsets[names.index("twin")]  # twin's truthful reading
+    assert (live["wide"] == []) == conservative
+    assert sorted(fused) == sorted([live["prefilled"][1], live["twin"][0]] + live["pinned"])
+    # Scores returned for the parent decisions: the chosen candidate's
+    # play-out score, NaN for the repeat, the stuck context and a blocked choice.
+    bounds = list(zip(playout.cand_lo.tolist(), playout.cand_hi.tolist()))
+    decided = entries[: len(contexts), :2].tolist()
+    chosen = [bounds.index(tuple(row), a, b) for row, a, b in zip(decided, offsets, offsets[1:])]
+    expected_scores = values[chosen]
+    if conservative:
+        expected_scores[names.index("wide")] = np.nan
+    np.testing.assert_array_equal(scores, np.r_[expected_scores, np.nan, np.nan])
+
+
+def _arrays(value):
+    """Every array reachable from ``value`` through attributes, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, (expectation_module._Playout, ContextBatch, expectation_module._Candidates)):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("pattern", [(True, False, False), (False, True, False)], ids=str)
+def test_playout_stores_nothing_as_long_as_its_rounds(pattern):
+    """Rounds are (live candidate, scenario) pairs: a play-out with many
+    more rounds than candidates and scenarios keeps no array anywhere near
+    as long as its rounds — per-position decisions are per group — through
+    ``advance`` and ``scores``, and its scores equal a per-context play-out's."""
+    contexts = [
+        dataclasses.replace(_context_from(_REUSE_LENGTHS, 1, 1, seed=seed), remaining_compromised=pattern)
+        for seed in (3, 4)
+    ]
+    policy = VectorizedExpectationPolicy(grid_positions=60)
+    batch = ContextBatch.from_contexts(contexts)
+    playout = expectation_module._Playout(policy, batch, policy._prepare_candidates(batch))
+    rounds = int(playout.per_candidate.sum())
+    assert rounds > 10 * (playout.cand_lo.shape[0] + playout.scen_lo.shape[0])
+    playout.advance()
+    scores = playout.scores()
+    assert max(array.size for array in _arrays(playout)) < rounds / 2
+    single = []
+    for context in contexts:
+        alone = ContextBatch.from_contexts([context])
+        fresh = VectorizedExpectationPolicy(grid_positions=60)
+        single.append(expectation_module._Playout(fresh, alone, fresh._prepare_candidates(alone)))
+        single[-1].advance()
+    np.testing.assert_array_equal(scores, np.concatenate([one.scores() for one in single]))

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import ExperimentError
 from repro.engine import get_engine
 from repro.runner import ArtifactStore, plan_tasks, run_scenario
+from repro.runner import runner as runner_module
 from repro.scenarios import (
     CaseStudyScenario,
     ComparisonCase,
@@ -256,3 +258,37 @@ class TestPayloadShape:
             )
             assert row["upper_violations"] == stats.upper_violations
             assert row["lower_violations"] == stats.lower_violations
+
+
+class TestTelemetry:
+    def test_exact_case_study_counts_memo_lookups(self, monkeypatch):
+        # The case-study path reports the exact attacker's memo tallies like
+        # the engines' rounds_results: hits + misses of every policy built.
+        built = []
+        factory_of = runner_module._case_study_attacker_factory
+
+        def recording(spec):
+            build = factory_of(spec)
+
+            def factory():
+                built.append(build())
+                return built[-1]
+
+            return factory
+
+        monkeypatch.setattr(runner_module, "_case_study_attacker_factory", recording)
+        spec = CaseStudyScenario(
+            name="runner-test-exact-memo", attacker="exact", n_steps=4, n_vehicles=2, n_replicas=2, shard_replicas=1
+        )
+        with obs.collect() as session:
+            run_scenario(spec, workers=1)
+        counted = {
+            row["labels"]["outcome"]: row["value"]
+            for row in session.snapshot()["metrics"]["counters"]
+            if row["name"] == "repro_expectation_memo_total"
+        }
+        stats = [attacker.policy.stats() for attacker in built]
+        assert len(built) == 2 * len(spec.schedules)  # one attacker per shard and schedule
+        tallies = {"hit": sum(row["hits"] for row in stats), "miss": sum(row["misses"] for row in stats)}
+        assert tallies["miss"] > 0
+        assert counted == {outcome: total for outcome, total in tallies.items() if total}  # zero tallies skipped
