@@ -17,64 +17,7 @@ See ``README.md`` for the architecture overview and ``EXPERIMENTS.md`` for
 the paper-versus-measured comparison of every experiment.
 """
 
-from repro.core import (
-    DetectionResult,
-    Interval,
-    IntervalSet,
-    convex_hull,
-    detect,
-    fuse,
-    fuse_or_none,
-    intersect_all,
-    max_safe_fault_bound,
-)
-from repro.attack import (
-    AttackContext,
-    AttackPolicy,
-    ExpectationPolicy,
-    GreedyExtendPolicy,
-    OmniscientPolicy,
-    RandomAdmissiblePolicy,
-    TruthfulPolicy,
-    optimal_attack,
-    optimal_fusion_width,
-)
-from repro.scheduling import (
-    AscendingSchedule,
-    DescendingSchedule,
-    FixedSchedule,
-    RandomSchedule,
-    RoundConfig,
-    RoundResult,
-    Schedule,
-    ScheduleComparisonConfig,
-    compare_schedules,
-    run_round,
-)
-from repro.sensors import Sensor, SensorSpec, SensorSuite, landshark_specs, sensors_from_widths
-from repro.vehicle import CaseStudyConfig, Platoon, PlatoonConfig
-from repro.engine import (
-    BatchEngine,
-    Engine,
-    RoundsResult,
-    ScalarEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from repro.runner import ArtifactStore, ScenarioRun, default_store, run_scenario
-from repro.scenarios import (
-    CaseStudyScenario,
-    ComparisonCase,
-    ComparisonScenario,
-    FigureScenario,
-    ScenarioSpec,
-    available_scenarios,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    spec_key,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -146,3 +89,67 @@ __all__ = [
     "ArtifactStore",
     "default_store",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "DetectionResult",
+            "Interval",
+            "IntervalSet",
+            "convex_hull",
+            "detect",
+            "fuse",
+            "fuse_or_none",
+            "intersect_all",
+            "max_safe_fault_bound",
+        ),
+        "attack": (
+            "AttackContext",
+            "AttackPolicy",
+            "ExpectationPolicy",
+            "GreedyExtendPolicy",
+            "OmniscientPolicy",
+            "RandomAdmissiblePolicy",
+            "TruthfulPolicy",
+            "optimal_attack",
+            "optimal_fusion_width",
+        ),
+        "scheduling": (
+            "AscendingSchedule",
+            "DescendingSchedule",
+            "FixedSchedule",
+            "RandomSchedule",
+            "RoundConfig",
+            "RoundResult",
+            "Schedule",
+            "ScheduleComparisonConfig",
+            "compare_schedules",
+            "run_round",
+        ),
+        "sensors": ("Sensor", "SensorSpec", "SensorSuite", "landshark_specs", "sensors_from_widths"),
+        "vehicle": ("CaseStudyConfig", "Platoon", "PlatoonConfig"),
+        "engine": (
+            "BatchEngine",
+            "Engine",
+            "RoundsResult",
+            "ScalarEngine",
+            "available_engines",
+            "get_engine",
+            "register_engine",
+        ),
+        "runner": ("ArtifactStore", "ScenarioRun", "default_store", "run_scenario"),
+        "scenarios": (
+            "CaseStudyScenario",
+            "ComparisonCase",
+            "ComparisonScenario",
+            "FigureScenario",
+            "ScenarioSpec",
+            "available_scenarios",
+            "get_scenario",
+            "list_scenarios",
+            "register_scenario",
+            "spec_key",
+        ),
+    },
+)

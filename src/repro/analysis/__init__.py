@@ -1,17 +1,6 @@
 """Analysis helpers: report formatting and canonical experiment configs."""
 
-from repro.analysis.experiments import (
-    TABLE1_CONFIGURATIONS,
-    TABLE1_PAPER_RESULTS,
-    TABLE2_PAPER_RESULTS,
-    TABLE2_SCHEDULES,
-    Table1Entry,
-    figure1_intervals,
-    figure2_configuration,
-    figure5a_configuration,
-    figure5b_configuration,
-)
-from repro.analysis.report import format_percentage, format_table, format_table1_row
+from repro._lazy import lazy_exports
 
 __all__ = [
     "format_table",
@@ -27,3 +16,21 @@ __all__ = [
     "figure5a_configuration",
     "figure5b_configuration",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "experiments": (
+            "TABLE1_CONFIGURATIONS",
+            "TABLE1_PAPER_RESULTS",
+            "TABLE2_PAPER_RESULTS",
+            "TABLE2_SCHEDULES",
+            "Table1Entry",
+            "figure1_intervals",
+            "figure2_configuration",
+            "figure5a_configuration",
+            "figure5b_configuration",
+        ),
+        "report": ("format_percentage", "format_table", "format_table1_row"),
+    },
+)

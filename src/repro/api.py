@@ -34,10 +34,9 @@ caching.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -59,8 +58,10 @@ from repro.scenarios.spec import (
 )
 from repro.scheduling.comparison import ScheduleComparison, ScheduleComparisonConfig
 from repro.scheduling.schedule import Schedule
-from repro.serve import FusionServer, FusionService
 from repro.utils.seeding import ensure_rng
+
+if TYPE_CHECKING:  # the serving stack (and asyncio) load only when a server is built
+    from repro.serve import FusionServer, FusionService
 
 __all__ = [
     "run",
@@ -258,6 +259,8 @@ def create_service(
     max_batch: int = 64,
 ) -> FusionService:
     """Build the transport-independent serving core (see :mod:`repro.serve`)."""
+    from repro.serve import FusionService
+
     return FusionService(store=resolve_store(store), max_batch=max_batch)
 
 
@@ -276,6 +279,8 @@ def create_server(
     to share a pre-built :class:`~repro.serve.FusionService` (e.g. to
     inspect its collator counters from a test).
     """
+    from repro.serve import FusionServer
+
     if service is None:
         service = create_service(store=store, max_batch=max_batch)
     return FusionServer(service, host=host, port=port)
@@ -283,6 +288,8 @@ def create_server(
 
 async def _metrics_reporter(service: FusionService, interval: float) -> None:
     """Print a one-line counter summary to stderr every ``interval`` seconds."""
+    import asyncio
+
     while True:
         await asyncio.sleep(interval)
         metrics = service.metrics()
@@ -318,6 +325,7 @@ def serve(
     one-line counter summary to stderr at that cadence; the full exposition
     is always scrapeable at ``/v1/metrics`` regardless.
     """
+    import asyncio
 
     async def _serve() -> None:
         server = create_server(host=host, port=port, store=store, max_batch=max_batch)

@@ -15,32 +15,7 @@ The full catalogue — every policy, the paper equation it implements, and its
 batched counterpart in :mod:`repro.batch` — is in ``docs/ATTACKERS.md``.
 """
 
-from repro.attack.candidates import candidate_intervals, endpoint_aligned, grid_candidates, passive_extremes
-from repro.attack.context import AttackContext
-from repro.attack.expectation import ExpectationPolicy
-from repro.attack.greedy import GreedyExtendPolicy
-from repro.attack.omniscient import OmniscientPolicy, optimal_attack, optimal_fusion_width
-from repro.attack.policy import AttackPolicy, FixedShiftPolicy, RandomAdmissiblePolicy, TruthfulPolicy
-from repro.attack.stealth import (
-    Admissibility,
-    AttackerMode,
-    active_mode_available,
-    check_admissible,
-    ensure_admissible,
-    is_admissible,
-    passive_admissible,
-    required_support,
-    support_point,
-)
-from repro.attack.stretch import ActiveStretchPolicy
-from repro.attack.theorem1 import (
-    Theorem1Inputs,
-    case1_applies,
-    case1_placements,
-    case2_applies,
-    case2_placements,
-    optimal_policy_exists,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AttackContext",
@@ -74,3 +49,40 @@ __all__ = [
     "case1_placements",
     "case2_placements",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "candidates": (
+            "candidate_intervals",
+            "endpoint_aligned",
+            "grid_candidates",
+            "passive_extremes",
+        ),
+        "context": ("AttackContext",),
+        "expectation": ("ExpectationPolicy",),
+        "greedy": ("GreedyExtendPolicy",),
+        "omniscient": ("OmniscientPolicy", "optimal_attack", "optimal_fusion_width"),
+        "policy": ("AttackPolicy", "FixedShiftPolicy", "RandomAdmissiblePolicy", "TruthfulPolicy"),
+        "stealth": (
+            "Admissibility",
+            "AttackerMode",
+            "active_mode_available",
+            "check_admissible",
+            "ensure_admissible",
+            "is_admissible",
+            "passive_admissible",
+            "required_support",
+            "support_point",
+        ),
+        "stretch": ("ActiveStretchPolicy",),
+        "theorem1": (
+            "Theorem1Inputs",
+            "case1_applies",
+            "case1_placements",
+            "case2_applies",
+            "case2_placements",
+            "optimal_policy_exists",
+        ),
+    },
+)

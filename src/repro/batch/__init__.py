@@ -31,30 +31,7 @@ engine seam this subpackage plugs into are described in
 ``docs/ARCHITECTURE.md``.
 """
 
-from repro.batch.case_study import batch_case_study_for_schedule
-from repro.batch.expectation import ExactExpectationBatchAttacker, VectorizedExpectationPolicy
-from repro.batch.fuse import (
-    BatchFusion,
-    batch_detect,
-    batch_fuse,
-    batch_fuse_or_none,
-    coverage_extremes,
-)
-from repro.batch.rounds import (
-    ActiveStretchBatchAttacker,
-    BatchAttacker,
-    BatchRoundConfig,
-    BatchRoundResult,
-    BatchSlotContext,
-    BatchTransientFaults,
-    ExpectationProxyBatchAttacker,
-    TruthfulBatchAttacker,
-    batch_orders,
-    batch_rounds,
-    fusable_attacker,
-    monte_carlo_rounds,
-    sample_correct_bounds,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     # fusion / detection
@@ -82,3 +59,33 @@ __all__ = [
     # case study
     "batch_case_study_for_schedule",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "case_study": ("batch_case_study_for_schedule",),
+        "expectation": ("ExactExpectationBatchAttacker", "VectorizedExpectationPolicy"),
+        "fuse": (
+            "BatchFusion",
+            "batch_detect",
+            "batch_fuse",
+            "batch_fuse_or_none",
+            "coverage_extremes",
+        ),
+        "rounds": (
+            "ActiveStretchBatchAttacker",
+            "BatchAttacker",
+            "BatchRoundConfig",
+            "BatchRoundResult",
+            "BatchSlotContext",
+            "BatchTransientFaults",
+            "ExpectationProxyBatchAttacker",
+            "TruthfulBatchAttacker",
+            "batch_orders",
+            "batch_rounds",
+            "fusable_attacker",
+            "monte_carlo_rounds",
+            "sample_correct_bounds",
+        ),
+    },
+)

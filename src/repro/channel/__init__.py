@@ -18,8 +18,7 @@ any spec.  Semantics, RNG discipline and findings are documented in
 ``docs/CHANNELS.md``.
 """
 
-from repro.channel.model import ChannelRealization, ChannelRoundView, realize_channel
-from repro.channel.spec import CHANNEL_MODELS, ChannelSpec, channel_spec_from_dict
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CHANNEL_MODELS",
@@ -29,3 +28,11 @@ __all__ = [
     "channel_spec_from_dict",
     "realize_channel",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "model": ("ChannelRealization", "ChannelRoundView", "realize_channel"),
+        "spec": ("CHANNEL_MODELS", "ChannelSpec", "channel_spec_from_dict"),
+    },
+)

@@ -16,24 +16,7 @@ conformance suite in ``tests/engine/`` covers it the moment it registers
 (parametrised over :func:`available_engines`).
 """
 
-from repro.engine.base import (
-    DEFAULT_ENGINE,
-    AttackSpec,
-    Engine,
-    ExpectationAttack,
-    RoundsResult,
-    StretchAttack,
-    TruthfulAttack,
-    available_engines,
-    get_engine,
-    register_engine,
-    resolve_attack,
-)
-from repro.engine.batch import BatchEngine
-from repro.engine.scalar import ScalarEngine
-
-register_engine(ScalarEngine.name, ScalarEngine, replace=True)
-register_engine(BatchEngine.name, BatchEngine, replace=True)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -50,3 +33,24 @@ __all__ = [
     "available_engines",
     "get_engine",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "DEFAULT_ENGINE",
+            "AttackSpec",
+            "Engine",
+            "ExpectationAttack",
+            "RoundsResult",
+            "StretchAttack",
+            "TruthfulAttack",
+            "available_engines",
+            "get_engine",
+            "register_engine",
+            "resolve_attack",
+        ),
+        "batch": ("BatchEngine",),
+        "scalar": ("ScalarEngine",),
+    },
+)

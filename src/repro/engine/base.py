@@ -18,7 +18,10 @@ same experiments — the scalar reference loop (:mod:`repro.scheduling.round`,
   attacker).
 * :func:`register_engine` / :func:`get_engine` form the registry every call
   site goes through.  ``get_engine(None)`` resolves the fixed default
-  backend, :data:`DEFAULT_ENGINE` (``"scalar"``).
+  backend, :data:`DEFAULT_ENGINE` (``"scalar"``).  The two built-in
+  backends are registered when this module loads, each by a factory that
+  imports its class on the first :func:`get_engine` call, so a command
+  that runs one engine never loads the other.
 
 Attack models are requested by *specification* (:class:`StretchAttack`,
 :class:`ExpectationAttack`, :class:`TruthfulAttack`, or their string
@@ -43,6 +46,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar, Protocol, Sequence, Union
 import numpy as np
 
 from repro import obs
+from repro._lazy import lazy_factory
 from repro.core.exceptions import ExperimentError
 from repro.scheduling.comparison import (
     ScheduleComparison,
@@ -474,3 +478,7 @@ def get_engine(engine: str | Engine | None = None) -> Engine:
     if factory is None:
         raise _unknown_engine_error(engine)
     return factory()
+
+
+register_engine("scalar", lazy_factory("repro.engine.scalar", "ScalarEngine"))
+register_engine("batch", lazy_factory("repro.engine.batch", "BatchEngine"))

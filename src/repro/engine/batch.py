@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.batch import rounds
-from repro.batch.expectation import ExactExpectationBatchAttacker
 from repro.batch.rounds import (
     ActiveStretchBatchAttacker,
     BatchAttacker,
@@ -54,6 +53,9 @@ class BatchEngine(Engine):
         if isinstance(attack, TruthfulAttack):
             return TruthfulBatchAttacker()
         if isinstance(attack, ExpectationAttack):
+            # Imported here: only the exact attacker needs its module.
+            from repro.batch.expectation import ExactExpectationBatchAttacker
+
             return ExactExpectationBatchAttacker(
                 true_value_positions=attack.true_value_positions,
                 placement_positions=attack.placement_positions,
@@ -98,20 +100,16 @@ class BatchEngine(Engine):
         with obs.span(
             "engine.run", engine=self.name, schedule=schedule.name, samples=sum(budgets), items=len(budgets)
         ):
-            items = [
-                rounds.prepare_rounds(
-                    *rounds.sample_correct_bounds(config.lengths, config.true_value, samples, rng),
-                    round_config,
-                    rng,
-                )
-                for samples, rng in zip(budgets, streams)
-            ]
+            items = []
+            for samples, rng in zip(budgets, streams):
+                with obs.span("engine.sample", engine=self.name, samples=samples):
+                    bounds = rounds.sample_correct_bounds(config.lengths, config.true_value, samples, rng)
+                items.append(rounds.prepare_rounds(*bounds, round_config, rng))
             # Looked up on the module at call time, like the sampling and
             # preparation steps, so timing wrappers installed on
             # repro.batch.rounds from outside see every call.
             packed = rounds.batch_rounds_prepared(
                 rounds.concat_prepared(items), round_config, streams[0]
             )
-        attacker = round_config.attacker
-        memo = attacker.policy if isinstance(attacker, ExactExpectationBatchAttacker) else None
+        memo = round_config.attacker.policy if isinstance(spec, ExpectationAttack) else None
         return rounds_results(self.name, schedule.name, packed, budgets, memo)

@@ -105,11 +105,9 @@ class ScalarEngine(Engine):
         results = []
         for samples, rng in zip(budgets, streams):
             with obs.span("engine.run", engine=self.name, schedule=schedule.name, samples=samples):
-                prepared = rounds.prepare_rounds(
-                    *rounds.sample_correct_bounds(config.lengths, config.true_value, samples, rng),
-                    round_config,
-                    rng,
-                )
+                with obs.span("engine.sample", engine=self.name, samples=samples):
+                    bounds = rounds.sample_correct_bounds(config.lengths, config.true_value, samples, rng)
+                prepared = rounds.prepare_rounds(*bounds, round_config, rng)
                 policy = self._policy(spec)
                 results += rounds_results(
                     self.name,

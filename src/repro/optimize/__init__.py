@@ -2,9 +2,9 @@
 
 The paper evaluates a handful of fixed transmission schedules; this package
 *searches* the schedule space for a configuration's best ordering.  Three
-strategies register on import — ``exhaustive``, ``anneal`` and ``bandit`` —
-all measuring candidates through the shared
-:class:`~repro.optimize.evaluator.ScheduleEvaluator`, whose stateless
+strategies are registered with :mod:`repro.optimize.base` — ``exhaustive``,
+``anneal`` and ``bandit``, each imported on first use — all measuring
+candidates through the shared :class:`~repro.optimize.evaluator.ScheduleEvaluator`, whose stateless
 per-candidate RNG streams and packed :meth:`~repro.engine.base.Engine
 .run_many` passes make every measurement a pure function of the spec.
 
@@ -13,28 +13,7 @@ through the standard runner/store/CLI stack (``python -m repro optimize``),
 or the registry directly (:func:`get_optimizer`).
 """
 
-from repro.optimize.base import (
-    Optimizer,
-    available_optimizers,
-    best_row,
-    get_optimizer,
-    register_optimizer,
-    sort_key,
-)
-from repro.optimize.evaluator import (
-    ANNEAL_STREAM,
-    BANDIT_STREAM,
-    EVAL_STREAM,
-    ScheduleEvaluator,
-    baseline_permutations,
-)
-
-# Strategy modules register themselves on import; keep them after the
-# registry so their module-level register_optimizer calls resolve.
-from repro.optimize.anneal import AnnealOptimizer, advance_chain, chain_state, run_chain
-from repro.optimize.bandit import BanditOptimizer, seed_population
-from repro.optimize.exhaustive import ExhaustiveOptimizer
-from repro.optimize.report import MAX_REPORTED_ROWS, assemble_payload
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Optimizer",
@@ -58,3 +37,28 @@ __all__ = [
     "MAX_REPORTED_ROWS",
     "assemble_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "Optimizer",
+            "available_optimizers",
+            "best_row",
+            "get_optimizer",
+            "register_optimizer",
+            "sort_key",
+        ),
+        "evaluator": (
+            "ANNEAL_STREAM",
+            "BANDIT_STREAM",
+            "EVAL_STREAM",
+            "ScheduleEvaluator",
+            "baseline_permutations",
+        ),
+        "anneal": ("AnnealOptimizer", "advance_chain", "chain_state", "run_chain"),
+        "bandit": ("BanditOptimizer", "seed_population"),
+        "exhaustive": ("ExhaustiveOptimizer",),
+        "report": ("MAX_REPORTED_ROWS", "assemble_payload"),
+    },
+)

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from repro import obs
 from repro.core.exceptions import ExperimentError
-from repro.optimize.base import Optimizer, best_row, register_optimizer, sort_key
+from repro.optimize.base import Optimizer, best_row, sort_key
 from repro.optimize.evaluator import ANNEAL_STREAM, baseline_permutations
 from repro.utils.seeding import derive_rng
 
@@ -177,5 +177,3 @@ class AnnealOptimizer(Optimizer):
             },
         }
 
-
-register_optimizer(AnnealOptimizer.name, AnnealOptimizer)

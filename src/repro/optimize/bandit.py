@@ -28,7 +28,7 @@ import math
 from typing import TYPE_CHECKING, ClassVar
 
 from repro import obs
-from repro.optimize.base import Optimizer, register_optimizer, sort_key
+from repro.optimize.base import Optimizer, sort_key
 from repro.optimize.evaluator import BANDIT_STREAM, baseline_permutations
 from repro.scheduling.enumeration import count_distinct_schedules
 from repro.utils.seeding import derive_rng
@@ -106,5 +106,3 @@ class BanditOptimizer(Optimizer):
         obs.add("repro_bandit_rung_candidates_total", len(finalists), rung=str(rounds - 1))
         return {"rows": rows, "history": {"bandit": {"rungs": rungs}}}
 
-
-register_optimizer(BanditOptimizer.name, BanditOptimizer)

@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.core.exceptions import ExperimentError
-from repro.optimize.base import Optimizer, register_optimizer
-from repro.scheduling.enumeration import count_distinct_schedules, enumerate_schedules
+from repro.optimize.base import Optimizer
+from repro.scheduling.enumeration import enumerate_schedules
 
 if TYPE_CHECKING:
     from repro.optimize.evaluator import ScheduleEvaluator
@@ -33,21 +32,9 @@ class ExhaustiveOptimizer(Optimizer):
 
     name: ClassVar[str] = "exhaustive"
 
-    def _count(self, spec: "OptimizationScenario") -> int:
-        config = spec.case.comparison_config()
-        return count_distinct_schedules(config.lengths, config.resolved_attacked)
-
-    def validate(self, spec: "OptimizationScenario") -> None:
-        count = self._count(spec)
-        if count > spec.max_candidates:
-            raise ExperimentError(
-                f"optimization scenario {spec.name!r}: the schedule space has {count} "
-                f"distinct candidates, above max_candidates={spec.max_candidates}; "
-                "raise the cap or switch to strategy='anneal'/'bandit'"
-            )
-
     def plan(self, spec: "OptimizationScenario") -> list[tuple]:
-        count = self._count(spec)
+        # The spec refuses spaces above its max_candidates when it is built.
+        count = spec.candidate_count()
         return [
             ("chunk", start, min(spec.shard_candidates, count - start))
             for start in range(0, count, spec.shard_candidates)
@@ -63,5 +50,3 @@ class ExhaustiveOptimizer(Optimizer):
         rows = [evaluator.evaluate(candidate, spec.samples) for candidate in candidates]
         return {"rows": rows, "history": {}}
 
-
-register_optimizer(ExhaustiveOptimizer.name, ExhaustiveOptimizer)

@@ -4,22 +4,7 @@ See ``docs/SCENARIOS.md`` for the runner's determinism guarantees and the
 artifact-store layout.
 """
 
-from repro.runner.runner import (
-    ScenarioRun,
-    ShardTask,
-    comparison_stats_row,
-    execute_task,
-    merge_outcomes,
-    plan_tasks,
-    resolve_spec_engine,
-    run_scenario,
-)
-from repro.runner.store import (
-    DEFAULT_STORE_DIR,
-    STORE_ENV_VAR,
-    ArtifactStore,
-    default_store,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ShardTask",
@@ -35,3 +20,20 @@ __all__ = [
     "STORE_ENV_VAR",
     "DEFAULT_STORE_DIR",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "runner": (
+            "ScenarioRun",
+            "ShardTask",
+            "comparison_stats_row",
+            "execute_task",
+            "merge_outcomes",
+            "plan_tasks",
+            "resolve_spec_engine",
+            "run_scenario",
+        ),
+        "store": ("DEFAULT_STORE_DIR", "STORE_ENV_VAR", "ArtifactStore", "default_store"),
+    },
+)

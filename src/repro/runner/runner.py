@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -512,6 +511,8 @@ def run_scenario(
             executor = execute_task_traced if tracing else execute_task
             outcomes = [executor(task) for task in tasks]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
                 # Executor.map returns results in submission (= plan/merge) order
                 # no matter which worker finishes first.

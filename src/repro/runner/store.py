@@ -47,7 +47,10 @@ class ArtifactStore:
 
     def path_for(self, spec: ScenarioSpec) -> Path:
         """The (content-addressed) file a result for ``spec`` lives at."""
-        return self.root / f"{spec_key(spec)}.json"
+        return self._path(spec_key(spec))
+
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
 
     def load(self, spec: ScenarioSpec) -> dict | None:
         """Return the stored document for ``spec``, or ``None`` on a miss.
@@ -102,20 +105,21 @@ class ArtifactStore:
     def _save(self, spec: ScenarioSpec, payload: dict, meta: dict | None) -> Path:
         obs.add("repro_store_writes_total")
         self.root.mkdir(parents=True, exist_ok=True)
+        key = spec_key(spec)
         document = {
-            "key": spec_key(spec),
+            "key": key,
             "name": spec.name,
             "kind": spec.kind,
             "spec": spec_dict(spec),
             "meta": meta or {},
             "payload": payload,
         }
-        path = self.path_for(spec)
+        path = self._path(key)
         # Atomic publish via a per-writer scratch file: a concurrent reader
         # never sees a half-written document, and two concurrent writers of
         # the same spec each publish a complete one (last replace wins).
         handle, scratch = tempfile.mkstemp(
-            dir=self.root, prefix=f".{spec_key(spec)[:16]}-", suffix=".tmp"
+            dir=self.root, prefix=f".{key[:16]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(handle, "w", encoding="utf-8") as stream:

@@ -1,8 +1,8 @@
 """Declarative scenario subsystem: experiments as data.
 
 See ``docs/SCENARIOS.md`` for the full subsystem contract (spec schema,
-registry, runner guarantees, store layout).  Importing this package
-registers the built-in catalogue (:mod:`repro.scenarios.catalog`), so
+registry, runner guarantees, store layout).  The registry loads the
+built-in catalogue (:mod:`repro.scenarios.catalog`) on first use, so
 
     from repro.scenarios import get_scenario
     from repro.runner import run_scenario
@@ -12,25 +12,7 @@ registers the built-in catalogue (:mod:`repro.scenarios.catalog`), so
 is all it takes to reproduce a paper artifact.
 """
 
-from repro.scenarios import catalog as _catalog  # noqa: F401  (registers the catalogue)
-from repro.scenarios.registry import (
-    available_scenarios,
-    get_scenario,
-    list_scenarios,
-    near_misses,
-    register_scenario,
-)
-from repro.scenarios.spec import (
-    CaseStudyScenario,
-    ComparisonCase,
-    ComparisonScenario,
-    FigureScenario,
-    OptimizationScenario,
-    ScenarioSpec,
-    schedule_from_spec,
-    spec_dict,
-    spec_key,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ScenarioSpec",
@@ -48,3 +30,27 @@ __all__ = [
     "list_scenarios",
     "near_misses",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "registry": (
+            "available_scenarios",
+            "get_scenario",
+            "list_scenarios",
+            "near_misses",
+            "register_scenario",
+        ),
+        "spec": (
+            "CaseStudyScenario",
+            "ComparisonCase",
+            "ComparisonScenario",
+            "FigureScenario",
+            "OptimizationScenario",
+            "ScenarioSpec",
+            "schedule_from_spec",
+            "spec_dict",
+            "spec_key",
+        ),
+    },
+)

@@ -1,6 +1,7 @@
 """The built-in scenario catalogue: every paper artifact plus new workloads.
 
-Registered on import of :mod:`repro.scenarios`:
+Registered on the first use of the scenario registry
+(:mod:`repro.scenarios.registry`):
 
 * ``table1-row1`` … ``table1-row8`` — the eight Table I configurations at
   Monte-Carlo scale under the greedy stretch attacker (batch engine), plus

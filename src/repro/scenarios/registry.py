@@ -2,9 +2,10 @@
 
 Mirrors the engine registry (:mod:`repro.engine.base`): a flat name → spec
 mapping with loud failures on collisions and unknown names.  The catalogue
-of built-in scenarios (:mod:`repro.scenarios.catalog`) registers itself when
-:mod:`repro.scenarios` is imported; third-party code can add its own specs
-with :func:`register_scenario` and they become reachable from
+of built-in scenarios (:mod:`repro.scenarios.catalog`) is registered on the
+registry's first use, ahead of anything else, so it keeps its order and
+third-party names still collide with it; code can add its own specs with
+:func:`register_scenario` and they become reachable from
 ``python -m repro run`` immediately.
 """
 
@@ -25,17 +26,29 @@ __all__ = [
 ]
 
 _SCENARIOS: dict[str, ScenarioSpec] = {}
+_CATALOG_LOADED = False
+
+
+def _scenarios() -> dict[str, ScenarioSpec]:
+    """The name → spec table, with the built-in catalogue registered first."""
+    global _CATALOG_LOADED
+    if not _CATALOG_LOADED:
+        # Set before the import: the catalogue registers through this module.
+        _CATALOG_LOADED = True
+        import repro.scenarios.catalog  # noqa: F401
+    return _SCENARIOS
 
 
 def register_scenario(spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
     """Register ``spec`` under its own name; returns the spec for chaining."""
     if not isinstance(spec, ScenarioSpec):
         raise ExperimentError(f"expected a ScenarioSpec, got {type(spec).__name__}")
-    if spec.name in _SCENARIOS and not replace:
+    scenarios = _scenarios()
+    if spec.name in scenarios and not replace:
         raise ExperimentError(
             f"scenario {spec.name!r} is already registered (pass replace=True)"
         )
-    _SCENARIOS[spec.name] = spec
+    scenarios[spec.name] = spec
     return spec
 
 
@@ -60,7 +73,7 @@ def get_scenario(name: str) -> ScenarioSpec:
     did-you-mean hint) instead of dumping the whole catalogue — the CLI
     turns this into its non-zero exit path.
     """
-    spec = _SCENARIOS.get(name)
+    spec = _scenarios().get(name)
     if spec is None:
         raise ExperimentError(_unknown_name_message(name))
     return spec
@@ -68,12 +81,12 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 def available_scenarios() -> tuple[str, ...]:
     """Names of all registered scenarios, sorted."""
-    return tuple(sorted(_SCENARIOS))
+    return tuple(sorted(_scenarios()))
 
 
 def list_scenarios(tag: str | None = None, kind: str | None = None) -> tuple[ScenarioSpec, ...]:
     """All registered specs (sorted by name), optionally filtered by tag/kind."""
-    specs = (_SCENARIOS[name] for name in available_scenarios())
+    specs = (_scenarios()[name] for name in available_scenarios())
     return tuple(
         spec
         for spec in specs

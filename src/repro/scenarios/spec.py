@@ -49,6 +49,7 @@ from repro.channel import ChannelSpec, channel_spec_from_dict
 from repro.core.exceptions import ExperimentError, ReproError
 from repro.engine.base import check_channel_support, resolve_attack
 from repro.scheduling.comparison import ScheduleComparisonConfig
+from repro.scheduling.enumeration import count_distinct_schedules
 from repro.sensors.library import landshark_specs
 from repro.scheduling.schedule import (
     FixedSchedule,
@@ -171,6 +172,30 @@ SUPPORTED_SPEC_VERSIONS = (1, CHANNEL_SPEC_VERSION)
 
 #: Attackers a :class:`CaseStudyScenario` can name, per engine family.
 CASE_STUDY_ATTACKERS = ("proxy", "exact", "expectation-grid")
+
+# Validating a spec must not import what only running it needs: the
+# catalogue builds every spec at first use of the registry.  The three
+# tables below name what the vehicle, figure and search layers accept, and
+# tests pin each to its layer.
+
+#: Named attacked-sensor strategies of the case study
+#: (:func:`repro.vehicle.selection.selector_from_spec`); an integer names
+#: one fixed sensor.
+ATTACKED_SENSOR_NAMES = ("random", "most_precise", "none")
+
+#: Keys of :data:`repro.scenarios.figures.FIGURES`.
+FIGURE_NAMES = (
+    "ablation-baseline-fusion",
+    "fig1-marzullo",
+    "fig2-no-optimal-policy",
+    "fig3-theorem1",
+    "fig4-worst-case",
+    "fig5-schedule-examples",
+)
+
+#: The strategies :mod:`repro.optimize` registers.  A spec naming another
+#: strategy is validated through the optimizer registry.
+BUILTIN_STRATEGIES = ("anneal", "bandit", "exhaustive")
 
 
 def schedule_from_spec(text: str, sensors: int | None = None) -> Schedule:
@@ -441,9 +466,15 @@ class CaseStudyScenario(ScenarioSpec):
             raise ExperimentError(
                 f"case-study scenario {self.name!r} has duplicate schedule specs"
             )
+        sensors = len(landshark_specs())
         for text in self.schedules:
-            schedule_from_spec(text, len(landshark_specs()))
-        self.case_study_config()  # validates attacked_sensor eagerly
+            schedule_from_spec(text, sensors)
+        sensor = self.attacked_sensor
+        if _is_int(sensor):
+            if not 0 <= sensor < sensors:
+                raise ExperimentError(f"attacked sensor index {sensor} out of range for {sensors} sensors")
+        elif sensor not in ATTACKED_SENSOR_NAMES:
+            raise ExperimentError(f"unknown attacked-sensor specification {sensor!r}")
 
     def case_study_config(self):
         """The :class:`~repro.vehicle.case_study.CaseStudyConfig` this spec implies."""
@@ -472,11 +503,9 @@ class FigureScenario(ScenarioSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        from repro.scenarios.figures import FIGURES
-
-        if self.figure not in FIGURES:
+        if self.figure not in FIGURE_NAMES:
             raise ExperimentError(
-                f"unknown figure function {self.figure!r}; available: {', '.join(sorted(FIGURES))}"
+                f"unknown figure function {self.figure!r}; available: {', '.join(FIGURE_NAMES)}"
             )
 
 
@@ -555,12 +584,26 @@ class OptimizationScenario(ScenarioSpec):
                     "deterministic orderings (ascending/descending/fixed/trust-aware); "
                     "'random' is not a fixed permutation to optimize against"
                 )
-        # The optimizer registry validates the strategy (with did-you-mean
-        # hints), and the exhaustive strategy guards its candidate count —
-        # both eagerly, at registration time, like every other spec field.
-        from repro.optimize import get_optimizer
+        # The exhaustive strategy's candidate cap is checked here; any
+        # strategy but the built-ins resolves through the optimizer registry
+        # (did-you-mean hints on typos) and validates the spec itself.
+        if self.strategy == "exhaustive":
+            count = self.candidate_count()
+            if count > self.max_candidates:
+                raise ExperimentError(
+                    f"optimization scenario {self.name!r}: the schedule space has {count} "
+                    f"distinct candidates, above max_candidates={self.max_candidates}; "
+                    "raise the cap or switch to strategy='anneal'/'bandit'"
+                )
+        elif self.strategy not in BUILTIN_STRATEGIES:
+            from repro.optimize import get_optimizer
 
-        get_optimizer(self.strategy).validate(self)
+            get_optimizer(self.strategy).validate(self)
+
+    def candidate_count(self) -> int:
+        """Distinct schedules of :attr:`case` (its schedule equivalence classes)."""
+        config = self.case.comparison_config()
+        return count_distinct_schedules(config.lengths, config.resolved_attacked)
 
 
 def spec_dict(spec: ScenarioSpec) -> dict:

@@ -1,32 +1,6 @@
 """Communication schedules and the per-round / expected-width simulators."""
 
-from repro.scheduling.comparison import (
-    ScheduleComparison,
-    ScheduleComparisonConfig,
-    ScheduleRow,
-    compare_schedules,
-    default_attacked_indices,
-    expected_fusion_width_exhaustive,
-)
-from repro.scheduling.enumeration import (
-    canonical_schedule,
-    correct_placement_grid,
-    count_combinations,
-    count_distinct_schedules,
-    enumerate_combinations,
-    enumerate_schedules,
-    schedule_equivalence_classes,
-)
-from repro.scheduling.round import RoundConfig, RoundResult, run_round
-from repro.scheduling.schedule import (
-    AscendingSchedule,
-    DescendingSchedule,
-    FixedSchedule,
-    RandomSchedule,
-    Schedule,
-    TrustAwareSchedule,
-    schedule_by_name,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Schedule",
@@ -53,3 +27,36 @@ __all__ = [
     "default_attacked_indices",
     "expected_fusion_width_exhaustive",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "comparison": (
+            "ScheduleComparison",
+            "ScheduleComparisonConfig",
+            "ScheduleRow",
+            "compare_schedules",
+            "default_attacked_indices",
+            "expected_fusion_width_exhaustive",
+        ),
+        "enumeration": (
+            "canonical_schedule",
+            "correct_placement_grid",
+            "count_combinations",
+            "count_distinct_schedules",
+            "enumerate_combinations",
+            "enumerate_schedules",
+            "schedule_equivalence_classes",
+        ),
+        "round": ("RoundConfig", "RoundResult", "run_round"),
+        "schedule": (
+            "AscendingSchedule",
+            "DescendingSchedule",
+            "FixedSchedule",
+            "RandomSchedule",
+            "Schedule",
+            "TrustAwareSchedule",
+            "schedule_by_name",
+        ),
+    },
+)

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.attack.expectation import ExpectationPolicy
 from repro.attack.policy import AttackPolicy
 from repro.core.exceptions import ExperimentError
 from repro.core.marzullo import max_safe_fault_bound
@@ -190,6 +189,8 @@ def compare_schedules(
         Defaults to the expectation-maximising attacker of problem (2).
     """
     if policy_factory is None:
+        from repro.attack.expectation import ExpectationPolicy
+
         policy_factory = ExpectationPolicy
     rng = ensure_rng(rng)
     rows = tuple(

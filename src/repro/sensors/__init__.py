@@ -1,29 +1,6 @@
 """Abstract-sensor substrate: specs, noise models, sensors, suites, presets."""
 
-from repro.sensors.library import (
-    CAMERA_INTERVAL_WIDTH,
-    ENCODER_INTERVAL_WIDTH,
-    GPS_INTERVAL_WIDTH,
-    IMU_INTERVAL_WIDTH,
-    camera_spec,
-    encoder_spec,
-    gps_spec,
-    imu_spec,
-    landshark_specs,
-    make_sensor,
-    sensors_from_widths,
-)
-from repro.sensors.faults import FaultModel, FaultySensor, StuckAtFaultModel, TransientFaultModel
-from repro.sensors.noise import (
-    NoiseModel,
-    TruncatedGaussianNoise,
-    UniformNoise,
-    WorstCaseNoise,
-    ZeroNoise,
-)
-from repro.sensors.sensor import Reading, Sensor
-from repro.sensors.spec import EncoderSpec, SensorSpec
-from repro.sensors.suite import SensorSuite
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SensorSpec",
@@ -52,3 +29,33 @@ __all__ = [
     "make_sensor",
     "sensors_from_widths",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "library": (
+            "CAMERA_INTERVAL_WIDTH",
+            "ENCODER_INTERVAL_WIDTH",
+            "GPS_INTERVAL_WIDTH",
+            "IMU_INTERVAL_WIDTH",
+            "camera_spec",
+            "encoder_spec",
+            "gps_spec",
+            "imu_spec",
+            "landshark_specs",
+            "make_sensor",
+            "sensors_from_widths",
+        ),
+        "faults": ("FaultModel", "FaultySensor", "StuckAtFaultModel", "TransientFaultModel"),
+        "noise": (
+            "NoiseModel",
+            "TruncatedGaussianNoise",
+            "UniformNoise",
+            "WorstCaseNoise",
+            "ZeroNoise",
+        ),
+        "sensor": ("Reading", "Sensor"),
+        "spec": ("EncoderSpec", "SensorSpec"),
+        "suite": ("SensorSuite",),
+    },
+)

@@ -14,9 +14,7 @@ the :mod:`repro.api` facade; ``docs/SERVING.md`` documents the wire
 protocol, the coalescing policy and the determinism contract.
 """
 
-from repro.serve.collator import BatchCollator, plan_key
-from repro.serve.http import FusionServer
-from repro.serve.service import API_VERSION, FusionService
+from repro._lazy import lazy_exports
 
 __all__ = [
     "API_VERSION",
@@ -25,3 +23,12 @@ __all__ = [
     "FusionService",
     "plan_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "collator": ("BatchCollator", "plan_key"),
+        "http": ("FusionServer",),
+        "service": ("API_VERSION", "FusionService"),
+    },
+)

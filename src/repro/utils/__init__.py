@@ -1,12 +1,6 @@
 """Small shared utilities (deterministic RNG construction and derivation)."""
 
-from repro.utils.seeding import (
-    child_seed_sequence,
-    derive_rng,
-    ensure_rng,
-    shard_rngs,
-    shard_seed_sequences,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "child_seed_sequence",
@@ -15,3 +9,16 @@ __all__ = [
     "shard_rngs",
     "shard_seed_sequences",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "seeding": (
+            "child_seed_sequence",
+            "derive_rng",
+            "ensure_rng",
+            "shard_rngs",
+            "shard_seed_sequences",
+        ),
+    },
+)

@@ -1,24 +1,6 @@
 """Vehicle substrate: dynamics, control, supervision, platoon and case study."""
 
-from repro.vehicle.case_study import (
-    CaseStudyConfig,
-    ViolationStats,
-    default_attack_policy,
-    run_case_study_for_schedule,
-)
-from repro.vehicle.controller import SpeedController
-from repro.vehicle.dynamics import LongitudinalVehicle, VehicleParameters, VehicleState
-from repro.vehicle.landshark import LandShark, StepRecord, landshark_suite
-from repro.vehicle.platoon import Platoon, PlatoonConfig, PlatoonStep
-from repro.vehicle.selection import (
-    AttackedSensorSelector,
-    FixedSelector,
-    MostPreciseSelector,
-    NoAttackSelector,
-    RandomSensorSelector,
-    selector_from_spec,
-)
-from repro.vehicle.supervisor import SafetyLimits, SafetySupervisor, SupervisorDecision
+from repro._lazy import lazy_exports
 
 __all__ = [
     "VehicleParameters",
@@ -45,3 +27,28 @@ __all__ = [
     "RandomSensorSelector",
     "selector_from_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "case_study": (
+            "CaseStudyConfig",
+            "ViolationStats",
+            "default_attack_policy",
+            "run_case_study_for_schedule",
+        ),
+        "controller": ("SpeedController",),
+        "dynamics": ("LongitudinalVehicle", "VehicleParameters", "VehicleState"),
+        "landshark": ("LandShark", "StepRecord", "landshark_suite"),
+        "platoon": ("Platoon", "PlatoonConfig", "PlatoonStep"),
+        "selection": (
+            "AttackedSensorSelector",
+            "FixedSelector",
+            "MostPreciseSelector",
+            "NoAttackSelector",
+            "RandomSensorSelector",
+            "selector_from_spec",
+        ),
+        "supervisor": ("SafetyLimits", "SafetySupervisor", "SupervisorDecision"),
+    },
+)

@@ -165,6 +165,7 @@ class TestScalarItemLoop:
         ]
         for node in runs:
             assert [child["name"] for child in node["children"]] == [
+                "engine.sample",
                 "engine.prepare",
                 "engine.rounds",
             ]

@@ -159,6 +159,32 @@ class TestJsonlRoundTrip:
         assert "self s" in render_perf_report(payload)
 
     @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
+    def test_sampling_has_its_own_span(self, tmp_path, engine_name):
+        # table1-smoke: 4 shards x 2 schedules, one engine.sample per run.
+        spec = get_scenario("table1-smoke")
+        if engine_name == "scalar":
+            spec = dataclasses.replace(spec, engine="scalar", samples=400, shard_samples=100)
+        path = tmp_path / "trace.jsonl"
+        with obs.collect() as session:
+            run_scenario(spec, store=None)
+            session.write_jsonl(path)
+        (root,) = [record["span"] for record in load_trace(path) if record["kind"] == "span"]
+        payload = build_perf_report(path)
+        by_span = {row["span"]: row for row in payload["spans"]}
+        sample = by_span["engine.sample"]
+        assert sample["count"] == by_span["engine.run"]["count"] == 8
+        assert 0 < sample["total_s"] < by_span["engine.run"]["total_s"]
+        sampled = [
+            node["attrs"]["samples"]
+            for shard in root["children"]
+            for run in shard["children"]
+            for node in run["children"]
+            if node["name"] == "engine.sample"
+        ]
+        assert sum(sampled) == spec.samples * 2
+        assert sum(row["self_s"] for row in payload["spans"]) == pytest.approx(root["duration_s"], rel=1e-9)
+
+    @pytest.mark.parametrize("engine_name", ["batch", "scalar"])
     def test_engine_seconds_counts_each_engine_run_once(self, tmp_path, engine_name):
         # The phase spans nested inside engine.run must not be added on top.
         config = ScheduleComparisonConfig(lengths=(2.0, 3.0, 4.0), fa=1)
