@@ -65,6 +65,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "case_study": ("batch_case_study_for_schedule",),
         "expectation": ("ExactExpectationBatchAttacker", "VectorizedExpectationPolicy"),
+        "faults": ("BatchTransientFaults",),
         "fuse": (
             "BatchFusion",
             "batch_detect",
@@ -78,7 +79,6 @@ __getattr__, __dir__ = lazy_exports(
             "BatchRoundConfig",
             "BatchRoundResult",
             "BatchSlotContext",
-            "BatchTransientFaults",
             "ExpectationProxyBatchAttacker",
             "TruthfulBatchAttacker",
             "batch_orders",

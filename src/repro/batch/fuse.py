@@ -140,9 +140,14 @@ def _validate_bounds(
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != lowers.shape:
             raise FusionError(f"mask shape {mask.shape} does not match bounds shape {lowers.shape}")
-    active = mask if mask is not None else np.True_
-    bad = (~np.isfinite(lowers) | ~np.isfinite(uppers) | (uppers < lowers)) & active
-    if np.any(bad):
+    if mask is None:
+        # Three whole-array passes, each in the bounds' own memory order
+        # (sensor-major views included); NaN fails `isfinite` first, so
+        # `<=` decides exactly what `uppers < lowers` did.
+        ok = np.isfinite(lowers).all() and np.isfinite(uppers).all() and (lowers <= uppers).all()
+    else:
+        ok = not np.any((~np.isfinite(lowers) | ~np.isfinite(uppers) | (uppers < lowers)) & mask)
+    if not ok:
         raise FusionError("batch bounds must be finite with uppers >= lowers on every active entry")
     return lowers, uppers, mask
 

@@ -62,9 +62,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.attack.candidates import PASSIVE_WIDTH_TOL, batch_side_preference
+from repro.batch.faults import BatchTransientFaults
 from repro.batch.fuse import BatchFusion, batch_detect, batch_fuse, coverage_extremes
 from repro.channel import ChannelRealization, ChannelSpec, realize_channel
-from repro.core.exceptions import EmptyIntersectionError, ScheduleError, SensorError
+from repro.core.exceptions import EmptyIntersectionError, ScheduleError
 from repro.core.marzullo import max_safe_fault_bound
 from repro import obs
 from repro.scheduling.schedule import (
@@ -348,48 +349,6 @@ class ExpectationProxyBatchAttacker(ActiveStretchBatchAttacker):
 
 
 @dataclass(frozen=True)
-class BatchTransientFaults:
-    """Vectorized transient faults for honest sensors.
-
-    With probability ``probability`` per (round, sensor) the interval is
-    displaced by a uniform ``[min_offset_widths, max_offset_widths]`` multiple
-    of its own width in a random direction.  An offset of at least one width
-    guarantees the faulty interval no longer contains the true value, matching
-    the scalar :class:`repro.sensors.faults.TransientFaultModel` semantics.
-    """
-
-    probability: float
-    min_offset_widths: float = 1.0
-    max_offset_widths: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise SensorError(f"fault probability must be in [0, 1], got {self.probability}")
-        if self.min_offset_widths < 1.0:
-            raise SensorError(
-                "min_offset_widths must be at least 1 so a faulty interval cannot contain the truth"
-            )
-        if self.max_offset_widths < self.min_offset_widths:
-            raise SensorError("max_offset_widths must be >= min_offset_widths")
-
-    def apply(
-        self,
-        lowers: np.ndarray,
-        uppers: np.ndarray,
-        eligible: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (faulted lowers, faulted uppers, fault mask) over ``(B, n)``."""
-        shape = lowers.shape
-        widths = uppers - lowers
-        hit = (rng.random(shape) < self.probability) & eligible
-        offsets = rng.uniform(self.min_offset_widths, self.max_offset_widths, shape) * widths
-        signs = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
-        shift = np.where(hit, signs * offsets, 0.0)
-        return lowers + shift, uppers + shift, hit
-
-
-@dataclass(frozen=True)
 class BatchRoundConfig:
     """Static configuration shared by every round of a batch.
 
@@ -418,7 +377,11 @@ class BatchRoundResult:
     """Array-valued outcome of a batch of fusion rounds.
 
     All per-sensor arrays are indexed by *sensor* (not slot), like the scalar
-    :class:`~repro.scheduling.round.RoundResult.broadcast`.
+    :class:`~repro.scheduling.round.RoundResult.broadcast`.  They are
+    ``(B, n)`` in shape but may be ``.T`` views of sensor-major ``(n, B)``
+    buffers (the batch programs' layout), so callers must not assume C
+    order.  A non-empty ``attacked_indices`` is the static attacked set
+    that ``attacked_mask`` repeats in every row.
     """
 
     orders: np.ndarray
@@ -450,8 +413,18 @@ class BatchRoundResult:
 
     @property
     def attacker_detected(self) -> np.ndarray:
-        """``(B,)`` mask: some compromised sensor was flagged this round."""
-        return (self.flagged & self.attacked_mask).any(axis=1)
+        """``(B,)`` mask: some compromised sensor was flagged this round.
+
+        A static attacked set ORs its sensors' ``flagged`` columns, whole
+        columns at a time; per-round masks reduce along each row.
+        """
+        if not self.attacked_indices:
+            return (self.flagged & self.attacked_mask).any(axis=1)
+        columns = self.flagged.T
+        detected = columns[self.attacked_indices[0]].copy()
+        for sensor in self.attacked_indices[1:]:
+            detected |= columns[sensor]
+        return detected
 
     @property
     def fault_detected(self) -> np.ndarray:
@@ -593,19 +566,27 @@ def _prepare_rounds(
         static_mask = np.zeros(n, dtype=bool)
         static_mask[list(attacked)] = True
         attacked_mask = np.broadcast_to(static_mask, (batch, n))
-    any_attacked = attacked_mask.any(axis=1)
+    # A static set attacks in every round or in none; only per-round masks
+    # need the row reduction.
+    if config.attacked_mask is None:
+        any_attacked = np.full(batch, bool(attacked))
+    else:
+        any_attacked = attacked_mask.any(axis=1)
     f = config.f if config.f is not None else max_safe_fault_bound(n)
 
     widths = correct_hi - correct_lo
     orders = batch_orders(config.schedule, widths, rng)
 
     if attacked:
-        # Static attacked set: Δ is a max/min over the attacked columns only
-        # (identical values to the masked reduction below, at a fraction of
-        # the traffic — this prologue is on every driver's hot path).
-        columns = list(attacked)
-        delta_lo = correct_lo[:, columns].max(axis=1)
-        delta_hi = correct_hi[:, columns].min(axis=1)
+        # Static attacked set: Δ is a running max/min over the attacked
+        # columns, one whole-column ufunc call per column (identical values
+        # to the masked reduction below; a reduction along a row of fa
+        # entries would loop fa elements at a time on this hot path).
+        delta_lo = correct_lo[:, attacked[0]].copy()
+        delta_hi = correct_hi[:, attacked[0]].copy()
+        for column in attacked[1:]:
+            np.maximum(delta_lo, correct_lo[:, column], out=delta_lo)
+            np.minimum(delta_hi, correct_hi[:, column], out=delta_hi)
         if np.any(delta_hi < delta_lo):
             raise EmptyIntersectionError(
                 "the compromised sensors' correct readings have an empty intersection"
@@ -838,10 +819,11 @@ def slot_loop_rounds(
             transmitted_hi[:, slot] = slot_hi
 
     with obs.span("engine.merge", kernel="batch", samples=batch):
-        broadcast_lo = np.empty((batch, n))
-        broadcast_hi = np.empty((batch, n))
-        broadcast_lo[rows2, orders] = transmitted_lo
-        broadcast_hi[rows2, orders] = transmitted_hi
+        # Sensor-major, like the per-transmission program's buffers.
+        broadcast_lo = np.empty((n, batch))
+        broadcast_hi = np.empty((n, batch))
+        broadcast_lo.T[rows2, orders] = transmitted_lo
+        broadcast_hi.T[rows2, orders] = transmitted_hi
     return _fuse_broadcasts(prepared, broadcast_lo, broadcast_hi)
 
 
@@ -861,11 +843,11 @@ def transmission_rounds(prepared: PreparedRounds, config: BatchRoundConfig) -> B
             "use batch_rounds_prepared"
         )
     batch = prepared.shape[0]
-    # The broadcast matrix doubles as the working transmit state; a
-    # truthful attacker forges nothing (faults never hit attacked sensors,
-    # so their correct readings are already in it).
-    broadcast_lo = prepared.sent_lo.copy()
-    broadcast_hi = prepared.sent_hi.copy()
+    # The sensor-major broadcast buffers double as the working transmit
+    # state; a truthful attacker forges nothing (faults never hit attacked
+    # sensors, so their correct readings are already in them).
+    broadcast_lo = np.ascontiguousarray(prepared.sent_lo.T)
+    broadcast_hi = np.ascontiguousarray(prepared.sent_hi.T)
     # The attacker protocol resets per batch even when no slot is forged.
     config.attacker.reset(batch)
     if type(config.attacker) is ActiveStretchBatchAttacker and bool(prepared.any_attacked.any()):
@@ -905,15 +887,18 @@ def _forge_stretch(
 ) -> None:
     """Forge every compromised broadcast of the greedy stretch attacker in place.
 
-    ``(B, n)`` entries are read and written through flat ``row * n + sensor``
+    ``broadcast_lo`` / ``broadcast_hi`` are the sensor-major ``(n, B)``
+    C-contiguous buffers, read and written through flat ``sensor * B + row``
     indices (one-array ``take`` / ``put``, several times cheaper than
-    two-array fancy indexing), and each support sweep gathers its prefix
-    sensor-major, the layout :func:`coverage_extremes` counts in.
+    two-array fancy indexing); the ``(B, n)`` prologue arrays are read
+    through ``row * n + sensor``.  Each support sweep gathers its prefix
+    sensor-major too, the layout :func:`coverage_extremes` counts in.
     """
     batch, n = prepared.shape
     f = prepared.f
     orders = prepared.orders
-    row_start = np.arange(0, batch * n, n)  # flat index of each row's column 0
+    rows = np.arange(batch)
+    row_start = rows * n  # flat index of each row's column 0 in (B, n)
     static = bool(prepared.attacked)  # every row attacks the same sensors
     if static:
         fa = len(prepared.attacked)
@@ -939,10 +924,12 @@ def _forge_stretch(
     for j in range(fa):
         active_rows = None if static else fa_rows > j  # None: every row
         slot = comp_slots[:, j]
-        cell = row_start + comp_sensors[:, j]
+        sensor = comp_sensors[:, j]
+        cell = row_start + sensor
+        sent_cell = sensor * batch + rows
         width = widths.take(cell)
         need = unplaced if static else active_rows & unplaced
-        seen = slot if visible_table is None else visible_table[np.arange(batch), slot]
+        seen = slot if visible_table is None else visible_table[rows, slot]
         required = n - f - (fa_rows - j)
         can_active = need & (seen >= required) & (required >= 1)
         # Bucket by prefix length: one stable sort lines the candidate rows
@@ -956,7 +943,7 @@ def _forge_stretch(
         stops = np.cumsum(sizes)
         for s in np.flatnonzero(sizes):
             group = candidates[stops[s] - sizes[s] : stops[s]]
-            prefix_cells = (orders[group, :s] + row_start[group, None]).T
+            prefix_cells = orders[group, :s].T * batch + group
             visible = (
                 None
                 if channel is None
@@ -980,9 +967,9 @@ def _forge_stretch(
         hi = np.where(passive, delta_lo + width if right else delta_hi, hi)
         if not static:
             writers = np.flatnonzero(active_rows)
-            cell, lo, hi = cell[writers], lo[writers], hi[writers]
-        broadcast_lo.put(cell, lo)
-        broadcast_hi.put(cell, hi)
+            sent_cell, lo, hi = sent_cell[writers], lo[writers], hi[writers]
+        broadcast_lo.put(sent_cell, lo)
+        broadcast_hi.put(sent_cell, hi)
 
 
 def _fuse_broadcasts(
@@ -992,11 +979,15 @@ def _fuse_broadcasts(
 
     Marzullo fusion and overlap detection depend on the broadcast *set*, not
     on the transmission order, so the sensor-space sweep returns the values
-    a slot-ordered one would.
+    a slot-ordered one would.  Both programs hand over sensor-major ``(n,
+    B)`` C-contiguous buffers; fusion, detection and the result see their
+    ``(B, n)`` ``.T`` views, so the counts kernel reads them without a copy
+    and detection broadcasts each round's fusion along contiguous memory.
     """
     batch, n = prepared.shape
     f = prepared.f
     channel = prepared.channel
+    broadcast_lo, broadcast_hi = broadcast_lo.T, broadcast_hi.T
     with obs.span("engine.fuse", kernel="batch", samples=batch):
         if channel is None:
             fusion = batch_fuse(broadcast_lo, broadcast_hi, f)
@@ -1010,7 +1001,7 @@ def _fuse_broadcasts(
             # the scalar path mirrors both degeneracies via fuse_or_none.
             # The received mask lives in slot space; scatter it into sensor
             # space through the order permutation.
-            received = np.empty((batch, n), dtype=bool)
+            received = np.empty((n, batch), dtype=bool).T
             received[np.arange(batch)[:, None], prepared.orders] = channel.received
             fusion = coverage_extremes(
                 broadcast_lo,

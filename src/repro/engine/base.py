@@ -186,7 +186,9 @@ class RoundsResult:
     backend.  Their entries are meaningful where :attr:`valid` is ``True`` —
     the scalar engine aborts an empty-fusion round before detection, so
     invalid rows carry ``NaN`` broadcasts and all-``False`` flags on every
-    backend (:func:`rounds_results` enforces it).
+    backend (:func:`rounds_results` enforces it).  They may be ``.T`` views
+    of sensor-major ``(n, B)`` buffers (the batch engine's layout), so
+    callers must not assume C order.
 
     ``channel_dropped`` / ``channel_retransmits`` are filled only when a
     :class:`repro.channel.ChannelSpec` was configured: per-round counts of
@@ -298,8 +300,9 @@ def rounds_results(
     broadcast_hi = result.broadcast_hi
     invalid = ~fusion.valid
     if bool(invalid.any()):
-        broadcast_lo = broadcast_lo.copy()
-        broadcast_hi = broadcast_hi.copy()
+        # order="K" keeps a sensor-major layout instead of transposing it.
+        broadcast_lo = broadcast_lo.copy(order="K")
+        broadcast_hi = broadcast_hi.copy(order="K")
         broadcast_lo[invalid] = np.nan
         broadcast_hi[invalid] = np.nan
     detected = result.attacker_detected

@@ -127,7 +127,9 @@ def comparison_stats_row(result) -> dict:
         "valid": int(np.count_nonzero(valid)),
         "width_sum": float(result.widths[valid].sum()),
         "detected": int(np.count_nonzero(result.attacker_detected)),
-        "flagged_counts": [int(count) for count in result.flagged[valid].sum(axis=0)],
+        # One count per sensor column over the valid rows: each column is
+        # contiguous when `flagged` is a sensor-major buffer's `.T` view.
+        "flagged_counts": [int(np.count_nonzero(column & valid)) for column in result.flagged.T],
     }
     if result.channel_dropped is not None:
         # Channel counters only appear on lossy runs, so channel-free
@@ -486,12 +488,13 @@ def run_scenario(
     if workers < 1:
         raise ExperimentError(f"need at least one worker, got {workers}")
     spec = resolve_spec_engine(spec)
-    key = spec_key(spec)
     with obs.span(
         "runner.run_scenario", scenario=spec.name, kind=spec.kind, workers=workers
     ):
-        if store is not None and not force:
-            document = store.load(spec)
+        if store is None or force:
+            key = spec_key(spec)
+        else:
+            key, path, document = store.lookup(spec)
             if document is not None:
                 return ScenarioRun(
                     spec=spec,
@@ -501,7 +504,7 @@ def run_scenario(
                     shards=int(document.get("meta", {}).get("shards", 0)),
                     workers=0,
                     elapsed_seconds=0.0,
-                    store_path=str(store.path_for(spec)),
+                    store_path=str(path),
                 )
         with obs.span("runner.plan", scenario=spec.name):
             tasks = plan_tasks(spec)

@@ -52,6 +52,16 @@ class ArtifactStore:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    def lookup(self, spec: ScenarioSpec) -> tuple[str, Path, dict | None]:
+        """``(spec_key(spec), path_for(spec), load(spec))`` from one hash of ``spec``.
+
+        The runner and the service read a hit's key and path from here, so
+        serving a stored result hashes its spec once.
+        """
+        key = spec_key(spec)
+        path = self._path(key)
+        return key, path, self._load(spec, path)
+
     def load(self, spec: ScenarioSpec) -> dict | None:
         """Return the stored document for ``spec``, or ``None`` on a miss.
 
@@ -63,7 +73,9 @@ class ArtifactStore:
         :meth:`save` atomically replaces the bad file.  A warning is
         emitted so silent corruption still surfaces in logs.
         """
-        path = self.path_for(spec)
+        return self.lookup(spec)[2]
+
+    def _load(self, spec: ScenarioSpec, path: Path) -> dict | None:
         with obs.span("store.load", name=spec.name):
             if not path.exists():
                 obs.add("repro_store_reads_total", outcome="miss")

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.batch.rounds import BatchTransientFaults
+from repro.batch.faults import BatchTransientFaults
 from repro.channel import ChannelSpec, channel_spec_from_dict
 from repro.core.exceptions import ExperimentError, ReproError
 from repro.engine.base import check_channel_support, resolve_attack

@@ -18,7 +18,7 @@ on the vectorized backend) go through the engine layer instead:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -26,9 +26,11 @@ from repro.attack.policy import AttackPolicy
 from repro.core.exceptions import ExperimentError
 from repro.core.marzullo import max_safe_fault_bound
 from repro.scheduling.enumeration import count_combinations, enumerate_combinations
-from repro.scheduling.round import RoundConfig, RoundResult, run_round
 from repro.scheduling.schedule import Schedule
 from repro.utils.seeding import ensure_rng
+
+if TYPE_CHECKING:
+    from repro.scheduling.round import RoundResult
 
 __all__ = [
     "ScheduleComparisonConfig",
@@ -152,6 +154,10 @@ def expected_fusion_width_exhaustive(
     give_oracle: bool = False,
 ) -> ScheduleRow:
     """Expected fusion width by exhaustive enumeration (the paper's method)."""
+    # The scalar round is imported here: the engines' Monte-Carlo runs only
+    # need this module's configuration types.
+    from repro.scheduling.round import RoundConfig, run_round
+
     rng = ensure_rng(rng)
     round_config = RoundConfig(
         schedule=schedule,

@@ -185,16 +185,15 @@ class FusionService:
     async def run_spec(self, spec: ScenarioSpec, force: bool = False) -> dict:
         """Serve a spec; returns the versioned response envelope."""
         spec = resolve_spec_engine(spec)
-        key = spec_key(spec)
         started = time.perf_counter()
+        if self.store is None or force:
+            key = spec_key(spec)
+        else:
+            key, _, document = await self._offload(self.store.lookup, spec)
+            if document is not None:
+                self._cache_hits.inc()
+                return self._respond(spec, key, document["payload"], started, cached=True)
         if not force:
-            if self.store is not None:
-                document = await self._offload(self.store.load, spec)
-                if document is not None:
-                    self._cache_hits.inc()
-                    return self._respond(
-                        spec, key, document["payload"], started, cached=True
-                    )
             running = self._inflight.get(key)
             if running is not None:
                 self._deduplicated.inc()

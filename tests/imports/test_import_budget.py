@@ -110,3 +110,22 @@ def test_expectation_attack_loads_the_exact_attacker_on_first_use(tmp_path):
     )
     assert "repro.batch.expectation" in modules
     assert "repro.engine.scalar" not in modules
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import repro.scenarios.spec",
+        """
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        """,
+    ],
+    ids=["import repro.scenarios.spec", "python -m repro list"],
+)
+def test_specs_build_without_the_simulation(script, tmp_path):
+    """Building and listing specs (fault cases included) never simulates."""
+    modules = loaded_modules(script, tmp_path)
+    assert "repro.batch.rounds" not in modules
+    assert "repro.batch.fuse" not in modules

@@ -237,3 +237,61 @@ class TestIdenticalMtimes:
         survivor_before = store.latest_index()["store-test"]["key"]
         store.gc(keep_latest=1)
         assert store.latest_index()["store-test"]["key"] == survivor_before
+
+
+class TestStoreHitHashesOnce:
+    """A store hit hashes its spec once, through the runner and the service."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        import repro.runner.runner as runner_module
+        import repro.runner.store as store_module
+        import repro.serve.service as service_module
+
+        calls = []
+        original = store_module.spec_key
+
+        def counted(spec):
+            calls.append(spec.name)
+            return original(spec)
+
+        for module in (runner_module, store_module, service_module):
+            monkeypatch.setattr(module, "spec_key", counted)
+        return calls
+
+    @staticmethod
+    def scenario():
+        return spec(name="store-hash-once", engine="batch", samples=40, shard_samples=20)
+
+    def test_runner_hit(self, tmp_path, hashes):
+        from repro.runner import run_scenario
+
+        store = ArtifactStore(tmp_path)
+        first = run_scenario(self.scenario(), store=store)
+        hashes.clear()
+        second = run_scenario(self.scenario(), store=store)
+        assert second.cached
+        assert hashes == ["store-hash-once"]
+        assert second.key == first.key == spec_key(self.scenario())
+        assert second.store_path == first.store_path == str(store.path_for(self.scenario()))
+
+    def test_service_hit(self, tmp_path, hashes):
+        import asyncio
+
+        from repro.serve import FusionService
+
+        service = FusionService(store=ArtifactStore(tmp_path))
+        first = asyncio.run(service.run_spec(self.scenario()))
+        hashes.clear()
+        second = asyncio.run(service.run_spec(self.scenario()))
+        assert second["cached"] is True
+        assert hashes == ["store-hash-once"]
+        assert second["key"] == first["key"] == spec_key(self.scenario())
+
+    def test_lookup_agrees_with_load_and_path_for(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.lookup(spec()) == (spec_key(spec()), store.path_for(spec()), None)
+        store.save(spec(), {"value": 1})
+        key, path, document = store.lookup(spec())
+        assert (key, path) == (spec_key(spec()), store.path_for(spec()))
+        assert document == store.load(spec())
