@@ -24,7 +24,8 @@ from repro.batch import (
     BatchRoundConfig,
     batch_detect,
     batch_fuse,
-    monte_carlo_rounds,
+    batch_rounds,
+    sample_correct_bounds,
 )
 from repro.batch import fuse as fuse_module
 from repro.core import Interval, coverage_profile, detect, fuse
@@ -104,9 +105,9 @@ def test_scaling_batch_attacked_rounds(benchmark):
     )
 
     def run():
-        return monte_carlo_rounds(
-            (1.0, 2.0, 3.0, 4.0, 5.0), config, samples=10_000, rng=np.random.default_rng(0)
-        )
+        rng = np.random.default_rng(0)
+        lowers, uppers = sample_correct_bounds((1.0, 2.0, 3.0, 4.0, 5.0), 0.0, 10_000, rng)
+        return batch_rounds(lowers, uppers, config, rng)
 
     result = benchmark(run)
     assert result.fusion.valid.all()

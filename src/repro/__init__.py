@@ -21,76 +21,7 @@ from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Interval",
-    "IntervalSet",
-    "convex_hull",
-    "intersect_all",
-    "fuse",
-    "fuse_or_none",
-    "max_safe_fault_bound",
-    "DetectionResult",
-    "detect",
-    # attack
-    "AttackContext",
-    "AttackPolicy",
-    "TruthfulPolicy",
-    "RandomAdmissiblePolicy",
-    "GreedyExtendPolicy",
-    "ExpectationPolicy",
-    "OmniscientPolicy",
-    "optimal_attack",
-    "optimal_fusion_width",
-    # scheduling
-    "Schedule",
-    "AscendingSchedule",
-    "DescendingSchedule",
-    "RandomSchedule",
-    "FixedSchedule",
-    "RoundConfig",
-    "RoundResult",
-    "run_round",
-    "ScheduleComparisonConfig",
-    "compare_schedules",
-    # sensors
-    "Sensor",
-    "SensorSpec",
-    "SensorSuite",
-    "landshark_specs",
-    "sensors_from_widths",
-    # vehicle
-    "PlatoonConfig",
-    "Platoon",
-    "CaseStudyConfig",
-    # engine
-    "Engine",
-    "ScalarEngine",
-    "BatchEngine",
-    "RoundsResult",
-    "get_engine",
-    "register_engine",
-    "available_engines",
-    # scenarios
-    "ScenarioSpec",
-    "ComparisonCase",
-    "ComparisonScenario",
-    "CaseStudyScenario",
-    "FigureScenario",
-    "register_scenario",
-    "get_scenario",
-    "available_scenarios",
-    "list_scenarios",
-    "spec_key",
-    # runner
-    "run_scenario",
-    "ScenarioRun",
-    "ArtifactStore",
-    "default_store",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "core": (
@@ -108,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
             "AttackContext",
             "AttackPolicy",
             "ExpectationPolicy",
-            "GreedyExtendPolicy",
             "OmniscientPolicy",
             "RandomAdmissiblePolicy",
             "TruthfulPolicy",
@@ -153,3 +83,4 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
+__all__.append("__version__")

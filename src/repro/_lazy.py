@@ -3,7 +3,7 @@
 A package ``__init__`` declares which submodule each public name lives in
 and imports none of them::
 
-    __getattr__, __dir__ = lazy_exports(__name__, {"marzullo": ("fuse",)})
+    __getattr__, __dir__, __all__ = lazy_exports(__name__, {"marzullo": ("fuse",)})
 
 ``repro.core.fuse`` (or ``from repro.core import fuse``) then imports
 :mod:`repro.core.marzullo` on the first read and caches the name in the
@@ -19,10 +19,11 @@ import sys
 
 
 def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
-    """Module ``__getattr__`` and ``__dir__`` for ``package``.
+    """Module ``__getattr__``, ``__dir__`` and ``__all__`` for ``package``.
 
     ``exports`` maps a submodule name (relative to ``package``) to the
-    public names it provides.
+    public names it provides; ``__all__`` lists them in map order, so the
+    map is the package's only export declaration.
     """
     origin = {name: f"{package}.{module}" for module, names in exports.items() for name in names}
     namespace = sys.modules[package].__dict__
@@ -41,7 +42,7 @@ def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted(set(namespace) | set(origin))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(origin)
 
 
 def lazy_factory(module: str, cls: str):

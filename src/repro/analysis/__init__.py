@@ -2,22 +2,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_table",
-    "format_table1_row",
-    "format_percentage",
-    "Table1Entry",
-    "TABLE1_CONFIGURATIONS",
-    "TABLE1_PAPER_RESULTS",
-    "TABLE2_PAPER_RESULTS",
-    "TABLE2_SCHEDULES",
-    "figure1_intervals",
-    "figure2_configuration",
-    "figure5a_configuration",
-    "figure5b_configuration",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "experiments": (
@@ -31,6 +16,6 @@ __getattr__, __dir__ = lazy_exports(
             "figure5a_configuration",
             "figure5b_configuration",
         ),
-        "report": ("format_percentage", "format_table", "format_table1_row"),
+        "report": ("format_percentage", "format_table"),
     },
 )

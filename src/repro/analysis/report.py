@@ -11,7 +11,7 @@ from typing import Sequence
 
 from repro.core.exceptions import ExperimentError
 
-__all__ = ["format_table", "format_table1_row", "format_percentage"]
+__all__ = ["format_table", "format_percentage"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = "") -> str:
@@ -55,12 +55,6 @@ def _stringify(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def format_table1_row(n: int, fa: int, lengths: Sequence[float]) -> str:
-    """The configuration label used in the paper's Table I rows."""
-    lengths_str = ", ".join(f"{length:g}" for length in lengths)
-    return f"n = {n}, fa = {fa}, L = {{{lengths_str}}}"
 
 
 def format_percentage(value: float) -> str:

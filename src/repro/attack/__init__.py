@@ -6,8 +6,8 @@ The subpackage implements Section III of the paper:
   transmission time;
 * :mod:`repro.attack.stealth` — the passive/active stealth machinery;
 * policies of increasing strength: truthful / random / fixed-shift baselines,
-  the greedy heuristic, the expectation-maximising attacker of problem (2)
-  and the omniscient solver of problem (1);
+  the one-sided stretch attacker, the expectation-maximising attacker of
+  problem (2) and the omniscient solver of problem (1);
 * :mod:`repro.attack.theorem1` — Theorem 1's sufficient conditions for an
   optimal attack under partial knowledge.
 
@@ -17,40 +17,7 @@ batched counterpart in :mod:`repro.batch` — is in ``docs/ATTACKERS.md``.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttackContext",
-    "AttackPolicy",
-    "TruthfulPolicy",
-    "RandomAdmissiblePolicy",
-    "FixedShiftPolicy",
-    "ActiveStretchPolicy",
-    "GreedyExtendPolicy",
-    "ExpectationPolicy",
-    "OmniscientPolicy",
-    "optimal_attack",
-    "optimal_fusion_width",
-    "AttackerMode",
-    "Admissibility",
-    "active_mode_available",
-    "required_support",
-    "passive_admissible",
-    "check_admissible",
-    "ensure_admissible",
-    "is_admissible",
-    "support_point",
-    "candidate_intervals",
-    "passive_extremes",
-    "endpoint_aligned",
-    "grid_candidates",
-    "Theorem1Inputs",
-    "case1_applies",
-    "case2_applies",
-    "optimal_policy_exists",
-    "case1_placements",
-    "case2_placements",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "candidates": (
@@ -61,7 +28,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "context": ("AttackContext",),
         "expectation": ("ExpectationPolicy",),
-        "greedy": ("GreedyExtendPolicy",),
         "omniscient": ("OmniscientPolicy", "optimal_attack", "optimal_fusion_width"),
         "policy": ("AttackPolicy", "FixedShiftPolicy", "RandomAdmissiblePolicy", "TruthfulPolicy"),
         "stealth": (
@@ -69,7 +35,6 @@ __getattr__, __dir__ = lazy_exports(
             "AttackerMode",
             "active_mode_available",
             "check_admissible",
-            "ensure_admissible",
             "is_admissible",
             "passive_admissible",
             "required_support",

@@ -21,7 +21,7 @@ gives her two ways of doing that:
   upon becomes a *protection obligation* for the remaining compromised slots.
 
 The functions in this module are pure predicates/utilities so that every
-attack policy — greedy, expectation-maximising, omniscient — goes through the
+attack policy — stretch, expectation-maximising, omniscient — goes through the
 exact same admissibility rules, and those rules can be unit- and
 property-tested in isolation.
 """
@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Sequence
 
 from repro.attack.context import AttackContext
-from repro.core.exceptions import StealthViolationError
 from repro.core.interval import Interval
 from repro.core.marzullo import coverage_profile
 
@@ -179,13 +178,3 @@ def check_admissible(candidate: Interval, context: AttackContext) -> Admissibili
 def is_admissible(candidate: Interval, context: AttackContext) -> bool:
     """Boolean shorthand for :func:`check_admissible`."""
     return check_admissible(candidate, context).admissible
-
-
-def ensure_admissible(candidate: Interval, context: AttackContext) -> Admissibility:
-    """Like :func:`check_admissible` but raises on inadmissible candidates."""
-    result = check_admissible(candidate, context)
-    if not result.admissible:
-        raise StealthViolationError(
-            f"forged interval {candidate} is not stealthy: {result.reason}"
-        )
-    return result

@@ -33,34 +33,7 @@ engine seam this subpackage plugs into are described in
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    # fusion / detection
-    "BatchFusion",
-    "batch_fuse",
-    "batch_fuse_or_none",
-    "batch_detect",
-    "coverage_extremes",
-    # rounds
-    "BatchSlotContext",
-    "BatchAttacker",
-    "TruthfulBatchAttacker",
-    "ActiveStretchBatchAttacker",
-    "ExpectationProxyBatchAttacker",
-    "ExactExpectationBatchAttacker",
-    "VectorizedExpectationPolicy",
-    "BatchTransientFaults",
-    "BatchRoundConfig",
-    "BatchRoundResult",
-    "batch_orders",
-    "sample_correct_bounds",
-    "batch_rounds",
-    "fusable_attacker",
-    "monte_carlo_rounds",
-    # case study
-    "batch_case_study_for_schedule",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "case_study": ("batch_case_study_for_schedule",),
@@ -70,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
             "BatchFusion",
             "batch_detect",
             "batch_fuse",
-            "batch_fuse_or_none",
             "coverage_extremes",
         ),
         "rounds": (
@@ -84,7 +56,6 @@ __getattr__, __dir__ = lazy_exports(
             "batch_orders",
             "batch_rounds",
             "fusable_attacker",
-            "monte_carlo_rounds",
             "sample_correct_bounds",
         ),
     },

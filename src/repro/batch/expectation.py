@@ -91,7 +91,7 @@ from repro.attack.context import AttackContext
 from repro.attack.expectation import TIE_TOLERANCE
 from repro.batch.fuse import grid_extremes
 from repro.batch.rounds import BatchAttacker, BatchSlotContext
-from repro.core.exceptions import AttackError, ScheduleError
+from repro.core.exceptions import AttackError
 
 __all__ = ["ContextBatch", "VectorizedExpectationPolicy", "ExactExpectationBatchAttacker"]
 
@@ -1042,12 +1042,6 @@ class ExactExpectationBatchAttacker(BatchAttacker):
         self._protected_count = np.zeros(batch, dtype=np.int64)
 
     def forge(self, context: BatchSlotContext, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if context.remaining_widths is None or context.transmitted_compromised is None:
-            raise ScheduleError(
-                "ExactExpectationBatchAttacker needs the lookahead fields of "
-                "BatchSlotContext (remaining_widths / remaining_compromised / "
-                "transmitted_compromised); drive it through repro.batch.rounds.batch_rounds"
-            )
         if self._protected_count.shape[0] != context.rows.shape[0]:
             self.reset(context.rows.shape[0])
         rows = np.flatnonzero(context.rows)

@@ -69,13 +69,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.exceptions import FaultBoundError, FusionError
+from repro.core.exceptions import FusionError
 from repro.core.marzullo import validate_fault_bound
 
 __all__ = [
     "BatchFusion",
     "batch_fuse",
-    "batch_fuse_or_none",
     "batch_detect",
     "coverage_extremes",
 ]
@@ -124,9 +123,7 @@ class BatchFusion:
         return (self.lo + self.hi) / 2.0
 
 
-def _validate_bounds(
-    lowers: np.ndarray, uppers: np.ndarray, mask: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _validate_bounds(lowers: np.ndarray, uppers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coerce and sanity-check a ``(B, n)`` batch of interval bounds."""
     lowers = np.asarray(lowers, dtype=np.float64)
     uppers = np.asarray(uppers, dtype=np.float64)
@@ -136,20 +133,12 @@ def _validate_bounds(
         )
     if lowers.shape[1] == 0:
         raise FusionError("cannot fuse an empty collection of intervals")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != lowers.shape:
-            raise FusionError(f"mask shape {mask.shape} does not match bounds shape {lowers.shape}")
-    if mask is None:
-        # Three whole-array passes, each in the bounds' own memory order
-        # (sensor-major views included); NaN fails `isfinite` first, so
-        # `<=` decides exactly what `uppers < lowers` did.
-        ok = np.isfinite(lowers).all() and np.isfinite(uppers).all() and (lowers <= uppers).all()
-    else:
-        ok = not np.any((~np.isfinite(lowers) | ~np.isfinite(uppers) | (uppers < lowers)) & mask)
-    if not ok:
-        raise FusionError("batch bounds must be finite with uppers >= lowers on every active entry")
-    return lowers, uppers, mask
+    # Three whole-array passes, each in the bounds' own memory order
+    # (sensor-major views included); NaN fails `isfinite` first, so `<=`
+    # only compares finite bounds.
+    if not (np.isfinite(lowers).all() and np.isfinite(uppers).all() and (lowers <= uppers).all()):
+        raise FusionError("batch bounds must be finite with uppers >= lowers")
+    return lowers, uppers
 
 
 def coverage_extremes(
@@ -439,32 +428,6 @@ def _pick(blocks: list, clamped: np.ndarray, lowest: bool) -> np.ndarray:
     return best
 
 
-def batch_fuse_or_none(
-    lowers: np.ndarray,
-    uppers: np.ndarray,
-    f: int,
-    mask: np.ndarray | None = None,
-) -> BatchFusion:
-    """Batched :func:`repro.core.marzullo.fuse_or_none`.
-
-    Like the scalar variant, the fault bound is *not* checked against
-    ``f < ceil(n/2)``; empty-fusion rows are reported via ``valid=False``.
-    With a ``mask``, each row fuses only its masked-in intervals and the
-    required coverage becomes ``count - f`` per row; rows with an empty mask
-    raise (the scalar code rejects fusing an empty collection).
-    """
-    lowers, uppers, mask = _validate_bounds(lowers, uppers, mask)
-    if f < 0:
-        raise FaultBoundError(f"fault bound must be non-negative, got f={f}")
-    if mask is None:
-        counts = np.full(lowers.shape[0], lowers.shape[1], dtype=np.int64)
-    else:
-        counts = mask.sum(axis=1)
-        if np.any(counts == 0):
-            raise FusionError("cannot fuse an empty collection of intervals (empty mask row)")
-    return coverage_extremes(lowers, uppers, counts - f, mask)
-
-
 def batch_fuse(lowers: np.ndarray, uppers: np.ndarray, f: int) -> BatchFusion:
     """Batched :func:`repro.core.marzullo.fuse` over a ``(B, n)`` interval array.
 
@@ -484,7 +447,7 @@ def batch_fuse(lowers: np.ndarray, uppers: np.ndarray, f: int) -> BatchFusion:
         :class:`~repro.core.exceptions.EmptyFusionError` have ``valid=False``
         and ``NaN`` bounds instead.
     """
-    lowers, uppers, _ = _validate_bounds(lowers, uppers, None)
+    lowers, uppers = _validate_bounds(lowers, uppers)
     validate_fault_bound(lowers.shape[1], f)
     return coverage_extremes(lowers, uppers, lowers.shape[1] - f, None)
 

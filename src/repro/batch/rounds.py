@@ -75,7 +75,7 @@ from repro.scheduling.schedule import (
     RandomSchedule,
     Schedule,
 )
-from repro.utils.seeding import ensure_rng, spawn_rng
+from repro.utils.seeding import spawn_rng
 
 __all__ = [
     "BatchSlotContext",
@@ -96,7 +96,6 @@ __all__ = [
     "batch_rounds_prepared",
     "slot_loop_rounds",
     "transmission_rounds",
-    "monte_carlo_rounds",
 ]
 
 
@@ -127,7 +126,6 @@ class BatchSlotContext:
     f: int
     slot: int
     rows: np.ndarray
-    sensor: np.ndarray
     width: np.ndarray
     own_lo: np.ndarray
     own_hi: np.ndarray
@@ -136,9 +134,9 @@ class BatchSlotContext:
     transmitted_lo: np.ndarray
     transmitted_hi: np.ndarray
     far: np.ndarray
-    transmitted_compromised: np.ndarray | None = None
-    remaining_widths: np.ndarray | None = None
-    remaining_compromised: np.ndarray | None = None
+    transmitted_compromised: np.ndarray
+    remaining_widths: np.ndarray
+    remaining_compromised: np.ndarray
     visible: np.ndarray | None = None
 
 
@@ -400,11 +398,6 @@ class BatchRoundResult:
     def batch(self) -> int:
         """Number of rounds in the batch."""
         return int(self.orders.shape[0])
-
-    @property
-    def fusion_widths(self) -> np.ndarray:
-        """Per-round fusion widths (``NaN`` where the fusion is empty)."""
-        return self.fusion.width
 
     @property
     def estimates(self) -> np.ndarray:
@@ -797,7 +790,6 @@ def slot_loop_rounds(
                     f=prepared.f,
                     slot=slot,
                     rows=rows,
-                    sensor=sensor,
                     width=widths[row_index, sensor],
                     own_lo=prepared.correct_lo[row_index, sensor],
                     own_hi=prepared.correct_hi[row_index, sensor],
@@ -1023,16 +1015,3 @@ def _fuse_broadcasts(
         attacked_mask=prepared.attacked_mask,
         channel=channel,
     )
-
-
-def monte_carlo_rounds(
-    lengths: tuple[float, ...] | np.ndarray,
-    config: BatchRoundConfig,
-    samples: int,
-    true_value: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> BatchRoundResult:
-    """Sample correct intervals uniformly and simulate all rounds in one batch."""
-    rng = ensure_rng(rng)
-    lowers, uppers = sample_correct_bounds(lengths, true_value, samples, rng)
-    return batch_rounds(lowers, uppers, config, rng)

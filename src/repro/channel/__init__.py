@@ -20,16 +20,7 @@ any spec.  Semantics, RNG discipline and findings are documented in
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHANNEL_MODELS",
-    "ChannelSpec",
-    "ChannelRealization",
-    "ChannelRoundView",
-    "channel_spec_from_dict",
-    "realize_channel",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "model": ("ChannelRealization", "ChannelRoundView", "realize_channel"),

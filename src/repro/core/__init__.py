@@ -11,63 +11,7 @@ The public names re-exported here form the stable core API:
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    # interval
-    "Interval",
-    "IntervalSet",
-    "convex_hull",
-    "intersect_all",
-    # marzullo
-    "fuse",
-    "fuse_or_none",
-    "coverage_profile",
-    "max_coverage",
-    "max_safe_fault_bound",
-    "validate_fault_bound",
-    "kth_smallest_lower_bound",
-    "kth_largest_upper_bound",
-    "CoverageSegment",
-    # detection
-    "DetectionResult",
-    "detect",
-    "is_stealthy_against",
-    # bounds
-    "marzullo_regime",
-    "theorem2_bound",
-    "two_largest_widths",
-    "satisfies_theorem2",
-    "satisfies_marzullo_n3_bound",
-    "satisfies_marzullo_n2_bound",
-    # baseline fusion schemes
-    "BrooksIyengarResult",
-    "brooks_iyengar",
-    "mean_fusion",
-    "median_fusion",
-    # windowed detection (paper's footnote-1 extension)
-    "WindowedDetector",
-    "WindowedFusionPipeline",
-    "WindowedRoundOutcome",
-    # worst case
-    "WorstCaseResult",
-    "worst_case_no_attack",
-    "worst_case_with_attack",
-    "worst_case_over_attacked_sets",
-    # exceptions
-    "ReproError",
-    "IntervalError",
-    "EmptyIntersectionError",
-    "FusionError",
-    "FaultBoundError",
-    "EmptyFusionError",
-    "AttackError",
-    "StealthViolationError",
-    "ScheduleError",
-    "SensorError",
-    "VehicleError",
-    "ExperimentError",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "baselines": ("BrooksIyengarResult", "brooks_iyengar", "mean_fusion", "median_fusion"),

@@ -7,6 +7,21 @@ being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
+__all__ = [
+    "ReproError",
+    "IntervalError",
+    "EmptyIntersectionError",
+    "FusionError",
+    "FaultBoundError",
+    "EmptyFusionError",
+    "AttackError",
+    "StealthViolationError",
+    "ScheduleError",
+    "SensorError",
+    "VehicleError",
+    "ExperimentError",
+]
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""

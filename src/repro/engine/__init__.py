@@ -18,23 +18,7 @@ conformance suite in ``tests/engine/`` covers it the moment it registers
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "AttackSpec",
-    "TruthfulAttack",
-    "StretchAttack",
-    "ExpectationAttack",
-    "resolve_attack",
-    "RoundsResult",
-    "Engine",
-    "ScalarEngine",
-    "BatchEngine",
-    "register_engine",
-    "available_engines",
-    "get_engine",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "base": (

@@ -15,30 +15,7 @@ or the registry directly (:func:`get_optimizer`).
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Optimizer",
-    "register_optimizer",
-    "available_optimizers",
-    "get_optimizer",
-    "sort_key",
-    "best_row",
-    "EVAL_STREAM",
-    "ANNEAL_STREAM",
-    "BANDIT_STREAM",
-    "ScheduleEvaluator",
-    "baseline_permutations",
-    "ExhaustiveOptimizer",
-    "AnnealOptimizer",
-    "advance_chain",
-    "chain_state",
-    "run_chain",
-    "BanditOptimizer",
-    "seed_population",
-    "MAX_REPORTED_ROWS",
-    "assemble_payload",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "base": (

@@ -168,7 +168,3 @@ class ScheduleEvaluator:
         }
         self._memo[key] = row
         return row
-
-    def evaluate_many(self, permutations: Sequence[Sequence[int]], samples: int) -> list[dict]:
-        """Measure several candidates (one packed pass per distinct plan)."""
-        return [self.evaluate(permutation, samples) for permutation in permutations]

@@ -6,22 +6,7 @@ artifact-store layout.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "ShardTask",
-    "ScenarioRun",
-    "comparison_stats_row",
-    "merge_outcomes",
-    "plan_tasks",
-    "execute_task",
-    "resolve_spec_engine",
-    "run_scenario",
-    "ArtifactStore",
-    "default_store",
-    "STORE_ENV_VAR",
-    "DEFAULT_STORE_DIR",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "runner": (

@@ -14,24 +14,7 @@ is all it takes to reproduce a paper artifact.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScenarioSpec",
-    "ComparisonCase",
-    "ComparisonScenario",
-    "CaseStudyScenario",
-    "FigureScenario",
-    "OptimizationScenario",
-    "schedule_from_spec",
-    "spec_dict",
-    "spec_key",
-    "register_scenario",
-    "get_scenario",
-    "available_scenarios",
-    "list_scenarios",
-    "near_misses",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "registry": (

@@ -2,33 +2,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Schedule",
-    "AscendingSchedule",
-    "DescendingSchedule",
-    "RandomSchedule",
-    "FixedSchedule",
-    "TrustAwareSchedule",
-    "schedule_by_name",
-    "RoundConfig",
-    "RoundResult",
-    "run_round",
-    "correct_placement_grid",
-    "enumerate_combinations",
-    "count_combinations",
-    "schedule_equivalence_classes",
-    "canonical_schedule",
-    "enumerate_schedules",
-    "count_distinct_schedules",
-    "ScheduleComparisonConfig",
-    "ScheduleRow",
-    "ScheduleComparison",
-    "compare_schedules",
-    "default_attacked_indices",
-    "expected_fusion_width_exhaustive",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "comparison": (

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.attack.policy import AttackPolicy
 from repro.core.exceptions import ExperimentError
 from repro.core.marzullo import max_safe_fault_bound
 from repro.scheduling.enumeration import count_combinations, enumerate_combinations
@@ -30,6 +29,7 @@ from repro.scheduling.schedule import Schedule
 from repro.utils.seeding import ensure_rng
 
 if TYPE_CHECKING:
+    from repro.attack.policy import AttackPolicy
     from repro.scheduling.round import RoundResult
 
 __all__ = [

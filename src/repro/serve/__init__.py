@@ -16,15 +16,7 @@ protocol, the coalescing policy and the determinism contract.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "API_VERSION",
-    "BatchCollator",
-    "FusionServer",
-    "FusionService",
-    "plan_key",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "collator": ("BatchCollator", "plan_key"),

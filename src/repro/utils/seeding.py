@@ -34,7 +34,6 @@ __all__ = [
     "ensure_rng",
     "jumped_rngs",
     "shard_seed_sequences",
-    "shard_rngs",
     "spawn_rng",
 ]
 
@@ -105,8 +104,3 @@ def spawn_rng(rng: np.random.Generator) -> np.random.Generator:
     every engine backend sees the same channel stream.
     """
     return rng.spawn(1)[0]
-
-
-def shard_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent per-shard generators (see :func:`shard_seed_sequences`)."""
-    return [np.random.default_rng(sequence) for sequence in shard_seed_sequences(seed, count)]

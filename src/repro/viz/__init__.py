@@ -2,9 +2,7 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = ["LabeledInterval", "render_intervals", "render_fusion_figure"]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "ascii": ("LabeledInterval", "render_fusion_figure", "render_intervals"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import format_percentage, format_table, format_table1_row
+from repro.analysis import format_percentage, format_table
 from repro.core import ExperimentError
 
 
@@ -35,10 +35,6 @@ class TestFormatTable:
 
 
 class TestPaperFormatting:
-    def test_table1_row_label(self):
-        label = format_table1_row(3, 1, [5.0, 11.0, 17.0])
-        assert label == "n = 3, fa = 1, L = {5, 11, 17}"
-
     def test_percentage(self):
         assert format_percentage(17.4213) == "17.42%"
         assert format_percentage(0.0) == "0.00%"

@@ -1,4 +1,4 @@
-"""Unit tests for the baseline and greedy attack policies."""
+"""Unit tests for the baseline attack policies."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.attack import (
     AttackContext,
     FixedShiftPolicy,
-    GreedyExtendPolicy,
     RandomAdmissiblePolicy,
     TruthfulPolicy,
     is_admissible,
@@ -104,29 +103,3 @@ class TestFixedShiftPolicy:
         assert is_admissible(forged, ctx)
         assert forged.center < ctx.own_reading.center
 
-
-class TestGreedyExtendPolicy:
-    def test_result_is_admissible(self):
-        rng = np.random.default_rng(0)
-        ctx = context_with_room()
-        forged = GreedyExtendPolicy().choose_interval(ctx, rng)
-        assert is_admissible(forged, ctx)
-
-    def test_widens_projection_relative_to_truth(self):
-        rng = np.random.default_rng(0)
-        ctx = context_with_room()
-        policy = GreedyExtendPolicy()
-        forged = policy.choose_interval(ctx, rng)
-        assert policy._projected_width(forged, ctx) >= policy._projected_width(ctx.own_reading, ctx)
-
-    def test_no_room_means_truth(self):
-        rng = np.random.default_rng(0)
-        ctx = context_no_room()
-        forged = GreedyExtendPolicy().choose_interval(ctx, rng)
-        assert forged == ctx.own_reading
-
-    def test_deterministic_given_context(self):
-        ctx = context_with_room()
-        a = GreedyExtendPolicy().choose_interval(ctx, np.random.default_rng(1))
-        b = GreedyExtendPolicy().choose_interval(ctx, np.random.default_rng(2))
-        assert a == b

@@ -7,13 +7,12 @@ from repro.attack import (
     AttackerMode,
     active_mode_available,
     check_admissible,
-    ensure_admissible,
     is_admissible,
     passive_admissible,
     required_support,
     support_point,
 )
-from repro.core import Interval, StealthViolationError
+from repro.core import Interval
 
 
 def context_first_slot() -> AttackContext:
@@ -144,11 +143,6 @@ class TestCheckAdmissible:
         ctx = context_last_slot()
         assert is_admissible(ctx.own_reading, ctx)
         assert not is_admissible(Interval(20, 21), ctx)
-
-    def test_ensure_admissible_raises(self):
-        ctx = context_first_slot()
-        with pytest.raises(StealthViolationError):
-            ensure_admissible(Interval(20, 21), ctx)
 
     def test_protected_point_violation_reported(self):
         ctx = context_last_slot().with_protected_points((9.0,))

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attack import (
+    ActiveStretchPolicy,
     ExpectationPolicy,
-    GreedyExtendPolicy,
     RandomAdmissiblePolicy,
     candidate_intervals,
     is_admissible,
@@ -108,11 +108,11 @@ def test_truthful_reading_is_always_a_candidate(context):
 
 @given(attacked_round())
 @settings(max_examples=60, deadline=None)
-def test_greedy_attacker_is_never_detected_and_truth_stays_inside(round_spec):
+def test_stretch_attacker_is_never_detected_and_truth_stays_inside(round_spec):
     correct, attacked, f, schedule, seed = round_spec
     result = run_round(
         correct,
-        RoundConfig(schedule=schedule, attacked_indices=attacked, policy=GreedyExtendPolicy(), f=f),
+        RoundConfig(schedule=schedule, attacked_indices=attacked, policy=ActiveStretchPolicy(), f=f),
         np.random.default_rng(seed),
     )
     assert not result.attacker_detected
@@ -154,7 +154,7 @@ def test_attacked_fusion_respects_theorem2_bound(round_spec):
     correct, attacked, f, schedule, seed = round_spec
     attacked_result = run_round(
         correct,
-        RoundConfig(schedule=schedule, attacked_indices=attacked, policy=GreedyExtendPolicy(), f=f),
+        RoundConfig(schedule=schedule, attacked_indices=attacked, policy=ActiveStretchPolicy(), f=f),
         np.random.default_rng(seed),
     )
     from repro.core import theorem2_bound

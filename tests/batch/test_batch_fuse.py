@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import figure1_intervals
-from repro.batch import (
-    batch_detect,
-    batch_fuse,
-    batch_fuse_or_none,
-    coverage_extremes,
-)
+from repro.batch import batch_detect, batch_fuse, coverage_extremes
 from repro.batch import fuse as fuse_module
 from repro.core import FaultBoundError, FusionError, Interval, detect, fuse, fuse_or_none
 
@@ -35,7 +30,7 @@ def test_empty_fusion_rows_are_masked_not_raised():
     # Row 0 fuses fine; row 1 has two disjoint intervals and required coverage 2.
     lowers = np.array([[0.0, 1.0], [0.0, 5.0]])
     uppers = np.array([[2.0, 3.0], [1.0, 6.0]])
-    result = batch_fuse_or_none(lowers, uppers, 0)
+    result = batch_fuse(lowers, uppers, 0)
     assert result.valid.tolist() == [True, False]
     assert result.lo[0] == 1.0 and result.hi[0] == 2.0
     assert np.isnan(result.lo[1]) and np.isnan(result.hi[1])
@@ -46,7 +41,7 @@ def test_empty_fusion_rows_are_masked_not_raised():
 def test_required_at_most_zero_degenerates_to_hull():
     lowers = np.array([[0.0, 5.0]])
     uppers = np.array([[1.0, 6.0]])
-    result = batch_fuse_or_none(lowers, uppers, 3)
+    result = coverage_extremes(lowers, uppers, 2 - 3)
     expected = fuse_or_none([Interval(0.0, 1.0), Interval(5.0, 6.0)], 3)
     assert result.valid.all()
     assert (result.lo[0], result.hi[0]) == (expected.lo, expected.hi)
@@ -65,19 +60,11 @@ def test_mask_restricts_each_row_to_its_subset():
     intervals = figure1_intervals()
     lowers, uppers = _bounds([intervals, intervals])
     mask = np.array([[True] * 5, [True, True, True, False, False]])
-    result = batch_fuse_or_none(lowers, uppers, 1, mask=mask)
+    result = coverage_extremes(lowers, uppers, mask.sum(axis=1) - 1, mask=mask)
     full = fuse_or_none(intervals, 1)
     sub = fuse_or_none(intervals[:3], 1)
     assert (result.lo[0], result.hi[0]) == (full.lo, full.hi)
     assert (result.lo[1], result.hi[1]) == (sub.lo, sub.hi)
-
-
-def test_empty_mask_row_rejected():
-    lowers = np.zeros((2, 3))
-    uppers = np.ones((2, 3))
-    mask = np.array([[True, True, True], [False, False, False]])
-    with pytest.raises(FusionError):
-        batch_fuse_or_none(lowers, uppers, 0, mask=mask)
 
 
 def test_coverage_extremes_per_row_required():
@@ -160,7 +147,7 @@ def test_hull_ties_take_the_sweep_order_signs(rows):
     # the last upper bound — the scalar hull shortcut included.
     lowers = np.tile([[-0.0, 0.0], [-1.0, -1.0]], (rows, 1))
     uppers = np.tile([[1.0, 1.0], [-0.0, 0.0]], (rows, 1))
-    result = batch_fuse_or_none(lowers, uppers, 2)
+    result = coverage_extremes(lowers, uppers, 0)
     for row in range(2):
         scalar = fuse_or_none([Interval(lowers[row, i], uppers[row, i]) for i in range(2)], 2)
         for got, want in ((result.lo[row], scalar.lo), (result.hi[row], scalar.hi)):
@@ -170,12 +157,12 @@ def test_hull_ties_take_the_sweep_order_signs(rows):
 
 @pytest.mark.parametrize("rows", [1, fuse_module._COUNTS_MIN_ROWS])
 def test_masked_out_nan_takes_no_part(rows):
-    # Validation checks active entries only, so a masked-out entry may hold
-    # NaN; both kernels must ignore it rather than let it reach a count.
+    # A masked-out entry may hold NaN; both kernels must ignore it rather
+    # than let it reach a count.
     lowers = np.tile([np.nan, 0.0], (rows, 1))
     uppers = np.tile([np.nan, 1.0], (rows, 1))
     mask = np.tile([False, True], (rows, 1))
-    result = batch_fuse_or_none(lowers, uppers, 0, mask=mask)
+    result = coverage_extremes(lowers, uppers, 1, mask=mask)
     assert result.valid.all()
     np.testing.assert_array_equal(result.lo, 0.0)
     np.testing.assert_array_equal(result.hi, 1.0)
@@ -196,9 +183,7 @@ def test_validation_errors():
     with pytest.raises(FaultBoundError):
         batch_fuse(good_lo, good_hi, 2)  # f >= ceil(n/2)
     with pytest.raises(FaultBoundError):
-        batch_fuse_or_none(good_lo, good_hi, -1)
-    with pytest.raises(FusionError):
-        batch_fuse_or_none(good_lo, good_hi, 0, mask=np.ones((2, 4), dtype=bool))
+        batch_fuse(good_lo, good_hi, -1)
 
 
 def test_batch_detect_matches_scalar_detect():
@@ -220,6 +205,6 @@ def test_batch_detect_matches_scalar_detect():
 def test_batch_detect_flags_nothing_for_empty_fusion_rows():
     lowers = np.array([[0.0, 5.0]])
     uppers = np.array([[1.0, 6.0]])
-    fusion = batch_fuse_or_none(lowers, uppers, 0)
+    fusion = batch_fuse(lowers, uppers, 0)
     assert not fusion.valid[0]
     assert not batch_detect(lowers, uppers, fusion).any()

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchFusion, batch_detect, batch_fuse, batch_fuse_or_none, coverage_extremes
+from repro.batch import BatchFusion, batch_detect, batch_fuse, coverage_extremes
 from repro.batch import fuse as fuse_module
 from repro.core import Interval, detect, fuse_or_none, max_safe_fault_bound
 
@@ -132,11 +132,11 @@ def test_batch_fuse_bitmatches_scalar_in_valid_regime(batch):
 
 @given(interval_batch(), st.integers(min_value=0, max_value=11))
 @settings(max_examples=120, deadline=None)
-def test_batch_fuse_or_none_bitmatches_scalar_for_any_f(batch, f):
+def test_coverage_extremes_bitmatches_scalar_for_any_f(batch, f):
     lowers, uppers = batch
     expected = _scalar_fusion(lowers, uppers, lambda row, count: f)
     for lo, hi in _both_kernels(lowers, uppers):
-        _assert_same_bits(batch_fuse_or_none(lo, hi, f), expected)
+        _assert_same_bits(coverage_extremes(lo, hi, lo.shape[1] - f), expected)
 
 
 @given(interval_batch())
@@ -167,7 +167,7 @@ def test_masked_rows_equal_scalar_fusion_of_subset(batch):
     mask[:, 0] = True
     expected = _scalar_fusion(lowers, uppers, lambda row, count: f, mask)
     for lo, hi, on in _both_kernels(lowers, uppers, mask):
-        _assert_same_bits(batch_fuse_or_none(lo, hi, f, mask=on), expected)
+        _assert_same_bits(coverage_extremes(lo, hi, on.sum(axis=1) - f, mask=on), expected)
 
 
 def _covered_extremes(lowers, uppers, required, mask):

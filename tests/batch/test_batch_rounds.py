@@ -20,7 +20,6 @@ from repro.batch import (
     TruthfulBatchAttacker,
     batch_orders,
     batch_rounds,
-    monte_carlo_rounds,
     sample_correct_bounds,
 )
 from repro.core import EmptyIntersectionError, Interval, ScheduleError, SensorError
@@ -177,9 +176,11 @@ def test_transient_faults_displace_and_get_flagged():
     assert np.isfinite(result.estimates[result.fusion.valid]).all()
 
 
-def test_monte_carlo_rounds_samples_contain_truth():
+def test_sampled_rounds_contain_truth():
     config = BatchRoundConfig(schedule=DescendingSchedule())
-    result = monte_carlo_rounds((2.0, 3.0, 5.0), config, samples=500, true_value=7.5)
+    rng = np.random.default_rng(0)
+    lowers, uppers = sample_correct_bounds((2.0, 3.0, 5.0), 7.5, 500, rng)
+    result = batch_rounds(lowers, uppers, config, rng)
     assert result.batch == 500
     assert (result.correct_lo <= 7.5).all() and (result.correct_hi >= 7.5).all()
     assert result.fusion.valid.all()

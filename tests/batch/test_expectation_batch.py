@@ -30,11 +30,12 @@ from repro.batch import (
     BatchRoundConfig,
     ExactExpectationBatchAttacker,
     VectorizedExpectationPolicy,
-    monte_carlo_rounds,
+    batch_rounds,
+    sample_correct_bounds,
 )
 from repro.batch import expectation as expectation_module
 from repro.batch.expectation import ContextBatch
-from repro.core.exceptions import AttackError, ScheduleError
+from repro.core.exceptions import AttackError
 from repro.core.interval import Interval
 from repro.engine import BatchEngine, ExpectationAttack, ScalarEngine
 from repro.scheduling import (
@@ -147,7 +148,9 @@ def test_attacker_selectable_in_batch_rounds():
     config = BatchRoundConfig(
         schedule=DescendingSchedule(), attacked_indices=(0,), attacker=attacker, f=1
     )
-    result = monte_carlo_rounds((5.0, 11.0, 17.0), config, samples=32)
+    rng = np.random.default_rng(0)
+    lowers, uppers = sample_correct_bounds((5.0, 11.0, 17.0), 0.0, 32, rng)
+    result = batch_rounds(lowers, uppers, config, rng)
     assert result.fusion.valid.all()
     # Stealthy by construction: the expectation attacker is never flagged.
     assert not result.attacker_detected.any()
@@ -155,29 +158,26 @@ def test_attacker_selectable_in_batch_rounds():
     assert attacker.policy.stats()["misses"] > 0
 
 
-def test_forge_requires_lookahead_fields():
-    """A driver that omits the lookahead arrays gets a loud error."""
+def test_slot_context_requires_lookahead_fields():
+    """A slot context cannot be built without the lookahead arrays."""
     from repro.batch.rounds import BatchSlotContext
 
-    attacker = ExactExpectationBatchAttacker(**COARSE)
     ones = np.ones(2)
-    context = BatchSlotContext(
-        n=3,
-        f=1,
-        slot=0,
-        rows=np.array([True, False]),
-        sensor=np.zeros(2, dtype=np.int64),
-        width=ones,
-        own_lo=-ones,
-        own_hi=ones,
-        delta_lo=-ones,
-        delta_hi=ones,
-        transmitted_lo=np.empty((2, 0)),
-        transmitted_hi=np.empty((2, 0)),
-        far=np.ones(2, dtype=np.int64),
-    )
-    with pytest.raises(ScheduleError, match="lookahead"):
-        attacker.forge(context, np.random.default_rng(0))
+    with pytest.raises(TypeError, match="transmitted_compromised.*remaining_widths.*remaining_compromised"):
+        BatchSlotContext(
+            n=3,
+            f=1,
+            slot=0,
+            rows=np.array([True, False]),
+            width=ones,
+            own_lo=-ones,
+            own_hi=ones,
+            delta_lo=-ones,
+            delta_hi=ones,
+            transmitted_lo=np.empty((2, 0)),
+            transmitted_hi=np.empty((2, 0)),
+            far=np.ones(2, dtype=np.int64),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.batch.fuse as fuse_module
-from repro.batch.fuse import _COUNTS_MIN_ROWS, batch_fuse, batch_fuse_or_none
+from repro.batch.fuse import _COUNTS_MIN_ROWS, batch_fuse
 from repro.batch.rounds import (
     ActiveStretchBatchAttacker,
     BatchRoundConfig,
@@ -188,22 +188,17 @@ class TestValidateBounds:
         ],
     )
     @pytest.mark.parametrize("layout", ["C", "sensor-major"])
-    def test_bad_entries_are_rejected_on_both_paths(self, entry, value, layout):
+    def test_bad_entries_are_rejected(self, entry, value, layout):
         lo, hi = self.GOOD_LO.copy(), self.GOOD_HI.copy()
         (lo if entry == "lo" else hi)[1, 1] = value
         if layout == "sensor-major":
             lo, hi = np.ascontiguousarray(lo.T).T, np.ascontiguousarray(hi.T).T
         with pytest.raises(FusionError, match="finite with uppers >= lowers"):
             batch_fuse(lo, hi, 0)
-        with pytest.raises(FusionError, match="finite with uppers >= lowers"):
-            batch_fuse_or_none(lo, hi, 0, mask=np.ones(lo.shape, dtype=bool))
-        # A masked-out bad entry takes part in nothing, so it passes.
-        mask = np.ones(lo.shape, dtype=bool)
-        mask[1, 1] = False
-        batch_fuse_or_none(lo, hi, 0, mask=mask)
 
-    def test_good_bounds_pass_on_both_paths(self):
-        unmasked = batch_fuse(self.GOOD_LO, self.GOOD_HI, 1)
-        masked = batch_fuse_or_none(self.GOOD_LO, self.GOOD_HI, 1, mask=np.ones((2, 3), dtype=bool))
-        np.testing.assert_array_equal(unmasked.lo, masked.lo)
-        np.testing.assert_array_equal(unmasked.hi, masked.hi)
+    def test_good_bounds_pass_in_both_layouts(self):
+        row_major = batch_fuse(self.GOOD_LO, self.GOOD_HI, 1)
+        lo, hi = np.ascontiguousarray(self.GOOD_LO.T).T, np.ascontiguousarray(self.GOOD_HI.T).T
+        sensor_major = batch_fuse(lo, hi, 1)
+        np.testing.assert_array_equal(row_major.lo, sensor_major.lo)
+        np.testing.assert_array_equal(row_major.hi, sensor_major.hi)

@@ -18,8 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Modules only other commands need: serving, schedule search, figures,
-#: the vehicle stack, the exact attacker, the scalar engine, and the
-#: stdlib machinery of serving and of worker pools.
+#: the vehicle stack, the exact attacker, the scalar engine, the scalar
+#: attack policies, and the stdlib machinery of serving and of worker pools.
 NOT_LOADED = (
     "repro.serve",
     "repro.optimize",
@@ -28,13 +28,15 @@ NOT_LOADED = (
     "repro.scenarios.figures",
     "repro.batch.expectation",
     "repro.engine.scalar",
+    "repro.attack.policy",
     "asyncio",
     "concurrent.futures.process",
 )
 
-#: Most ``repro.*`` modules a stretch run on the batch engine may load
-#: (46 when this was pinned; every package import loaded 82 before).
-MODULE_CEILING = 48
+#: Most ``repro.*`` modules a stretch run on the batch engine may load:
+#: ``python -m repro run table1-smoke`` loads exactly this many (every
+#: package import loaded 82 before imports became lazy).
+MODULE_CEILING = 46
 
 SCRIPTS = {
     "set-up and a stretch run": """

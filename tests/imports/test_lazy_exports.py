@@ -5,8 +5,10 @@ importing them (:mod:`repro._lazy`); these tests catch a name missing from,
 misspelt in, or pointed at the wrong submodule of that map.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,37 @@ def test_every_exported_name_resolves_and_is_listed(name):
         # A resolved name is cached in the package, so the next read is a
         # plain attribute lookup.
         assert vars(package)[export] is value
+
+
+def lazy_map(name: str) -> dict[str, tuple[str, ...]] | None:
+    """The submodule-to-names map ``name``'s ``__init__`` hands to
+    ``lazy_exports``; ``None`` for a package that exports eagerly."""
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            return ast.literal_eval(node.args[1])
+    return None
+
+
+LAZY_PACKAGES = [name for name in PACKAGES if lazy_map(name) is not None]
+
+
+def test_every_package_but_obs_exports_lazily():
+    assert sorted(set(PACKAGES) - set(LAZY_PACKAGES)) == ["repro.obs"]
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_all_is_the_map_in_map_order(name):
+    names = [export for exports in lazy_map(name).values() for export in exports]
+    extra = ["__version__"] if name == "repro" else []
+    assert importlib.import_module(name).__all__ == names + extra
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_every_mapped_name_is_in_its_submodule_all(name):
+    for module, exports in lazy_map(name).items():
+        submodule = importlib.import_module(f"{name}.{module}")
+        assert sorted(set(exports) - set(submodule.__all__)) == [], submodule.__name__
 
 
 @pytest.mark.parametrize("name", PACKAGES)

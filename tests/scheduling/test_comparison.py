@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.attack import (
+    ActiveStretchPolicy,
     ExpectationPolicy,
-    GreedyExtendPolicy,
     OmniscientPolicy,
     RandomAdmissiblePolicy,
     TruthfulPolicy,
@@ -67,7 +67,7 @@ class TestEstimators:
         assert asc.expected_width == pytest.approx(desc.expected_width)
 
     def test_attacker_never_detected(self):
-        row = expected_fusion_width_exhaustive(self.config, DescendingSchedule(), GreedyExtendPolicy())
+        row = expected_fusion_width_exhaustive(self.config, DescendingSchedule(), ActiveStretchPolicy())
         assert row.detected_fraction == 0.0
 
     def test_monte_carlo_close_to_exhaustive_for_truthful(self):
@@ -81,14 +81,14 @@ class TestEstimators:
 
     def test_attacker_strength_ordering(self):
         # Under Descending the attackers order from harmless to omniscient:
-        # truthful <= greedy <= expectation (faithful) <= omniscient, the
+        # truthful <= stretch <= expectation (faithful) <= omniscient, the
         # conservative expectation attacker is no stronger than the faithful
         # one, and every stealthy attacker sits between the two extremes.
         config = ScheduleComparisonConfig(lengths=(5.0, 11.0, 17.0), fa=1, positions=4)
         attackers = {
             "truthful": TruthfulPolicy(),
             "random": RandomAdmissiblePolicy(),
-            "greedy": GreedyExtendPolicy(),
+            "stretch": ActiveStretchPolicy(),
             "conservative": ExpectationPolicy(conservative=True),
             "faithful": ExpectationPolicy(),
             "omniscient": OmniscientPolicy(),
@@ -103,11 +103,11 @@ class TestEstimators:
             ).expected_width
             for name, policy in attackers.items()
         }
-        assert widths["truthful"] <= widths["greedy"] + 1e-9
-        assert widths["greedy"] <= widths["faithful"] + 1e-9
+        assert widths["truthful"] <= widths["stretch"] + 1e-9
+        assert widths["stretch"] <= widths["faithful"] + 1e-9
         assert widths["conservative"] <= widths["faithful"] + 1e-9
         assert widths["faithful"] <= widths["omniscient"] + 1e-6
-        for name in ("random", "greedy", "faithful"):
+        for name in ("random", "stretch", "faithful"):
             assert widths["truthful"] - 1e-9 <= widths[name] <= widths["omniscient"] + 1e-6
 
     @pytest.mark.parametrize("engine_name", ["scalar", "batch"])

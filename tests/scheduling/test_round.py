@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attack import AttackPolicy, ExpectationPolicy, GreedyExtendPolicy, TruthfulPolicy
+from repro.attack import ActiveStretchPolicy, AttackPolicy, ExpectationPolicy, TruthfulPolicy
 from repro.core import Interval, ScheduleError, fuse
 from repro.scheduling import (
     AscendingSchedule,
@@ -71,7 +71,7 @@ class TestRoundWithAttack:
         result = run_round(
             CORRECT,
             RoundConfig(
-                schedule=DescendingSchedule(), attacked_indices=(0,), policy=GreedyExtendPolicy(), f=1
+                schedule=DescendingSchedule(), attacked_indices=(0,), policy=ActiveStretchPolicy(), f=1
             ),
             rng,
         )
@@ -148,7 +148,7 @@ class TestSharedMediumView:
     @pytest.mark.parametrize("permutation", ORDERS, ids=lambda p: "".join(map(str, p)))
     @pytest.mark.parametrize("attacked", [(0,), (2,), (1, 3)], ids=lambda a: "+".join(map(str, a)))
     def test_attacker_context_is_the_bus_so_far(self, permutation, attacked):
-        policy = RecordingPolicy(GreedyExtendPolicy())
+        policy = RecordingPolicy(ActiveStretchPolicy())
         config = RoundConfig(
             schedule=FixedSchedule(permutation), attacked_indices=attacked, policy=policy, f=1
         )
@@ -192,8 +192,8 @@ class TestSharedMediumView:
 class TestStealthyPoliciesStayUndetected:
     @pytest.mark.parametrize(
         "policy",
-        [ExpectationPolicy(), GreedyExtendPolicy(), TruthfulPolicy()],
-        ids=["expectation", "greedy", "truthful"],
+        [ExpectationPolicy(), ActiveStretchPolicy(), TruthfulPolicy()],
+        ids=["expectation", "stretch", "truthful"],
     )
     @pytest.mark.parametrize(
         "schedule",

@@ -9,7 +9,7 @@ and the received subset against the realization for arbitrary draws.
 import numpy as np
 import pytest
 
-from repro.attack import AttackPolicy, GreedyExtendPolicy, TruthfulPolicy
+from repro.attack import ActiveStretchPolicy, AttackPolicy, TruthfulPolicy
 from repro.channel import ChannelRoundView, ChannelSpec, realize_channel
 from repro.core import EmptyFusionError, Interval, fuse, fuse_or_none, max_safe_fault_bound
 from repro.scheduling import (
@@ -121,7 +121,7 @@ class TestRealizedChannel:
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=["ascending", "descending", "random"])
     def test_perfect_channel_is_the_plain_round(self, schedule):
         realization = realize_channel(ChannelSpec(loss=0.0), 1, 5, np.random.default_rng(1))
-        config = RoundConfig(schedule=schedule, attacked_indices=(0, 3), policy=GreedyExtendPolicy())
+        config = RoundConfig(schedule=schedule, attacked_indices=(0, 3), policy=ActiveStretchPolicy())
         plain = run_round(CORRECT, config, np.random.default_rng(2))
         lossy = run_round(CORRECT, config, np.random.default_rng(2), realization.row(0))
         assert lossy == plain
@@ -131,7 +131,7 @@ class TestRealizedChannel:
     def test_attacker_view_and_fusion_follow_the_realization(self, schedule, row):
         spec = ChannelSpec(loss=0.35, delay=0.3, max_delay=2, retransmit_budget=2)
         view = realize_channel(spec, 12, 5, np.random.default_rng(7)).row(row)
-        policy = RecordingPolicy(GreedyExtendPolicy())
+        policy = RecordingPolicy(ActiveStretchPolicy())
         config = RoundConfig(schedule=schedule, attacked_indices=(1, 4), policy=policy)
         result = run_round(CORRECT, config, np.random.default_rng(0), view)
         order = schedule.order([c.width for c in CORRECT], np.random.default_rng(0))

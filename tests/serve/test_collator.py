@@ -1,6 +1,7 @@
 """BatchCollator behaviour: coalesce-while-busy, the max_batch cap, isolation, errors."""
 
 import asyncio
+import dataclasses
 import gc
 import sys
 import threading
@@ -9,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.channel import ChannelSpec
 from repro.core.exceptions import ExperimentError
 from repro.scenarios.spec import ComparisonCase
 from repro.serve import BatchCollator, plan_key
@@ -41,8 +43,26 @@ class TestPlanKey:
     def test_physics_fields_affect_key(self):
         assert plan_key("batch", CASE, "ascending") != plan_key("scalar", CASE, "ascending")
         assert plan_key("batch", CASE, "ascending") != plan_key("batch", CASE, "descending")
-        wider = ComparisonCase(label="case", lengths=(2.0, 3.0, 9.0), fa=1)
-        assert plan_key("batch", CASE, "ascending") != plan_key("batch", wider, "ascending")
+        # plan_key lists the case fields by hand: a new physics field left out
+        # of it would let two requests with different physics share one pass.
+        base = ComparisonCase(label="case", lengths=(1.0, 2.0, 3.0, 4.0, 5.0), fa=1)
+        changes = {
+            "lengths": (1.0, 2.0, 3.0, 4.0, 6.0),
+            "fa": 2,
+            "f": 1,
+            "attacked_indices": (0,),
+            "attack": "truthful",
+            "fault_probability": 0.1,
+            "fault_min_offset_widths": 1.5,
+            "fault_max_offset_widths": 4.0,
+            "channel": ChannelSpec(loss=0.1),
+        }
+        inert = {"label": "other", "schedules": ("descending",)}
+        assert {field.name for field in dataclasses.fields(ComparisonCase)} == set(changes) | set(inert)
+        key = plan_key("batch", base, "ascending")
+        for name, value in changes.items():
+            assert plan_key("batch", dataclasses.replace(base, **{name: value}), "ascending") != key, name
+        assert plan_key("batch", dataclasses.replace(base, **inert), "ascending") == key
 
 
 class TestCoalescing:

@@ -15,7 +15,6 @@ from repro.utils.seeding import (
     child_seed_sequence,
     derive_rng,
     ensure_rng,
-    shard_rngs,
     shard_seed_sequences,
 )
 
@@ -70,7 +69,7 @@ def test_ensure_rng_passthrough_and_default():
 def test_shard_helpers_spawn_keyed_streams():
     sequences = shard_seed_sequences(9, 3)
     assert [s.spawn_key for s in sequences] == [(0,), (1,), (2,)]
-    draws = {tuple(rng.random(4)) for rng in shard_rngs(9, 3)}
+    draws = {tuple(np.random.default_rng(s).random(4)) for s in sequences}
     assert len(draws) == 3  # independent streams
 
 
@@ -145,5 +144,5 @@ def test_ensure_rng_passes_the_callers_generator_through_unwrapped():
 
 
 @pytest.mark.parametrize("count", [1, 4])
-def test_shard_rngs_count(count):
-    assert len(shard_rngs(0, count)) == count
+def test_shard_seed_sequences_count(count):
+    assert len(shard_seed_sequences(0, count)) == count

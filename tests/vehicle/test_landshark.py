@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.attack import ExpectationPolicy, GreedyExtendPolicy, TruthfulPolicy
+from repro.attack import ActiveStretchPolicy, ExpectationPolicy, TruthfulPolicy
 from repro.core import FaultBoundError, VehicleError
 from repro.scheduling import (
     AscendingSchedule,
@@ -148,7 +148,7 @@ class TestLandSharkLongRun:
 
 POLICIES = {
     "truthful": TruthfulPolicy,
-    "greedy": GreedyExtendPolicy,
+    "stretch": ActiveStretchPolicy,
     "expectation": lambda: ExpectationPolicy(true_value_positions=2, placement_positions=2),
 }
 SELECTORS = {
