@@ -118,7 +118,7 @@ def test_lossy_fused_speedup(report_writer, json_report_writer, batch_samples, l
     # the table and the JSON behind for CI to upload and diagnose.
     for slot_result, transmission_result, leg in parity:
         assert_bit_identical(slot_result, transmission_result, leg)
-        assert transmission_result.channel is slot_result.channel
+        assert transmission_result.prepared.channel is slot_result.prepared.channel
     gated_speedup = legs[f"{GATED_CHANNEL}/{GATED_SCHEDULE}"]["speedup"]
     assert gated_speedup >= lossy_speedup_floor, (
         f"the per-transmission program is only {gated_speedup:.2f}x the slot loop on the "
@@ -135,4 +135,4 @@ def test_lossy_fused_benchmark(benchmark, schedule, batch_samples):
         return transmission_rounds(prepared, round_config)
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert result.channel.dropped.sum() > 0
+    assert result.prepared.channel.dropped.sum() > 0

@@ -28,8 +28,6 @@ see ``tests/batch/test_case_study_batch.py``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.batch.rounds import (
@@ -93,7 +91,7 @@ def batch_case_study_for_schedule(
     schedule: Schedule,
     n_replicas: int,
     rng: np.random.Generator | None = None,
-    attacker_factory: Callable[[], BatchAttacker] | None = None,
+    attacker: BatchAttacker | None = None,
 ) -> ViolationStats:
     """Run the platoon under one schedule with all rounds of a step batched.
 
@@ -102,15 +100,16 @@ def batch_case_study_for_schedule(
     n_replicas:
         Independent platoon replicas evolved in parallel; the returned
         statistics cover ``n_replicas * n_vehicles * n_steps`` fusion rounds.
-    attacker_factory:
-        Zero-argument callable building the vectorized attacker (defaults to
+    attacker:
+        The vectorized attacker (defaults to a new
         :class:`~repro.batch.rounds.ExpectationProxyBatchAttacker`, the
         stand-in for the scalar case study's expectation policy).
     """
     if n_replicas <= 0:
         raise ExperimentError(f"need a positive number of replicas, got {n_replicas}")
     rng = ensure_rng(rng, config.seed)
-    attacker = attacker_factory() if attacker_factory is not None else ExpectationProxyBatchAttacker()
+    if attacker is None:
+        attacker = ExpectationProxyBatchAttacker()
 
     suite = landshark_suite()
     widths = np.asarray(suite.widths, dtype=np.float64)

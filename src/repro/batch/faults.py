@@ -48,11 +48,19 @@ class BatchTransientFaults:
         eligible: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (faulted lowers, faulted uppers, fault mask) over ``(B, n)``."""
+        """Return (faulted lowers, faulted uppers, fault mask) over ``(B, n)``.
+
+        The three draws are ``(B, n)``; the results are ``.T`` views of
+        sensor-major ``(n, B)`` buffers, the batch rounds' layout.
+        """
         shape = lowers.shape
-        widths = uppers - lowers
-        hit = (rng.random(shape) < self.probability) & eligible
-        offsets = rng.uniform(self.min_offset_widths, self.max_offset_widths, shape) * widths
-        signs = np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+        lowers, uppers = lowers.T, uppers.T
+        hit = np.logical_and(
+            rng.random(shape).T < self.probability, eligible.T, out=np.empty(lowers.shape, dtype=bool)
+        )
+        offsets = rng.uniform(self.min_offset_widths, self.max_offset_widths, shape).T * (uppers - lowers)
+        signs = np.where(rng.random(shape).T < 0.5, 1.0, -1.0)
         shift = np.where(hit, signs * offsets, 0.0)
-        return lowers + shift, uppers + shift, hit
+        sent_lo = np.add(lowers, shift, out=np.empty(lowers.shape))
+        sent_hi = np.add(uppers, shift, out=np.empty(lowers.shape))
+        return sent_lo.T, sent_hi.T, hit.T

@@ -370,61 +370,6 @@ class BatchRoundConfig:
     channel: ChannelSpec | None = None
 
 
-@dataclass(frozen=True)
-class BatchRoundResult:
-    """Array-valued outcome of a batch of fusion rounds.
-
-    All per-sensor arrays are indexed by *sensor* (not slot), like the scalar
-    :class:`~repro.scheduling.round.RoundResult.broadcast`.  They are
-    ``(B, n)`` in shape but may be ``.T`` views of sensor-major ``(n, B)``
-    buffers (the batch programs' layout), so callers must not assume C
-    order.  A non-empty ``attacked_indices`` is the static attacked set
-    that ``attacked_mask`` repeats in every row.
-    """
-
-    orders: np.ndarray
-    correct_lo: np.ndarray
-    correct_hi: np.ndarray
-    broadcast_lo: np.ndarray
-    broadcast_hi: np.ndarray
-    fusion: BatchFusion
-    flagged: np.ndarray
-    attacked_indices: tuple[int, ...]
-    fault_mask: np.ndarray
-    attacked_mask: np.ndarray
-    channel: ChannelRealization | None = None
-
-    @property
-    def batch(self) -> int:
-        """Number of rounds in the batch."""
-        return int(self.orders.shape[0])
-
-    @property
-    def estimates(self) -> np.ndarray:
-        """Per-round point estimates — the fusion midpoints."""
-        return self.fusion.center
-
-    @property
-    def attacker_detected(self) -> np.ndarray:
-        """``(B,)`` mask: some compromised sensor was flagged this round.
-
-        A static attacked set ORs its sensors' ``flagged`` columns, whole
-        columns at a time; per-round masks reduce along each row.
-        """
-        if not self.attacked_indices:
-            return (self.flagged & self.attacked_mask).any(axis=1)
-        columns = self.flagged.T
-        detected = columns[self.attacked_indices[0]].copy()
-        for sensor in self.attacked_indices[1:]:
-            detected |= columns[sensor]
-        return detected
-
-    @property
-    def fault_detected(self) -> np.ndarray:
-        """``(B,)`` mask: some transiently-faulty sensor was flagged."""
-        return (self.flagged & self.fault_mask).any(axis=1)
-
-
 def batch_orders(
     schedule: Schedule,
     widths: np.ndarray,
@@ -472,7 +417,10 @@ def sample_correct_bounds(
     """Sample ``samples`` rounds of correct intervals containing ``true_value``.
 
     Each sensor's interval has its configured length and a uniformly random
-    offset.  Both engines draw their Monte-Carlo rounds here.
+    offset.  Both engines draw their Monte-Carlo rounds here.  The offsets
+    are drawn sample-major ``(B, n)``; the bounds are written into
+    sensor-major buffers and returned as their ``(B, n)`` ``.T`` views (the
+    layout rule of :class:`PreparedRounds`).
     """
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.ndim != 1 or lengths.size == 0:
@@ -481,8 +429,10 @@ def sample_correct_bounds(
         raise ScheduleError("interval widths must be positive")
     if samples <= 0:
         raise ScheduleError(f"need a positive number of samples, got {samples}")
-    lowers = true_value - rng.uniform(0.0, 1.0, (samples, lengths.size)) * lengths
-    return lowers, lowers + lengths
+    offsets = rng.uniform(0.0, 1.0, (samples, lengths.size)).T
+    lowers = np.multiply(offsets, lengths[:, None], out=np.empty(offsets.shape))
+    np.subtract(true_value, lowers, out=lowers)
+    return lowers.T, (lowers + lengths[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -493,6 +443,12 @@ class PreparedRounds:
     structure, so they validate identically and — crucially — consume the
     random stream in exactly the same order (transmission orders before
     fault injection), which is what keeps their results bit-comparable.
+
+    **The batch layout rule.**  Every per-sensor array — correct and sent
+    bounds, widths, ``attacked_mask`` and ``fault_mask`` — is a ``(B, n)``
+    ``.T`` view of a C-contiguous sensor-major ``(n, B)`` buffer, so a
+    sensor's column is contiguous memory.  Slot-space arrays (``orders``
+    and the channel realization) are C-ordered ``(B, n)``.
     """
 
     correct_lo: np.ndarray
@@ -513,6 +469,45 @@ class PreparedRounds:
     @property
     def shape(self) -> tuple[int, int]:
         return self.correct_lo.shape
+
+
+@dataclass(frozen=True)
+class BatchRoundResult:
+    """Array-valued outcome of a batch of fusion rounds.
+
+    ``prepared`` is the batch's input record.  The per-sensor arrays are
+    indexed by *sensor* (not slot), like the scalar
+    :class:`~repro.scheduling.round.RoundResult.broadcast`, and follow the
+    batch layout rule of :class:`PreparedRounds`: ``(B, n)`` ``.T`` views of
+    C-contiguous sensor-major ``(n, B)`` buffers.
+    """
+
+    prepared: PreparedRounds
+    broadcast_lo: np.ndarray
+    broadcast_hi: np.ndarray
+    fusion: BatchFusion
+    flagged: np.ndarray
+
+    @property
+    def batch(self) -> int:
+        """Number of rounds in the batch."""
+        return self.prepared.shape[0]
+
+    @property
+    def attacker_detected(self) -> np.ndarray:
+        """``(B,)`` mask: some compromised sensor was flagged this round.
+
+        A static attacked set ORs its sensors' ``flagged`` columns, whole
+        columns at a time; per-round masks reduce along each row.
+        """
+        attacked = self.prepared.attacked
+        if not attacked:
+            return (self.flagged & self.prepared.attacked_mask).any(axis=1)
+        columns = self.flagged.T
+        detected = columns[attacked[0]].copy()
+        for sensor in attacked[1:]:
+            detected |= columns[sensor]
+        return detected
 
 
 def prepare_rounds(
@@ -541,6 +536,7 @@ def _prepare_rounds(
     batch, n = correct_lo.shape
     if n == 0:
         raise ScheduleError("a round needs at least one sensor")
+    correct_lo, correct_hi = _sensor_major(correct_lo), _sensor_major(correct_hi)
     attacked = tuple(sorted(set(config.attacked_indices)))
     for index in attacked:
         if not 0 <= index < n:
@@ -555,10 +551,11 @@ def _prepare_rounds(
             raise ScheduleError(
                 f"attacked_mask must have shape {(batch, n)}, got {attacked_mask.shape}"
             )
+        attacked_mask = _sensor_major(attacked_mask)
     else:
         static_mask = np.zeros(n, dtype=bool)
         static_mask[list(attacked)] = True
-        attacked_mask = np.broadcast_to(static_mask, (batch, n))
+        attacked_mask = _sensor_major(np.broadcast_to(static_mask, (batch, n)))
     # A static set attacks in every round or in none; only per-round masks
     # need the row reduction.
     if config.attacked_mask is None:
@@ -572,7 +569,7 @@ def _prepare_rounds(
 
     if attacked:
         # Static attacked set: Δ is a running max/min over the attacked
-        # columns, one whole-column ufunc call per column (identical values
+        # columns, one ufunc call per contiguous column (identical values
         # to the masked reduction below; a reduction along a row of fa
         # entries would loop fa elements at a time on this hot path).
         delta_lo = correct_lo[:, attacked[0]].copy()
@@ -603,7 +600,7 @@ def _prepare_rounds(
         )
     else:
         sent_lo, sent_hi = correct_lo, correct_hi
-        fault_mask = np.zeros((batch, n), dtype=bool)
+        fault_mask = np.zeros((n, batch), dtype=bool).T
 
     # The channel realizes from a *spawned* child generator: spawning never
     # consumes the parent bitstream, so a channel-free run's draws — and
@@ -633,6 +630,11 @@ def _prepare_rounds(
     )
 
 
+def _sensor_major(array: np.ndarray) -> np.ndarray:
+    """``array`` under the batch layout rule, copied only if it does not follow it."""
+    return np.asarray(array.T, order="C").T
+
+
 def concat_prepared(items: Sequence[PreparedRounds]) -> PreparedRounds:
     """Pack several prepared batches of the *same* configuration into one.
 
@@ -641,7 +643,8 @@ def concat_prepared(items: Sequence[PreparedRounds]) -> PreparedRounds:
     standalone run exactly), and the packed batch runs the simulation body
     once.  Because the post-prepare simulation of the deterministic attack
     specs consumes no randomness, slicing the packed result row-wise is
-    bit-identical to simulating every item separately.
+    bit-identical to simulating every item separately.  Row-wise
+    concatenation keeps the layout rule of :class:`PreparedRounds`.
 
     Every item must share the attacked set and fault bound (they came from
     one :class:`BatchRoundConfig`); mismatches raise rather than silently
@@ -835,11 +838,11 @@ def transmission_rounds(prepared: PreparedRounds, config: BatchRoundConfig) -> B
             "use batch_rounds_prepared"
         )
     batch = prepared.shape[0]
-    # The sensor-major broadcast buffers double as the working transmit
+    # Copies of the sensor-major sent buffers double as the working transmit
     # state; a truthful attacker forges nothing (faults never hit attacked
     # sensors, so their correct readings are already in them).
-    broadcast_lo = np.ascontiguousarray(prepared.sent_lo.T)
-    broadcast_hi = np.ascontiguousarray(prepared.sent_hi.T)
+    broadcast_lo = prepared.sent_lo.T.copy()
+    broadcast_hi = prepared.sent_hi.T.copy()
     # The attacker protocol resets per batch even when no slot is forged.
     config.attacker.reset(batch)
     if type(config.attacker) is ActiveStretchBatchAttacker and bool(prepared.any_attacked.any()):
@@ -879,18 +882,17 @@ def _forge_stretch(
 ) -> None:
     """Forge every compromised broadcast of the greedy stretch attacker in place.
 
-    ``broadcast_lo`` / ``broadcast_hi`` are the sensor-major ``(n, B)``
-    C-contiguous buffers, read and written through flat ``sensor * B + row``
-    indices (one-array ``take`` / ``put``, several times cheaper than
-    two-array fancy indexing); the ``(B, n)`` prologue arrays are read
-    through ``row * n + sensor``.  Each support sweep gathers its prefix
+    ``broadcast_lo`` / ``broadcast_hi`` are sensor-major ``(n, B)``
+    C-contiguous buffers, like the prologue's widths and correct bounds, so
+    all of them are read and written through one flat ``sensor * B + row``
+    index (one-array ``take`` / ``put``, several times cheaper than
+    two-array fancy indexing).  Each support sweep gathers its prefix
     sensor-major too, the layout :func:`coverage_extremes` counts in.
     """
     batch, n = prepared.shape
     f = prepared.f
     orders = prepared.orders
     rows = np.arange(batch)
-    row_start = rows * n  # flat index of each row's column 0 in (B, n)
     static = bool(prepared.attacked)  # every row attacks the same sensors
     if static:
         fa = len(prepared.attacked)
@@ -899,9 +901,9 @@ def _forge_stretch(
         fa_rows = prepared.attacked_mask.sum(axis=1)
         fa = int(fa_rows.max())
     comp_slots, comp_sensors = _compromised_transmissions(prepared, fa)
-    widths = np.ravel(prepared.widths)
-    correct_lo = np.ravel(prepared.correct_lo)
-    correct_hi = np.ravel(prepared.correct_hi)
+    widths = prepared.widths.T.ravel()
+    correct_lo = prepared.correct_lo.T.ravel()
+    correct_hi = prepared.correct_hi.T.ravel()
     # A prefix can only anchor a support when at least `required` of its
     # intervals are visible — every earlier slot on the perfect bus, only
     # the already-arrived ones under a lossy channel — so rows short of
@@ -917,8 +919,7 @@ def _forge_stretch(
         active_rows = None if static else fa_rows > j  # None: every row
         slot = comp_slots[:, j]
         sensor = comp_sensors[:, j]
-        cell = row_start + sensor
-        sent_cell = sensor * batch + rows
+        cell = sensor * batch + rows
         width = widths.take(cell)
         need = unplaced if static else active_rows & unplaced
         seen = slot if visible_table is None else visible_table[rows, slot]
@@ -959,9 +960,9 @@ def _forge_stretch(
         hi = np.where(passive, delta_lo + width if right else delta_hi, hi)
         if not static:
             writers = np.flatnonzero(active_rows)
-            sent_cell, lo, hi = sent_cell[writers], lo[writers], hi[writers]
-        broadcast_lo.put(sent_cell, lo)
-        broadcast_hi.put(sent_cell, hi)
+            cell, lo, hi = cell[writers], lo[writers], hi[writers]
+        broadcast_lo.put(cell, lo)
+        broadcast_hi.put(cell, hi)
 
 
 def _fuse_broadcasts(
@@ -1002,16 +1003,4 @@ def _fuse_broadcasts(
                 mask=received,
             )
             flagged = batch_detect(broadcast_lo, broadcast_hi, fusion) & received
-    return BatchRoundResult(
-        orders=prepared.orders,
-        correct_lo=prepared.correct_lo,
-        correct_hi=prepared.correct_hi,
-        broadcast_lo=broadcast_lo,
-        broadcast_hi=broadcast_hi,
-        fusion=fusion,
-        flagged=flagged,
-        attacked_indices=prepared.attacked,
-        fault_mask=prepared.fault_mask,
-        attacked_mask=prepared.attacked_mask,
-        channel=channel,
-    )
+    return BatchRoundResult(prepared, broadcast_lo, broadcast_hi, fusion, flagged)

@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ReproError",
             "ScheduleError",
             "SensorError",
-            "StealthViolationError",
             "VehicleError",
         ),
         "interval": ("Interval", "IntervalSet", "convex_hull", "intersect_all"),

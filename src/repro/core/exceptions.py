@@ -15,7 +15,6 @@ __all__ = [
     "FaultBoundError",
     "EmptyFusionError",
     "AttackError",
-    "StealthViolationError",
     "ScheduleError",
     "SensorError",
     "VehicleError",
@@ -54,10 +53,6 @@ class EmptyFusionError(FusionError):
 
 class AttackError(ReproError):
     """Raised when an attack policy is asked to do something impossible."""
-
-
-class StealthViolationError(AttackError):
-    """Raised when a forged interval would be detected by the controller."""
 
 
 class ScheduleError(ReproError):

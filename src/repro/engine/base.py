@@ -186,9 +186,10 @@ class RoundsResult:
     backend.  Their entries are meaningful where :attr:`valid` is ``True`` —
     the scalar engine aborts an empty-fusion round before detection, so
     invalid rows carry ``NaN`` broadcasts and all-``False`` flags on every
-    backend (:func:`rounds_results` enforces it).  They may be ``.T`` views
-    of sensor-major ``(n, B)`` buffers (the batch engine's layout), so
-    callers must not assume C order.
+    backend (:func:`rounds_results` enforces it).  Every engine builds them
+    sensor-major: they are ``(B, n)`` ``.T`` views of ``(n, B)`` buffers
+    (of a column block of one, for each budget of a packed
+    :meth:`Engine.run_many` pass).
 
     ``channel_dropped`` / ``channel_retransmits`` are filled only when a
     :class:`repro.channel.ChannelSpec` was configured: per-round counts of
@@ -290,7 +291,7 @@ def rounds_results(
     obs.add("repro_engine_samples_total", sum(budgets), engine=engine)
     if memo is not None:
         count_memo_lookups(memo)
-    channel = result.channel
+    channel = result.prepared.channel
     if channel is not None:
         obs.add("repro_channel_dropped_total", int(channel.dropped.sum()), engine=engine)
         obs.add("repro_channel_retransmits_total", int(channel.retransmits.sum()), engine=engine)

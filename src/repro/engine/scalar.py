@@ -131,9 +131,10 @@ class ScalarEngine(Engine):
         fusion_lo = np.full(samples, np.nan)
         fusion_hi = np.full(samples, np.nan)
         valid = np.zeros(samples, dtype=bool)
-        broadcast_lo = np.full((samples, n), np.nan)
-        broadcast_hi = np.full((samples, n), np.nan)
-        flagged = np.zeros((samples, n), dtype=bool)
+        # Sensor-major, the batch layout rule (PreparedRounds).
+        broadcast_lo = np.full((n, samples), np.nan).T
+        broadcast_hi = np.full((n, samples), np.nan).T
+        flagged = np.zeros((n, samples), dtype=bool).T
         with obs.span("engine.rounds", engine=self.name, samples=samples):
             for index in range(samples):
                 intervals = list(map(Interval, prepared.sent_lo[index], prepared.sent_hi[index]))
@@ -162,15 +163,5 @@ class ScalarEngine(Engine):
                 # Detection reports flags in slot order; re-index by sensor.
                 flagged[index, [result.order[slot] for slot in result.detection.flagged_indices]] = True
         return BatchRoundResult(
-            orders=prepared.orders,
-            correct_lo=prepared.correct_lo,
-            correct_hi=prepared.correct_hi,
-            broadcast_lo=broadcast_lo,
-            broadcast_hi=broadcast_hi,
-            fusion=BatchFusion(lo=fusion_lo, hi=fusion_hi, valid=valid),
-            flagged=flagged,
-            attacked_indices=prepared.attacked,
-            fault_mask=prepared.fault_mask,
-            attacked_mask=prepared.attacked_mask,
-            channel=prepared.channel,
+            prepared, broadcast_lo, broadcast_hi, BatchFusion(lo=fusion_lo, hi=fusion_hi, valid=valid), flagged
         )

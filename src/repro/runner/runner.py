@@ -207,21 +207,18 @@ def _merge_comparison(spec: ComparisonScenario, outcomes: list[list[dict]]) -> d
 # case-study scenarios
 
 
-def _case_study_attacker_factory(spec: CaseStudyScenario):
+def _case_study_attacker(spec: CaseStudyScenario):
+    """A new attacker for one (shard, schedule) run; ``None`` selects the default proxy."""
     if spec.attacker == "proxy":
-        return None  # batch_case_study_for_schedule's default proxy attacker
+        return None
+    from repro.batch.expectation import ExactExpectationBatchAttacker
+
     true_value_positions, placement_positions, grid_positions = spec.expectation_grid
-
-    def factory():
-        from repro.batch.expectation import ExactExpectationBatchAttacker
-
-        return ExactExpectationBatchAttacker(
-            true_value_positions=true_value_positions,
-            placement_positions=placement_positions,
-            grid_positions=grid_positions,
-        )
-
-    return factory
+    return ExactExpectationBatchAttacker(
+        true_value_positions=true_value_positions,
+        placement_positions=placement_positions,
+        grid_positions=grid_positions,
+    )
 
 
 def _plan_case_study(spec: CaseStudyScenario) -> list[ShardTask]:
@@ -277,26 +274,20 @@ def _case_study_shard(task: ShardTask) -> list[dict]:
     from repro.batch.case_study import batch_case_study_for_schedule
 
     _, shard_index, replicas = task.params
-    build = _case_study_attacker_factory(spec)
-    attackers = []
-
-    def attacker_factory():
-        attackers.append(build())
-        return attackers[-1]
-
     shard_stats = []
     for schedule_index, schedule in enumerate(schedules):
+        attacker = _case_study_attacker(spec)
         stats = batch_case_study_for_schedule(
             config,
             schedule,
             n_replicas=replicas,
             rng=derive_rng(spec.seed, schedule_index, shard_index),
-            attacker_factory=None if build is None else attacker_factory,
+            attacker=attacker,
         )
         shard_stats.append(_stats_dict(schedule_index, stats))
-    # The exact attacker's memo tallies, as rounds_results counts them.
-    for attacker in attackers:
-        count_memo_lookups(attacker.policy)
+        if attacker is not None:
+            # The exact attacker's memo tallies, as rounds_results counts them.
+            count_memo_lookups(attacker.policy)
     return shard_stats
 
 

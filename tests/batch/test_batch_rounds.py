@@ -60,7 +60,7 @@ def _assert_equivalent(lengths, schedule, attacked, f, side, batch=64, seed=11):
             ),
             np.random.default_rng(0),
         )
-        assert tuple(result.orders[row]) == scalar.order
+        assert tuple(result.prepared.orders[row]) == scalar.order
         for i in range(n):
             assert result.broadcast_lo[row, i] == scalar.broadcast[i].lo
             assert result.broadcast_hi[row, i] == scalar.broadcast[i].hi
@@ -139,8 +139,8 @@ def test_stretch_attacker_stays_undetected_under_random_schedule():
     )
     result = batch_rounds(lowers, uppers, config, np.random.default_rng(1))
     # Every order is a permutation and differs across rows with high probability.
-    assert (np.sort(result.orders, axis=1) == np.arange(5)).all()
-    assert len({tuple(row) for row in result.orders}) > 1
+    assert (np.sort(result.prepared.orders, axis=1) == np.arange(5)).all()
+    assert len({tuple(row) for row in result.prepared.orders}) > 1
     assert result.fusion.valid.all()
     assert not result.attacker_detected.any()
     # The fusion still contains the true value: at most f sensors lie.
@@ -159,21 +159,21 @@ def test_transient_faults_displace_and_get_flagged():
     )
     result = batch_rounds(lowers, uppers, config, np.random.default_rng(2))
     # Faults hit only honest sensors, at roughly the configured rate.
-    assert not result.fault_mask[:, 0].any()
-    rate = result.fault_mask[:, 1:].mean()
+    assert not result.prepared.fault_mask[:, 0].any()
+    rate = result.prepared.fault_mask[:, 1:].mean()
     assert 0.05 < rate < 0.15
     # A faulty interval never contains the truth; most get flagged.
-    faulty_rows, faulty_cols = np.nonzero(result.fault_mask)
+    faulty_rows, faulty_cols = np.nonzero(result.prepared.fault_mask)
     assert (
         (result.broadcast_lo[faulty_rows, faulty_cols] > 0.0)
         | (result.broadcast_hi[faulty_rows, faulty_cols] < 0.0)
     ).all()
-    assert result.fault_detected.any()
+    assert (result.flagged & result.prepared.fault_mask).any(axis=1).any()
     # Rounds with at most f faults and a valid fusion still contain the truth.
-    few_faults = result.fault_mask.sum(axis=1) <= 2
+    few_faults = result.prepared.fault_mask.sum(axis=1) <= 2
     ok = few_faults & result.fusion.valid
     assert (result.fusion.lo[ok] <= 0.0).all() and (result.fusion.hi[ok] >= 0.0).all()
-    assert np.isfinite(result.estimates[result.fusion.valid]).all()
+    assert np.isfinite(result.fusion.center[result.fusion.valid]).all()
 
 
 def test_sampled_rounds_contain_truth():
@@ -182,7 +182,7 @@ def test_sampled_rounds_contain_truth():
     lowers, uppers = sample_correct_bounds((2.0, 3.0, 5.0), 7.5, 500, rng)
     result = batch_rounds(lowers, uppers, config, rng)
     assert result.batch == 500
-    assert (result.correct_lo <= 7.5).all() and (result.correct_hi >= 7.5).all()
+    assert (result.prepared.correct_lo <= 7.5).all() and (result.prepared.correct_hi >= 7.5).all()
     assert result.fusion.valid.all()
     assert (result.fusion.lo <= 7.5).all() and (result.fusion.hi >= 7.5).all()
     assert not result.attacker_detected.any()

@@ -47,15 +47,15 @@ LOSSY = ChannelSpec(model="iid", loss=0.15, delay=0.3, max_delay=2, retransmit_b
 
 
 def assert_results_equal(a, b):
-    np.testing.assert_array_equal(a.orders, b.orders)
+    np.testing.assert_array_equal(a.prepared.orders, b.prepared.orders)
     np.testing.assert_array_equal(a.broadcast_lo, b.broadcast_lo)
     np.testing.assert_array_equal(a.broadcast_hi, b.broadcast_hi)
     np.testing.assert_array_equal(a.fusion.lo, b.fusion.lo)
     np.testing.assert_array_equal(a.fusion.hi, b.fusion.hi)
     np.testing.assert_array_equal(a.fusion.valid, b.fusion.valid)
     np.testing.assert_array_equal(a.flagged, b.flagged)
-    np.testing.assert_array_equal(a.fault_mask, b.fault_mask)
-    np.testing.assert_array_equal(a.attacked_mask, b.attacked_mask)
+    np.testing.assert_array_equal(a.prepared.fault_mask, b.prepared.fault_mask)
+    np.testing.assert_array_equal(a.prepared.attacked_mask, b.prepared.attacked_mask)
 
 
 def prepare(config, lengths=LENGTHS, samples=160, seed=3):
@@ -194,7 +194,7 @@ class TestProgramParity:
             channel=LOSSY,
         )
         result = assert_programs_agree(config, prepare(config, samples=240))
-        assert result.channel is not None and result.channel.dropped.sum() > 0
+        assert result.prepared.channel is not None and result.prepared.channel.dropped.sum() > 0
 
     def test_parity_with_faults_masks_and_a_lossy_channel_together(self):
         rng = np.random.default_rng(8)

@@ -1,11 +1,14 @@
 """Sensor-major round buffers and the column-wise reductions over them.
 
-Both round programs keep the broadcasts in C-contiguous ``(n, B)`` buffers
-and hand fusion, detection and the result their ``(B, n)`` ``.T`` views.
-The per-round reductions on the shard path (``attacker_detected``, the Δ
-prologue, the runner's stats row, bound validation) then run over whole
-columns.  This module pins the layout and pins every reduction to the
-row-wise formula it replaced, bit for bit.
+The batch layout rule (:class:`repro.batch.rounds.PreparedRounds`): every
+per-sensor array of a batch, from the first draw of the prologue to the
+result, is a ``(B, n)`` ``.T`` view of a C-contiguous ``(n, B)`` buffer.
+Both round programs keep the broadcasts in such buffers and hand fusion,
+detection and the result their views.  The per-round reductions on the
+shard path (``attacker_detected``, the Δ prologue, the runner's stats row,
+bound validation) then run over whole columns.  This module pins the
+layout and pins every reduction to the row-wise formula it replaced, bit
+for bit.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from repro.batch.rounds import (
     BatchTransientFaults,
     TruthfulBatchAttacker,
     batch_rounds,
+    concat_prepared,
     prepare_rounds,
     sample_correct_bounds,
     slot_loop_rounds,
@@ -71,7 +75,7 @@ def round_batches(draw):
 def test_column_reductions_match_row_formulas(result):
     flagged = np.asarray(result.flagged)
     assert np.array_equal(
-        result.attacker_detected, (flagged & result.attacked_mask).any(axis=1)
+        result.attacker_detected, (flagged & result.prepared.attacked_mask).any(axis=1)
     )
 
     (rounds,) = rounds_results("batch", "schedule", result, [result.batch])
@@ -79,7 +83,7 @@ def test_column_reductions_match_row_formulas(result):
     row = comparison_stats_row(rounds)
     assert row["flagged_counts"] == [int(count) for count in rounds.flagged[valid].sum(axis=0)]
     assert np.float64(row["width_sum"]).tobytes() == np.float64(rounds.widths[valid].sum()).tobytes()
-    assert row["detected"] == int(np.count_nonzero((flagged & result.attacked_mask).any(axis=1)))
+    assert row["detected"] == int(np.count_nonzero((flagged & result.prepared.attacked_mask).any(axis=1)))
 
 
 @given(st.integers(1, 9), st.data())
@@ -94,7 +98,7 @@ def test_attacker_detected_ors_every_attacked_column(n, data):
     result = batch_rounds(lowers, uppers, config, rng)
     flagged = np.ascontiguousarray((rng.random((64, n)) < 0.2).T).T
     result = dataclasses.replace(result, flagged=flagged)
-    assert np.array_equal(result.attacker_detected, (flagged & result.attacked_mask).any(axis=1))
+    assert np.array_equal(result.attacker_detected, (flagged & result.prepared.attacked_mask).any(axis=1))
 
 
 def test_faults_leave_invalid_rows_for_the_property():
@@ -169,6 +173,102 @@ class TestLayout:
         for array in (result.broadcast_lo, result.broadcast_hi, result.flagged):
             assert array.shape == prepared.shape
             assert array.T.flags.c_contiguous
+
+
+#: The per-sensor arrays of a prepared batch.
+PER_SENSOR = ("correct_lo", "correct_hi", "widths", "sent_lo", "sent_hi", "attacked_mask", "fault_mask")
+LENGTHS = (1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+def assert_layout_rule(prepared):
+    batch, n = prepared.shape
+    for name in PER_SENSOR:
+        array = getattr(prepared, name)
+        assert array.shape == (batch, n), name
+        assert array.T.flags.c_contiguous, f"{name} is not a .T view of a sensor-major buffer"
+    assert prepared.orders.flags.c_contiguous  # slot space stays C-ordered
+
+
+def sampled(config, samples=300, seed=4):
+    rng = np.random.default_rng(seed)
+    return prepare_rounds(*sample_correct_bounds(LENGTHS, 0.0, samples, rng), config, rng)
+
+
+def caller_ordered(config, samples=300, seed=4):
+    """C-ordered (B, n) bounds and mask, the way the case study passes them."""
+    rng = np.random.default_rng(seed)
+    lowers = 10.0 - rng.uniform(0.0, 1.0, (samples, len(LENGTHS))) * np.asarray(LENGTHS)
+    mask = np.zeros((samples, len(LENGTHS)), dtype=bool)
+    mask[np.arange(samples), rng.integers(0, len(LENGTHS), samples)] = True
+    config = dataclasses.replace(config, attacked_indices=(), attacked_mask=mask)
+    return prepare_rounds(lowers, lowers + np.asarray(LENGTHS), config, rng)
+
+
+class TestPrologueLayout:
+    CONFIG = BatchRoundConfig(
+        schedule=RandomSchedule(), attacked_indices=(1, 3), attacker=ActiveStretchBatchAttacker()
+    )
+    FAULTY = dataclasses.replace(CONFIG, faults=BatchTransientFaults(0.3))
+
+    def test_sampled_bounds(self):
+        lowers, uppers = sample_correct_bounds(LENGTHS, 0.0, 300, np.random.default_rng(4))
+        assert lowers.T.flags.c_contiguous and uppers.T.flags.c_contiguous
+        assert_layout_rule(sampled(self.CONFIG))
+
+    def test_caller_ordered_bounds(self):
+        assert_layout_rule(caller_ordered(self.CONFIG))
+
+    @pytest.mark.parametrize("build", [sampled, caller_ordered])
+    def test_fault_injected_batches(self, build):
+        prepared = build(self.FAULTY)
+        assert prepared.fault_mask.any()
+        assert_layout_rule(prepared)
+
+    @pytest.mark.parametrize("config", [CONFIG, FAULTY], ids=["fault-free", "faulty"])
+    def test_concat_prepared_pack(self, config):
+        items = [sampled(config, samples=120, seed=1), sampled(config, samples=70, seed=2)]
+        packed = concat_prepared(items)
+        assert_layout_rule(packed)
+        for name in PER_SENSOR:
+            np.testing.assert_array_equal(getattr(packed, name)[120:], getattr(items[1], name))
+
+    def test_conforming_bounds_are_not_copied(self):
+        lowers, uppers = sample_correct_bounds(LENGTHS, 0.0, 50, np.random.default_rng(0))
+        prepared = prepare_rounds(lowers, uppers, self.CONFIG, np.random.default_rng(1))
+        assert np.shares_memory(prepared.correct_lo, lowers) and np.shares_memory(prepared.correct_hi, uppers)
+
+    def test_sampling_is_bit_identical_to_the_sample_major_formula(self):
+        lowers, uppers = sample_correct_bounds(LENGTHS, 7.3, 200, np.random.default_rng(9))
+        expected = 7.3 - np.random.default_rng(9).uniform(0.0, 1.0, (200, len(LENGTHS))) * np.asarray(LENGTHS)
+        assert lowers.tobytes(order="C") == expected.tobytes()
+        assert uppers.tobytes(order="C") == (expected + np.asarray(LENGTHS)).tobytes()
+
+    def test_faults_take_the_same_draws_in_either_layout(self):
+        lowers, uppers = sample_correct_bounds(LENGTHS, 0.0, 200, np.random.default_rng(3))
+        eligible = np.random.default_rng(5).random((200, len(LENGTHS))) < 0.7
+        faults = BatchTransientFaults(0.4)
+        sensor_major = faults.apply(lowers, uppers, eligible, np.random.default_rng(6))
+        row_major = faults.apply(lowers.copy(), uppers.copy(), eligible, np.random.default_rng(6))
+        for got, want in zip(sensor_major, row_major):
+            assert got.T.flags.c_contiguous
+            assert got.tobytes(order="C") == want.tobytes(order="C")
+
+    def test_transmission_rounds_makes_no_transposing_copy(self, monkeypatch):
+        copies = []
+        original = np.ascontiguousarray
+
+        def spy(array, *args, **kwargs):
+            if not np.asarray(array).flags.c_contiguous:
+                copies.append(np.shape(array))
+            return original(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", spy)
+        prepared = sampled(self.CONFIG, samples=2 * _COUNTS_MIN_ROWS)
+        sent_lo = prepared.sent_lo.copy()
+        result = transmission_rounds(prepared, self.CONFIG)
+        assert copies == []
+        assert result.broadcast_lo.T.flags.c_contiguous
+        np.testing.assert_array_equal(prepared.sent_lo, sent_lo)  # a copy, not an alias
 
 
 class TestValidateBounds:

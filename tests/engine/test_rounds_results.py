@@ -8,16 +8,19 @@ telemetry scope.  These tests drive it on a hand-built
 from any simulation body.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.batch.fuse import BatchFusion
-from repro.batch.rounds import BatchRoundResult
+from repro.batch.rounds import BatchRoundConfig, BatchRoundResult, prepare_rounds
 from repro.channel import ChannelSpec
 from repro.channel.model import ChannelRealization
 from repro.engine import RoundsResult
 from repro.engine.base import rounds_results
+from repro.scheduling.schedule import FixedSchedule
 
 ROWS, SENSORS = 6, 3
 #: Rows 1 and 4 lost their fusion; the rest are valid.
@@ -29,10 +32,14 @@ def batch_result(valid=VALID, channel=None):
     broadcast_lo = np.arange(ROWS * SENSORS, dtype=float).reshape(ROWS, SENSORS)
     flagged = np.zeros((ROWS, SENSORS), dtype=bool)
     flagged[2, 1] = flagged[5, 0] = True
+    prepared = prepare_rounds(
+        broadcast_lo,
+        broadcast_lo + 1.0,
+        BatchRoundConfig(schedule=FixedSchedule(tuple(range(SENSORS))), attacked_indices=(0,)),
+        np.random.default_rng(0),
+    )
     return BatchRoundResult(
-        orders=np.tile(np.arange(SENSORS), (ROWS, 1)),
-        correct_lo=broadcast_lo.copy(),
-        correct_hi=broadcast_lo + 1.0,
+        prepared=dataclasses.replace(prepared, channel=channel),
         broadcast_lo=broadcast_lo,
         broadcast_hi=broadcast_lo + 1.0,
         fusion=BatchFusion(
@@ -41,10 +48,6 @@ def batch_result(valid=VALID, channel=None):
             valid=np.asarray(valid, dtype=bool),
         ),
         flagged=flagged,
-        attacked_indices=(0,),
-        fault_mask=np.zeros((ROWS, SENSORS), dtype=bool),
-        attacked_mask=np.array([True, False, False]),
-        channel=channel,
     )
 
 

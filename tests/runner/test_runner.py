@@ -265,18 +265,13 @@ class TestTelemetry:
         # The case-study path reports the exact attacker's memo tallies like
         # the engines' rounds_results: hits + misses of every policy built.
         built = []
-        factory_of = runner_module._case_study_attacker_factory
+        build = runner_module._case_study_attacker
 
         def recording(spec):
-            build = factory_of(spec)
+            built.append(build(spec))
+            return built[-1]
 
-            def factory():
-                built.append(build())
-                return built[-1]
-
-            return factory
-
-        monkeypatch.setattr(runner_module, "_case_study_attacker_factory", recording)
+        monkeypatch.setattr(runner_module, "_case_study_attacker", recording)
         spec = CaseStudyScenario(
             name="runner-test-exact-memo", attacker="exact", n_steps=4, n_vehicles=2, n_replicas=2, shard_replicas=1
         )
